@@ -65,6 +65,7 @@ from .structure import (
 )
 from .classify import (
     Classification,
+    GroupAnalysis,
     classify,
     corollary_class,
     is_2frobenius,
@@ -75,7 +76,6 @@ from .classify import (
 from .graph import CommutingGraph, DiameterResult
 from .verify import (
     CheckRecord,
-    GroupAnalysis,
     group_fingerprint,
     group_report,
     run_all_checks,

@@ -1,30 +1,111 @@
-"""Group classification predicates.
+"""Group classification predicates, and the analysis they read from.
 
 Identifies abelian-Sylow groups, Frobenius groups, 2-Frobenius groups, the
 hypothesis class studied by the commuting-graph checks (solvable nonabelian
 groups with abelian Sylow subgroups whose central quotient is neither
 Frobenius nor 2-Frobenius), and the two special subclasses with the tighter
 diameter bound.
+
+``GroupAnalysis`` computes each invariant of a group once, on first use, by
+the function that defines it; the predicates, the fingerprints, the checks
+and the reports all read from it.  Functions taking an ``AnalysisLike``
+also accept a bare group, which they analyse afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotSolvable
-from .perm import FiniteGroup, Subgroup, prime_divisors
+from .graph import CommutingGraph, DiameterResult
+from .perm import FiniteGroup, Subgroup, full_subgroup, prime_divisors
 from .products import quotient
 from .structure import (
+    DerivedSeries,
     center,
-    centralizer_members,
+    contains_centralizers,
     derived_series,
     fitting_subgroup,
-    normal_subgroups,
     second_fitting_preimage,
     sylow_subgroup,
+    sylow_system,
+    system_normalizer,
 )
+
+if TYPE_CHECKING:
+    from .verify import CheckRecord
+
+
+class GroupAnalysis:
+    """The invariants of one group, each computed once on first use."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+
+    @cached_property
+    def series(self) -> DerivedSeries:
+        return derived_series(self.group)
+
+    @cached_property
+    def derived(self) -> Subgroup:
+        terms = self.series.terms
+        return terms[1] if len(terms) > 1 else terms[0]
+
+    @cached_property
+    def center(self) -> Subgroup:
+        return center(self.group)
+
+    @cached_property
+    def fitting(self) -> Subgroup:
+        return fitting_subgroup(self.group)
+
+    @cached_property
+    def upper_fitting(self) -> Subgroup:
+        """The preimage of F(G/F(G))."""
+        return second_fitting_preimage(self.group, self.fitting)
+
+    @cached_property
+    def system_normalizer(self) -> Subgroup:
+        """The absolute normalizer of the canonical Sylow system."""
+        full = full_subgroup(self.group)
+        return system_normalizer(full, sylow_system(full))
+
+    @cached_property
+    def central_quotient(self) -> GroupAnalysis:
+        return GroupAnalysis(quotient(self.group, self.center)[0])
+
+    @cached_property
+    def classification(self) -> Classification:
+        return classify(self)
+
+    @cached_property
+    def graph(self) -> CommutingGraph:
+        return CommutingGraph(self.group, np.nonzero(~self.center.member_mask)[0])
+
+    @cached_property
+    def diameter(self) -> DiameterResult:
+        return self.graph.diameter()
+
+    @cached_property
+    def records(self) -> list[CheckRecord]:
+        from .verify import run_all_checks  # verify builds on this module
+
+        return run_all_checks(self)
+
+    @cached_property
+    def is_solvable_a_group(self) -> bool:
+        return self.classification.solvable and self.classification.a_group
+
+
+AnalysisLike = FiniteGroup | GroupAnalysis
+
+
+def as_analysis(x: AnalysisLike) -> GroupAnalysis:
+    return x if isinstance(x, GroupAnalysis) else GroupAnalysis(x)
 
 
 def is_a_group(G: FiniteGroup) -> bool:
@@ -32,21 +113,7 @@ def is_a_group(G: FiniteGroup) -> bool:
     return all(sylow_subgroup(G, p).is_abelian() for p in prime_divisors(G.order))
 
 
-def _kernel_condition(G: FiniteGroup, members: np.ndarray) -> bool:
-    """C_G(x) is contained in the candidate kernel for every nontrivial x in it."""
-    mask = np.zeros(G.order, bool)
-    mask[members] = True
-    everyone = np.arange(G.order)
-    for x in members:
-        if x == 0:
-            continue
-        cent = centralizer_members(G, int(x), everyone)
-        if not mask[cent].all():
-            return False
-    return True
-
-
-def is_frobenius(G: FiniteGroup) -> tuple[bool, Subgroup | None]:
+def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     """Frobenius test for solvable groups, returning the kernel when one exists.
 
     For solvable G the Fitting subgroup is the only candidate kernel: a
@@ -55,61 +122,40 @@ def is_frobenius(G: FiniteGroup) -> tuple[bool, Subgroup | None]:
     that condition forces F(G) to be a normal Hall subgroup acted on
     fixed-point-freely, so a complement exists and G is Frobenius.
     """
-    if not derived_series(G).solvable:
+    a = as_analysis(G)
+    if not a.series.solvable:
         raise NotSolvable("Frobenius detection implemented for solvable groups only")
-    F = fitting_subgroup(G)
+    G, F = a.group, a.fitting
     if F.order == 1 or F.order == G.order:
         return False, None
-    if _kernel_condition(G, F.members):
+    if contains_centralizers(G, F.members, np.arange(G.order)):
         return True, F
     return False, None
 
 
-def is_2frobenius(G: FiniteGroup) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
+def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
     """2-Frobenius test: normal K < H with H Frobenius with kernel K and
     G/K Frobenius with kernel H/K.  Returns (K, H) on success.
 
-    Tries the canonical pair K = F(G), H = preimage of F(G/F(G)) first, then
-    falls back to scanning pairs of normal subgroups.
+    For solvable G the pair is forced to be K = F(G) and H the preimage of
+    F(G/F(G)).  K is a Frobenius kernel, hence nilpotent and inside F(G).
+    F(G) ∩ H is nilpotent and normal in H, so it lies in F(H) = K; and
+    F(G)/K is nilpotent and normal in G/K, so it lies in F(G/K) = H/K.
+    Hence F(G) = K, and then H/K = F(G/F(G)).
     """
-    if not derived_series(G).solvable:
+    a = as_analysis(G)
+    if not a.series.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
-
-    def pair_works(K: Subgroup, H: Subgroup) -> bool:
-        if not (1 < K.order < H.order < G.order):
-            return False
-        if not H.member_mask[K.members].all():
-            return False
-        # lower level: H Frobenius with kernel K
-        t = G.table
-        sub = t[np.ix_(H.members, H.members)]
-        idx_of = {int(m): i for i, m in enumerate(H.members)}
-        kmask = np.zeros(H.order, bool)
-        kmask[[idx_of[int(m)] for m in K.members]] = True
-        for i in np.nonzero(kmask)[0]:
-            if i == 0:
-                continue
-            x = H.members[i]
-            cent = (sub[:, i] == sub[i, :])
-            if not kmask[np.nonzero(cent)[0]].all():
-                return False
-        # upper level: G/K Frobenius with kernel H/K
-        Q, proj = quotient(G, K)
-        h_images = np.unique(proj[H.members])
-        return _kernel_condition(Q, h_images)
-
-    K = fitting_subgroup(G)
-    H = second_fitting_preimage(G)
-    if pair_works(K, H):
+    G, K, H = a.group, a.fitting, a.upper_fitting
+    if not (1 < K.order < H.order < G.order):
+        return False, None
+    # lower level: H Frobenius with kernel K
+    if not contains_centralizers(G, K.members, H.members):
+        return False, None
+    # upper level: G/K Frobenius with kernel H/K
+    Q, proj = quotient(G, K)
+    if contains_centralizers(Q, np.unique(proj[H.members]), np.arange(Q.order)):
         return True, (K, H)
-    infos = normal_subgroups(G)
-    for a in infos:
-        for b in infos:
-            Ka, Hb = a.subgroup, b.subgroup
-            if Ka.key() == K.key() and Hb.key() == H.key():
-                continue
-            if pair_works(Ka, Hb):
-                return True, (Ka, Hb)
     return False, None
 
 
@@ -153,22 +199,24 @@ def corollary_class(G: FiniteGroup, hypothesis: bool) -> str:
     return "none"
 
 
-def classify(G: FiniteGroup) -> Classification:
-    series = derived_series(G)
+def classify(G: AnalysisLike) -> Classification:
+    a = as_analysis(G)
+    G = a.group
+    series = a.series
     solvable = series.solvable
-    Z = center(G)
+    Z = a.center
     abelian = Z.order == G.order
     a_group = is_a_group(G) if solvable else False
 
     frob = two_frob = q_frob = q_two_frob = False
     hypothesis = False
     if solvable and not abelian:
-        frob = is_frobenius(G)[0]
-        two_frob = False if frob else is_2frobenius(G)[0]
+        frob = is_frobenius(a)[0]
+        two_frob = False if frob else is_2frobenius(a)[0]
         if Z.order == 1:
             q_frob, q_two_frob = frob, two_frob
         else:
-            Q, _ = quotient(G, Z)
+            Q = a.central_quotient
             q_frob = is_frobenius(Q)[0]
             q_two_frob = False if q_frob else is_2frobenius(Q)[0]
         hypothesis = a_group and not q_frob and not q_two_frob

@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from .classify import GroupAnalysis
 from .errors import AgcError
 from .graph import CommutingGraph
 from .groupfile import group_to_file, load_group, serialize_group_file
@@ -102,8 +103,9 @@ def _analyze_one(path_and_cap: tuple[str, int]) -> tuple[str, dict | None, dict 
         G = load_group(path, max_order=cap)
     except (AgcError, OSError) as exc:
         return path, None, None, str(exc)
-    report = group_report(G)
-    row = report_summary_row(G)
+    a = GroupAnalysis(G)
+    report = group_report(a)
+    row = report_summary_row(a)
     row["name"] = G.name if G.name is not None else Path(path).stem
     return path, report, row, None
 
@@ -173,11 +175,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
               f"choices: {', '.join(sorted(WITNESS_BUILDERS))}", file=sys.stderr)
         return EXIT_INPUT
     G = build_witness(args.name)
-    fp = witness_fingerprint(G)
+    a = GroupAnalysis(G)
+    fp = witness_fingerprint(a)
     target = WITNESS_FINGERPRINTS[args.name]
     defects = {k: (fp.get(k), v) for k, v in target.items() if fp.get(k) != v}
     if args.name == "diameter-6":
-        extras = diameter6_extra_checks(G)
+        extras = diameter6_extra_checks(a)
         for key, ok in extras.items():
             if not ok:
                 defects[key] = (False, True)

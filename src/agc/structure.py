@@ -55,6 +55,15 @@ def centralizer_members(G: FiniteGroup, x: int, scope: np.ndarray) -> np.ndarray
     return scope[t[scope, x] == t[x, scope]]
 
 
+def contains_centralizers(G: FiniteGroup, members: np.ndarray,
+                          scope: np.ndarray) -> bool:
+    """Whether ``members`` contains C(x) ∩ ``scope`` for every nontrivial x in it."""
+    mask = np.zeros(G.order, bool)
+    mask[members] = True
+    return all(mask[centralizer_members(G, int(x), scope)].all()
+               for x in members if x != 0)
+
+
 def center(H: GroupLike) -> Subgroup:
     """Elements of H commuting with every element of H (a Subgroup of the parent)."""
     H = as_subgroup(H)
@@ -239,11 +248,10 @@ def fitting_subgroup(H: GroupLike) -> Subgroup:
     return generated_subgroup(G, gens)
 
 
-def second_fitting_preimage(G: FiniteGroup) -> Subgroup:
-    """The full preimage in G of F(G/F(G))."""
+def second_fitting_preimage(G: FiniteGroup, F: Subgroup) -> Subgroup:
+    """The full preimage in G of F(G/F), given the Fitting subgroup F = F(G)."""
     from .products import quotient  # local import to avoid a cycle
 
-    F = fitting_subgroup(G)
     if F.order == G.order:
         return F
     Q, proj = quotient(G, F)

@@ -5,6 +5,9 @@ data.  Statuses: "pass" / "fail" (asserted checks), "vacuous" (the check's
 hypothesis has no instance in this group), "skipped-precondition" (the group
 is outside the check's scope).  Diagnostic checks report measurements but
 are never asserted; they stay "vacuous" with the data in the witness field.
+
+Checks read their invariants from one ``GroupAnalysis``, which also keeps
+the records of ``run_all_checks``: a report and its summary row share them.
 """
 
 from __future__ import annotations
@@ -12,27 +15,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
-from .classify import Classification, classify
+from .classify import AnalysisLike, GroupAnalysis, as_analysis
 from .errors import NotComplement
-from .graph import CommutingGraph, DiameterResult
 from .perm import FiniteGroup, Subgroup, full_subgroup, p_part, prime_divisors
-from .products import quotient
 from .structure import (
-    DerivedSeries,
     center,
     centralizer_members,
-    derived_series,
-    fitting_subgroup,
+    contains_centralizers,
     minimal_normal_subgroups,
     normalizer_members,
-    second_fitting_preimage,
     sylow_conjugates,
-    sylow_system,
     sylow_systems,
     system_normalizer,
 )
@@ -56,54 +52,14 @@ class CheckRecord:
         }
 
 
-class GroupAnalysis:
-    """Caches the expensive invariants of one group across checks."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-
-    @cached_property
-    def classification(self) -> Classification:
-        return classify(self.group)
-
-    @cached_property
-    def series(self) -> DerivedSeries:
-        return derived_series(self.group)
-
-    @cached_property
-    def center(self) -> Subgroup:
-        return center(self.group)
-
-    @cached_property
-    def derived(self) -> Subgroup:
-        return self.series.terms[1] if len(self.series.terms) > 1 \
-            else self.series.terms[0]
-
-    @cached_property
-    def fitting(self) -> Subgroup:
-        return fitting_subgroup(self.group)
-
-    @cached_property
-    def graph(self) -> CommutingGraph:
-        return CommutingGraph(self.group)
-
-    @cached_property
-    def diameter(self) -> DiameterResult:
-        return self.graph.diameter()
-
-    @cached_property
-    def is_solvable_a_group(self) -> bool:
-        return self.classification.solvable and self.classification.a_group
-
-
-def group_fingerprint(G: FiniteGroup) -> dict[str, Any]:
-    series = derived_series(G)
+def group_fingerprint(G: AnalysisLike) -> dict[str, Any]:
+    a = as_analysis(G)
     return {
-        "name": G.name,
-        "order": G.order,
-        "derived_length": series.derived_length,
-        "center_order": center(G).order,
-        "primes": prime_divisors(G.order),
+        "name": a.group.name,
+        "order": a.group.order,
+        "derived_length": a.series.derived_length,
+        "center_order": a.center.order,
+        "primes": prime_divisors(a.group.order),
     }
 
 
@@ -186,8 +142,8 @@ def check_fitting_decomposition(a: GroupAnalysis) -> CheckRecord:
     factor_orders = []
     product = np.array([0], np.int32)
     order_product = 1
-    for K in terms[:-1]:  # every term except the trivial tail
-        ZK = center(K)
+    for i, K in enumerate(terms[:-1]):  # every term except the trivial tail
+        ZK = a.center if i == 0 else center(K)  # the first term is G itself
         factor_orders.append(ZK.order)
         order_product *= ZK.order
         product = _product_members(G, product, ZK.members)
@@ -234,23 +190,9 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     kernel_match = missed.size == N.order - 1 and N.member_mask[missed].all()
     cond1 = malnormal and kernel_match
 
-    cond2 = A.order > 1 and N.order > 1
-    if cond2:
-        for x in A.members:
-            if x == 0:
-                continue
-            if not A.member_mask[centralizer_members(G, int(x), everyone)].all():
-                cond2 = False
-                break
-
-    cond3 = A.order > 1 and N.order > 1
-    if cond3:
-        for x in N.members:
-            if x == 0:
-                continue
-            if not N.member_mask[centralizer_members(G, int(x), everyone)].all():
-                cond3 = False
-                break
+    nontrivial = A.order > 1 and N.order > 1
+    cond2 = nontrivial and contains_centralizers(G, A.members, everyone)
+    cond3 = nontrivial and contains_centralizers(G, N.members, everyone)
     return {"malnormal_kernel": cond1, "complement_centralizers": cond2,
             "kernel_centralizers": cond3}
 
@@ -273,12 +215,11 @@ def _frobenius_equivalences_auto(a: GroupAnalysis) -> CheckRecord:
                            {"reason": "needs a nonabelian solvable abelian-Sylow group"})
     G = a.group
     N = a.derived
-    M = system_normalizer(full_subgroup(G), sylow_system(full_subgroup(G)))
+    M = a.system_normalizer
     if not _is_complement(G, M, N):
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "system normalizer does not complement G'"})
-    rec = check_frobenius_equivalences(G, N, M)
-    return rec
+    return check_frobenius_equivalences(G, N, M)
 
 
 # -- stray p-part centralizer check -------------------------------------------
@@ -302,8 +243,7 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
     if math.gcd(D.order, G.order // D.order) == 1:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "derived subgroup is a Hall subgroup"})
-    M = system_normalizer(full_subgroup(G), sylow_system(full_subgroup(G)))
-    conjugates = sylow_conjugates(full_subgroup(G), M)
+    conjugates = sylow_conjugates(full_subgroup(G), a.system_normalizer)
     norm_cover = np.zeros(G.order, bool)
     for conj in conjugates:
         norm_cover[conj.members] = True
@@ -382,8 +322,7 @@ def _center_quotient_transfer(a: GroupAnalysis) -> CheckRecord:
     if inter.size != 1:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "derived subgroup meets the center"})
-    Q, _ = quotient(a.group, a.center)
-    dq = CommutingGraph(Q).diameter()
+    dq = a.central_quotient.diameter
     dg = a.diameter
     same_connectivity = dg.connected == dq.connected
     same_diameter = (not dg.connected) or dg.diameter == dq.diameter
@@ -424,7 +363,7 @@ def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
         return [CheckRecord(i, "skipped-precondition", dict(reason)) for i in ids]
     G = a.group
     F = a.fitting
-    J = second_fitting_preimage(G)
+    J = a.upper_fitting
     d = a.diameter
     base = {"diameter_status": d.status, "diameter": d.diameter,
             "hypothesis_met": bool(d.connected and d.diameter is not None
@@ -507,8 +446,9 @@ def _timed_many(fn: Callable[[], list[CheckRecord]]) -> list[CheckRecord]:
     return recs
 
 
-def run_all_checks(G: FiniteGroup) -> list[CheckRecord]:
-    a = GroupAnalysis(G)
+def run_all_checks(G: AnalysisLike) -> list[CheckRecord]:
+    """Every check, sorted by id.  ``GroupAnalysis.records`` keeps the result."""
+    a = as_analysis(G)
     records: list[CheckRecord] = []
     records.append(_timed(lambda: check_derived_center_intersection(a)))
     records.append(_timed(lambda: check_system_normalizer_complement(a)))
@@ -521,21 +461,21 @@ def run_all_checks(G: FiniteGroup) -> list[CheckRecord]:
     return records
 
 
-def group_report(G: FiniteGroup) -> dict[str, Any]:
-    records = run_all_checks(G)
+def group_report(G: AnalysisLike) -> dict[str, Any]:
+    a = as_analysis(G)
+    records = a.records
     return {
-        "fingerprint": group_fingerprint(G),
+        "fingerprint": group_fingerprint(a),
         "checks": [r.to_json() for r in records],
     }
 
 
-def report_summary_row(G: FiniteGroup) -> dict[str, Any]:
-    """One CSV row of headline facts plus the overall pass flag."""
-    a = GroupAnalysis(G)
+def report_summary_row(G: AnalysisLike) -> dict[str, Any]:
+    """One CSV row of headline facts plus the overall pass flag, read from
+    the analysis's classification, diameter and check records."""
+    a = as_analysis(G)
     c = a.classification
     d = a.diameter
-    records = run_all_checks(G)
-    all_pass = all(r.status != "fail" for r in records)
     return {
         "order": c.order,
         "derived_length": c.derived_length,
@@ -546,5 +486,5 @@ def report_summary_row(G: FiniteGroup) -> dict[str, Any]:
         "hypothesis": c.satisfies_hypothesis,
         "connected": d.connected,
         "diameter": d.diameter if d.diameter is not None else "",
-        "all_pass": all_pass,
+        "all_pass": all(r.status != "fail" for r in a.records),
     }

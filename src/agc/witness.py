@@ -21,26 +21,24 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .classify import classify
+from .classify import AnalysisLike, GroupAnalysis, as_analysis
 from .errors import InvalidAction
-from .graph import CommutingGraph
 from .perm import FiniteGroup
 from .products import semidirect_product
 from .constructions import abelian, abelian_vectors, metacyclic
-from .structure import center, derived_series, fitting_subgroup
+from .structure import center
 
 
-def witness_fingerprint(G: FiniteGroup) -> dict[str, Any]:
+def witness_fingerprint(G: AnalysisLike) -> dict[str, Any]:
     """Invariant fingerprint used to identify witness groups."""
-    series = derived_series(G)
-    derived = series.terms[1] if len(series.terms) > 1 else series.terms[0]
-    d = CommutingGraph(G).diameter()
+    a = as_analysis(G)
+    d = a.diameter
     return {
-        "order": G.order,
-        "center_order": center(G).order,
-        "derived_order": derived.order,
-        "fitting_order": fitting_subgroup(G).order,
-        "derived_length": series.derived_length,
+        "order": a.group.order,
+        "center_order": a.center.order,
+        "derived_order": a.derived.order,
+        "fitting_order": a.fitting.order,
+        "derived_length": a.series.derived_length,
         "connected": d.connected,
         "diameter": d.diameter,
     }
@@ -163,10 +161,6 @@ def _invariant_decompositions(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _matches(G: FiniteGroup, target: dict[str, Any]) -> bool:
-    return witness_fingerprint(G) == target
-
-
 def _candidate_products(order: int) -> Iterator[FiniteGroup]:
     """Semidirect products of abelian groups with orders multiplying to ``order``."""
     for m in range(2, order):
@@ -212,12 +206,12 @@ def build_diameter4_witness() -> FiniteGroup:
     """First order-60 semidirect product of abelian groups matching the
     frozen fingerprint and the connectivity hypothesis."""
     for G in _candidate_products(60):
-        series = derived_series(G)
-        if series.derived_length != 2:
+        a = GroupAnalysis(G)
+        if a.series.derived_length != 2:
             continue
-        if not _matches(G, DIAMETER4_FINGERPRINT):
+        if witness_fingerprint(a) != DIAMETER4_FINGERPRINT:
             continue
-        if classify(G).satisfies_hypothesis:
+        if a.classification.satisfies_hypothesis:
             G.name = "diameter4-witness"
             return G
     raise AssertionError("order-60 witness search found no match")
@@ -345,25 +339,26 @@ def build_diameter6_witness() -> FiniteGroup:
             G = semidirect_product(base, actor, lambda a: phis[a])
         except InvalidAction:
             continue
-        Zd = center(derived_series(G).terms[1])
-        if Zd.order == 1:
+        a = GroupAnalysis(G)
+        if center(a.series.terms[1]).order == 1:
             continue
-        if _matches(G, DIAMETER6_FINGERPRINT):
+        if witness_fingerprint(a) == DIAMETER6_FINGERPRINT:
             G.name = "diameter6-witness"
             return G
     raise AssertionError("order-1500 witness search found no match")
 
 
-def diameter6_extra_checks(G: FiniteGroup) -> dict[str, bool]:
+def diameter6_extra_checks(G: AnalysisLike) -> dict[str, bool]:
     """Extra structural facts of the order-1500 witness, as named booleans.
 
     The Fitting subgroup must be the Sylow 5-subgroup, no 2-element may
     commute with a nontrivial Fitting element, and no order-4 element may
     commute with any nontrivial 3-element.
     """
+    a = as_analysis(G)
+    G, F = a.group, a.fitting
     t = G.table
     orders = G.element_orders
-    F = fitting_subgroup(G)
     fitting_is_sylow5 = F.order == 125 and \
         bool(np.all(np.isin(orders[F.members[1:]] , (5, 25, 125))))
 

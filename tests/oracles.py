@@ -125,3 +125,76 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
             if _is_malnormal(G, H):
                 return True
     return False
+
+
+def _generated(G: FiniteGroup, seed: np.ndarray) -> frozenset[int]:
+    """The subgroup generated by ``seed``: products added until none is new."""
+    t = G.table
+    members = np.union1d(seed, [0])
+    while True:
+        grown = np.union1d(members, t[np.ix_(members, members)].ravel())
+        if grown.size == members.size:
+            return frozenset(members.tolist())
+        members = grown
+
+
+def brute_normal_subgroups(G: FiniteGroup) -> set[frozenset[int]]:
+    """Every normal subgroup, as the joins of the normal closures of elements.
+
+    The normal closure of x is generated by its conjugacy class; every
+    normal subgroup is the join of the normal closures of its elements, and
+    the join of two normal subgroups A and B is the product set AB.
+    """
+    t, inv = G.table, G.inverse_array
+    everyone = np.arange(G.order)
+    seen = np.zeros(G.order, bool)
+    found = set()
+    for x in range(G.order):
+        if not seen[x]:
+            cls = t[t[everyone, x], inv[everyone]]
+            seen[cls] = True
+            found.add(_generated(G, cls))
+    frontier = list(found)
+    while frontier:
+        new = []
+        for A in frontier:
+            for B in list(found):
+                if A <= B or B <= A:
+                    continue
+                join = frozenset(np.unique(t[np.ix_(sorted(A), sorted(B))]).tolist())
+                if join not in found:
+                    found.add(join)
+                    new.append(join)
+        frontier = new
+    return found
+
+
+def brute_2frobenius(G: FiniteGroup) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Every pair (K, H) of normal subgroups that makes G 2-Frobenius.
+
+    Scans all pairs with 1 < K < H < G.  H must be Frobenius with kernel K:
+    no nontrivial element of K commutes with an element of H outside K.
+    G/K must be Frobenius with kernel H/K: no element of H outside K
+    commutes modulo K with an element of G outside H, that is, no such
+    commutator [x, g] = x^-1 g^-1 x g lies in K.  G is 2-Frobenius exactly
+    when the list is nonempty.
+    """
+    t, inv = G.table, G.inverse_array
+    normals = sorted(brute_normal_subgroups(G), key=lambda s: (len(s), sorted(s)))
+    pairs = []
+    for K in normals:
+        for H in normals:
+            if not (1 < len(K) < len(H) < G.order and K < H):
+                continue
+            k = np.array(sorted(K - {0}))
+            h_out = np.array(sorted(H - K))
+            g_out = np.array(sorted(set(range(G.order)) - H))
+            if (t[np.ix_(k, h_out)] == t[np.ix_(h_out, k)].T).any():
+                continue
+            comm = t[t[np.ix_(inv[h_out], inv[g_out])], t[np.ix_(h_out, g_out)]]
+            in_k = np.zeros(G.order, bool)
+            in_k[list(K)] = True
+            if in_k[comm].any():
+                continue
+            pairs.append((K, H))
+    return pairs

@@ -167,6 +167,21 @@ def test_criterion_7_corpus_determinism(corpus_dir, tmp_path):
                 check["millis"] = 0.0
         return json.dumps(data, sort_keys=True)
 
+    def without_millis(value):
+        if isinstance(value, dict):
+            return {k: without_millis(v) for k, v in value.items() if k != "millis"}
+        if isinstance(value, list):
+            return [without_millis(v) for v in value]
+        return value
+
+    # the frozen references of the benchmark, captured from the CLI
+    refs = corpus_dir.parent / "perfbench" / "refs" / "corpus"
+    reports = json.loads((out1 / "reports.json").read_text())
+    frozen = json.dumps(without_millis(reports), indent=2) + "\n" == \
+        (refs / "reports.json").read_text() and \
+        (out1 / "summary.csv").read_bytes() == (refs / "summary.csv").read_bytes()
+
     ok = canon(out1) == canon(out2) and \
         (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
-    _verdict(7, "byte-identical corpus reports across --jobs", ok)
+    _verdict(7, "byte-identical corpus reports across --jobs and against the "
+             "frozen references", ok and frozen)

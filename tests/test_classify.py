@@ -19,8 +19,14 @@ from agc.constructions import (
     quaternion,
     symmetric,
 )
-from agc.products import direct_product
-from agc.structure import derived_subgroup
+from agc.products import direct_product, quotient
+from agc.structure import center, derived_subgroup
+
+from oracles import brute_2frobenius
+
+
+def _pair(K, H):
+    return frozenset(K.members.tolist()), frozenset(H.members.tolist())
 
 
 def test_a_group_detection():
@@ -52,16 +58,33 @@ def test_frobenius_requires_solvable():
 
 
 def test_2frobenius_s4():
-    ok, pair = is_2frobenius(symmetric(4))
+    G = symmetric(4)
+    ok, pair = is_2frobenius(G)
     assert ok
     K, H = pair
     assert (K.order, H.order) == (4, 12)
+    assert brute_2frobenius(G) == [_pair(K, H)]
+
+
+def _affine(a, b, c, d, e=0):
+    """x + 3y -> (a x + b y + e) + 3 (c x + d y) on the points of F_3^2."""
+    return Permutation([(a * x + b * y + e) % 3 + 3 * ((c * x + d * y) % 3)
+                        for y in range(3) for x in range(3)])
 
 
 def test_2frobenius_negatives():
     assert not is_2frobenius(symmetric(3))[0]
     assert not is_2frobenius(cyclic(12))[0]
     assert not is_2frobenius(metacyclic(5, 4, 2))[0]
+    # S4 x C2: G/F(G) = S3 is Frobenius, but the central C2 lies in F(G),
+    # so only the lower level of the canonical pair fails.  ASL(2,3):
+    # C3^2 x| Q8 is Frobenius with kernel F(G) = C3^2, but G/F(G) = SL(2,3)
+    # has a centre, so only the upper level fails.
+    asl23 = closure(9, [_affine(1, 0, 0, 1, 1), _affine(1, 1, 0, 1),
+                        _affine(0, 2, 1, 0)])
+    for G in (direct_product(symmetric(4), cyclic(2)), asl23):
+        assert not is_2frobenius(G)[0]
+        assert brute_2frobenius(G) == []
 
 
 def test_2frobenius_corpus_instance(corpus_groups):
@@ -69,6 +92,19 @@ def test_2frobenius_corpus_instance(corpus_groups):
     assert ok
     K, H = pair
     assert (K.order, H.order) == (49, 147)
+    assert brute_2frobenius(corpus_groups["c7sq-s3"]) == [_pair(K, H)]
+
+
+def test_2frobenius_matches_pair_scan_oracle(corpus_groups):
+    """The canonical pair (F(G), preimage of F(G/F(G))) finds every
+    2-Frobenius group that a scan over all pairs of normal subgroups finds."""
+    for name, G in corpus_groups.items():
+        if G.order > 500:
+            continue
+        Z = center(G)
+        groups = [G] if Z.order in (1, G.order) else [G, quotient(G, Z)[0]]
+        for H in groups:
+            assert is_2frobenius(H)[0] == bool(brute_2frobenius(H)), (name, H.order)
 
 
 def test_hypothesis_examples(corpus_groups):

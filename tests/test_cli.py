@@ -1,9 +1,11 @@
+import importlib
 import json
 
 import pytest
 
-from agc.cli import main
+from agc.cli import _analyze_one, main
 from agc.groupfile import load_group, save_group
+from agc.perm import DEFAULT_MAX_ORDER
 from agc.constructions import symmetric
 
 
@@ -96,3 +98,52 @@ def test_corpus_skips_corrupt_files_unless_strict(tmp_path, capsys):
 
 def test_corpus_missing_directory(tmp_path, capsys):
     assert main(["corpus", str(tmp_path / "nope")]) == 1
+
+
+def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
+    """The report and the summary row of a corpus item share one analysis."""
+    modules = {name: importlib.import_module(f"agc.{name}") for name in (
+        "classify", "cli", "graph", "products", "structure", "verify", "witness")}
+    structure = modules["structure"]
+    counted = {
+        structure.derived_series: "derived_series",
+        structure.center: "center",
+        structure.fitting_subgroup: "fitting_subgroup",
+        structure.second_fitting_preimage: "second_fitting_preimage",
+        modules["products"].quotient: "quotient",
+        modules["classify"].classify: "classify",
+        modules["verify"].run_all_checks: "run_all_checks",
+        modules["cli"].load_group: "load_group",
+    }
+    calls = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+        return wrapper
+
+    for module in modules.values():
+        for attr, value in list(vars(module).items()):
+            name = next((n for f, n in counted.items() if f is value), None)
+            if name is not None:
+                monkeypatch.setattr(module, attr, wrap(name, value))
+
+    path = str(corpus_dir / "c2xw60.json")
+    _, report, row, err = _analyze_one((path, DEFAULT_MAX_ORDER))
+    assert err is None and row["all_pass"]
+    (G,) = [result for name, _, result in calls if name == "load_group"]
+
+    def on_group(name):
+        return [(args, result) for n, args, result in calls
+                if n == name and args[0] is G]
+
+    assert sum(name == "classify" for name, _, _ in calls) == 1
+    assert sum(name == "run_all_checks" for name, _, _ in calls) == 1
+    for name in ("derived_series", "center", "fitting_subgroup",
+                 "second_fitting_preimage"):
+        assert len(on_group(name)) == 1, name
+    ((_, Z),) = on_group("center")
+    assert 1 < Z.order < G.order
+    assert sum(args[1].same_members(Z) for args, _ in on_group("quotient")) <= 1

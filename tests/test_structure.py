@@ -78,7 +78,7 @@ def test_fitting_of_s4_is_klein_four():
     assert F.order == 4
     assert F.is_normal()
     assert is_nilpotent(F)
-    assert second_fitting_preimage(G).order == 12
+    assert second_fitting_preimage(G, F).order == 12
 
 
 def test_p_core_of_s4():
