@@ -122,7 +122,7 @@ def build_all() -> dict[str, FiniteGroup]:
     add("c2xg126", direct_product(cyclic(2), g126, name="C2x(C7:C3)xS3"))
 
     # the extremal witnesses and their products with abelian factors
-    w60 = build_witness("diameter-4")
+    w60 = build_witness("diameter-4").group
     add("diameter4-witness", w60, name="diameter4-witness")
     for key, A, aname in [
         ("c2xw60", cyclic(2), "C2"),
@@ -134,7 +134,7 @@ def build_all() -> dict[str, FiniteGroup]:
     ]:
         add(key, direct_product(A, w60, name=f"{aname}x(diameter4-witness)"))
 
-    w1500 = build_witness("diameter-6")
+    w1500 = build_witness("diameter-6").group
     add("diameter6-witness", w1500, name="diameter6-witness")
     return groups
 

@@ -174,8 +174,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         print(f"error: unknown witness {args.name!r}; "
               f"choices: {', '.join(sorted(WITNESS_BUILDERS))}", file=sys.stderr)
         return EXIT_INPUT
-    G = build_witness(args.name)
-    a = GroupAnalysis(G)
+    a = build_witness(args.name)
+    G = a.group
     fp = witness_fingerprint(a)
     target = WITNESS_FINGERPRINTS[args.name]
     defects = {k: (fp.get(k), v) for k, v in target.items() if fp.get(k) != v}

@@ -3,7 +3,9 @@
 Composition is left-to-right throughout: ``(p * q)(i) == q(p(i))``, i.e. the
 left factor acts first.  Groups enumerate their elements breadth-first over
 generator products starting at the identity, with the generator list order
-fixed, so element indices are fully reproducible.
+fixed, so element indices are fully reproducible.  Each group is enumerated
+once, and its multiplication table is built from the products x·g that the
+enumeration computed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 20_000
-DEFAULT_TABLE_CAP = 4096
 
 
 def _validate_images(images, degree: int | None = None) -> np.ndarray:
@@ -97,19 +98,21 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 class FiniteGroup:
     """A fully enumerated permutation group with index-based arithmetic.
 
-    ``elements`` is an (order, degree) array whose rows are image arrays;
-    row 0 is the identity.  ``generators`` are element indices.  A dense
-    multiplication table is built eagerly for orders up to ``table_cap``
-    and lazily (on first use) beyond that.
+    ``elements`` is an (order, degree) array whose rows are image arrays,
+    listed breadth-first: row 0 is the identity and every other row is first
+    reached as x·g for an earlier row x and a generator g.  ``generators``
+    are element indices, and ``right[k, i]`` is the index of element i times
+    generator k.  The dense multiplication table and the inverse array are
+    built from these columns when the group is made.
     """
 
     def __init__(
         self,
         elements: np.ndarray,
         generators: Sequence[int],
+        right: np.ndarray,
         *,
         name: str | None = None,
-        table_cap: int = DEFAULT_TABLE_CAP,
     ):
         elems = np.ascontiguousarray(elements, dtype=np.int32)
         if elems.ndim != 2:
@@ -119,19 +122,17 @@ class FiniteGroup:
         self.order, self.degree = elems.shape
         self.generators = [int(g) for g in generators]
         self.name = name
-        self._index: dict[bytes, int] = {
-            elems[i].tobytes(): i for i in range(self.order)
-        }
-        self._table: np.ndarray | None = None
-        self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        if self.order <= table_cap:
-            self._build_table()
+        self._build_table(np.asarray(right, np.int32))
 
     # -- basic accessors ----------------------------------------------------
 
     def perm(self, i: int) -> Permutation:
         return Permutation(self.elements[i])
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        return {row.tobytes(): i for i, row in enumerate(self.elements)}
 
     def index_of(self, p: Permutation | np.ndarray) -> int:
         arr = p.images if isinstance(p, Permutation) else np.asarray(p, np.int32)
@@ -150,25 +151,8 @@ class FiniteGroup:
 
     # -- multiplication -----------------------------------------------------
 
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            self._build_table()
-        assert self._table is not None
-        return self._table
-
-    @property
-    def inverse_array(self) -> np.ndarray:
-        if self._inv is None:
-            self._build_table()
-        assert self._inv is not None
-        return self._inv
-
     def mult(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        prod = self.elements[j][self.elements[i]]
-        return self._index[prod.tobytes()]
+        return int(self.table[i, j])
 
     def inverse_of(self, i: int) -> int:
         return int(self.inverse_array[i])
@@ -183,46 +167,28 @@ class FiniteGroup:
             e >>= 1
         return result
 
-    def _build_table(self) -> None:
+    def _build_table(self, right: np.ndarray) -> None:
+        """Fill ``table`` and ``inverse_array`` from the right-multiplication
+        columns: if element j is first reached as i·g_k, then column j of the
+        table is ``right[k]`` applied to column i."""
         n = self.order
-        if n == 1:
-            self._table = np.zeros((1, 1), np.int32)
-            self._inv = np.zeros(1, np.int32)
-            return
-        gens = self.generators
-        # index of x·g for every element x and generator g
-        gcols = np.empty((len(gens), n), np.int32)
-        index = self._index
-        for k, g in enumerate(gens):
-            prods = self.elements[g][self.elements]
-            gcols[k] = [index[row.tobytes()] for row in prods]
-        # breadth-first spanning words: element j reached as parent·gen
-        parent = np.full((n, 2), -1, np.int32)
-        seen = np.zeros(n, bool)
-        seen[0] = True
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            for k in range(len(gens)):
-                j = int(gcols[k, i])
-                if not seen[j]:
-                    seen[j] = True
-                    parent[j] = (i, k)
-                    queue.append(j)
-        if not seen.all():
+        ngens = right.shape[0]
+        # first occurrence of each index in the enumeration's reading order
+        reached, first = np.unique(right.T.ravel(), return_index=True)
+        parent = np.full(n, n, np.int64)  # n: never reached
+        parent[reached] = first // ngens
+        gen = np.zeros(n, np.int64)
+        gen[reached] = first % ngens
+        if (parent[1:] >= np.arange(1, n)).any():
             raise ValueError("element list is not generated by the given generators")
         table = np.empty((n, n), np.int32)
         table[:, 0] = np.arange(n, dtype=np.int32)
-        for j in queue[1:]:
-            i, k = parent[j]
-            table[:, j] = gcols[k][table[:, i]]
-        inv = np.empty(n, np.int32)
-        rows, cols = np.nonzero(table == 0)
-        inv[rows] = cols
-        self._table = table
-        self._inv = inv
+        for j in range(1, n):
+            table[:, j] = right[gen[j]][table[:, parent[j]]]
+        self.table = table
+        # each row is a permutation of the indices, so its least entry is
+        # the identity, in the inverse's column
+        self.inverse_array = table.argmin(axis=1).astype(np.int32)
 
     # -- element data ---------------------------------------------------------
 
@@ -252,14 +218,15 @@ def closure(
     gens: Iterable[Permutation | Sequence[int]],
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    table_cap: int = DEFAULT_TABLE_CAP,
     name: str | None = None,
 ) -> FiniteGroup:
     """Enumerate the group generated by ``gens`` on {0..degree-1}.
 
     Elements are listed breadth-first over right-multiplication by the
     generators, starting at the identity, so the listing is deterministic
-    for a fixed generator order.  Raises GroupTooLarge past ``max_order``.
+    for a fixed generator order.  The index of every product x·g met on the
+    way is kept, and the group's table is built from these columns.  Raises
+    GroupTooLarge past ``max_order``.
     """
     if degree < 1:
         raise MalformedPermutation("degree must be positive")
@@ -274,24 +241,26 @@ def closure(
     ident = np.arange(degree, dtype=np.int32)
     elems = [ident]
     index = {ident.tobytes(): 0}
+    right: list[list[int]] = [[] for _ in gen_arrays]
     head = 0
     while head < len(elems):
         cur = elems[head]
         head += 1
-        for garr in gen_arrays:
+        for garr, col in zip(gen_arrays, right):
             prod = garr[cur]
             key = prod.tobytes()
-            if key not in index:
+            j = index.get(key)
+            if j is None:
                 if len(elems) >= max_order:
                     raise GroupTooLarge(
                         f"closure exceeded the order cap of {max_order}"
                     )
-                index[key] = len(elems)
+                j = index[key] = len(elems)
                 elems.append(prod)
+            col.append(j)
     gen_indices = [index[g.tobytes()] for g in gen_arrays]
-    return FiniteGroup(
-        np.array(elems, np.int32), gen_indices, name=name, table_cap=table_cap
-    )
+    right_cols = np.array(right, np.int32).reshape(len(gen_arrays), len(elems))
+    return FiniteGroup(np.array(elems, np.int32), gen_indices, right_cols, name=name)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import (
-    DEFAULT_TABLE_CAP,
-    FiniteGroup,
-    Permutation,
-    Subgroup,
-    closure,
-)
+from .perm import FiniteGroup, Permutation, Subgroup, closure
 
 
 def quotient(
@@ -28,6 +22,9 @@ def quotient(
 
     Returns ``(Q, proj)`` where Q acts by right multiplication on the cosets
     of N (degree |G|/|N|) and ``proj[x]`` is the index in Q of the coset Nx.
+    The cosets are listed breadth-first from N over right multiplication by
+    G's generators, the order a closure over the coset permutations would
+    give, and Q's elements and table are read off G's table.
     Raises NotNormal when N is not normal in G.
     """
     if N.parent is not G:
@@ -35,18 +32,26 @@ def quotient(
     if not N.is_normal():
         raise NotNormal("quotient by a non-normal subgroup")
     t = G.table
+    gens = np.array(G.generators, np.int64)
     # canonical representative of the coset Nx: the least element of {n·x}
     coset_rep = t[N.members].min(axis=0).astype(np.int32)
     reps = np.unique(coset_rep)
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
-    k = int(reps.size)
-    gen_perms = [Permutation(cid[t[reps, g]]) for g in G.generators]
-    Q = closure(k, gen_perms, max_order=k, name=name)
-    # each element x of G induces the coset permutation c ↦ cid[reps[c]·x]
-    images = cid[t[reps]]  # shape (k, |G|); column x is the permutation of x
-    proj = np.empty(G.order, np.int32)
-    for x in range(G.order):
-        proj[x] = Q.index_of(np.ascontiguousarray(images[:, x]))
+    # representatives r of the cosets in breadth-first order, N (rep 0) first;
+    # r grows while it is read
+    pos = np.full(reps.size, -1, np.int32)
+    pos[0] = 0
+    r = [0]
+    for x in r:
+        for c in cid[t[x, gens]]:
+            if pos[c] < 0:
+                pos[c] = len(r)
+                r.append(int(reps[c]))
+    proj = pos[cid]
+    # row p of the elements is the coset permutation c ↦ cid[reps[c]·r[p]]
+    elements = cid[t[np.ix_(reps, r)].T]
+    right = proj[t[np.ix_(r, gens)]].T
+    Q = FiniteGroup(elements, proj[gens], right, name=name)
     return Q, proj
 
 
@@ -59,7 +64,6 @@ def semidirect_product(
     action: ActionFn,
     *,
     name: str | None = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> FiniteGroup:
     """The semidirect product base ⋊ actor for a verified action.
 
@@ -96,7 +100,7 @@ def semidirect_product(
     for ga in actor.generators:
         # right multiplication by (identity, ga)
         gen_perms.append(Permutation(b_of * m + ta[a_of, ga]))
-    G = closure(nb * m, gen_perms, max_order=nb * m, table_cap=table_cap, name=name)
+    G = closure(nb * m, gen_perms, max_order=nb * m, name=name)
     if G.order != nb * m:
         raise InvalidAction("regular representation did not reach full order")
 

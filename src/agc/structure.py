@@ -2,8 +2,9 @@
 
 Centralizers, the center, derived series, Sylow subgroups (via normalizer
 growth), Fitting and second-Fitting subgroups, Sylow systems with
-backtracking search, (relative) system normalizers, and normal-subgroup
-enumeration via join-closure of normal closures.
+backtracking search, (relative) system normalizers, minimal normal
+subgroups from normal closures of elements, and normal-subgroup enumeration
+via join-closure of normal closures.
 
 All operations are pure functions of immutable groups/subgroups.  Most take
 either a FiniteGroup or a Subgroup; a FiniteGroup is treated as its own full
@@ -434,4 +435,18 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
 
 
 def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    return [info.subgroup for info in normal_subgroups(G) if info.minimal]
+    """The minimal normal subgroups, ordered by order, then by members.
+
+    A minimal normal subgroup is the normal closure of each of its
+    nontrivial elements, and a normal closure that contains no smaller one
+    is minimal normal; so these are the inclusion-minimal normal closures of
+    one element per nontrivial conjugacy class.
+    """
+    closures: dict[bytes, Subgroup] = {}
+    for cls in conjugacy_classes(G)[1:]:
+        S = normal_closure(G, int(cls[0]))
+        closures.setdefault(S.key(), S)
+    subs = sorted(closures.values(), key=lambda s: (s.order, s.members.tolist()))
+    return [S for S in subs
+            if not any(T.order < S.order and S.member_mask[T.members].all()
+                       for T in subs)]

@@ -29,11 +29,9 @@ from .structure import (
     minimal_normal_subgroups,
     normalizer_members,
     sylow_conjugates,
-    sylow_systems,
+    sylow_system,
     system_normalizer,
 )
-
-SYSTEM_SEARCH_LIMIT = 64
 
 
 @dataclass
@@ -96,8 +94,11 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     """Relative system normalizers of derived-series terms complement the next term.
 
     For each i, the system normalizer in G of a Sylow system of G^(i-1) must
-    satisfy M * G^(i) = G with trivial intersection.  The canonical system is
-    tried first, then a bounded search over other systems.
+    satisfy M * G^(i) = G with trivial intersection.  Only the canonical
+    system is tested: the Sylow systems of the solvable term are conjugate
+    (Hall), conjugating the system conjugates its normalizer, and G^(i) is
+    normal, so either every system's normalizer complements G^(i) or none
+    does.  The first level's normalizer is the absolute one.
     """
     cid = "system-normalizer-complement"
     if not a.is_solvable_a_group:
@@ -108,22 +109,15 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     levels = []
     for i in range(1, len(terms)):
         K, N = terms[i - 1], terms[i]
-        ok = False
-        system_index = None
-        order_m = None
-        for idx, system in enumerate(sylow_systems(K, limit=SYSTEM_SEARCH_LIMIT)):
-            M = system_normalizer(full_subgroup(G), system)
-            if _is_complement(G, M, N):
-                ok = True
-                system_index = idx
-                order_m = M.order
-                break
+        M = a.system_normalizer if i == 1 else \
+            system_normalizer(full_subgroup(G), sylow_system(K))
+        ok = _is_complement(G, M, N)
         levels.append({
             "level": i,
             "term_order": K.order,
             "next_order": N.order,
-            "normalizer_order": order_m,
-            "system_index": system_index,
+            "normalizer_order": M.order if ok else None,
+            "system_index": 0 if ok else None,
             "complement": ok,
         })
         if not ok:

@@ -10,8 +10,10 @@ Two groups are reconstructed by deterministic constrained searches:
   graph is connected with diameter exactly 6, found by solving for the
   action matrices over GF(5).
 
-Each builder returns the first group matching a frozen invariant
-fingerprint; the searches are deterministic, so reruns give the same group.
+Each builder returns the analysis of the first group matching a frozen
+invariant fingerprint, so its invariants (the diameter among them) are not
+computed again; the searches are deterministic, so reruns give the same
+group.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _perm_order_divides(phi: np.ndarray, n: int) -> bool:
     return n % order == 0
 
 
-def build_diameter4_witness() -> FiniteGroup:
+def build_diameter4_witness() -> GroupAnalysis:
     """First order-60 semidirect product of abelian groups matching the
     frozen fingerprint and the connectivity hypothesis."""
     for G in _candidate_products(60):
@@ -213,7 +215,7 @@ def build_diameter4_witness() -> FiniteGroup:
             continue
         if a.classification.satisfies_hypothesis:
             G.name = "diameter4-witness"
-            return G
+            return a
     raise AssertionError("order-60 witness search found no match")
 
 
@@ -313,7 +315,7 @@ def _matrix_to_perm(mat: np.ndarray, vecs: np.ndarray, index: dict,
     return out
 
 
-def build_diameter6_witness() -> FiniteGroup:
+def build_diameter6_witness() -> GroupAnalysis:
     """First order-1500 group matching the frozen fingerprint.
 
     The base must be elementary abelian: the other abelian groups of order
@@ -344,7 +346,7 @@ def build_diameter6_witness() -> FiniteGroup:
             continue
         if witness_fingerprint(a) == DIAMETER6_FINGERPRINT:
             G.name = "diameter6-witness"
-            return G
+            return a
     raise AssertionError("order-1500 witness search found no match")
 
 
@@ -383,7 +385,7 @@ def diameter6_extra_checks(G: AnalysisLike) -> dict[str, bool]:
     }
 
 
-WITNESS_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
+WITNESS_BUILDERS: dict[str, Callable[[], GroupAnalysis]] = {
     "diameter-4": build_diameter4_witness,
     "diameter-6": build_diameter6_witness,
 }
@@ -394,7 +396,7 @@ WITNESS_FINGERPRINTS: dict[str, dict[str, Any]] = {
 }
 
 
-def build_witness(name: str) -> FiniteGroup:
+def build_witness(name: str) -> GroupAnalysis:
     if name not in WITNESS_BUILDERS:
         raise KeyError(f"unknown witness {name!r}; "
                        f"choices: {sorted(WITNESS_BUILDERS)}")

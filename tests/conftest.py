@@ -29,9 +29,9 @@ def corpus_groups(corpus_dir):
 
 @pytest.fixture(scope="session")
 def witness60():
-    return build_diameter4_witness()
+    return build_diameter4_witness().group
 
 
 @pytest.fixture(scope="session")
 def witness1500():
-    return build_diameter6_witness()
+    return build_diameter6_witness().group

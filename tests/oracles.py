@@ -2,14 +2,24 @@
 
 Everything here favors obviousness over speed: plain tuple arithmetic,
 full-pair scans, and exhaustive searches.  No code is shared with the
-algorithms under test beyond the element indexing of FiniteGroup.
+algorithms under test beyond the element indexing of FiniteGroup, except
+in the two superseded constructions kept as references: ``closure_quotient``
+enumerates G/N with ``closure``, which ``quotient`` no longer calls, and
+``system_complements`` searches many Sylow systems where the check tests one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from agc.perm import FiniteGroup, Subgroup, generated_subgroup
+from agc.perm import (
+    FiniteGroup,
+    Permutation,
+    Subgroup,
+    closure,
+    full_subgroup,
+    generated_subgroup,
+)
 
 
 def brute_closure(degree: int, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -27,6 +37,23 @@ def brute_closure(degree: int, gens: list[tuple[int, ...]]) -> set[tuple[int, ..
                     nxt.append(prod)
         frontier = nxt
     return elements
+
+
+def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+    """G/N enumerated afresh: a closure over the coset permutations of G's
+    generators, then each element of G looked up among Q's elements.
+
+    The cosets are indexed by their least elements, as in ``quotient``, so
+    the two constructions must agree index for index.
+    """
+    t = G.table
+    coset_rep = t[N.members].min(axis=0)
+    reps = np.unique(coset_rep)
+    cid = np.searchsorted(reps, coset_rep)
+    k = int(reps.size)
+    Q = closure(k, [Permutation(cid[t[reps, g]]) for g in G.generators], max_order=k)
+    proj = np.array([Q.index_of(cid[t[reps, x]]) for x in range(G.order)], np.int32)
+    return Q, proj
 
 
 def brute_centralizer(G: FiniteGroup, x: int) -> list[int]:
@@ -198,3 +225,21 @@ def brute_2frobenius(G: FiniteGroup) -> list[tuple[frozenset[int], frozenset[int
                 continue
             pairs.append((K, H))
     return pairs
+
+
+def system_complements(G: FiniteGroup, limit: int = 64) -> list[list[bool]]:
+    """Per derived-series level i, whether the normalizer in G of each of the
+    first ``limit`` Sylow systems of G^(i-1) complements G^(i)."""
+    from agc.structure import derived_series, sylow_systems, system_normalizer
+
+    terms = derived_series(G).terms
+    full = full_subgroup(G)
+    levels = []
+    for K, N in zip(terms, terms[1:]):
+        row = []
+        for system in sylow_systems(K, limit=limit):
+            M = system_normalizer(full, system)
+            meet = np.intersect1d(M.members, N.members)
+            row.append(M.order * N.order == G.order and meet.size == 1)
+        levels.append(row)
+    return levels

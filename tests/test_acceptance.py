@@ -62,7 +62,7 @@ def test_criterion_1_order_1500_witness(witness1500):
 
 def test_criterion_2_order_60_witness():
     start = time.perf_counter()
-    G = build_diameter4_witness()
+    G = build_diameter4_witness().group
     elapsed = time.perf_counter() - start
     c = classify(G)
     d = CommutingGraph(G).diameter()

@@ -55,6 +55,29 @@ def test_witness_emit_and_reanalyze(tmp_path, capsys):
     assert statuses["metabelian-diameter-le-4"]["status"] == "pass"
 
 
+def test_witness_computes_one_diameter(tmp_path, monkeypatch):
+    """The fingerprint check reads the analysis the builder matched."""
+    graph = importlib.import_module("agc.graph")
+    diameter = graph.CommutingGraph.diameter
+    orders = []
+
+    def counted(self):
+        orders.append(self.group.order)
+        return diameter(self)
+
+    monkeypatch.setattr(graph.CommutingGraph, "diameter", counted)
+    assert main(["witness", "diameter-6", "--emit", str(tmp_path / "w.json")]) == 0
+    assert orders.count(1500) == 1
+
+
+def test_witness_fingerprint_defect_exits_three(monkeypatch, capsys):
+    cli = importlib.import_module("agc.cli")
+    wrong = {**cli.WITNESS_FINGERPRINTS["diameter-4"], "diameter": 5}
+    monkeypatch.setitem(cli.WITNESS_FINGERPRINTS, "diameter-4", wrong)
+    assert main(["witness", "diameter-4"]) == 3
+    assert "fingerprint defect" in capsys.readouterr().err
+
+
 def test_witness_unknown_name(capsys):
     assert main(["witness", "nosuch"]) == 1
 

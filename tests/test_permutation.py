@@ -3,9 +3,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agc.errors import DegreeMismatch, GroupTooLarge, MalformedPermutation
-from agc.perm import FiniteGroup, Permutation, closure, compose, p_part
+from agc.perm import (
+    FiniteGroup,
+    Permutation,
+    closure,
+    compose,
+    generated_subgroup,
+    p_part,
+)
 from agc.errors import PrimeNotDividing
-from agc.constructions import cyclic, symmetric
+from agc.constructions import (
+    abelian,
+    alternating,
+    cyclic,
+    dicyclic,
+    dihedral,
+    metacyclic,
+    quaternion,
+    symmetric,
+)
+from agc.products import direct_product, quotient
 
 from oracles import brute_closure
 
@@ -69,34 +86,50 @@ def test_closure_respects_max_order():
         closure(5, gens, max_order=4)
 
 
+def _table_groups():
+    s4 = symmetric(4)
+    klein = [x for x in range(s4.order)
+             if s4.element_orders[x] == 2 and not (s4.elements[x] == np.arange(4)).any()]
+    return {
+        "C1": cyclic(1),
+        "C12": cyclic(12),
+        "S4": s4,
+        "A5": alternating(5),
+        "D10": dihedral(5),
+        "Q8": quaternion(),
+        "Dic3": dicyclic(3),
+        "C2xC2xC4": abelian([2, 2, 4]),
+        "C7:C3": metacyclic(7, 3, 2),
+        "S3xC2": direct_product(symmetric(3), cyclic(2)),
+        "S4/V4": quotient(s4, generated_subgroup(s4, klein))[0],
+    }
+
+
 def test_table_against_direct_products():
-    G = symmetric(4)
-    t = G.table
-    for i in range(0, G.order, 5):
-        for j in range(0, G.order, 7):
-            prod = G.elements[j][G.elements[i]]
-            assert t[i, j] == G.index_of(prod)
+    for name, G in _table_groups().items():
+        t = G.table
+        for i in range(G.order):
+            for j in range(G.order):
+                prod = G.elements[j][G.elements[i]]
+                assert t[i, j] == G.index_of(prod), name
 
 
 def test_identity_and_inverse_laws():
-    G = symmetric(4)
-    t = G.table
-    n = G.order
-    assert np.array_equal(t[0], np.arange(n))
-    assert np.array_equal(t[:, 0], np.arange(n))
-    inv = G.inverse_array
-    assert np.all(t[np.arange(n), inv] == 0)
-    assert np.all(t[inv, np.arange(n)] == 0)
+    for name, G in _table_groups().items():
+        t = G.table
+        n = G.order
+        assert np.array_equal(G.elements[0], np.arange(G.degree)), name
+        assert np.array_equal(t[0], np.arange(n)), name
+        assert np.array_equal(t[:, 0], np.arange(n)), name
+        inv = G.inverse_array
+        assert np.all(t[np.arange(n), inv] == 0), name
+        assert np.all(t[inv, np.arange(n)] == 0), name
 
 
-def test_lazy_table_path():
-    G = closure(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])],
-                table_cap=2)
-    assert G._table is None
-    prod = G.elements[3][G.elements[5]]
-    assert G.mult(5, 3) == G.index_of(prod)
-    # forcing the property builds the full table, consistently with mult
-    assert G.table[5, 3] == G.mult(5, 3)
+def test_table_rejects_elements_the_generators_miss():
+    swap = np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="not generated"):
+        FiniteGroup(swap, [], np.zeros((0, 2), np.int32))
 
 
 def test_element_orders():

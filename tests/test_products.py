@@ -5,7 +5,16 @@ from agc.errors import InvalidAction, NotNormal
 from agc.perm import generated_subgroup
 from agc.products import direct_product, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, symmetric
-from agc.structure import center, derived_series, is_abelian, normal_subgroups
+from agc.structure import (
+    center,
+    derived_series,
+    derived_subgroup,
+    fitting_subgroup,
+    is_abelian,
+    normal_subgroups,
+)
+
+from oracles import closure_quotient
 
 
 def _klein_four(s4):
@@ -30,6 +39,20 @@ def test_quotient_s4_by_v4():
             assert proj[t[i, j]] == tq[proj[i], proj[j]]
     # kernel is exactly V
     assert sorted(np.nonzero(proj == 0)[0].tolist()) == V.members.tolist()
+
+
+def test_quotient_matches_closure_oracle(corpus_groups):
+    """Read off the parent's table, the quotient equals a fresh closure over
+    the coset permutations: same elements, generators, table and projection."""
+    for name, G in corpus_groups.items():
+        for N in (center(G), fitting_subgroup(G), derived_subgroup(G)):
+            Q, proj = quotient(G, N)
+            R, oracle_proj = closure_quotient(G, N)
+            assert np.array_equal(Q.elements, R.elements), name
+            assert Q.generators == R.generators, name
+            assert np.array_equal(Q.table, R.table), name
+            assert np.array_equal(Q.inverse_array, R.inverse_array), name
+            assert np.array_equal(proj, oracle_proj), name
 
 
 def test_quotient_rejects_non_normal():

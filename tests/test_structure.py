@@ -24,7 +24,13 @@ from agc.structure import (
     system_normalizer,
 )
 
-from oracles import brute_center, brute_centralizer, brute_derived_series, is_p_subgroup
+from oracles import (
+    brute_center,
+    brute_centralizer,
+    brute_derived_series,
+    brute_normal_subgroups,
+    is_p_subgroup,
+)
 
 SMALL = [symmetric(3), symmetric(4), alternating(4), dihedral(4), dihedral(6),
          cyclic(12)]
@@ -147,3 +153,18 @@ def test_normal_subgroups_of_cyclic_12():
     infos = normal_subgroups(cyclic(12))
     assert [i.subgroup.order for i in infos] == [1, 2, 3, 4, 6, 12]
     assert [i.subgroup.order for i in infos if i.minimal] == [2, 3]
+
+
+def test_minimal_normal_subgroups_match_oracle(corpus_groups):
+    """The minimal normal closures of elements are exactly the minimal
+    members of the full normal-subgroup lattice, in (order, members) order."""
+    groups = [G for G in corpus_groups.values() if G.order <= 500]
+    groups += [cyclic(1), symmetric(4), alternating(5), cyclic(12)]
+    for G in groups:
+        normals = brute_normal_subgroups(G)
+        minimal = sorted((sorted(S) for S in normals
+                          if len(S) > 1 and not any(1 < len(T) < len(S) and T < S
+                                                    for T in normals)),
+                         key=lambda m: (len(m), m))
+        got = [S.members.tolist() for S in minimal_normal_subgroups(G)]
+        assert got == minimal, G.name

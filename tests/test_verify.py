@@ -19,6 +19,8 @@ from agc.verify import (
     run_all_checks,
 )
 
+from oracles import system_complements
+
 
 def _status(records, cid):
     return next(r for r in records if r.id == cid)
@@ -42,6 +44,23 @@ def test_structure_checks_skip_on_non_a_group():
     assert check_derived_center_intersection(a).status == "skipped-precondition"
     assert check_system_normalizer_complement(a).status == "skipped-precondition"
     assert check_fitting_decomposition(a).status == "skipped-precondition"
+
+
+def test_canonical_system_decides_like_the_bounded_search(corpus_groups):
+    """Testing one Sylow system per level gives the verdict of every system
+    among the first 64 of that level, as Hall's conjugacy theorem says."""
+    for name, G in corpus_groups.items():
+        if G.order > 1000:
+            continue
+        rec = check_system_normalizer_complement(GroupAnalysis(G))
+        if rec.status == "skipped-precondition":
+            continue
+        searched = system_complements(G, limit=64)
+        levels = rec.witness["levels"]
+        # the check stops at its first failing level
+        assert len(levels) == len(searched) or not levels[-1]["complement"]
+        for level, row in zip(levels, searched):
+            assert set(row) == {level["complement"]}, (name, level["level"])
 
 
 def test_frobenius_conditions_agree_true_on_s3():

@@ -69,7 +69,7 @@ def test_diameter6_extra_structure(witness1500):
 
 
 def test_witness_builders_are_deterministic(witness60):
-    again = build_witness("diameter-4")
+    again = build_witness("diameter-4").group
     a = serialize_group_file(group_to_file(witness60))
     b = serialize_group_file(group_to_file(again))
     assert a == b
