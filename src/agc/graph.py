@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CentralElement
-from .perm import FiniteGroup
+from .perm import FiniteGroup, row_blocks
 from .structure import center
 
 
@@ -60,9 +60,10 @@ class CommutingGraph:
         self.vertices = np.asarray(vertices, np.int32)
         n = self.vertices.size
         if adjacency is None:
-            t = group.table
-            sub = t[np.ix_(self.vertices, self.vertices)]
-            adjacency = sub == sub.T
+            t, v = group.table, self.vertices
+            adjacency = np.empty((n, n), bool)
+            for rows in row_blocks(n, n):
+                adjacency[rows] = t[np.ix_(v[rows], v)] == t[np.ix_(v, v[rows])].T
             np.fill_diagonal(adjacency, False)
         self._adj = adjacency
         self._packed = np.packbits(adjacency, axis=1, bitorder="little") if n else \

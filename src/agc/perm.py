@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 20_000
+ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling an n x n array
 
 
 def _validate_images(images, degree: int | None = None) -> np.ndarray:
@@ -238,29 +239,40 @@ def closure(
                 f"generator degree {arr.size} does not match {degree}"
             )
         gen_arrays.append(np.asarray(arr, np.int32))
-    ident = np.arange(degree, dtype=np.int32)
-    elems = [ident]
-    index = {ident.tobytes(): 0}
+    # elements are rows of a buffer that doubles when full, filed under the
+    # hash of their images, so no per-element object outlives the enumeration
+    rows = np.empty((16, degree), np.int32)
+    rows[0] = np.arange(degree)
+    index: dict[int, list[int]] = {hash(rows[0].tobytes()): [0]}
     right: list[list[int]] = [[] for _ in gen_arrays]
-    head = 0
-    while head < len(elems):
-        cur = elems[head]
+    n, head = 1, 0
+    while head < n:
+        cur = rows[head]
         head += 1
         for garr, col in zip(gen_arrays, right):
             prod = garr[cur]
-            key = prod.tobytes()
-            j = index.get(key)
-            if j is None:
-                if len(elems) >= max_order:
+            data = prod.tobytes()
+            bucket = index.setdefault(hash(data), [])
+            for j in bucket:
+                if rows[j].tobytes() == data:
+                    break
+            else:
+                if n >= max_order:
                     raise GroupTooLarge(
                         f"closure exceeded the order cap of {max_order}"
                     )
-                j = index[key] = len(elems)
-                elems.append(prod)
+                if n == len(rows):
+                    rows = np.concatenate([rows, np.empty_like(rows)])
+                rows[n] = prod
+                bucket.append(n)
+                j = n
+                n += 1
             col.append(j)
-    gen_indices = [index[g.tobytes()] for g in gen_arrays]
-    right_cols = np.array(right, np.int32).reshape(len(gen_arrays), len(elems))
-    return FiniteGroup(np.array(elems, np.int32), gen_indices, right_cols, name=name)
+    elements = rows[:n].copy()
+    del rows, cur  # the buffer goes before the table is built
+    gen_indices = [col[0] for col in right]  # g is first met as identity·g
+    right_cols = np.array(right, np.int32).reshape(len(gen_arrays), n)
+    return FiniteGroup(elements, gen_indices, right_cols, name=name)
 
 
 @dataclass(frozen=True)
@@ -298,8 +310,10 @@ class Subgroup:
         return self.order == self.parent.order
 
     def is_abelian(self) -> bool:
+        # the subgroup is abelian when its generators commute pairwise
         t = self.parent.table
-        sub = t[np.ix_(self.members, self.members)]
+        gens = np.array(self.generators, np.int64)
+        sub = t[np.ix_(gens, gens)]
         return bool((sub == sub.T).all())
 
     def is_normal(self) -> bool:
@@ -328,6 +342,12 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
+
+
+def row_blocks(rows: int, row_len: int) -> Iterator[slice]:
+    """Slices covering ``rows`` rows, each of about ROW_BLOCK_ENTRIES entries."""
+    step = max(1, ROW_BLOCK_ENTRIES // max(row_len, 1))
+    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, Permutation, Subgroup, closure
+from .perm import FiniteGroup, Permutation, Subgroup, closure, row_blocks
 
 
 def quotient(
@@ -49,7 +49,10 @@ def quotient(
                 r.append(int(reps[c]))
     proj = pos[cid]
     # row p of the elements is the coset permutation c ↦ cid[reps[c]·r[p]]
-    elements = cid[t[np.ix_(reps, r)].T]
+    k = len(r)
+    elements = np.empty((k, k), np.int32)
+    for rows in row_blocks(k, k):
+        elements[rows] = cid[t[np.ix_(reps, r[rows])].T]
     right = proj[t[np.ix_(r, gens)]].T
     Q = FiniteGroup(elements, proj[gens], right, name=name)
     return Q, proj

@@ -66,11 +66,14 @@ def contains_centralizers(G: FiniteGroup, members: np.ndarray,
 
 
 def center(H: GroupLike) -> Subgroup:
-    """Elements of H commuting with every element of H (a Subgroup of the parent)."""
+    """Elements of H commuting with H's generators, hence with every element
+    of H (a Subgroup of the parent)."""
     H = as_subgroup(H)
     G = H.parent
-    sub = G.table[np.ix_(H.members, H.members)]
-    central = H.members[(sub == sub.T).all(axis=1)]
+    t = G.table
+    gens = np.array(H.generators, np.int64)
+    commutes = t[np.ix_(H.members, gens)] == t[np.ix_(gens, H.members)].T
+    central = H.members[commutes.all(axis=1)]
     return Subgroup(G, central, reduce_generators(G, central))
 
 

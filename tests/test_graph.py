@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from agc import perm
 from agc.errors import CentralElement
 from agc.graph import CommutingGraph
 from agc.constructions import abelian, cyclic, dihedral, quaternion, symmetric
+from agc.structure import center
 
 from oracles import brute_centralizer
 
@@ -34,6 +37,35 @@ def test_adjacency_matches_centralizers():
         expected = set(brute_centralizer(G, int(v))) & set(g.vertices.tolist())
         expected.discard(int(v))
         assert set(g.neighbors(int(v)).tolist()) == expected
+
+
+def test_adjacency_in_blocks_matches_all_pairs(monkeypatch):
+    """Filled a few rows at a time, the adjacency equals comparing every
+    pair of vertices at once."""
+    monkeypatch.setattr(perm, "ROW_BLOCK_ENTRIES", 50)
+    for G in (symmetric(4), dihedral(6), quaternion()):
+        g = CommutingGraph(G)
+        v = g.vertices
+        sub = G.table[np.ix_(v, v)]
+        want = sub == sub.T
+        np.fill_diagonal(want, False)
+        assert np.array_equal(g._adj, want), G.name
+
+
+def test_graph_build_makes_no_table_sized_temporary(corpus_groups):
+    """Building the order-1500 witness's graph holds the boolean adjacency
+    (n² bytes) and its packed rows, not an n x n int32 gather (4n² bytes)."""
+    G = corpus_groups["diameter6-witness"]
+    vertices = np.nonzero(~center(G).member_mask)[0]
+    tracemalloc.start()
+    try:
+        g = CommutingGraph(G, vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = g.n_vertices
+    assert n == 1499
+    assert peak < 2 * n * n
 
 
 def test_distance_and_central_element_error():

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agc import perm
 from agc.errors import DegreeMismatch, GroupTooLarge, MalformedPermutation
 from agc.perm import (
     FiniteGroup,
@@ -84,6 +87,37 @@ def test_closure_respects_max_order():
     gens = [Permutation([1, 2, 3, 4, 0])]
     with pytest.raises(GroupTooLarge):
         closure(5, gens, max_order=4)
+
+
+def test_closure_is_exact_when_every_hash_collides(monkeypatch):
+    """The enumeration files elements under the hash of their images; with
+    every hash equal one bucket holds them all and the rows decide."""
+    builders = [lambda: symmetric(4), lambda: alternating(5),
+                lambda: dicyclic(3), lambda: abelian([2, 2, 4])]
+    want = [build() for build in builders]
+    monkeypatch.setattr(perm, "hash", lambda data: 0, raising=False)
+    for G, build in zip(want, builders):
+        H = build()
+        assert np.array_equal(H.elements, G.elements), G.name
+        assert H.generators == G.generators, G.name
+        assert np.array_equal(H.table, G.table), G.name
+
+
+def test_closure_holds_each_element_once(corpus_groups):
+    """Enumerating the order-1500 witness keeps its elements in one buffer:
+    the traced peak, table included, stays under three element arrays.
+    Rows kept in a list with a bytes key each, beside the element array and
+    the table, made four."""
+    W = corpus_groups["diameter6-witness"]
+    gens = [W.perm(g) for g in W.generators]
+    tracemalloc.start()
+    try:
+        G = closure(W.degree, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(G.table, W.table)
+    assert peak < 3 * G.elements.nbytes
 
 
 def _table_groups():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agc.errors import InvalidAction, NotNormal
+from agc import perm
 from agc.perm import generated_subgroup
 from agc.products import direct_product, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, symmetric
@@ -53,6 +54,19 @@ def test_quotient_matches_closure_oracle(corpus_groups):
             assert np.array_equal(Q.table, R.table), name
             assert np.array_equal(Q.inverse_array, R.inverse_array), name
             assert np.array_equal(proj, oracle_proj), name
+
+
+def test_quotient_in_blocks_matches_closure_oracle(monkeypatch):
+    """Filled a few rows at a time, the quotient's elements are the same."""
+    monkeypatch.setattr(perm, "ROW_BLOCK_ENTRIES", 50)
+    G = direct_product(symmetric(4), cyclic(3))
+    for N in (center(G), generated_subgroup(G, [])):  # Q of order 24 and 72
+        Q, proj = quotient(G, N)
+        R, oracle_proj = closure_quotient(G, N)
+        assert Q.order >= 24  # many blocks of rows
+        assert np.array_equal(Q.elements, R.elements)
+        assert np.array_equal(Q.table, R.table)
+        assert np.array_equal(proj, oracle_proj)
 
 
 def test_quotient_rejects_non_normal():

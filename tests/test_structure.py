@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,37 @@ SMALL = [symmetric(3), symmetric(4), alternating(4), dihedral(4), dihedral(6),
 @pytest.mark.parametrize("G", SMALL, ids=lambda g: g.name)
 def test_center_matches_brute_force(G):
     assert center(G).members.tolist() == brute_center(G)
+
+
+def test_center_and_abelian_of_subgroups_match_all_pairs(corpus_groups):
+    """center and is_abelian compare members with generators only; on the
+    derived terms, the Sylow subgroups and a conjugate of each, they agree
+    with comparing every pair of members."""
+    for name, G in corpus_groups.items():
+        if G.order > 200:
+            continue
+        t = G.table
+        subgroups = list(derived_series(G).terms)
+        subgroups += [sylow_subgroup(G, p) for p in prime_divisors(G.order)]
+        subgroups += [H.conjugate_by(G.order - 1) for H in subgroups]
+        for H in subgroups:
+            m = H.members
+            sub = t[np.ix_(m, m)]
+            commute = sub == sub.T
+            assert center(H).members.tolist() == m[commute.all(axis=1)].tolist(), name
+            assert H.is_abelian() == bool(commute.all()), name
+
+
+def test_center_makes_no_table_sized_temporary(corpus_groups):
+    G = corpus_groups["diameter6-witness"]
+    tracemalloc.start()
+    try:
+        Z = center(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Z.order == 1
+    assert peak < G.order ** 2  # a quarter of one order x order int32 array
 
 
 @pytest.mark.parametrize("G", SMALL, ids=lambda g: g.name)
