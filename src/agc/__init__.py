@@ -2,7 +2,6 @@
 
 from .errors import (
     AgcError,
-    CentralElement,
     DegreeMismatch,
     FormatError,
     GroupTooLarge,

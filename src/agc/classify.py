@@ -21,12 +21,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotSolvable
-from .graph import CommutingGraph, DiameterResult
+from .graph import CommutingGraph, DiameterResult, class_sources
 from .perm import FiniteGroup, Subgroup, full_subgroup, prime_divisors
 from .products import quotient
 from .structure import (
     DerivedSeries,
     center,
+    conjugacy_classes,
     contains_centralizers,
     derived_series,
     fitting_subgroup,
@@ -60,6 +61,10 @@ class GroupAnalysis:
         return center(self.group)
 
     @cached_property
+    def classes(self) -> list[np.ndarray]:
+        return conjugacy_classes(self.group)
+
+    @cached_property
     def fitting(self) -> Subgroup:
         return fitting_subgroup(self.group)
 
@@ -84,7 +89,9 @@ class GroupAnalysis:
 
     @cached_property
     def graph(self) -> CommutingGraph:
-        return CommutingGraph(self.group, np.nonzero(~self.center.member_mask)[0])
+        vertices = np.nonzero(~self.center.member_mask)[0]
+        return CommutingGraph(self.group, vertices,
+                              sources=class_sources(vertices, self.classes))
 
     @cached_property
     def diameter(self) -> DiameterResult:

@@ -37,9 +37,5 @@ class PrimeNotDividing(AgcError):
     """A Sylow subgroup was requested for a prime not dividing the order."""
 
 
-class CentralElement(AgcError):
-    """A commuting-graph query named a central element, which is not a vertex."""
-
-
 class NotComplement(AgcError):
     """A subgroup pair (N, A) does not satisfy A·N = G with A ∩ N = 1."""

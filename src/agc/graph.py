@@ -2,8 +2,13 @@
 
 Vertices are the noncentral elements; two vertices are adjacent when they
 commute.  Adjacency is stored packed (one bit per pair) and distances come
-from breadth-first search over packed rows, so all-pairs diameters on groups
-of order around 2000 stay fast.
+from breadth-first search over packed rows.
+
+Conjugation by any element is an automorphism of the graph, so all members
+of a conjugacy class have the same eccentricity.  The diameter therefore
+searches from one representative of each noncentral class, and the
+twin-reduced graph from the cyclic subgroups of those representatives
+(conjugation permutes cyclic subgroups and keeps commuting pairs).
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CentralElement
 from .perm import FiniteGroup, row_blocks
-from .structure import center
+from .structure import center, conjugacy_classes
 
 
 @dataclass(frozen=True)
@@ -48,11 +52,43 @@ def _bfs_packed(adj_packed: np.ndarray, n: int, start: int) -> np.ndarray:
     return dist
 
 
+def class_sources(vertices: np.ndarray, classes: list[np.ndarray]) -> np.ndarray:
+    """Positions in the sorted ``vertices`` of the least member of each
+    noncentral conjugacy class (each class of more than one element)."""
+    return np.searchsorted(vertices, [int(c[0]) for c in classes if c.size > 1])
+
+
+def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
+    """For each element v, the least generator of the cyclic subgroup <v>.
+
+    The generators of <v> are the powers v^k with k prime to the order of
+    v; the powers of all elements advance together, one vector step per k.
+    Two elements generate the same subgroup exactly when the results agree.
+    """
+    t = G.table
+    orders = G.element_orders[elements]
+    least = elements.astype(np.int64)
+    power = least
+    for k in range(2, int(orders.max(initial=1))):
+        power = t[power, elements]
+        least = np.where(np.gcd(k, orders) == 1, np.minimum(least, power), least)
+    return least
+
+
 class CommutingGraph:
-    """Commuting graph on the noncentral elements of a group."""
+    """Commuting graph on the noncentral elements of a group.
+
+    ``sources`` are the vertex positions the diameter searches from, one in
+    each orbit of conjugation; by default the least member of each
+    noncentral conjugacy class, which presumes the default vertex set.
+    Graphs returned by ``twin_reduce`` also carry ``class_sizes``, the
+    number of vertices merged into each reduced vertex.
+    """
 
     def __init__(self, group: FiniteGroup, vertices: np.ndarray | None = None,
-                 adjacency: np.ndarray | None = None):
+                 adjacency: np.ndarray | None = None, *,
+                 sources: np.ndarray | None = None,
+                 class_sizes: np.ndarray | None = None):
         self.group = group
         if vertices is None:
             zmask = center(group).member_mask
@@ -68,25 +104,20 @@ class CommutingGraph:
         self._adj = adjacency
         self._packed = np.packbits(adjacency, axis=1, bitorder="little") if n else \
             np.zeros((0, 0), np.uint8)
-        self._vertex_index = {int(v): i for i, v in enumerate(self.vertices)}
+        self._sources = sources
+        if class_sizes is not None:
+            self.class_sizes = class_sizes
         self._component_ids: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
         return self.vertices.size
 
-    def degree(self, element: int) -> int:
-        i = self._require_vertex(element)
-        return int(self._adj[i].sum())
-
-    def neighbors(self, element: int) -> np.ndarray:
-        i = self._require_vertex(element)
-        return self.vertices[self._adj[i]]
-
-    def _require_vertex(self, element: int) -> int:
-        if element not in self._vertex_index:
-            raise CentralElement(f"element {element} is not a graph vertex")
-        return self._vertex_index[element]
+    @property
+    def sources(self) -> np.ndarray:
+        if self._sources is None:
+            self._sources = class_sources(self.vertices, conjugacy_classes(self.group))
+        return self._sources
 
     def component_ids(self) -> np.ndarray:
         """Component id per vertex, numbered by least vertex position."""
@@ -107,32 +138,16 @@ class CommutingGraph:
         ids = self.component_ids()
         return int(ids.max()) + 1 if ids.size else 0
 
-    def distance(self, x: int, y: int) -> int:
-        """Graph distance between two noncentral elements; -1 if disconnected."""
-        i, j = self._require_vertex(x), self._require_vertex(y)
-        dist = _bfs_packed(self._packed, self.n_vertices, i)
-        return int(dist[j])
-
-    def eccentricities(self) -> np.ndarray:
-        """Max finite distance from each vertex (only valid when connected)."""
-        n = self.n_vertices
-        out = np.zeros(n, np.int32)
-        for s in range(n):
-            dist = _bfs_packed(self._packed, n, s)
-            out[s] = dist.max()
-        return out
-
     def diameter(self) -> DiameterResult:
+        """Status, diameter and component count, from one search per
+        component and, when connected, one from each source."""
         n = self.n_vertices
         if n == 0:
             return DiameterResult("empty-vertex-set", None, 0)
         comps = self.n_components()
         if comps > 1:
             return DiameterResult("disconnected", None, comps)
-        diam = 0
-        for s in range(n):
-            dist = _bfs_packed(self._packed, n, s)
-            diam = max(diam, int(dist.max()))
+        diam = max(int(_bfs_packed(self._packed, n, int(s)).max()) for s in self.sources)
         return DiameterResult("connected", diam, 1)
 
     # -- twin reduction ------------------------------------------------------
@@ -141,30 +156,19 @@ class CommutingGraph:
         """Merge vertices generating the same cyclic subgroup.
 
         Such vertices have identical closed neighborhoods, so distances
-        between distinct classes are preserved exactly.
+        between distinct classes are preserved exactly.  Each class is kept
+        as its first vertex, and the reduced graph searches from the classes
+        of this graph's sources.
         """
-        G = self.group
-        orders = G.element_orders
-        reps: dict[bytes, int] = {}
-        rep_of = np.empty(self.n_vertices, np.int32)
-        class_size: dict[int, int] = {}
-        for i, v in enumerate(self.vertices):
-            # powers of v with exponent coprime to its order generate <v>
-            o = int(orders[v])
-            gens_of_cyclic = sorted(
-                G.power(int(v), k) for k in range(1, o + 1) if np.gcd(k, o) == 1
-            )
-            key = np.asarray(gens_of_cyclic, np.int32).tobytes()
-            if key not in reps:
-                reps[key] = i
-                class_size[i] = 0
-            rep_of[i] = reps[key]
-            class_size[reps[key]] += 1
-        keep = np.array(sorted(reps.values()), np.int64)
-        sub_adj = self._adj[np.ix_(keep, keep)]
-        reduced = CommutingGraph(G, self.vertices[keep], sub_adj)
-        reduced.class_sizes = np.array([class_size[int(i)] for i in keep], np.int32)
-        return reduced
+        # the least generator of <v> generates <v>, so it is the class's
+        # first vertex
+        first = np.searchsorted(self.vertices, _least_generators(self.group, self.vertices))
+        keep = np.unique(first)
+        reduced = np.searchsorted(keep, first)
+        return CommutingGraph(self.group, self.vertices[keep],
+                              self._adj[np.ix_(keep, keep)],
+                              sources=np.unique(reduced[self.sources]),
+                              class_sizes=np.bincount(reduced).astype(np.int32))
 
     def diameter_via_reduction(self) -> DiameterResult:
         """Diameter computed on the twin-reduced graph.

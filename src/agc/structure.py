@@ -335,7 +335,12 @@ def sylow_systems(H: GroupLike, limit: int | None = None) -> Iterator[SylowSyste
             if permutes_with_all(P, chosen):
                 yield from rec(level + 1, chosen + [P])
 
-    yield from rec(0, [])
+    try:
+        yield from rec(0, [])
+    finally:
+        # rec refers to itself; without this the cycle keeps the group's
+        # table alive until the cyclic garbage collector runs
+        del rec
 
 
 def sylow_system(H: GroupLike) -> SylowSystem:
@@ -437,16 +442,17 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
     return infos
 
 
-def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+def minimal_normal_subgroups(G: FiniteGroup, classes: list[np.ndarray]) -> list[Subgroup]:
     """The minimal normal subgroups, ordered by order, then by members.
 
     A minimal normal subgroup is the normal closure of each of its
     nontrivial elements, and a normal closure that contains no smaller one
     is minimal normal; so these are the inclusion-minimal normal closures of
-    one element per nontrivial conjugacy class.
+    one element per nontrivial conjugacy class.  ``classes`` are G's
+    conjugacy classes as ``conjugacy_classes`` lists them, identity first.
     """
     closures: dict[bytes, Subgroup] = {}
-    for cls in conjugacy_classes(G)[1:]:
+    for cls in classes[1:]:
         S = normal_closure(G, int(cls[0]))
         closures.setdefault(S.key(), S)
     subs = sorted(closures.values(), key=lambda s: (s.order, s.members.tolist()))

@@ -364,7 +364,7 @@ def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
                                    and d.diameter >= 7)}
     records = []
 
-    minimals = minimal_normal_subgroups(G)
+    minimals = minimal_normal_subgroups(G, a.classes)
     per_v = []
     for V in minimals:
         cg = np.arange(G.order)

@@ -3,15 +3,22 @@
 Everything here favors obviousness over speed: plain tuple arithmetic,
 full-pair scans, and exhaustive searches.  No code is shared with the
 algorithms under test beyond the element indexing of FiniteGroup, except
-in the two superseded constructions kept as references: ``closure_quotient``
-enumerates G/N with ``closure``, which ``quotient`` no longer calls, and
-``system_complements`` searches many Sylow systems where the check tests one.
+in the superseded constructions kept as references: ``closure_quotient``
+enumerates G/N with ``closure``, which ``quotient`` no longer calls,
+``system_complements`` searches many Sylow systems where the check tests one,
+``all_sources_diameter`` searches from every vertex of a commuting graph
+where the graph searches from one per conjugacy class, and
+``brute_twin_classes`` lists each cyclic subgroup's generators with
+``FiniteGroup.power``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from agc.graph import CommutingGraph, DiameterResult
 from agc.perm import (
     FiniteGroup,
     Permutation,
@@ -243,3 +250,48 @@ def system_complements(G: FiniteGroup, limit: int = 64) -> list[list[bool]]:
             row.append(M.order * N.order == G.order and meet.size == 1)
         levels.append(row)
     return levels
+
+
+def all_sources_diameter(graph: CommutingGraph) -> DiameterResult:
+    """Status, diameter and component count of a graph from a breadth-first
+    search out of every vertex over its boolean adjacency matrix."""
+    adj = graph._adj
+    n = adj.shape[0]
+    if n == 0:
+        return DiameterResult("empty-vertex-set", None, 0)
+    eccentricity = np.zeros(n, np.int64)
+    least_reached = np.zeros(n, np.int64)
+    for s in range(n):
+        reached = np.zeros(n, bool)
+        reached[s] = True
+        frontier = reached.copy()
+        while True:
+            frontier = adj[frontier].any(axis=0) & ~reached
+            if not frontier.any():
+                break
+            reached |= frontier
+            eccentricity[s] += 1
+        least_reached[s] = np.argmax(reached)
+    components = np.unique(least_reached).size
+    if components > 1:
+        return DiameterResult("disconnected", None, components)
+    return DiameterResult("connected", int(eccentricity.max()), 1)
+
+
+def brute_twin_classes(graph: CommutingGraph) -> tuple[list[int], list[int]]:
+    """The vertex positions twin reduction keeps and the size of each class.
+
+    Vertices are grouped by the sorted list of the generators v^k (k prime
+    to the order of v) of the cyclic subgroup they generate; each class is
+    kept as its first vertex.
+    """
+    G = graph.group
+    first: dict[tuple[int, ...], int] = {}
+    sizes: dict[int, int] = {}
+    for i, v in enumerate(graph.vertices.tolist()):
+        o = G.element_order(v)
+        key = tuple(sorted(G.power(v, k) for k in range(1, o + 1) if math.gcd(k, o) == 1))
+        j = first.setdefault(key, i)
+        sizes[j] = sizes.get(j, 0) + 1
+    keep = sorted(first.values())
+    return keep, [sizes[i] for i in keep]

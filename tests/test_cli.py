@@ -1,5 +1,7 @@
+import gc
 import importlib
 import json
+import weakref
 
 import pytest
 
@@ -123,8 +125,10 @@ def test_corpus_missing_directory(tmp_path, capsys):
     assert main(["corpus", str(tmp_path / "nope")]) == 1
 
 
-def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
-    """The report and the summary row of a corpus item share one analysis."""
+def _analyze_counting_calls(path, monkeypatch):
+    """Runs ``_analyze_one`` on a group file and returns its row and the
+    calls of the functions that compute shared invariants, as (name, args,
+    result), with the loaded group."""
     modules = {name: importlib.import_module(f"agc.{name}") for name in (
         "classify", "cli", "graph", "products", "structure", "verify", "witness")}
     structure = modules["structure"]
@@ -133,6 +137,7 @@ def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
         structure.center: "center",
         structure.fitting_subgroup: "fitting_subgroup",
         structure.second_fitting_preimage: "second_fitting_preimage",
+        structure.conjugacy_classes: "conjugacy_classes",
         modules["products"].quotient: "quotient",
         modules["classify"].classify: "classify",
         modules["verify"].run_all_checks: "run_all_checks",
@@ -153,20 +158,56 @@ def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
             if name is not None:
                 monkeypatch.setattr(module, attr, wrap(name, value))
 
-    path = str(corpus_dir / "c2xw60.json")
-    _, report, row, err = _analyze_one((path, DEFAULT_MAX_ORDER))
+    _, report, row, err = _analyze_one((str(path), DEFAULT_MAX_ORDER))
     assert err is None and row["all_pass"]
     (G,) = [result for name, _, result in calls if name == "load_group"]
+    return row, calls, G
 
-    def on_group(name):
-        return [(args, result) for n, args, result in calls
-                if n == name and args[0] is G]
 
+def _on_group(calls, G, name):
+    return [(args, result) for n, args, result in calls if n == name and args[0] is G]
+
+
+def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
+    """The report and the summary row of a corpus item share one analysis."""
+    _, calls, G = _analyze_counting_calls(corpus_dir / "c2xw60.json", monkeypatch)
     assert sum(name == "classify" for name, _, _ in calls) == 1
     assert sum(name == "run_all_checks" for name, _, _ in calls) == 1
     for name in ("derived_series", "center", "fitting_subgroup",
                  "second_fitting_preimage"):
-        assert len(on_group(name)) == 1, name
-    ((_, Z),) = on_group("center")
+        assert len(_on_group(calls, G, name)) == 1, name
+    assert len(_on_group(calls, G, "conjugacy_classes")) <= 1
+    ((_, Z),) = _on_group(calls, G, "center")
     assert 1 < Z.order < G.order
-    assert sum(args[1].same_members(Z) for args, _ in on_group("quotient")) <= 1
+    assert sum(args[1].same_members(Z) for args, _ in _on_group(calls, G, "quotient")) <= 1
+
+
+def test_analyze_one_frees_the_group_without_the_cycle_collector(corpus_dir, monkeypatch):
+    """A corpus item's group is freed when its analysis ends, not at some
+    later run of the cyclic garbage collector, so the next item's arrays are
+    not allocated on top of it."""
+    cli = importlib.import_module("agc.cli")
+    load, watched = cli.load_group, []
+
+    def load_and_watch(*args, **kwargs):
+        G = load(*args, **kwargs)
+        watched.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(cli, "load_group", load_and_watch)
+    gc.disable()
+    try:
+        for name in ("c2xw60", "diameter6-witness"):
+            assert _analyze_one((str(corpus_dir / f"{name}.json"), DEFAULT_MAX_ORDER))[3] is None
+            assert watched[-1]() is None, name
+    finally:
+        gc.enable()
+
+
+def test_graph_and_diagnostics_share_the_conjugacy_classes(corpus_dir, monkeypatch):
+    """With a trivial centre the diagnostics' minimal normal subgroups and
+    the graph's search sources both read the analysis's classes."""
+    row, calls, G = _analyze_counting_calls(corpus_dir / "diameter4-witness.json",
+                                            monkeypatch)
+    assert row["center_order"] == 1
+    assert len(_on_group(calls, G, "conjugacy_classes")) == 1

@@ -2,15 +2,19 @@ import json
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from agc import perm
-from agc.errors import CentralElement
+from agc import graph as graph_module, perm
+from agc.classify import GroupAnalysis
 from agc.graph import CommutingGraph
 from agc.constructions import abelian, cyclic, dihedral, quaternion, symmetric
 from agc.structure import center
 
-from oracles import brute_centralizer
+from oracles import (
+    all_sources_diameter,
+    brute_center,
+    brute_centralizer,
+    brute_twin_classes,
+)
 
 
 def test_abelian_group_has_empty_graph():
@@ -33,10 +37,10 @@ def test_s3_graph_is_disconnected():
 def test_adjacency_matches_centralizers():
     G = dihedral(6)
     g = CommutingGraph(G)
-    for v in g.vertices:
+    for i, v in enumerate(g.vertices):
         expected = set(brute_centralizer(G, int(v))) & set(g.vertices.tolist())
         expected.discard(int(v))
-        assert set(g.neighbors(int(v)).tolist()) == expected
+        assert set(g.vertices[g._adj[i]].tolist()) == expected
 
 
 def test_adjacency_in_blocks_matches_all_pairs(monkeypatch):
@@ -68,13 +72,11 @@ def test_graph_build_makes_no_table_sized_temporary(corpus_groups):
     assert peak < 2 * n * n
 
 
-def test_distance_and_central_element_error():
-    G = dihedral(6)
-    g = CommutingGraph(G)
-    x = int(g.vertices[0])
-    assert g.distance(x, x) == 0
-    with pytest.raises(CentralElement):
-        g.distance(0, x)  # identity is central, not a vertex
+def test_vertices_are_the_noncentral_elements():
+    for G in (dihedral(6), quaternion(), symmetric(4)):
+        g = CommutingGraph(G)
+        central = set(brute_center(G))
+        assert g.vertices.tolist() == [x for x in range(G.order) if x not in central]
 
 
 def test_diameter_of_witness(witness60):
@@ -82,7 +84,41 @@ def test_diameter_of_witness(witness60):
     result = g.diameter()
     assert result.status == "connected"
     assert result.diameter == 4
-    assert max(g.eccentricities()) == 4
+    assert all_sources_diameter(g) == result
+
+
+def test_class_sources_match_all_sources_oracle(corpus_groups):
+    """One search per conjugacy class gives the status, diameter and
+    component count of searching from every vertex: on the graph of G, of
+    G/Z and on both twin reductions."""
+    checked = 0
+    for name, G in corpus_groups.items():
+        if G.order > 1500:
+            continue
+        a = GroupAnalysis(G)
+        for b in (a, a.central_quotient):
+            for g in (b.graph, b.graph.twin_reduce()):
+                assert g.diameter() == all_sources_diameter(g), (name, b.group.order)
+                checked += g.n_vertices > 0
+    assert checked > 40
+
+
+def test_diameter_runs_one_bfs_per_class(witness1500, monkeypatch):
+    bfs = graph_module._bfs_packed
+    starts = []
+
+    def counted(adj_packed, n, start):
+        starts.append(start)
+        return bfs(adj_packed, n, start)
+
+    monkeypatch.setattr(graph_module, "_bfs_packed", counted)
+    a = GroupAnalysis(witness1500)
+    noncentral = sum(c.size > 1 for c in a.classes)
+    for g in (a.graph, CommutingGraph(witness1500)):
+        starts.clear()
+        result = g.diameter()
+        assert result.diameter == 6
+        assert len(starts) <= noncentral + result.components
 
 
 def test_q8_twin_reduction():
@@ -98,6 +134,16 @@ def test_s3_twin_reduction():
     reduced = g.twin_reduce()
     assert reduced.n_vertices == 4  # three transpositions, one rotation class
     assert reduced.edge_list() == []
+
+
+def test_twin_classes_match_power_loop_oracle(corpus_groups):
+    for name, G in corpus_groups.items():
+        g = CommutingGraph(G)
+        reduced = g.twin_reduce()
+        keep, sizes = brute_twin_classes(g)
+        assert reduced.vertices.tolist() == g.vertices[keep].tolist(), name
+        assert reduced.class_sizes.tolist() == sizes, name
+        assert not hasattr(g, "class_sizes")
 
 
 def test_twin_reduction_matches_full_diameter_on_corpus(corpus_groups):

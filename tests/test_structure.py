@@ -179,7 +179,7 @@ def test_normal_subgroups_of_s4():
     infos = normal_subgroups(G)
     assert [i.subgroup.order for i in infos] == [1, 4, 12, 24]
     assert [i.subgroup.order for i in infos if i.minimal] == [4]
-    assert [S.order for S in minimal_normal_subgroups(G)] == [4]
+    assert [S.order for S in minimal_normal_subgroups(G, conjugacy_classes(G))] == [4]
 
 
 def test_normal_subgroups_of_cyclic_12():
@@ -199,5 +199,5 @@ def test_minimal_normal_subgroups_match_oracle(corpus_groups):
                           if len(S) > 1 and not any(1 < len(T) < len(S) and T < S
                                                     for T in normals)),
                          key=lambda m: (len(m), m))
-        got = [S.members.tolist() for S in minimal_normal_subgroups(G)]
+        got = [S.members.tolist() for S in minimal_normal_subgroups(G, conjugacy_classes(G))]
         assert got == minimal, G.name
