@@ -59,7 +59,6 @@ from .structure import (
     second_fitting_preimage,
     sylow_subgroup,
     sylow_system,
-    sylow_systems,
     system_normalizer,
 )
 from .classify import (

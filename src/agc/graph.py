@@ -139,15 +139,19 @@ class CommutingGraph:
         return int(ids.max()) + 1 if ids.size else 0
 
     def diameter(self) -> DiameterResult:
-        """Status, diameter and component count, from one search per
-        component and, when connected, one from each source."""
+        """Status, diameter and component count, from one search per source.
+
+        The graph is connected when the first search reaches every vertex;
+        only when it does not are the components counted."""
         n = self.n_vertices
         if n == 0:
             return DiameterResult("empty-vertex-set", None, 0)
-        comps = self.n_components()
-        if comps > 1:
-            return DiameterResult("disconnected", None, comps)
-        diam = max(int(_bfs_packed(self._packed, n, int(s)).max()) for s in self.sources)
+        diam = 0
+        for s in self.sources:
+            dist = _bfs_packed(self._packed, n, int(s))
+            if dist.min() < 0:
+                return DiameterResult("disconnected", None, self.n_components())
+            diam = max(diam, int(dist.max()))
         return DiameterResult("connected", diam, 1)
 
     # -- twin reduction ------------------------------------------------------

@@ -1,10 +1,10 @@
 """Subgroup-structure machinery.
 
 Centralizers, the center, derived series, Sylow subgroups (via normalizer
-growth), Fitting and second-Fitting subgroups, Sylow systems with
-backtracking search, (relative) system normalizers, minimal normal
-subgroups from normal closures of elements, and normal-subgroup enumeration
-via join-closure of normal closures.
+growth), Fitting and second-Fitting subgroups, Sylow systems chosen greedily
+(Hall: in a solvable group no choice has to be undone), (relative) system
+normalizers, minimal normal subgroups from normal closures of elements, and
+normal-subgroup enumeration via join-closure of normal closures.
 
 All operations are pure functions of immutable groups/subgroups.  Most take
 either a FiniteGroup or a Subgroup; a FiniteGroup is treated as its own full
@@ -14,7 +14,7 @@ subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -134,22 +134,18 @@ def is_solvable(H: GroupLike) -> bool:
 # -- Sylow subgroups ---------------------------------------------------------
 
 
-def normalizer_members(G: FiniteGroup, scope: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Elements of ``scope`` whose conjugation fixes the set ``members``."""
+def normalizer_members(G: FiniteGroup, scope: np.ndarray, P: Subgroup) -> np.ndarray:
+    """Elements of ``scope`` that normalize P: conjugation maps the finite
+    group P into itself exactly when it maps P's generators into P."""
     t, inv = G.table, G.inverse_array
-    mask = np.zeros(G.order, bool)
-    mask[members] = True
-    keep = np.fromiter(
-        (mask[t[t[g, members], inv[g]]].all() for g in scope),
-        dtype=bool,
-        count=scope.size,
-    )
-    return scope[keep]
+    gens = np.array(P.generators, np.int64)
+    images = t[t[np.ix_(scope, gens)], inv[scope][:, None]]
+    return scope[P.member_mask[images].all(axis=1)]
 
 
 def normalizer(H: GroupLike, P: Subgroup) -> Subgroup:
     H = as_subgroup(H)
-    members = normalizer_members(H.parent, H.members, P.members)
+    members = normalizer_members(H.parent, H.members, P)
     return Subgroup(H.parent, members, reduce_generators(H.parent, members))
 
 
@@ -176,7 +172,7 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     gens = [p_part(G, seed, p)]
     P = generated_subgroup(G, gens)
     while P.order < target:
-        nz = normalizer_members(G, H.members, P.members)
+        nz = normalizer_members(G, H.members, P)
         ext = None
         for y in nz:
             yp = p_part(G, int(y), p)
@@ -189,23 +185,20 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     return P
 
 
-def sylow_conjugates(H: GroupLike, P: Subgroup) -> list[Subgroup]:
-    """The orbit of P under conjugation by H, in deterministic order."""
+def conjugates(H: GroupLike, P: Subgroup) -> Iterator[Subgroup]:
+    """The conjugates of P under H, each once, breadth-first over H's
+    generators, made as they are asked for."""
     H = as_subgroup(H)
-    G = H.parent
     gens = H.generators if H.generators else tuple(H.members.tolist())
     seen = {P.key()}
     orbit = [P]
-    head = 0
-    while head < len(orbit):
-        cur = orbit[head]
-        head += 1
+    for cur in orbit:  # grows while it is read
+        yield cur
         for g in gens:
             conj = cur.conjugate_by(g)
             if conj.key() not in seen:
                 seen.add(conj.key())
                 orbit.append(conj)
-    return orbit
 
 
 # -- Fitting subgroups -------------------------------------------------------
@@ -230,16 +223,6 @@ def p_core(H: GroupLike, p: int) -> Subgroup:
         if not changed:
             break
     return Subgroup(G, members, reduce_generators(G, members))
-
-
-def is_nilpotent(H: GroupLike) -> bool:
-    """True when every Sylow subgroup of H is normal in H."""
-    H = as_subgroup(H)
-    for p in prime_divisors(H.order):
-        P = sylow_subgroup(H, p)
-        if normalizer_members(H.parent, H.members, P.members).size != H.order:
-            return False
-    return True
 
 
 def fitting_subgroup(H: GroupLike) -> Subgroup:
@@ -281,20 +264,6 @@ class SylowSystem:
     def primes(self) -> list[int]:
         return sorted(self.sylows)
 
-    def hall(self, pi: Sequence[int]) -> Subgroup:
-        """The product of the system's Sylow subgroups for primes in pi."""
-        G = self.group.parent
-        t = G.table
-        members = np.array([0], np.int32)
-        gens: list[int] = []
-        for p in sorted(pi):
-            if p not in self.sylows:
-                continue
-            P = self.sylows[p]
-            members = np.unique(t[np.ix_(members, P.members)])
-            gens.extend(P.generators)
-        return Subgroup(G, members, tuple(gens))
-
 
 def product_sets_equal(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> bool:
     """Whether the product sets A·B and B·A coincide (permutability test)."""
@@ -304,50 +273,36 @@ def product_sets_equal(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> bool:
     return ab.size == ba.size and bool((ab == ba).all())
 
 
-def sylow_systems(H: GroupLike, limit: int | None = None) -> Iterator[SylowSystem]:
-    """Depth-first enumeration of Sylow systems of a solvable group.
+def sylow_system(H: GroupLike) -> SylowSystem:
+    """The canonical Sylow system of a solvable group.
 
-    Primes are ordered by descending p-part; candidates for each prime are
-    the conjugates of the canonical Sylow subgroup.  The first system yielded
-    is the canonical one.
+    Primes are taken by descending p-part; for each, the system takes the
+    first conjugate of ``sylow_subgroup(H, p)`` (in ``conjugates`` order)
+    that permutes with every Sylow subgroup already chosen.  No choice ever
+    has to be undone (P. Hall, "On the Sylow systems of a soluble group",
+    1937).  If P_1, ..., P_k are pairwise permutable, their product K is a
+    Hall subgroup.  In any Sylow system of H the subgroups for the same
+    primes also multiply to a Hall subgroup, which is conjugate to K, so a
+    conjugate of the system has K as that product and restricts to a Sylow
+    system of K.  The Sylow systems of K are conjugate in K, so one more
+    conjugation gives a Sylow system of H that contains P_1, ..., P_k.
+    Hence this is also the first system a depth-first search over the same
+    candidates finds.  A Sylow system exists only in a solvable group, so a
+    prime with no permuting candidate means H is not solvable.
     """
     H = as_subgroup(H)
     G = H.parent
-    if not is_solvable(H):
-        raise NotSolvable("Sylow systems require a solvable group")
     factors = _prime_factors(H.order)
     primes = sorted(factors, key=lambda p: (-(p ** factors[p]), p))
-    candidate_lists = [sylow_conjugates(H, sylow_subgroup(H, p)) for p in primes]
-    count = 0
-
-    def permutes_with_all(P: Subgroup, chosen: list[Subgroup]) -> bool:
-        return all(product_sets_equal(G, P.members, Q.members) for Q in chosen)
-
-    def rec(level: int, chosen: list[Subgroup]) -> Iterator[SylowSystem]:
-        nonlocal count
-        if level == len(primes):
-            count += 1
-            yield SylowSystem(H, dict(zip(primes, chosen)))
-            return
-        for P in candidate_lists[level]:
-            if limit is not None and count >= limit:
-                return
-            if permutes_with_all(P, chosen):
-                yield from rec(level + 1, chosen + [P])
-
-    try:
-        yield from rec(0, [])
-    finally:
-        # rec refers to itself; without this the cycle keeps the group's
-        # table alive until the cyclic garbage collector runs
-        del rec
-
-
-def sylow_system(H: GroupLike) -> SylowSystem:
-    """The canonical (first-found) Sylow system of a solvable group."""
-    for system in sylow_systems(H, limit=1):
-        return system
-    raise AssertionError("no Sylow system found for a solvable group")
+    chosen: list[Subgroup] = []
+    for p in primes:
+        P = next((Q for Q in conjugates(H, sylow_subgroup(H, p))
+                  if all(product_sets_equal(G, Q.members, R.members) for R in chosen)),
+                 None)
+        if P is None:
+            raise NotSolvable("Sylow systems require a solvable group")
+        chosen.append(P)
+    return SylowSystem(H, dict(zip(primes, chosen)))
 
 
 def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:
@@ -360,7 +315,7 @@ def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:
     G = L.parent
     members = L.members
     for p in system.primes():
-        members = normalizer_members(G, members, system.sylows[p].members)
+        members = normalizer_members(G, members, system.sylows[p])
     return Subgroup(G, members, reduce_generators(G, members))
 
 

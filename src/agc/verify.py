@@ -26,9 +26,9 @@ from .structure import (
     center,
     centralizer_members,
     contains_centralizers,
+    conjugates,
     minimal_normal_subgroups,
     normalizer_members,
-    sylow_conjugates,
     sylow_system,
     system_normalizer,
 )
@@ -171,10 +171,10 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
 
     # malnormality: A ∩ gAg⁻¹ = 1 for every g outside A, which amounts to
     # A being self-normalizing with distinct conjugates meeting trivially
-    self_normalizing = normalizer_members(G, everyone, A.members).size == A.order
+    self_normalizing = normalizer_members(G, everyone, A).size == A.order
     cover = np.zeros(G.order, bool)
     malnormal = A.order > 1 and N.order > 1 and self_normalizing
-    for conj in sylow_conjugates(full_subgroup(G), A):
+    for conj in conjugates(G, A):
         if malnormal and conj.key() != A.key():
             inter = np.intersect1d(A.members, conj.members, assume_unique=True)
             if inter.size > 1:
@@ -237,9 +237,9 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
     if math.gcd(D.order, G.order // D.order) == 1:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "derived subgroup is a Hall subgroup"})
-    conjugates = sylow_conjugates(full_subgroup(G), a.system_normalizer)
+    normalizers = list(conjugates(G, a.system_normalizer))
     norm_cover = np.zeros(G.order, bool)
-    for conj in conjugates:
+    for conj in normalizers:
         norm_cover[conj.members] = True
     orders = G.element_orders
     instances = 0
@@ -259,7 +259,7 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
                                {"element": g, "defect": "trivial centralizer in G'"})
         hit = any(
             centralizer_members(G, g, conj.members).size > 1
-            for conj in conjugates
+            for conj in normalizers
         )
         if not hit:
             return CheckRecord(cid, "fail",

@@ -5,6 +5,8 @@ full-pair scans, and exhaustive searches.  No code is shared with the
 algorithms under test beyond the element indexing of FiniteGroup, except
 in the superseded constructions kept as references: ``closure_quotient``
 enumerates G/N with ``closure``, which ``quotient`` no longer calls,
+``sylow_systems`` is the depth-first search over all conjugates of the
+Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
 ``all_sources_diameter`` searches from every vertex of a commuting graph
 where the graph searches from one per conjugacy class, and
@@ -23,9 +25,19 @@ from agc.perm import (
     FiniteGroup,
     Permutation,
     Subgroup,
+    _prime_factors,
     closure,
     full_subgroup,
     generated_subgroup,
+)
+from agc.structure import (
+    SylowSystem,
+    conjugates,
+    derived_series,
+    is_solvable,
+    product_sets_equal,
+    sylow_subgroup,
+    system_normalizer,
 )
 
 
@@ -107,6 +119,14 @@ def brute_derived_series(G: FiniteGroup) -> list[set[int]]:
         if current == {0}:
             break
     return series
+
+
+def brute_normalizer(G: FiniteGroup, scope: np.ndarray, members: np.ndarray) -> list[int]:
+    """The elements g of ``scope`` with g·members·g⁻¹ = members, found by
+    conjugating every member."""
+    t, inv = G.table, G.inverse_array
+    return [int(g) for g in scope
+            if np.array_equal(np.unique(t[t[g, members], inv[g]]), members)]
 
 
 def is_p_subgroup(G: FiniteGroup, members: np.ndarray, p: int) -> bool:
@@ -234,11 +254,38 @@ def brute_2frobenius(G: FiniteGroup) -> list[tuple[frozenset[int], frozenset[int
     return pairs
 
 
+def sylow_systems(H: Subgroup, limit: int) -> list[SylowSystem]:
+    """The first ``limit`` Sylow systems of a solvable group, depth first.
+
+    Primes are ordered by descending p-part; the candidates for each prime
+    are all conjugates of the canonical Sylow subgroup, and a candidate is
+    kept when it permutes with every one chosen before it.  A branch that
+    cannot be completed is abandoned for the next candidate.
+    """
+    assert is_solvable(H)
+    G = H.parent
+    factors = _prime_factors(H.order)
+    primes = sorted(factors, key=lambda p: (-(p ** factors[p]), p))
+    candidate_lists = [list(conjugates(H, sylow_subgroup(H, p))) for p in primes]
+    found: list[SylowSystem] = []
+
+    def search(chosen: list[Subgroup]) -> None:
+        if len(chosen) == len(primes):
+            found.append(SylowSystem(H, dict(zip(primes, chosen))))
+            return
+        for P in candidate_lists[len(chosen)]:
+            if len(found) == limit:
+                return
+            if all(product_sets_equal(G, P.members, Q.members) for Q in chosen):
+                search(chosen + [P])
+
+    search([])
+    return found
+
+
 def system_complements(G: FiniteGroup, limit: int = 64) -> list[list[bool]]:
     """Per derived-series level i, whether the normalizer in G of each of the
     first ``limit`` Sylow systems of G^(i-1) complements G^(i)."""
-    from agc.structure import derived_series, sylow_systems, system_normalizer
-
     terms = derived_series(G).terms
     full = full_subgroup(G)
     levels = []

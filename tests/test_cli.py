@@ -7,8 +7,9 @@ import pytest
 
 from agc.cli import _analyze_one, main
 from agc.groupfile import load_group, save_group
-from agc.perm import DEFAULT_MAX_ORDER
+from agc.perm import DEFAULT_MAX_ORDER, Subgroup
 from agc.constructions import symmetric
+from agc.structure import derived_series, sylow_system
 
 
 @pytest.fixture()
@@ -165,7 +166,10 @@ def _analyze_counting_calls(path, monkeypatch):
 
 
 def _on_group(calls, G, name):
-    return [(args, result) for n, args, result in calls if n == name and args[0] is G]
+    """The calls of ``name`` on G, passed as the group or as its full subgroup."""
+    return [(args, result) for n, args, result in calls if n == name and (
+        args[0] is G or isinstance(args[0], Subgroup) and args[0].parent is G
+        and args[0].is_full())]
 
 
 def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
@@ -211,3 +215,20 @@ def test_graph_and_diagnostics_share_the_conjugacy_classes(corpus_dir, monkeypat
                                             monkeypatch)
     assert row["center_order"] == 1
     assert len(_on_group(calls, G, "conjugacy_classes")) == 1
+
+
+def test_sylow_systems_of_the_witness_conjugate_little(witness1500, monkeypatch):
+    """The greedy Sylow systems of the order-1500 witness's derived terms
+    make a small fraction of the 2005 + 9724 + 24 conjugations that building
+    the full conjugacy orbit of every Sylow subgroup took."""
+    conjugate_by = Subgroup.conjugate_by
+    conjugations = []
+
+    def counted(self, g):
+        conjugations.append(g)
+        return conjugate_by(self, g)
+
+    monkeypatch.setattr(Subgroup, "conjugate_by", counted)
+    for K in derived_series(witness1500).terms:
+        sylow_system(K)
+    assert 100 * len(conjugations) < 2005 + 9724 + 24

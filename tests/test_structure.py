@@ -1,28 +1,38 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from agc.errors import NotSolvable, PrimeNotDividing
-from agc.perm import full_subgroup, generated_subgroup, prime_divisors
+from agc.classify import GroupAnalysis
+from agc.perm import (
+    Permutation,
+    closure,
+    full_subgroup,
+    generated_subgroup,
+    prime_divisors,
+    trivial_subgroup,
+)
 from agc.constructions import alternating, cyclic, dihedral, symmetric
 from agc.structure import (
     center,
     centralizer,
     conjugacy_classes,
+    conjugates,
     derived_series,
     derived_subgroup,
     fitting_subgroup,
-    is_nilpotent,
     is_solvable,
     minimal_normal_subgroups,
     normal_subgroups,
     normalizer,
+    normalizer_members,
     p_core,
+    product_sets_equal,
     second_fitting_preimage,
     sylow_subgroup,
     sylow_system,
-    sylow_systems,
     system_normalizer,
 )
 
@@ -31,7 +41,9 @@ from oracles import (
     brute_centralizer,
     brute_derived_series,
     brute_normal_subgroups,
+    brute_normalizer,
     is_p_subgroup,
+    sylow_systems,
 )
 
 SMALL = [symmetric(3), symmetric(4), alternating(4), dihedral(4), dihedral(6),
@@ -116,7 +128,7 @@ def test_fitting_of_s4_is_klein_four():
     F = fitting_subgroup(G)
     assert F.order == 4
     assert F.is_normal()
-    assert is_nilpotent(F)
+    assert F.is_abelian()
     assert second_fitting_preimage(G, F).order == 12
 
 
@@ -131,30 +143,80 @@ def test_sylow_system_of_s3():
     system = sylow_system(G)
     assert {p: S.order for p, S in system.sylows.items()} == {2: 2, 3: 3}
     # the product of the system is the whole group
-    hall = system.hall([2, 3])
-    assert hall.order == 6
-    assert system.hall([3]).order == 3
+    product = G.table[np.ix_(system.sylows[2].members, system.sylows[3].members)]
+    assert np.unique(product).size == 6
 
 
 def test_sylow_systems_require_solvable():
-    with pytest.raises(NotSolvable):
-        sylow_system(alternating(5))
+    for G in (alternating(5), symmetric(5)):
+        with pytest.raises(NotSolvable):
+            sylow_system(G)
 
 
-def test_all_sylow_systems_are_permutable(witness60):
-    count = 0
-    for system in sylow_systems(witness60, limit=8):
-        count += 1
-        primes = system.primes()
-        t = witness60.table
-        for i, p in enumerate(primes):
-            for q in primes[i + 1:]:
-                A = system.sylows[p].members
-                B = system.sylows[q].members
-                ab = np.unique(t[np.ix_(A, B)])
-                ba = np.unique(t[np.ix_(B, A)])
-                assert np.array_equal(ab, ba)
-    assert count >= 1
+def _solvable_terms(corpus_groups):
+    for name, G in corpus_groups.items():
+        series = derived_series(G)
+        assert series.solvable, name
+        for K in series.terms:
+            yield name, K
+
+
+def _agl17():
+    """AGL(1,7), generated by x -> -x, x -> 2x + 1 and x -> x + 1 in that
+    order: its canonical Sylow 2- and 3-subgroups do not permute."""
+    maps = [lambda x: -x, lambda x: 2 * x + 1, lambda x: x + 1]
+    return closure(7, [Permutation([f(x) % 7 for x in range(7)]) for f in maps],
+                   name="AGL(1,7)")
+
+
+def test_all_sylow_systems_are_permutable(corpus_groups):
+    """The Sylow system of every derived term of every corpus group, and of
+    AGL(1,7), has one Sylow subgroup per prime, and each two of them permute."""
+    terms = list(_solvable_terms(corpus_groups)) + [("AGL(1,7)", full_subgroup(_agl17()))]
+    for name, K in terms:
+        system = sylow_system(K)
+        assert system.primes() == prime_divisors(K.order), name
+        t = K.parent.table
+        for p, q in itertools.combinations(system.primes(), 2):
+            A = system.sylows[p].members
+            B = system.sylows[q].members
+            assert np.array_equal(np.unique(t[np.ix_(A, B)]), np.unique(t[np.ix_(B, A)])), name
+
+
+def test_sylow_system_is_first_of_exhaustive_search(corpus_groups):
+    """The greedy system is the first one the depth-first search finds, on
+    every derived term of the corpus and on AGL(1,7), where the greedy choice
+    must pass over two conjugates of the canonical Sylow 2-subgroup."""
+    G = _agl17()
+    P2, P3 = sylow_subgroup(G, 2), sylow_subgroup(G, 3)
+    assert not product_sets_equal(G, P2.members, P3.members)
+    candidates = list(conjugates(G, P2))
+    assert sylow_system(G).sylows[2].same_members(candidates[2])
+    terms = list(_solvable_terms(corpus_groups)) + [("AGL(1,7)", full_subgroup(G))]
+    for name, K in terms:
+        got = sylow_system(K)
+        (first,) = sylow_systems(K, limit=1)
+        assert got.primes() == first.primes(), name
+        for p in got.primes():
+            assert got.sylows[p].same_members(first.sylows[p]), (name, p)
+
+
+def test_normalizer_members_match_conjugating_every_member(corpus_groups):
+    """Testing P's generators finds the same normalizer as conjugating all of
+    P, in scopes G and G', for Sylow subgroups, derived terms, the upper
+    Fitting preimage, a conjugate of each and the trivial subgroup."""
+    for name, G in corpus_groups.items():
+        if G.order > 500:
+            continue
+        a = GroupAnalysis(G)
+        subgroups = [sylow_subgroup(G, p) for p in prime_divisors(G.order)]
+        subgroups += list(a.series.terms) + [a.upper_fitting]
+        subgroups += [H.conjugate_by(G.order - 1) for H in subgroups]
+        subgroups.append(trivial_subgroup(G))
+        for scope in (np.arange(G.order), a.derived.members):
+            for H in subgroups:
+                got = normalizer_members(G, scope, H).tolist()
+                assert got == brute_normalizer(G, scope, H.members), (name, H)
 
 
 def test_system_normalizer_complements_derived_subgroup(witness60):
