@@ -119,8 +119,11 @@ class CommutingGraph:
             self._sources = class_sources(self.vertices, conjugacy_classes(self.group))
         return self._sources
 
-    def component_ids(self) -> np.ndarray:
-        """Component id per vertex, numbered by least vertex position."""
+    def component_ids(self, reach: np.ndarray | None = None) -> np.ndarray:
+        """Component id per vertex, numbered by least vertex position.
+
+        ``reach`` is the distance array of a search already made; its
+        component is taken from it rather than searched again."""
         if self._component_ids is None:
             n = self.n_vertices
             ids = np.full(n, -1, np.int32)
@@ -128,7 +131,10 @@ class CommutingGraph:
             for s in range(n):
                 if ids[s] >= 0:
                     continue
-                dist = _bfs_packed(self._packed, n, s)
+                if reach is not None and reach[s] >= 0:
+                    dist = reach
+                else:
+                    dist = _bfs_packed(self._packed, n, s)
                 ids[dist >= 0] = cid
                 cid += 1
             self._component_ids = ids
@@ -142,7 +148,8 @@ class CommutingGraph:
         """Status, diameter and component count, from one search per source.
 
         The graph is connected when the first search reaches every vertex;
-        only when it does not are the components counted."""
+        only when it does not are the components counted, the first one
+        from that search."""
         n = self.n_vertices
         if n == 0:
             return DiameterResult("empty-vertex-set", None, 0)
@@ -150,7 +157,8 @@ class CommutingGraph:
         for s in self.sources:
             dist = _bfs_packed(self._packed, n, int(s))
             if dist.min() < 0:
-                return DiameterResult("disconnected", None, self.n_components())
+                ids = self.component_ids(reach=dist)
+                return DiameterResult("disconnected", None, int(ids.max()) + 1)
             diam = max(diam, int(dist.max()))
         return DiameterResult("connected", diam, 1)
 

@@ -29,6 +29,8 @@ def parse_group_file(text: str) -> GroupFile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     degree = obj.get("degree")
@@ -70,7 +72,11 @@ def group_to_file(G: FiniteGroup) -> GroupFile:
 
 
 def load_group(path: str | Path, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    gf = parse_group_file(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc}") from exc
+    gf = parse_group_file(text)
     return closure(gf.degree, gf.generators, max_order=max_order, name=gf.name)
 
 

@@ -10,7 +10,6 @@ enumeration computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -275,19 +274,36 @@ def closure(
     return FiniteGroup(elements, gen_indices, right_cols, name=name)
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """An element-index set inside a parent group, with a generator witness."""
+    """An element-index set inside a parent group, with a generator witness.
 
-    parent: FiniteGroup
-    members: np.ndarray
-    generators: tuple[int, ...]
+    ``members`` are kept sorted and read-only.  Generators that are given
+    are kept as given.  Otherwise the subgroup chooses them when they are
+    first read: it walks the members in increasing order and keeps each one
+    not yet in the closure of those kept.  The choice depends on the member
+    set alone, so it yields the same tuple whenever it is made, and a
+    subgroup whose generators are never read never makes it.
+    """
 
-    def __post_init__(self):
-        mem = np.asarray(self.members, np.int32)
-        mem = np.unique(mem)
+    def __init__(self, parent: FiniteGroup, members: np.ndarray | Sequence[int],
+                 generators: Iterable[int] | None = None):
+        mem = np.unique(np.asarray(members, np.int32))
         mem.setflags(write=False)
-        object.__setattr__(self, "members", mem)
+        self.parent = parent
+        self.members = mem
+        if generators is not None:  # an instance entry shadows the cached property
+            self.__dict__["generators"] = tuple(generators)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        gens: list[int] = []
+        covered = np.zeros(self.parent.order, bool)
+        covered[0] = True
+        for x in self.members:
+            if not covered[x]:
+                gens.append(int(x))
+                covered[close_indices(self.parent, gens)] = True
+        return tuple(gens)
 
     @property
     def order(self) -> int:
@@ -379,21 +395,6 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, np.arange(G.order, dtype=np.int32), tuple(G.generators))
-
-
-def reduce_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
-    """A small generating set for a known subgroup, chosen greedily."""
-    gens: list[int] = []
-    covered = np.array([0], np.int32)
-    mask = np.zeros(G.order, bool)
-    mask[covered] = True
-    for x in members:
-        if not mask[x]:
-            gens.append(int(x))
-            covered = close_indices(G, gens)
-            mask[:] = False
-            mask[covered] = True
-    return tuple(gens)
 
 
 def _prime_factors(n: int) -> dict[int, int]:

@@ -74,8 +74,9 @@ def semidirect_product(
     of the base as a permutation of base element indices; the assignment must
     be a homomorphism.  Multiplication follows
     (b1, a1)(b2, a2) = (b1·action(a1)(b2), a1·a2), realized on
-    |base|·|actor| points via the regular representation.  The returned group
-    carries a ``pairing`` array with pairing[b, a] = element index of (b, a).
+    |base|·|actor| points via the regular representation: the pair (b, a) is
+    the point b·|actor| + a, and each element is the permutation of the
+    points by which it multiplies them on the right.
     """
     nb, m = base.order, actor.order
     tb, ta = base.table, actor.table
@@ -106,14 +107,6 @@ def semidirect_product(
     G = closure(nb * m, gen_perms, max_order=nb * m, name=name)
     if G.order != nb * m:
         raise InvalidAction("regular representation did not reach full order")
-
-    pairing = np.empty((nb, m), np.int32)
-    for b in range(nb):
-        # right multiplication by (b, a): (b2, a2) ↦ (b2·phi_{a2}(b), a2·a)
-        block = tb[b_of, phis[a_of, b]] * m  # a-independent part for fixed b
-        for a in range(m):
-            pairing[b, a] = G.index_of(block + ta[a_of, a])
-    G.pairing = pairing  # type: ignore[attr-defined]
     return G
 
 

@@ -6,9 +6,12 @@ growth), Fitting and second-Fitting subgroups, Sylow systems chosen greedily
 normalizers, minimal normal subgroups from normal closures of elements, and
 normal-subgroup enumeration via join-closure of normal closures.
 
-All operations are pure functions of immutable groups/subgroups.  Most take
-either a FiniteGroup or a Subgroup; a FiniteGroup is treated as its own full
-subgroup.
+All operations are pure functions of groups and subgroups, which they do
+not modify.  Most take either a FiniteGroup or a Subgroup; a FiniteGroup is
+treated as its own full subgroup.  Subgroups found as member sets
+(centralizers, centres, normalizers, cores, system normalizers, normal
+closures) are returned without generators; each chooses its own when they
+are first read.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .perm import (
     generated_subgroup,
     p_part,
     prime_divisors,
-    reduce_generators,
     trivial_subgroup,
     _prime_factors,
 )
@@ -44,11 +46,8 @@ def as_subgroup(x: GroupLike) -> Subgroup:
 
 def centralizer(G: FiniteGroup, x: int, within: Subgroup | None = None) -> Subgroup:
     """All elements of G (or of ``within``) commuting with element x."""
-    t = G.table
     scope = within.members if within is not None else np.arange(G.order)
-    mask = t[scope, x] == t[x, scope]
-    members = scope[mask]
-    return Subgroup(G, members, reduce_generators(G, members))
+    return Subgroup(G, centralizer_members(G, x, scope))
 
 
 def centralizer_members(G: FiniteGroup, x: int, scope: np.ndarray) -> np.ndarray:
@@ -73,8 +72,7 @@ def center(H: GroupLike) -> Subgroup:
     t = G.table
     gens = np.array(H.generators, np.int64)
     commutes = t[np.ix_(H.members, gens)] == t[np.ix_(gens, H.members)].T
-    central = H.members[commutes.all(axis=1)]
-    return Subgroup(G, central, reduce_generators(G, central))
+    return Subgroup(G, H.members[commutes.all(axis=1)])
 
 
 def is_abelian(H: GroupLike) -> bool:
@@ -145,8 +143,7 @@ def normalizer_members(G: FiniteGroup, scope: np.ndarray, P: Subgroup) -> np.nda
 
 def normalizer(H: GroupLike, P: Subgroup) -> Subgroup:
     H = as_subgroup(H)
-    members = normalizer_members(H.parent, H.members, P)
-    return Subgroup(H.parent, members, reduce_generators(H.parent, members))
+    return Subgroup(H.parent, normalizer_members(H.parent, H.members, P))
 
 
 def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
@@ -222,7 +219,7 @@ def p_core(H: GroupLike, p: int) -> Subgroup:
                 changed = True
         if not changed:
             break
-    return Subgroup(G, members, reduce_generators(G, members))
+    return Subgroup(G, members)
 
 
 def fitting_subgroup(H: GroupLike) -> Subgroup:
@@ -243,12 +240,7 @@ def second_fitting_preimage(G: FiniteGroup, F: Subgroup) -> Subgroup:
         return F
     Q, proj = quotient(G, F)
     FQ = fitting_subgroup(Q)
-    members = np.nonzero(FQ.member_mask[proj])[0].astype(np.int32)
-    gens = list(F.generators)
-    gen_images = set(int(g) for g in FQ.generators) - {0}
-    for f in sorted(gen_images):
-        gens.append(int(np.nonzero(proj == f)[0][0]))
-    return Subgroup(G, members, tuple(gens))
+    return Subgroup(G, np.nonzero(FQ.member_mask[proj])[0])
 
 
 # -- Sylow systems and system normalizers ------------------------------------
@@ -316,7 +308,7 @@ def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:
     members = L.members
     for p in system.primes():
         members = normalizer_members(G, members, system.sylows[p])
-    return Subgroup(G, members, reduce_generators(G, members))
+    return Subgroup(G, members)
 
 
 # -- conjugacy classes and normal subgroups -----------------------------------
@@ -343,8 +335,7 @@ def normal_closure(G: FiniteGroup, x: int) -> Subgroup:
     t, inv = G.table, G.inverse_array
     everyone = np.arange(G.order)
     cls = np.unique(t[t[everyone, x], inv[everyone]])
-    members = close_indices(G, cls.tolist())
-    return Subgroup(G, members, reduce_generators(G, members))
+    return Subgroup(G, close_indices(G, cls.tolist()))
 
 
 @dataclass(frozen=True)

@@ -366,16 +366,11 @@ def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
 
     minimals = minimal_normal_subgroups(G, a.classes)
     per_v = []
+    t = G.table
     for V in minimals:
-        cg = np.arange(G.order)
-        mask = np.ones(G.order, bool)
-        for v in V.members:
-            if v == 0:
-                continue
-            keep = np.zeros(G.order, bool)
-            keep[centralizer_members(G, int(v), cg)] = True
-            mask &= keep
-        cgv = np.nonzero(mask)[0]
+        # C_G(V): the elements commuting with V's generators
+        gens = np.array(V.generators, np.int64)
+        cgv = np.nonzero((t[:, gens] == t[gens].T).all(axis=1))[0]
         equals_f = cgv.size == F.order and F.member_mask[cgv].all()
         per_v.append({"minimal_order": V.order,
                       "centralizer_order": int(cgv.size),

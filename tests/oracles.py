@@ -9,9 +9,11 @@ enumerates G/N with ``closure``, which ``quotient`` no longer calls,
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
 ``all_sources_diameter`` searches from every vertex of a commuting graph
-where the graph searches from one per conjugacy class, and
+where the graph searches from one per conjugacy class,
 ``brute_twin_classes`` lists each cyclic subgroup's generators with
-``FiniteGroup.power``.
+``FiniteGroup.power``, and ``greedy_generators`` chooses a subgroup's
+generators from its members with ``close_indices``, eagerly, where a
+``Subgroup`` chooses them when they are first read.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from agc.perm import (
     Permutation,
     Subgroup,
     _prime_factors,
+    close_indices,
     closure,
     full_subgroup,
     generated_subgroup,
@@ -73,6 +76,21 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     Q = closure(k, [Permutation(cid[t[reps, g]]) for g in G.generators], max_order=k)
     proj = np.array([Q.index_of(cid[t[reps, x]]) for x in range(G.order)], np.int32)
     return Q, proj
+
+
+def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
+    """A small generating set for a known subgroup, chosen greedily."""
+    gens: list[int] = []
+    covered = np.array([0], np.int32)
+    mask = np.zeros(G.order, bool)
+    mask[covered] = True
+    for x in members:
+        if not mask[x]:
+            gens.append(int(x))
+            covered = close_indices(G, gens)
+            mask[:] = False
+            mask[covered] = True
+    return tuple(gens)
 
 
 def brute_centralizer(G: FiniteGroup, x: int) -> list[int]:

@@ -1,5 +1,6 @@
 import gc
 import importlib
+from functools import cached_property
 import json
 import weakref
 
@@ -122,6 +123,19 @@ def test_corpus_skips_corrupt_files_unless_strict(tmp_path, capsys):
                  str(tmp_path / "out2")]) == 1
 
 
+def test_corpus_skips_undecodable_and_deeply_nested_files(tmp_path, capsys):
+    for bad in (b"\xff\xfe\x00", b"[" * 100000):
+        src = tmp_path / "groups"
+        src.mkdir(exist_ok=True)
+        save_group(symmetric(4), src / "s4.json")
+        (src / "bad.json").write_bytes(bad)
+        out = tmp_path / "out"
+        assert main(["corpus", str(src), "--out", str(out)]) == 0
+        reports = json.loads((out / "reports.json").read_text())
+        assert len(reports["reports"]) == 1 and len(reports["skipped"]) == 1
+        assert main(["corpus", str(src), "--strict", "--out", str(out)]) == 1
+
+
 def test_corpus_missing_directory(tmp_path, capsys):
     assert main(["corpus", str(tmp_path / "nope")]) == 1
 
@@ -206,6 +220,25 @@ def test_analyze_one_frees_the_group_without_the_cycle_collector(corpus_dir, mon
             assert watched[-1]() is None, name
     finally:
         gc.enable()
+
+
+def test_analyze_one_chooses_generators_only_where_read(corpus_dir, monkeypatch):
+    """Subgroups found as member sets choose their generators only when
+    something reads them: at most 8 choices on the order-1500 witness,
+    where choosing them for every such subgroup took 29."""
+    choose = Subgroup.__dict__["generators"].func
+    chosen = []
+
+    def counted(self):
+        chosen.append(self.order)
+        return choose(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Subgroup, "generators")
+    monkeypatch.setattr(Subgroup, "generators", prop)
+    path = corpus_dir / "diameter6-witness.json"
+    assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
+    assert len(chosen) <= 8
 
 
 def test_graph_and_diagnostics_share_the_conjugacy_classes(corpus_dir, monkeypatch):

@@ -104,6 +104,8 @@ def test_class_sources_match_all_sources_oracle(corpus_groups):
 
 
 def test_diameter_runs_one_bfs_per_class(witness1500, monkeypatch):
+    """A connected graph is searched once per noncentral class, a
+    disconnected one once per component."""
     bfs = graph_module._bfs_packed
     starts = []
 
@@ -112,13 +114,15 @@ def test_diameter_runs_one_bfs_per_class(witness1500, monkeypatch):
         return bfs(adj_packed, n, start)
 
     monkeypatch.setattr(graph_module, "_bfs_packed", counted)
-    a = GroupAnalysis(witness1500)
-    noncentral = sum(c.size > 1 for c in a.classes)
-    for g in (a.graph, CommutingGraph(witness1500)):
-        starts.clear()
-        result = g.diameter()
-        assert result.diameter == 6
-        assert len(starts) == noncentral
+    for G, diameter, components in ((witness1500, 6, 1), (symmetric(3), None, 4),
+                                    (symmetric(4), None, 5), (dihedral(6), None, 4)):
+        a = GroupAnalysis(G)
+        noncentral = sum(c.size > 1 for c in a.classes)
+        for g in (a.graph, CommutingGraph(G)):
+            starts.clear()
+            result = g.diameter()
+            assert (result.diameter, result.components) == (diameter, components)
+            assert len(starts) == (noncentral if result.connected else components), G.name
 
 
 def test_q8_twin_reduction():

@@ -47,6 +47,7 @@ def test_parse_rejects_bad_json():
     '{"degree": 3, "generators": [[0, 1]]}',
     '{"degree": 3, "generators": "abc"}',
     '{"degree": 0, "generators": []}',
+    pytest.param("[" * 100000, id="deeply-nested"),
 ])
 def test_parse_rejects_malformed_documents(payload):
     with pytest.raises(FormatError):
@@ -56,6 +57,13 @@ def test_parse_rejects_malformed_documents(payload):
 def test_parse_rejects_non_bijective_generator():
     with pytest.raises(MalformedPermutation):
         parse_group_file('{"degree": 3, "generators": [[0, 0, 1]]}')
+
+
+def test_load_group_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(FormatError):
+        load_group(path)
 
 
 def test_load_group_respects_max_order(tmp_path):

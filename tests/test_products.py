@@ -99,10 +99,16 @@ def test_semidirect_pairing_is_bijective():
 
     G = semidirect_product(base, actor, action)
     assert G.order == 20
-    pairing = G.pairing
+    # (b, a) is the permutation (b2, a2) ↦ (b2·phi_a2(b), a2·a) of the
+    # points b2·4 + a2; pairing[b, a] is its element index
+    tb, ta, t = base.table, actor.table, G.table
+    phis = np.array([action(a) for a in range(4)])
+    pts = np.arange(20)
+    b_of, a_of = pts // 4, pts % 4
+    pairing = np.array([[G.index_of(tb[b_of, phis[a_of, b]] * 4 + ta[a_of, a])
+                         for a in range(4)] for b in range(5)])
     assert sorted(pairing.ravel().tolist()) == list(range(20))
     # pairing respects the product law (b1,a1)(b2,a2) = (b1*phi_a1(b2), a1a2)
-    tb, ta, t = base.table, actor.table, G.table
     for b1 in range(5):
         for a1 in range(4):
             for b2 in range(5):

@@ -8,6 +8,7 @@ from agc.errors import NotSolvable, PrimeNotDividing
 from agc.classify import GroupAnalysis
 from agc.perm import (
     Permutation,
+    close_indices,
     closure,
     full_subgroup,
     generated_subgroup,
@@ -25,6 +26,7 @@ from agc.structure import (
     fitting_subgroup,
     is_solvable,
     minimal_normal_subgroups,
+    normal_closure,
     normal_subgroups,
     normalizer,
     normalizer_members,
@@ -42,6 +44,7 @@ from oracles import (
     brute_derived_series,
     brute_normal_subgroups,
     brute_normalizer,
+    greedy_generators,
     is_p_subgroup,
     sylow_systems,
 )
@@ -217,6 +220,28 @@ def test_normalizer_members_match_conjugating_every_member(corpus_groups):
             for H in subgroups:
                 got = normalizer_members(G, scope, H).tolist()
                 assert got == brute_normalizer(G, scope, H.members), (name, H)
+
+
+def test_found_subgroups_choose_the_greedy_generators_when_read(corpus_groups,
+                                                               witness1500):
+    """Subgroups found as member sets choose no generators until they are
+    read; then they choose the greedy tuple, which generates the members."""
+    groups = [G for G in corpus_groups.values() if G.order <= 500] + [witness1500]
+    for G in groups:
+        full = full_subgroup(G)
+        primes = prime_divisors(G.order)
+        reps = [int(c[0]) for c in conjugacy_classes(G)[1:]]
+        found = [center(G)]
+        found += [p_core(G, p) for p in primes]
+        found += [normal_closure(G, x) for x in reps]
+        found += [centralizer(G, x) for x in reps]
+        found += [normalizer(full, sylow_subgroup(G, p)) for p in primes]
+        if is_solvable(G):
+            found.append(system_normalizer(full, sylow_system(full)))
+        for H in found:
+            assert "generators" not in vars(H), (G.name, H)
+            assert H.generators == greedy_generators(G, H.members), (G.name, H)
+            assert close_indices(G, H.generators).tolist() == H.members.tolist()
 
 
 def test_system_normalizer_complements_derived_subgroup(witness60):

@@ -4,7 +4,7 @@ import pytest
 from agc.errors import NotComplement
 from agc.perm import full_subgroup, generated_subgroup
 from agc.constructions import cyclic, metacyclic, symmetric
-from agc.structure import derived_subgroup, sylow_subgroup
+from agc.structure import derived_subgroup, minimal_normal_subgroups, sylow_subgroup
 from agc.verify import (
     GroupAnalysis,
     check_derived_center_intersection,
@@ -19,7 +19,7 @@ from agc.verify import (
     run_all_checks,
 )
 
-from oracles import system_complements
+from oracles import brute_centralizer, system_complements
 
 
 def _status(records, cid):
@@ -132,6 +132,28 @@ def test_diagnostics_are_never_asserted(witness1500):
     coprime = next(r for r in records if r.id == "upper-fitting-index-coprime")
     assert coprime.witness["gcd"] == 1
     assert not coprime.witness["hypothesis_met"]  # diameter 6 < 7
+
+
+def test_diagnostics_centralize_each_minimal_normal_by_brute_force(corpus_groups,
+                                                                  witness1500):
+    """C_G(V), taken from V's generators, is the intersection of the
+    centralizers of all of V's members."""
+    noncyclic = 0
+    for G in [G for G in corpus_groups.values() if G.order <= 500] + [witness1500]:
+        a = GroupAnalysis(G)
+        record = proof_diagnostics(a)[0]
+        if record.status == "skipped-precondition":
+            continue
+        minimals = minimal_normal_subgroups(G, a.classes)
+        assert len(record.witness["minimal_normals"]) == len(minimals)
+        for V, got in zip(minimals, record.witness["minimal_normals"]):
+            cgv = set(range(G.order))
+            for v in V.members.tolist():
+                cgv &= set(brute_centralizer(G, v))
+            assert got["centralizer_order"] == len(cgv), G.name
+            assert got["equals_fitting"] == (cgv == set(a.fitting.members.tolist()))
+            noncyclic += len(V.generators) > 1
+    assert noncyclic
 
 
 def test_diagnostics_skip_with_nontrivial_center():
