@@ -6,6 +6,13 @@ generator products starting at the identity, with the generator list order
 fixed, so element indices are fully reproducible.  Each group is enumerated
 once, and its multiplication table is built from the products x·g that the
 enumeration computed.
+
+The enumeration tells elements apart by their images of a base: a point
+tuple S whose pointwise stabilizer is trivial.  It searches the images of S
+rather than whole image rows, and certifies S by Schreier's lemma before it
+writes any row: if every Schreier generator of the stabilizer G_(S) fixes
+g(S) for each generator g, then G_(S) is normal, fixes every orbit that S
+meets, and so is trivial (see ``closure``).
 """
 
 from __future__ import annotations
@@ -169,8 +176,19 @@ class FiniteGroup:
 
     def _build_table(self, right: np.ndarray) -> None:
         """Fill ``table`` and ``inverse_array`` from the right-multiplication
-        columns: if element j is first reached as i·g_k, then column j of the
-        table is ``right[k]`` applied to column i."""
+        columns, a row at a time.
+
+        If element j is first reached as parent(j)·gen(j), then with
+        left_g[j] the index of g·e_j (left_g[0] is g itself)
+
+            left_g[j] = right_gen(j)[left_g[parent(j)]],
+            as g·e_j = (g·e_parent(j))·gen(j), and
+            table[i] = table[parent(i)][left_gen(i)],
+            as e_i·e_j = e_parent(i)·(gen(i)·e_j).
+
+        Parents come before their children, so filling in index order reads
+        only what is filled: each row of the table is one contiguous gather
+        of an earlier row, where a column at a time strides through it."""
         n = self.order
         ngens = right.shape[0]
         # first occurrence of each index in the enumeration's reading order
@@ -181,10 +199,16 @@ class FiniteGroup:
         gen[reached] = first % ngens
         if (parent[1:] >= np.arange(1, n)).any():
             raise ValueError("element list is not generated by the given generators")
+        r, p, g = right.tolist(), parent.tolist(), gen.tolist()
+        left = [[row[0]] for row in r]  # left[h][j]: index of g_h·e_j
+        for row in left:
+            for j in range(1, n):
+                row.append(r[g[j]][row[p[j]]])
+        left = np.array(left, np.int32).reshape(ngens, n)
         table = np.empty((n, n), np.int32)
-        table[:, 0] = np.arange(n, dtype=np.int32)
-        for j in range(1, n):
-            table[:, j] = right[gen[j]][table[:, parent[j]]]
+        table[0] = np.arange(n, dtype=np.int32)
+        for i in range(1, n):
+            table[p[i]].take(left[g[i]], out=table[i])
         self.table = table
         # each row is a permutation of the indices, so its least entry is
         # the identity, in the inverse's column
@@ -224,9 +248,27 @@ def closure(
 
     Elements are listed breadth-first over right-multiplication by the
     generators, starting at the identity, so the listing is deterministic
-    for a fixed generator order.  The index of every product x·g met on the
-    way is kept, and the group's table is built from these columns.  Raises
-    GroupTooLarge past ``max_order``.
+    for a fixed generator order.  The search runs over the images of a short
+    point tuple S, a base, rather than over whole image rows: the key of
+    x·g is g applied to the key of x.  Each new key j is reached along a
+    tree edge parent(j)·gen(j), and once the search is certified the element
+    rows are written from the tree into an array of the known order.
+
+    S starts as the least point of each orbit of ⟨gens⟩ that has more than
+    one point.  Let e_i be the tree element of key i and j the key of e_i·g.
+    By Schreier's lemma the stabilizer G_(S) is generated by the elements
+    s = e_i·g·e_j⁻¹.  If every such s fixes every point of g(S), for every
+    generator g, then G_(S) lies in the stabilizer of g(S), a conjugate of
+    G_(S) of the same order, so every generator normalizes G_(S).  A normal
+    subgroup that fixes a point fixes its orbit, and S meets every orbit
+    that moves, so G_(S) is trivial: S is a base, keys and elements
+    correspond one to one, and the listing, the generator indices and the
+    right columns are those of a search over whole rows.  If some s moves a
+    point of some g(S), that point joins S and the search starts again;
+    G_(S) at least halves each time, so there are at most log2 |G| restarts.
+
+    Raises GroupTooLarge once more than ``max_order`` keys are found, so no
+    array of max_order x degree entries is ever made.
     """
     if degree < 1:
         raise MalformedPermutation("degree must be positive")
@@ -238,40 +280,96 @@ def closure(
                 f"generator degree {arr.size} does not match {degree}"
             )
         gen_arrays.append(np.asarray(arr, np.int32))
-    # elements are rows of a buffer that doubles when full, filed under the
-    # hash of their images, so no per-element object outlives the enumeration
-    rows = np.empty((16, degree), np.int32)
-    rows[0] = np.arange(degree)
-    index: dict[int, list[int]] = {hash(rows[0].tobytes()): [0]}
-    right: list[list[int]] = [[] for _ in gen_arrays]
-    n, head = 1, 0
-    while head < n:
-        cur = rows[head]
-        head += 1
-        for garr, col in zip(gen_arrays, right):
-            prod = garr[cur]
-            data = prod.tobytes()
-            bucket = index.setdefault(hash(data), [])
-            for j in bucket:
-                if rows[j].tobytes() == data:
-                    break
-            else:
-                if n >= max_order:
-                    raise GroupTooLarge(
-                        f"closure exceeded the order cap of {max_order}"
-                    )
-                if n == len(rows):
-                    rows = np.concatenate([rows, np.empty_like(rows)])
-                rows[n] = prod
-                bucket.append(n)
-                j = n
-                n += 1
-            col.append(j)
-    elements = rows[:n].copy()
-    del rows, cur  # the buffer goes before the table is built
-    gen_indices = [col[0] for col in right]  # g is first met as identity·g
-    right_cols = np.array(right, np.int32).reshape(len(gen_arrays), n)
-    return FiniteGroup(elements, gen_indices, right_cols, name=name)
+    garr = np.array(gen_arrays, np.int32).reshape(len(gen_arrays), degree)
+    base = _orbit_representatives(garr)
+    while True:
+        tree = _KeyTree(garr, base, max_order)
+        moved = tree.moved_point()
+        if moved is None:
+            break
+        base.append(moved)
+    elements = np.empty((tree.order, degree), np.int32)
+    elements[0] = np.arange(degree)
+    for j, (i, g) in enumerate(zip(tree.parent, tree.gen), start=1):
+        garr[g].take(elements[i], out=elements[j])
+    return FiniteGroup(elements, tree.right[:, 0], tree.right, name=name)
+
+
+def _orbit_representatives(garr: np.ndarray) -> list[int]:
+    """The least point of each orbit of ⟨garr⟩ that has more than one point."""
+    images = garr.tolist()
+    seen = (garr == np.arange(garr.shape[1])).all(axis=0).tolist()  # fixed points
+    reps = []
+    for p in range(len(seen)):
+        if seen[p]:
+            continue
+        reps.append(p)
+        seen[p] = True
+        orbit = [p]
+        for q in orbit:  # grows while it is read
+            for img in images:
+                if not seen[img[q]]:
+                    seen[img[q]] = True
+                    orbit.append(img[q])
+    return reps
+
+
+class _KeyTree:
+    """The breadth-first search of ``closure`` over the images of a point
+    tuple S, the base, under right multiplication by the rows of ``garr``.
+
+    Key j > 0 is first found as key ``parent[j - 1]`` times generator
+    ``gen[j - 1]``, and ``right[h, i]`` is the key of element i times
+    generator h.  Each element keeps its images of S, its key, and of every
+    g(S) in ``images``, which is all ``moved_point`` needs.
+    """
+
+    def __init__(self, garr: np.ndarray, base: list[int], max_order: int):
+        ngens = garr.shape[0]
+        # the points whose images are kept: S first, then each g(S)
+        self.points = list(dict.fromkeys(base + garr[:, base].ravel().tolist()))
+        self.garr = garr
+        width = len(base) * 4  # bytes in a key
+        cur = np.array([self.points], np.int32)
+        index = {cur[0, :len(base)].tobytes(): 0}
+        images, right, self.parent, self.gen = [cur], [], [], []
+        n, lo = 1, 0  # keys found, index of the level's first key
+        while len(cur):
+            # products x·g in the enumeration's reading order, x-major
+            count = len(cur) * ngens
+            prods = garr[:, cur].transpose(1, 0, 2).reshape(count, len(self.points))
+            keys = np.ascontiguousarray(prods[:, :len(base)]).tobytes()
+            new = []
+            for q in range(count):
+                j = index.setdefault(keys[q * width:(q + 1) * width], n)
+                if j == n:
+                    if n == max_order:
+                        raise GroupTooLarge(
+                            f"closure exceeded the order cap of {max_order}"
+                        )
+                    new.append(q)
+                    n += 1
+                right.append(j)
+            self.parent.extend(lo + q // ngens for q in new)
+            self.gen.extend(q % ngens for q in new)
+            lo += len(cur)
+            cur = prods[new]
+            images.append(cur)
+        self.order = n
+        self.images = np.concatenate(images)
+        self.right = np.array(right, np.int32).reshape(n, ngens).T.copy()
+
+    def moved_point(self) -> int | None:
+        """A point of some g(S) that some Schreier generator e_i·h·e_j⁻¹
+        moves, or None when there is none and S is a base.
+
+        Such an s moves a point y exactly when h(e_i(y)) differs from
+        e_j(y), so each generator h takes one gather over the kept images."""
+        for h, row in enumerate(self.garr):
+            moved = np.nonzero(row[self.images] != self.images[self.right[h]])
+            if moved[0].size:
+                return self.points[int(moved[1][0])]
+        return None
 
 
 class Subgroup:

@@ -223,13 +223,18 @@ def p_core(H: GroupLike, p: int) -> Subgroup:
 
 
 def fitting_subgroup(H: GroupLike) -> Subgroup:
-    """F(H): the product of the cores O_p(H) over the primes dividing |H|."""
+    """F(H): the product of the cores O_p(H) over the primes dividing |H|.
+
+    The cores are normal and of coprime orders, so the product set of any
+    two is a subgroup, of order the product of theirs; F(H) is read off as
+    that set, without closing the cores' generators again."""
     H = as_subgroup(H)
     G = H.parent
-    gens: list[int] = []
+    t = G.table
+    members = np.array([0], np.int32)
     for p in prime_divisors(H.order):
-        gens.extend(int(x) for x in p_core(H, p).generators)
-    return generated_subgroup(G, gens)
+        members = np.unique(t[np.ix_(members, p_core(H, p).members)])
+    return Subgroup(G, members)
 
 
 def second_fitting_preimage(G: FiniteGroup, F: Subgroup) -> Subgroup:

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import resource
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from agc.groupfile import load_group
 from agc.witness import build_diameter4_witness, build_diameter6_witness
+
+# every run of the suite draws the same examples, with no time limit on one
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -17,6 +23,29 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 def corpus_dir() -> Path:
     assert CORPUS_DIR.is_dir(), "corpus directory missing; run scripts/build_corpus.py"
     return CORPUS_DIR
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Allow this process 1 GiB of address space beyond what it maps now,
+    so that a runaway allocation raises MemoryError instead of exhausting
+    the host.  Linux only; elsewhere no cap is set."""
+    try:
+        with open("/proc/self/status") as status:
+            mapped = next(int(line.split()[1]) << 10 for line in status
+                          if line.startswith("VmSize:"))
+    except (OSError, StopIteration):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,17 @@
 Everything here favors obviousness over speed: plain tuple arithmetic,
 full-pair scans, and exhaustive searches.  No code is shared with the
 algorithms under test beyond the element indexing of FiniteGroup, except
-in the superseded constructions kept as references: ``closure_quotient``
+in the superseded constructions kept as references: ``row_closure``
+enumerates a group over whole image rows, where ``closure`` searches the
+images of a certified base, ``closure_quotient``
 enumerates G/N with ``closure``, which ``quotient`` no longer calls,
 ``sylow_systems`` is the depth-first search over all conjugates of the
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
 ``all_sources_diameter`` searches from every vertex of a commuting graph
 where the graph searches from one per conjugacy class,
+``fitting_by_closure`` closes the p-cores' generators where
+``fitting_subgroup`` multiplies their member sets,
 ``brute_twin_classes`` lists each cyclic subgroup's generators with
 ``FiniteGroup.power``, and ``greedy_generators`` chooses a subgroup's
 generators from its members with ``close_indices``, eagerly, where a
@@ -35,9 +39,11 @@ from agc.perm import (
 )
 from agc.structure import (
     SylowSystem,
+    as_subgroup,
     conjugates,
     derived_series,
     is_solvable,
+    p_core,
     product_sets_equal,
     sylow_subgroup,
     system_normalizer,
@@ -61,6 +67,39 @@ def brute_closure(degree: int, gens: list[tuple[int, ...]]) -> set[tuple[int, ..
     return elements
 
 
+def row_closure(degree: int, gens: list) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """``(elements, generators, table)`` of the group generated by ``gens``,
+    enumerated over whole image rows.
+
+    The search is breadth-first over right multiplication by the generators,
+    from the identity, and files every product under its whole image row,
+    so it needs no base.  The table is filled a column at a time: if element
+    j is first reached as i·g, column j is column i mapped through the
+    right-multiplication column of g.
+    """
+    gen_arrays = [np.asarray(g.images if isinstance(g, Permutation) else g, np.int32)
+                  for g in gens]
+    rows = [np.arange(degree, dtype=np.int32)]
+    index = {rows[0].tobytes(): 0}
+    right: list[list[int]] = [[] for _ in gen_arrays]
+    first: dict[int, tuple[int, int]] = {}  # j -> (i, k) with j first met as i·g_k
+    for i, cur in enumerate(rows):  # grows while it is read
+        for k, (garr, col) in enumerate(zip(gen_arrays, right)):
+            prod = garr[cur]
+            j = index.setdefault(prod.tobytes(), len(rows))
+            if j == len(rows):
+                rows.append(prod)
+                first[j] = (i, k)
+            col.append(j)
+    n = len(rows)
+    table = np.empty((n, n), np.int32)
+    table[:, 0] = np.arange(n)
+    for j in range(1, n):
+        i, k = first[j]
+        table[:, j] = np.array(right[k], np.int32)[table[:, i]]
+    return np.array(rows, np.int32), [col[0] for col in right], table
+
+
 def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """G/N enumerated afresh: a closure over the coset permutations of G's
     generators, then each element of G looked up among Q's elements.
@@ -76,6 +115,13 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     Q = closure(k, [Permutation(cid[t[reps, g]]) for g in G.generators], max_order=k)
     proj = np.array([Q.index_of(cid[t[reps, x]]) for x in range(G.order)], np.int32)
     return Q, proj
+
+
+def fitting_by_closure(H: FiniteGroup | Subgroup) -> Subgroup:
+    """F(H) as the subgroup generated by the generators of all the p-cores."""
+    H = as_subgroup(H)
+    gens = [x for p in _prime_factors(H.order) for x in p_core(H, p).generators]
+    return generated_subgroup(H.parent, gens)
 
 
 def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from agc.cli import _analyze_one, main
-from agc.groupfile import load_group, save_group
+from agc.groupfile import GroupFile, load_group, save_group, serialize_group_file
 from agc.perm import DEFAULT_MAX_ORDER, Subgroup
 from agc.constructions import symmetric
 from agc.structure import derived_series, sylow_system
@@ -34,6 +34,16 @@ def test_analyze_malformed_file_exit_one(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["analyze", str(bad)]) == 1
     assert main(["analyze", str(tmp_path / "missing.json")]) == 1
+
+
+def test_analyze_of_a_long_cycle_exits_one(tmp_path, capsys, address_space_cap):
+    """One cycle on 100 000 points has an order past the default cap; the
+    closure stops at the cap before it makes any element row."""
+    path = tmp_path / "cycle.json"
+    cycle = list(range(1, 100_000)) + [0]
+    path.write_text(serialize_group_file(GroupFile(100_000, [cycle])))
+    assert main(["analyze", str(path)]) == 1
+    assert "order cap" in capsys.readouterr().err
 
 
 def test_max_order_flag_and_env(s3_file, tmp_path, monkeypatch, capsys):
@@ -224,8 +234,9 @@ def test_analyze_one_frees_the_group_without_the_cycle_collector(corpus_dir, mon
 
 def test_analyze_one_chooses_generators_only_where_read(corpus_dir, monkeypatch):
     """Subgroups found as member sets choose their generators only when
-    something reads them: at most 8 choices on the order-1500 witness,
-    where choosing them for every such subgroup took 29."""
+    something reads them: at most 3 choices on the order-1500 witness,
+    where choosing them for every such subgroup took 29, and closing the
+    p-cores' generators into F(G) kept 8."""
     choose = Subgroup.__dict__["generators"].func
     chosen = []
 
@@ -238,7 +249,7 @@ def test_analyze_one_chooses_generators_only_where_read(corpus_dir, monkeypatch)
     monkeypatch.setattr(Subgroup, "generators", prop)
     path = corpus_dir / "diameter6-witness.json"
     assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
-    assert len(chosen) <= 8
+    assert len(chosen) <= 3
 
 
 def test_graph_and_diagnostics_share_the_conjugacy_classes(corpus_dir, monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agc import perm
 from agc.errors import DegreeMismatch, GroupTooLarge, MalformedPermutation
 from agc.perm import (
     FiniteGroup,
@@ -27,7 +26,7 @@ from agc.constructions import (
 )
 from agc.products import direct_product, quotient
 
-from oracles import brute_closure
+from oracles import brute_closure, row_closure
 
 
 def test_permutation_rejects_non_bijections():
@@ -53,13 +52,13 @@ def test_compose_is_left_to_right():
 perms5 = st.permutations(list(range(5))).map(Permutation)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(perms5, perms5, perms5)
 def test_composition_associative(p, q, r):
     assert compose(compose(p, q), r) == compose(p, compose(q, r))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(perms5)
 def test_inverse_law(p):
     ident = Permutation.identity(5)
@@ -89,25 +88,69 @@ def test_closure_respects_max_order():
         closure(5, gens, max_order=4)
 
 
-def test_closure_is_exact_when_every_hash_collides(monkeypatch):
-    """The enumeration files elements under the hash of their images; with
-    every hash equal one bucket holds them all and the rows decide."""
-    builders = [lambda: symmetric(4), lambda: alternating(5),
-                lambda: dicyclic(3), lambda: abelian([2, 2, 4])]
-    want = [build() for build in builders]
-    monkeypatch.setattr(perm, "hash", lambda data: 0, raising=False)
-    for G, build in zip(want, builders):
-        H = build()
-        assert np.array_equal(H.elements, G.elements), G.name
-        assert H.generators == G.generators, G.name
-        assert np.array_equal(H.table, G.table), G.name
+def _generator_sets():
+    """Generator lists where one point is not a base, the group is not
+    transitive, a generator fixes the base point, or there is nothing to
+    enumerate."""
+    swap = lambda n, a, b: [b if i == a else a if i == b else i for i in range(n)]
+    return {
+        "S4": (4, [swap(4, 0, 1), [1, 2, 3, 0]]),
+        "A5": (5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
+        "S6": (6, [swap(6, 0, 1), [1, 2, 3, 4, 5, 0]]),
+        "D10": (5, [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]),
+        "C2xC2xC2": (6, [swap(6, 0, 1), swap(6, 2, 3), swap(6, 4, 5)]),
+        "C1": (1, [[0]]),
+        "no generators": (3, []),
+        "fixed points": (7, [[3, 1, 2, 0, 4, 5, 6], [1, 0, 3, 2, 4, 5, 6],
+                             [0, 1, 3, 2, 4, 5, 6]]),
+        "identity generator": (4, [[0, 1, 2, 3], [0, 2, 1, 3]]),
+    }
+
+
+def _assert_matches_row_closure(degree, gens, label):
+    G = closure(degree, gens)
+    elements, generators, table = row_closure(degree, gens)
+    assert np.array_equal(G.elements, elements), label
+    assert G.generators == generators, label
+    assert np.array_equal(G.table, table), label
+
+
+def test_closure_matches_row_closure(corpus_groups):
+    """The search over base images lists the elements, names the generators
+    and fills the table exactly as the search over whole rows does."""
+    for name, W in corpus_groups.items():
+        _assert_matches_row_closure(W.degree, [W.perm(g) for g in W.generators], name)
+    for name, (degree, gens) in _generator_sets().items():
+        _assert_matches_row_closure(degree, gens, name)
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to three permutations of at most 7 points, each moving a drawn
+    set of points, so that fixed points and intransitive groups are common."""
+    n = draw(st.integers(1, 7))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        moved = draw(st.lists(st.integers(0, n - 1), unique=True))
+        images = list(range(n))
+        for a, b in zip(moved, draw(st.permutations(moved))):
+            images[a] = b
+        gens.append(images)
+    return n, gens
+
+
+@settings(max_examples=100)
+@given(generator_sets())
+def test_closure_matches_row_closure_on_random_generators(case):
+    degree, gens = case
+    _assert_matches_row_closure(degree, gens, gens)
 
 
 def test_closure_holds_each_element_once(corpus_groups):
-    """Enumerating the order-1500 witness keeps its elements in one buffer:
-    the traced peak, table included, stays under three element arrays.
-    Rows kept in a list with a bytes key each, beside the element array and
-    the table, made four."""
+    """Enumerating the order-1500 witness writes each element row once,
+    into an array of the known order: the traced peak, table included,
+    stays under two and a half element arrays.  A buffer of rows that
+    doubled when full, beside the table, made nearly three."""
     W = corpus_groups["diameter6-witness"]
     gens = [W.perm(g) for g in W.generators]
     tracemalloc.start()
@@ -117,7 +160,22 @@ def test_closure_holds_each_element_once(corpus_groups):
     finally:
         tracemalloc.stop()
     assert np.array_equal(G.table, W.table)
-    assert peak < 3 * G.elements.nbytes
+    assert peak < 2.5 * G.elements.nbytes
+
+
+def test_closure_of_a_long_cycle_stops_at_the_order_cap(address_space_cap):
+    """The order of one cycle on 100 000 points passes the cap after 20 000
+    keys of one point each; no element row is made before the order is
+    known, so the search stays within a few megabytes."""
+    cycle = np.roll(np.arange(100_000), -1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLarge):
+            closure(cycle.size, [cycle])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def _table_groups():

@@ -16,6 +16,7 @@ from agc.perm import (
     trivial_subgroup,
 )
 from agc.constructions import alternating, cyclic, dihedral, symmetric
+from agc.products import quotient
 from agc.structure import (
     center,
     centralizer,
@@ -44,6 +45,7 @@ from oracles import (
     brute_derived_series,
     brute_normal_subgroups,
     brute_normalizer,
+    fitting_by_closure,
     greedy_generators,
     is_p_subgroup,
     sylow_systems,
@@ -133,6 +135,16 @@ def test_fitting_of_s4_is_klein_four():
     assert F.is_normal()
     assert F.is_abelian()
     assert second_fitting_preimage(G, F).order == 12
+
+
+def test_fitting_subgroup_is_the_product_set_of_the_p_cores(corpus_groups):
+    """The product set of the p-cores is the subgroup their generators
+    generate, on every corpus group and on its central quotient."""
+    for name, G in corpus_groups.items():
+        Q, _ = quotient(G, center(G))
+        for label, H in ((name, G), (f"{name}/Z", Q)):
+            F = fitting_subgroup(H)
+            assert np.array_equal(F.members, fitting_by_closure(H).members), label
 
 
 def test_p_core_of_s4():
