@@ -1,8 +1,13 @@
 """Commuting graph of a finite group.
 
 Vertices are the noncentral elements; two vertices are adjacent when they
-commute.  Adjacency is stored packed (one bit per pair) and distances come
-from breadth-first search over packed rows.
+commute, that is when ``t[x, y] == t[y, x]`` in the Cayley table ``t``.
+Adjacency is stored packed (one bit per pair) and distances come from
+breadth-first search over packed rows.  The rows are built from the table a
+stripe of TILE_WIDTH rows at a time: each TILE_WIDTH-square tile of the
+stripe is compared with the transposed tile across the diagonal, so both
+operands stay in cache, and the stripe's vertex rows are packed at once.  No
+n x n boolean matrix is ever held.
 
 Conjugation by any element is an automorphism of the graph, so all members
 of a conjugacy class have the same eccentricity.  The diameter therefore
@@ -18,8 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import FiniteGroup, row_blocks
+from .perm import FiniteGroup
 from .structure import center, conjugacy_classes
+
+
+TILE_WIDTH = 128  # a 128 x 128 int32 tile is 64 KiB: both operands stay in L2
 
 
 @dataclass(frozen=True)
@@ -75,18 +83,44 @@ def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     return least
 
 
+def _commuting_rows(t: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Packed adjacency rows of the commuting graph on ``vertices``.
+
+    Table rows are compared a stripe of TILE_WIDTH rows at a time, one
+    square tile against its transpose across the diagonal; the stripe's
+    vertex rows, restricted to the vertex columns, are then packed.
+    """
+    n, order, w = vertices.size, t.shape[0], TILE_WIDTH
+    packed = np.zeros((n, (n + 7) // 8), np.uint8)
+    stripe = np.empty((w, order), bool)
+    for i in range(0, order, w):
+        rows = np.nonzero((vertices >= i) & (vertices < i + w))[0]
+        if not rows.size:
+            continue
+        h = min(w, order - i)
+        for j in range(0, order, w):
+            np.equal(t[i:i + h, j:j + w], t[j:j + w, i:i + h].T, out=stripe[:h, j:j + w])
+        packed[rows] = np.packbits(np.take(stripe[vertices[rows] - i], vertices, axis=1),
+                                   axis=1, bitorder="little")
+    diagonal = np.arange(n)
+    packed[diagonal, diagonal >> 3] &= ~np.left_shift(1, diagonal & 7).astype(np.uint8)
+    return packed
+
+
 class CommutingGraph:
     """Commuting graph on the noncentral elements of a group.
 
     ``sources`` are the vertex positions the diameter searches from, one in
     each orbit of conjugation; by default the least member of each
     noncentral conjugacy class, which presumes the default vertex set.
-    Graphs returned by ``twin_reduce`` also carry ``class_sizes``, the
-    number of vertices merged into each reduced vertex.
+    ``packed`` rows, when given, are the adjacency, which is then not built
+    from the table (``twin_reduce`` passes them).  Graphs returned by
+    ``twin_reduce`` also carry ``class_sizes``, the number of vertices
+    merged into each reduced vertex.
     """
 
     def __init__(self, group: FiniteGroup, vertices: np.ndarray | None = None,
-                 adjacency: np.ndarray | None = None, *,
+                 packed: np.ndarray | None = None, *,
                  sources: np.ndarray | None = None,
                  class_sizes: np.ndarray | None = None):
         self.group = group
@@ -94,16 +128,8 @@ class CommutingGraph:
             zmask = center(group).member_mask
             vertices = np.nonzero(~zmask)[0].astype(np.int32)
         self.vertices = np.asarray(vertices, np.int32)
-        n = self.vertices.size
-        if adjacency is None:
-            t, v = group.table, self.vertices
-            adjacency = np.empty((n, n), bool)
-            for rows in row_blocks(n, n):
-                adjacency[rows] = t[np.ix_(v[rows], v)] == t[np.ix_(v, v[rows])].T
-            np.fill_diagonal(adjacency, False)
-        self._adj = adjacency
-        self._packed = np.packbits(adjacency, axis=1, bitorder="little") if n else \
-            np.zeros((0, 0), np.uint8)
+        self._packed = _commuting_rows(group.table, self.vertices) if packed is None \
+            else packed
         self._sources = sources
         if class_sizes is not None:
             self.class_sizes = class_sizes
@@ -177,8 +203,13 @@ class CommutingGraph:
         first = np.searchsorted(self.vertices, _least_generators(self.group, self.vertices))
         keep = np.unique(first)
         reduced = np.searchsorted(keep, first)
-        return CommutingGraph(self.group, self.vertices[keep],
-                              self._adj[np.ix_(keep, keep)],
+        # the kept rows of this graph, restricted to the kept columns
+        packed = np.zeros((keep.size, (keep.size + 7) // 8), np.uint8)
+        for s in range(0, keep.size, TILE_WIDTH):
+            rows = np.unpackbits(self._packed[keep[s:s + TILE_WIDTH]], axis=1,
+                                 count=self.n_vertices, bitorder="little")
+            packed[s:s + TILE_WIDTH] = np.packbits(rows[:, keep], axis=1, bitorder="little")
+        return CommutingGraph(self.group, self.vertices[keep], packed,
                               sources=np.unique(reduced[self.sources]),
                               class_sizes=np.bincount(reduced).astype(np.int32))
 
@@ -202,11 +233,18 @@ class CommutingGraph:
     # -- export ---------------------------------------------------------------
 
     def edge_list(self) -> list[tuple[int, int]]:
-        edges = []
-        n = self.n_vertices
-        for i in range(n):
-            for j in np.nonzero(self._adj[i, i + 1:])[0]:
-                edges.append((int(self.vertices[i]), int(self.vertices[i + 1 + j])))
+        """Edges as pairs of group elements, one per pair of vertex positions
+        i < j, in row-major order of (i, j)."""
+        edges: list[tuple[int, int]] = []
+        n, v = self.n_vertices, self.vertices
+        for s in range(0, n, TILE_WIDTH):
+            c = s - s % 8  # unpack from the byte that holds column s
+            rows = np.unpackbits(self._packed[s:s + TILE_WIDTH, c // 8:], axis=1,
+                                 count=n - c, bitorder="little")
+            i, j = np.nonzero(rows.view(bool))
+            j += c
+            upper = j > s + i
+            edges.extend(zip(v[s + i[upper]].tolist(), v[j[upper]].tolist()))
         return edges
 
     def to_dot(self, name: str = "commuting") -> str:

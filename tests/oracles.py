@@ -10,8 +10,9 @@ enumerates G/N with ``closure``, which ``quotient`` no longer calls,
 ``sylow_systems`` is the depth-first search over all conjugates of the
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
-``all_sources_diameter`` searches from every vertex of a commuting graph
-where the graph searches from one per conjugacy class,
+``all_sources_diameter`` searches from every vertex of a commuting graph,
+over the all-pairs ``brute_adjacency``, where the graph searches from one
+per conjugacy class over the packed rows it builds tile by tile,
 ``fitting_by_closure`` closes the p-cores' generators where
 ``fitting_subgroup`` multiplies their member sets,
 ``brute_twin_classes`` lists each cyclic subgroup's generators with
@@ -363,10 +364,20 @@ def system_complements(G: FiniteGroup, limit: int = 64) -> list[list[bool]]:
     return levels
 
 
+def brute_adjacency(G: FiniteGroup, vertices: np.ndarray) -> np.ndarray:
+    """Boolean commuting matrix on ``vertices``: every pair compared at once
+    in one gather of the table, the diagonal cleared."""
+    sub = G.table[np.ix_(vertices, vertices)]
+    adj = sub == sub.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 def all_sources_diameter(graph: CommutingGraph) -> DiameterResult:
     """Status, diameter and component count of a graph from a breadth-first
-    search out of every vertex over its boolean adjacency matrix."""
-    adj = graph._adj
+    search out of every vertex over the boolean adjacency of its vertices,
+    computed here from the group's table rather than read from the graph."""
+    adj = brute_adjacency(graph.group, graph.vertices)
     n = adj.shape[0]
     if n == 0:
         return DiameterResult("empty-vertex-set", None, 0)

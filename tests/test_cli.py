@@ -12,6 +12,8 @@ from agc.perm import DEFAULT_MAX_ORDER, Subgroup
 from agc.constructions import symmetric
 from agc.structure import derived_series, sylow_system
 
+from oracles import brute_center, brute_centralizer
+
 
 @pytest.fixture()
 def s3_file(tmp_path):
@@ -104,6 +106,26 @@ def test_graph_formats(s3_file, tmp_path, capsys):
     assert main(["graph", s3_file, "--format", "json", "--out", str(js)]) == 0
     payload = json.loads(js.read_text())
     assert payload["order"] == 6
+
+
+@pytest.mark.parametrize("name", ["d12", "s4", "q8"])
+def test_graph_output_matches_brute_centralizer_edges(name, corpus_dir, tmp_path):
+    """`agc graph` writes, in both formats, the noncentral elements and the
+    commuting pairs a < b among them, listed by a and then b."""
+    path = corpus_dir / f"{name}.json"
+    G = load_group(path)
+    central = set(brute_center(G))
+    vertices = [x for x in range(G.order) if x not in central]
+    edges = [(a, b) for a in vertices for b in brute_centralizer(G, a)
+             if b > a and b not in central]
+    dot = "graph commuting {\n" + "".join(f"  {v};\n" for v in vertices) \
+        + "".join(f"  {a} -- {b};\n" for a, b in edges) + "}\n"
+    js = json.dumps({"group": G.name, "order": G.order, "vertices": vertices,
+                     "edges": [list(e) for e in edges]}, separators=(",", ":")) + "\n"
+    for fmt, want in (("dot", dot), ("json", js)):
+        out = tmp_path / f"{name}.{fmt}"
+        assert main(["graph", str(path), "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == want, fmt
 
 
 def test_corpus_command(tmp_path, capsys):

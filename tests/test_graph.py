@@ -2,19 +2,29 @@ import json
 import tracemalloc
 
 import numpy as np
+from hypothesis import given
 
-from agc import graph as graph_module, perm
+from agc import graph as graph_module
 from agc.classify import GroupAnalysis
 from agc.graph import CommutingGraph
 from agc.constructions import abelian, cyclic, dihedral, quaternion, symmetric
+from agc.perm import closure
 from agc.structure import center
 
 from oracles import (
     all_sources_diameter,
+    brute_adjacency,
     brute_center,
     brute_centralizer,
     brute_twin_classes,
 )
+from test_permutation import generator_sets
+
+
+def unpacked(g: CommutingGraph) -> np.ndarray:
+    """The graph's packed rows as a boolean matrix."""
+    n = g.n_vertices
+    return np.unpackbits(g._packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def test_abelian_group_has_empty_graph():
@@ -40,36 +50,59 @@ def test_adjacency_matches_centralizers():
     for i, v in enumerate(g.vertices):
         expected = set(brute_centralizer(G, int(v))) & set(g.vertices.tolist())
         expected.discard(int(v))
-        assert set(g.vertices[g._adj[i]].tolist()) == expected
+        assert set(g.vertices[unpacked(g)[i]].tolist()) == expected
 
 
-def test_adjacency_in_blocks_matches_all_pairs(monkeypatch):
-    """Filled a few rows at a time, the adjacency equals comparing every
-    pair of vertices at once."""
-    monkeypatch.setattr(perm, "ROW_BLOCK_ENTRIES", 50)
-    for G in (symmetric(4), dihedral(6), quaternion()):
-        g = CommutingGraph(G)
-        v = g.vertices
-        sub = G.table[np.ix_(v, v)]
-        want = sub == sub.T
-        np.fill_diagonal(want, False)
-        assert np.array_equal(g._adj, want), G.name
+def test_adjacency_in_tiles_matches_all_pairs(witness60, monkeypatch):
+    """Built from tiles of an odd width, which straddle the stripe edges
+    and the central elements, the packed rows, their twin reduction and
+    the edge list equal comparing every pair of vertices at once; also on
+    a vertex subset that leaves some stripes without a vertex."""
+    monkeypatch.setattr(graph_module, "TILE_WIDTH", 5)
+    cases = [(G, None) for G in (symmetric(4), dihedral(6), quaternion(), witness60)]
+    cases.append((witness60, np.arange(0, 60, 7)))
+    for G, vertices in cases:
+        g = CommutingGraph(G, vertices)
+        want = brute_adjacency(G, g.vertices)
+        assert np.array_equal(unpacked(g), want), G.name
+        i, j = np.nonzero(np.triu(want))
+        assert g.edge_list() == list(zip(g.vertices[i].tolist(), g.vertices[j].tolist()))
+        reduced = g.twin_reduce()
+        assert np.array_equal(unpacked(reduced), brute_adjacency(G, reduced.vertices))
 
 
 def test_graph_build_makes_no_table_sized_temporary(corpus_groups):
-    """Building the order-1500 witness's graph holds the boolean adjacency
-    (n² bytes) and its packed rows, not an n x n int32 gather (4n² bytes)."""
+    """Building the order-1500 witness's graph, and its twin reduction,
+    hold the packed rows and a stripe of the table comparison: less than
+    half the n² bytes of a boolean adjacency matrix."""
     G = corpus_groups["diameter6-witness"]
     vertices = np.nonzero(~center(G).member_mask)[0]
     tracemalloc.start()
     try:
         g = CommutingGraph(G, vertices)
-        peak = tracemalloc.get_traced_memory()[1]
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g.twin_reduce()
+        reduce_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n = g.n_vertices
     assert n == 1499
-    assert peak < 2 * n * n
+    assert build_peak < n * n / 2
+    assert reduce_peak < n * n / 2
+
+
+@given(generator_sets())
+def test_packed_adjacency_and_diameters_on_random_groups(case):
+    """On random subgroups of S_n (n <= 7) the packed rows equal the
+    all-pairs comparison, and the class-source, twin-reduced and
+    all-sources diameters agree."""
+    degree, gens = case
+    g = CommutingGraph(closure(degree, gens))
+    assert np.array_equal(unpacked(g), brute_adjacency(g.group, g.vertices))
+    want = all_sources_diameter(g)
+    assert g.diameter() == want
+    assert g.diameter_via_reduction() == want
 
 
 def test_vertices_are_the_noncentral_elements():
