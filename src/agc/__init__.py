@@ -64,7 +64,6 @@ from .structure import (
 from .classify import (
     Classification,
     GroupAnalysis,
-    classify,
     corollary_class,
     is_2frobenius,
     is_a_group,

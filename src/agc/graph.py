@@ -7,7 +7,9 @@ breadth-first search over packed rows.  The rows are built from the table a
 stripe of TILE_WIDTH rows at a time: each TILE_WIDTH-square tile of the
 stripe is compared with the transposed tile across the diagonal, so both
 operands stay in cache, and the stripe's vertex rows are packed at once.  No
-n x n boolean matrix is ever held.
+n x n boolean matrix is ever held.  ``_commuting_rows`` is thus the tiled
+n x n form of ``perm.commuting``, kept separate because it is tuned for
+whole graphs.
 
 Conjugation by any element is an automorphism of the graph, so all members
 of a conjugacy class have the same eccentricity.  The diameter therefore

@@ -30,7 +30,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 20_000
-ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling an n x n array
+ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling a large array
 
 
 def _validate_images(images, degree: int | None = None) -> np.ndarray:
@@ -425,26 +425,16 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         # the subgroup is abelian when its generators commute pairwise
-        t = self.parent.table
-        gens = np.array(self.generators, np.int64)
-        sub = t[np.ix_(gens, gens)]
-        return bool((sub == sub.T).all())
+        return bool(commuting(self.parent, self.generators, self.generators).all())
 
     def is_normal(self) -> bool:
-        t = self.parent.table
-        inv = self.parent.inverse_array
-        for g in self.parent.generators:
-            conj = t[t[g, self.members], inv[g]]
-            if not self.member_mask[conj].all():
-                return False
-        return True
+        conj = conjugations(self.parent, self.parent.generators, self.members)
+        return bool(self.member_mask[conj].all())
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        t = self.parent.table
-        inv = self.parent.inverse_array
-        mem = t[t[g, self.members], inv[g]]
-        gens = tuple(int(t[t[g, x], inv[g]]) for x in self.generators)
-        return Subgroup(self.parent, mem, gens)
+        mem = conjugations(self.parent, [g], self.members)[0]
+        gens = conjugations(self.parent, [g], self.generators)[0]
+        return Subgroup(self.parent, mem, gens.tolist())
 
     def same_members(self, other: "Subgroup") -> bool:
         return self.order == other.order and bool(
@@ -462,6 +452,33 @@ def row_blocks(rows: int, row_len: int) -> Iterator[slice]:
     """Slices covering ``rows`` rows, each of about ROW_BLOCK_ENTRIES entries."""
     step = max(1, ROW_BLOCK_ENTRIES // max(row_len, 1))
     return (slice(s, s + step) for s in range(0, rows, step))
+
+
+def commuting(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
+              ys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Boolean matrix whose entry (i, j) says whether xs[i] and ys[j]
+    commute, that is whether ``t[x, y] == t[y, x]``; filled a block of rows
+    at a time."""
+    t = G.table
+    xs, ys = np.asarray(xs, np.intp), np.asarray(ys, np.intp)
+    out = np.empty((xs.size, ys.size), bool)
+    for rows in row_blocks(xs.size, ys.size):
+        x = xs[rows, None]
+        np.equal(t[x, ys], t[ys, x], out=out[rows])
+    return out
+
+
+def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
+                 xs: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Index matrix whose entry (i, j) is gs[i]·xs[j]·gs[i]⁻¹; filled a
+    block of rows at a time."""
+    t, inv = G.table, G.inverse_array
+    gs, xs = np.asarray(gs, np.intp), np.asarray(xs, np.intp)
+    out = np.empty((gs.size, xs.size), t.dtype)
+    for rows in row_blocks(gs.size, xs.size):
+        g = gs[rows, None]
+        out[rows] = t[t[g, xs], inv[g]]
+    return out
 
 
 def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:

@@ -21,14 +21,19 @@ import numpy as np
 
 from .classify import AnalysisLike, GroupAnalysis, as_analysis
 from .errors import NotComplement
-from .perm import FiniteGroup, Subgroup, full_subgroup, p_part, prime_divisors
+from .perm import (
+    FiniteGroup,
+    Subgroup,
+    commuting,
+    conjugations,
+    full_subgroup,
+    p_part,
+    prime_divisors,
+)
 from .structure import (
     center,
-    centralizer_members,
     contains_centralizers,
-    conjugates,
     minimal_normal_subgroups,
-    normalizer_members,
     sylow_system,
     system_normalizer,
 )
@@ -168,23 +173,19 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     if not _is_complement(G, A, N):
         raise NotComplement("A is not a complement of N")
     everyone = np.arange(G.order)
+    nontrivial = A.order > 1 and N.order > 1
 
-    # malnormality: A ∩ gAg⁻¹ = 1 for every g outside A, which amounts to
-    # A being self-normalizing with distinct conjugates meeting trivially
-    self_normalizing = normalizer_members(G, everyone, A).size == A.order
+    # row g holds gAg⁻¹, so the entries cover the union of A's conjugates;
+    # A is malnormal (A ∩ gAg⁻¹ = 1 for every g outside A) when no row
+    # outside A sends a nontrivial member of A into A
+    images = conjugations(G, everyone, A.members)
     cover = np.zeros(G.order, bool)
-    malnormal = A.order > 1 and N.order > 1 and self_normalizing
-    for conj in conjugates(G, A):
-        if malnormal and conj.key() != A.key():
-            inter = np.intersect1d(A.members, conj.members, assume_unique=True)
-            if inter.size > 1:
-                malnormal = False
-        cover[conj.members] = True
+    cover[images] = True
+    malnormal = nontrivial and not A.member_mask[images[~A.member_mask, 1:]].any()
     missed = np.nonzero(~cover)[0]
     kernel_match = missed.size == N.order - 1 and N.member_mask[missed].all()
     cond1 = malnormal and kernel_match
 
-    nontrivial = A.order > 1 and N.order > 1
     cond2 = nontrivial and contains_centralizers(G, A.members, everyone)
     cond3 = nontrivial and contains_centralizers(G, N.members, everyone)
     return {"malnormal_kernel": cond1, "complement_centralizers": cond2,
@@ -237,10 +238,10 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
     if math.gcd(D.order, G.order // D.order) == 1:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "derived subgroup is a Hall subgroup"})
-    normalizers = list(conjugates(G, a.system_normalizer))
+    everyone = np.arange(G.order)
+    # the union of the system normalizer's conjugates
     norm_cover = np.zeros(G.order, bool)
-    for conj in normalizers:
-        norm_cover[conj.members] = True
+    norm_cover[conjugations(G, everyone, a.system_normalizer.members)] = True
     orders = G.element_orders
     instances = 0
     for g in range(1, G.order):
@@ -253,15 +254,13 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
         if not qualifying:
             continue
         instances += 1
-        cd = centralizer_members(G, g, D.members)
-        if cd.size <= 1:
+        cg = commuting(G, [g], everyone)[0]
+        if (cg & D.member_mask).sum() <= 1:
             return CheckRecord(cid, "fail",
                                {"element": g, "defect": "trivial centralizer in G'"})
-        hit = any(
-            centralizer_members(G, g, conj.members).size > 1
-            for conj in normalizers
-        )
-        if not hit:
+        # some conjugate of the normalizer has a nontrivial member commuting
+        # with g exactly when C_G(g) meets the union outside the identity
+        if not (cg & norm_cover)[1:].any():
             return CheckRecord(cid, "fail",
                                {"element": g,
                                 "defect": "no normalizer conjugate centralizes"})
@@ -366,11 +365,10 @@ def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
 
     minimals = minimal_normal_subgroups(G, a.classes)
     per_v = []
-    t = G.table
+    everyone = np.arange(G.order)
     for V in minimals:
         # C_G(V): the elements commuting with V's generators
-        gens = np.array(V.generators, np.int64)
-        cgv = np.nonzero((t[:, gens] == t[gens].T).all(axis=1))[0]
+        cgv = np.nonzero(commuting(G, everyone, V.generators).all(axis=1))[0]
         equals_f = cgv.size == F.order and F.member_mask[cgv].all()
         per_v.append({"minimal_order": V.order,
                       "centralizer_order": int(cgv.size),
@@ -384,36 +382,16 @@ def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
                                {**base, "upper_index": J.order // F.order,
                                 "fitting_order": F.order, "gcd": g}))
 
-    orders = G.element_orders
-    outside = 0
-    checked = 0
-    for x in range(1, G.order):
-        o = int(orders[x])
-        if not _is_prime(o):
-            continue
-        fpf = all(
-            centralizer_members(G, x, V.members).size == 1 for V in minimals
-        )
-        if not fpf:
-            continue
-        checked += 1
-        if not J.member_mask[x]:
-            outside += 1
+    # the prime-order elements that commute with no nontrivial member of
+    # any minimal normal subgroup
+    fpf = np.nonzero(np.isin(G.element_orders, prime_divisors(G.order)))[0]
+    for V in minimals:
+        fpf = fpf[~commuting(G, fpf, V.members[1:]).any(axis=1)]
+    outside = int((~J.member_mask[fpf]).sum())
     records.append(CheckRecord(ids[2], "vacuous",
-                               {**base, "fixed_point_free_prime_elements": checked,
+                               {**base, "fixed_point_free_prime_elements": int(fpf.size),
                                 "outside_upper_fitting": outside}))
     return records
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 # -- report assembly -----------------------------------------------------------

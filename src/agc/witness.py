@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import AnalysisLike, GroupAnalysis, as_analysis
 from .errors import InvalidAction
-from .perm import FiniteGroup
+from .perm import FiniteGroup, commuting
 from .products import semidirect_product
 from .constructions import abelian, abelian_vectors, metacyclic
 from .structure import center
@@ -348,24 +348,17 @@ def diameter6_extra_checks(G: AnalysisLike) -> dict[str, bool]:
     """
     a = as_analysis(G)
     G, F = a.group, a.fitting
-    t = G.table
     orders = G.element_orders
     fitting_is_sylow5 = F.order == 125 and \
         bool(np.all(np.isin(orders[F.members[1:]] , (5, 25, 125))))
 
     two_elements = np.nonzero((orders == 2) | (orders == 4))[0]
     fit_nontrivial = F.members[F.members != 0]
-    no_two_commutes = not bool(
-        (t[np.ix_(two_elements, fit_nontrivial)]
-         == t[np.ix_(fit_nontrivial, two_elements)].T).any()
-    ) if two_elements.size and fit_nontrivial.size else True
+    no_two_commutes = not commuting(G, two_elements, fit_nontrivial).any()
 
     four_elements = np.nonzero(orders == 4)[0]
     three_elements = np.nonzero((orders == 3) | (orders == 9))[0]
-    no_four_commutes = not bool(
-        (t[np.ix_(four_elements, three_elements)]
-         == t[np.ix_(three_elements, four_elements)].T).any()
-    ) if four_elements.size and three_elements.size else True
+    no_four_commutes = not commuting(G, four_elements, three_elements).any()
 
     return {
         "fitting_is_sylow_5": fitting_is_sylow5,

@@ -16,9 +16,12 @@ per conjugacy class over the packed rows it builds tile by tile,
 ``fitting_by_closure`` closes the p-cores' generators where
 ``fitting_subgroup`` multiplies their member sets,
 ``brute_twin_classes`` lists each cyclic subgroup's generators with
-``FiniteGroup.power``, and ``greedy_generators`` chooses a subgroup's
+``FiniteGroup.power``, ``greedy_generators`` chooses a subgroup's
 generators from its members with ``close_indices``, eagerly, where a
-``Subgroup`` chooses them when they are first read.
+``Subgroup`` chooses them when they are first read, and
+``brute_frobenius_conditions`` and ``brute_stray_p_part_centralizers``
+make every conjugate of a subgroup and test each one, where the checks
+read the union of the conjugates off one table gather.
 """
 
 from __future__ import annotations
@@ -217,6 +220,70 @@ def _is_malnormal(G: FiniteGroup, H: Subgroup) -> bool:
         if inter > 1:
             return False
     return True
+
+
+def _conjugate_sets(G: FiniteGroup, H: Subgroup) -> set[frozenset[int]]:
+    """Every conjugate gHg⁻¹ of H, one element g at a time."""
+    return {frozenset(G.mult(G.mult(g, h), G.inverse_of(g)) for h in H.members.tolist())
+            for g in range(G.order)}
+
+
+def _contains_centralizers(G: FiniteGroup, H: Subgroup) -> bool:
+    members = set(H.members.tolist())
+    return all(set(brute_centralizer(G, x)) <= members for x in members - {0})
+
+
+def brute_frobenius_conditions(G: FiniteGroup, N: Subgroup,
+                               A: Subgroup) -> dict[str, bool]:
+    """The three conditions of ``verify.frobenius_conditions`` from their
+    statements: A is malnormal and N is the identity with the elements no
+    conjugate of A holds; C_G(a) <= A for nontrivial a in A; and
+    C_G(n) <= N for nontrivial n in N."""
+    nontrivial = A.order > 1 and N.order > 1
+    cover = set().union(*_conjugate_sets(G, A))
+    kernel = (set(range(G.order)) - cover) | {0}
+    return {"malnormal_kernel": nontrivial and _is_malnormal(G, A)
+            and kernel == set(N.members.tolist()),
+            "complement_centralizers": nontrivial and _contains_centralizers(G, A),
+            "kernel_centralizers": nontrivial and _contains_centralizers(G, N)}
+
+
+def _brute_p_part(G: FiniteGroup, g: int, p: int) -> int:
+    """g^e for the least e that is 1 modulo the p-part of o(g) and 0 modulo
+    the rest, by repeated multiplication."""
+    o = G.element_order(g)
+    pa = 1
+    while o % (pa * p) == 0:
+        pa *= p
+    e = next(e for e in range(o) if e % (o // pa) == 0 and e % pa == 1 % pa)
+    x = 0
+    for _ in range(e):
+        x = G.mult(x, g)
+    return x
+
+
+def brute_stray_p_part_centralizers(G: FiniteGroup, D: Subgroup,
+                                    M: Subgroup) -> tuple[str, dict]:
+    """Status and witness of ``verify.check_stray_p_part_centralizers`` for
+    the derived subgroup D and a system normalizer M, with the centralizer
+    of each qualifying element tested against every conjugate of M."""
+    conjugates_of_m = _conjugate_sets(G, M)
+    cover = set().union(*conjugates_of_m)
+    derived = set(D.members.tolist())
+    instances = 0
+    for g in range(1, G.order):
+        parts = [_brute_p_part(G, g, p) for p in _prime_factors(G.element_order(g))]
+        if all(x in derived or x in cover for x in parts):
+            continue
+        instances += 1
+        cg = set(brute_centralizer(G, g))
+        if len(cg & derived) <= 1:
+            return "fail", {"element": g, "defect": "trivial centralizer in G'"}
+        if not any(len(cg & conj) > 1 for conj in conjugates_of_m):
+            return "fail", {"element": g, "defect": "no normalizer conjugate centralizes"}
+    if instances == 0:
+        return "vacuous", {"qualifying_elements": 0}
+    return "pass", {"qualifying_elements": instances}
 
 
 def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:

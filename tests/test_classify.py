@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,11 @@ def test_classification_invariant_under_generator_relabeling(corpus_groups):
                 a.corollary_class) == \
                (b.a_group, b.frobenius, b.two_frobenius, b.satisfies_hypothesis,
                 b.corollary_class)
+
+
+def test_the_package_leaves_the_classify_module_reachable():
+    """No name the package exports hides its ``classify`` submodule, so an
+    import binds the module, where a patch takes effect."""
+    import agc.classify as m
+
+    assert m is sys.modules["agc.classify"]

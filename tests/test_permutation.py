@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agc.errors import DegreeMismatch, GroupTooLarge, MalformedPermutation
+from agc import perm
 from agc.perm import (
     FiniteGroup,
     Permutation,
     closure,
+    commuting,
     compose,
+    conjugations,
     generated_subgroup,
     p_part,
 )
@@ -144,6 +147,54 @@ def generator_sets(draw):
 def test_closure_matches_row_closure_on_random_generators(case):
     degree, gens = case
     _assert_matches_row_closure(degree, gens, gens)
+
+
+def _indices_of_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
+    """Element indices of image rows, looked up by each row read as a
+    base-degree number rather than through the table."""
+    weights = G.degree ** np.arange(G.degree, dtype=np.int64)
+    keys = G.elements.astype(np.int64) @ weights
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys, rows @ weights, sorter=order)]
+    assert np.array_equal(G.elements[found], rows)
+    return found
+
+
+def _assert_primitives_match_image_rows(G: FiniteGroup, xs: list[int], ys: list[int]):
+    """``commuting(G, xs, ys)`` and ``conjugations(G, xs, ys)`` equal the
+    products of the image rows, x·y being y read at x."""
+    def rows(idx):
+        return G.elements[np.array(idx, np.int64)].reshape(len(idx), G.degree)
+
+    def product(p, q):
+        return np.take_along_axis(q, p, axis=-1)
+
+    X, Y = rows(xs)[:, None], rows(ys)[None]
+    assert np.array_equal(commuting(G, xs, ys),
+                          (product(X, Y) == product(Y, X)).all(axis=-1))
+    X_inverse = np.argsort(X, axis=-1)
+    conj = product(product(X, Y), X_inverse)
+    assert np.array_equal(conjugations(G, xs, ys), _indices_of_rows(G, conj))
+
+
+@settings(max_examples=100)
+@given(generator_sets(), st.data())
+def test_commuting_and_conjugations_match_image_rows(case, data):
+    degree, gens = case
+    G = closure(degree, gens)
+    indices = st.lists(st.integers(0, G.order - 1), max_size=12)
+    _assert_primitives_match_image_rows(G, data.draw(indices), data.draw(indices))
+
+
+def test_commuting_and_conjugations_fill_every_row_block():
+    """All of S6 against all of S6 spans several blocks of rows; with no
+    rows or no columns the results are empty."""
+    G = symmetric(6)
+    everyone = list(range(G.order))
+    assert G.order * G.order > 4 * perm.ROW_BLOCK_ENTRIES
+    _assert_primitives_match_image_rows(G, everyone, everyone)
+    _assert_primitives_match_image_rows(G, [], everyone)
+    _assert_primitives_match_image_rows(G, everyone, [])
 
 
 def test_closure_holds_each_element_once(corpus_groups):

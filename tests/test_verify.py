@@ -12,6 +12,7 @@ from agc.verify import (
     check_frobenius_equivalences,
     check_stray_p_part_centralizers,
     check_system_normalizer_complement,
+    _frobenius_equivalences_auto,
     frobenius_conditions,
     group_fingerprint,
     group_report,
@@ -19,7 +20,12 @@ from agc.verify import (
     run_all_checks,
 )
 
-from oracles import brute_centralizer, system_complements
+from oracles import (
+    brute_centralizer,
+    brute_frobenius_conditions,
+    brute_stray_p_part_centralizers,
+    system_complements,
+)
 
 
 def _status(records, cid):
@@ -68,6 +74,7 @@ def test_frobenius_conditions_agree_true_on_s3():
     N = derived_subgroup(G)
     A = sylow_subgroup(G, 2)
     conds = frobenius_conditions(G, N, A)
+    assert conds == brute_frobenius_conditions(G, N, A)
     assert all(conds.values())
     assert check_frobenius_equivalences(G, N, A).status == "pass"
 
@@ -77,6 +84,7 @@ def test_frobenius_conditions_agree_false_on_c6():
     N = generated_subgroup(G, [G.power(G.generators[0], 2)])  # C3
     A = generated_subgroup(G, [G.power(G.generators[0], 3)])  # C2
     conds = frobenius_conditions(G, N, A)
+    assert conds == brute_frobenius_conditions(G, N, A)
     assert not any(conds.values())
     assert check_frobenius_equivalences(G, N, A).status == "pass"
 
@@ -86,6 +94,7 @@ def test_frobenius_conditions_agree_true_on_f20():
     N = derived_subgroup(G)
     A = sylow_subgroup(G, 2)
     conds = frobenius_conditions(G, N, A)
+    assert conds == brute_frobenius_conditions(G, N, A)
     assert all(conds.values())
 
 
@@ -96,6 +105,30 @@ def test_frobenius_conditions_reject_non_complement():
         frobenius_conditions(G, N, N)
     with pytest.raises(NotComplement):
         frobenius_conditions(G, sylow_subgroup(G, 2), derived_subgroup(G))
+
+
+def test_frobenius_and_stray_checks_match_the_conjugate_walks(corpus_groups):
+    """On the corpus groups of order at most 500, the Frobenius conditions
+    of the (G', system normalizer) pair and the stray p-part check equal
+    the oracles that make and test every conjugate of the complement and
+    of the system normalizer."""
+    frobenius, stray = [], []
+    for name, G in corpus_groups.items():
+        if G.order > 500:
+            continue
+        a = GroupAnalysis(G)
+        if _frobenius_equivalences_auto(a).status != "skipped-precondition":
+            N, M = a.derived, a.system_normalizer
+            conds = frobenius_conditions(G, N, M)
+            assert conds == brute_frobenius_conditions(G, N, M), name
+            frobenius.append(conds["malnormal_kernel"])
+        rec = check_stray_p_part_centralizers(a)
+        if rec.status != "skipped-precondition":
+            assert (rec.status, rec.witness) == \
+                brute_stray_p_part_centralizers(G, a.derived, a.system_normalizer), name
+            stray.append(rec.status)
+    assert set(frobenius) == {True, False}
+    assert "pass" in stray
 
 
 def test_stray_p_part_check_passes_non_vacuously_on_g126(corpus_groups):
