@@ -56,8 +56,8 @@ from .structure import (
     minimal_normal_subgroups,
     normal_subgroups,
     normalizer,
-    second_fitting_preimage,
     sylow_subgroup,
+    sylow_subgroups,
     sylow_system,
     system_normalizer,
 )

@@ -8,8 +8,9 @@ diameter bound.
 
 ``GroupAnalysis`` computes each invariant of a group once, on first use, by
 the function that defines it; the predicates, the fingerprints, the checks
-and the reports all read from it.  Functions taking an ``AnalysisLike``
-also accept a bare group, which they analyse afresh.
+and the reports all read from it.  It alone builds the group's Sylow
+subgroups and G/F(G).  Functions taking an ``AnalysisLike`` also accept a
+bare group, which they analyse afresh.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .structure import (
     contains_centralizers,
     derived_series,
     fitting_subgroup,
-    second_fitting_preimage,
-    sylow_subgroup,
+    sylow_subgroups,
     sylow_system,
     system_normalizer,
 )
@@ -65,19 +65,31 @@ class GroupAnalysis:
         return conjugacy_classes(self.group)
 
     @cached_property
+    def sylows(self) -> dict[int, Subgroup]:
+        """One Sylow subgroup per prime, the only ones built of this group."""
+        return sylow_subgroups(self.group)
+
+    @cached_property
     def fitting(self) -> Subgroup:
-        return fitting_subgroup(self.group)
+        return fitting_subgroup(self.group, self.sylows)
+
+    @cached_property
+    def fitting_quotient(self) -> tuple[GroupAnalysis, np.ndarray]:
+        """The analysis of G/F(G), with the projection of G onto it."""
+        Q, proj = quotient(self.group, self.fitting)
+        return GroupAnalysis(Q), proj
 
     @cached_property
     def upper_fitting(self) -> Subgroup:
         """The preimage of F(G/F(G))."""
-        return second_fitting_preimage(self.group, self.fitting)
+        Q, proj = self.fitting_quotient
+        return Subgroup(self.group, np.nonzero(Q.fitting.member_mask[proj])[0])
 
     @cached_property
     def system_normalizer(self) -> Subgroup:
         """The absolute normalizer of the canonical Sylow system."""
         full = full_subgroup(self.group)
-        return system_normalizer(full, sylow_system(full))
+        return system_normalizer(full, sylow_system(full, self.sylows))
 
     @cached_property
     def central_quotient(self) -> GroupAnalysis:
@@ -115,9 +127,9 @@ def as_analysis(x: AnalysisLike) -> GroupAnalysis:
     return x if isinstance(x, GroupAnalysis) else GroupAnalysis(x)
 
 
-def is_a_group(G: FiniteGroup) -> bool:
+def is_a_group(G: AnalysisLike) -> bool:
     """Whether every Sylow subgroup of G is abelian."""
-    return all(sylow_subgroup(G, p).is_abelian() for p in prime_divisors(G.order))
+    return all(P.is_abelian() for P in as_analysis(G).sylows.values())
 
 
 def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
@@ -148,21 +160,18 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     F(G/F(G)).  K is a Frobenius kernel, hence nilpotent and inside F(G).
     F(G) ∩ H is nilpotent and normal in H, so it lies in F(H) = K; and
     F(G)/K is nilpotent and normal in G/K, so it lies in F(G/K) = H/K.
-    Hence F(G) = K, and then H/K = F(G/F(G)).
+    Hence F(G) = K, and then H/K = F(G/F(G)).  So the upper level is the
+    Frobenius test of G/F(G), whose only candidate kernel is F(G/F(G)).
     """
     a = as_analysis(G)
     if not a.series.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
-    G, K, H = a.group, a.fitting, a.upper_fitting
-    if not (1 < K.order < H.order < G.order):
-        return False, None
-    # lower level: H Frobenius with kernel K
-    if not contains_centralizers(G, K.members, H.members):
-        return False, None
-    # upper level: G/K Frobenius with kernel H/K
-    Q, proj = quotient(G, K)
-    if contains_centralizers(Q, np.unique(proj[H.members]), np.arange(Q.order)):
-        return True, (K, H)
+    G, K = a.group, a.fitting
+    # upper level: G/K Frobenius with kernel H/K; lower: H with kernel K
+    if 1 < K.order < G.order and is_frobenius(a.fitting_quotient[0])[0]:
+        H = a.upper_fitting
+        if contains_centralizers(G, K.members, H.members):
+            return True, (K, H)
     return False, None
 
 
@@ -213,7 +222,7 @@ def classify(G: AnalysisLike) -> Classification:
     solvable = series.solvable
     Z = a.center
     abelian = Z.order == G.order
-    a_group = is_a_group(G) if solvable else False
+    a_group = is_a_group(a) if solvable else False
 
     frob = two_frob = q_frob = q_two_frob = False
     hypothesis = False

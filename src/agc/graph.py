@@ -168,10 +168,6 @@ class CommutingGraph:
             self._component_ids = ids
         return self._component_ids
 
-    def n_components(self) -> int:
-        ids = self.component_ids()
-        return int(ids.max()) + 1 if ids.size else 0
-
     def diameter(self) -> DiameterResult:
         """Status, diameter and component count, from one search per source.
 

@@ -417,9 +417,6 @@ class Subgroup:
     def contains(self, i: int) -> bool:
         return bool(self.member_mask[i])
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_full(self) -> bool:
         return self.order == self.parent.order
 
@@ -481,9 +478,14 @@ def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
     return out
 
 
+def product_set(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
+                ys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The product set xs·ys: the distinct products x·y, sorted."""
+    return np.unique(G.table[np.ix_(xs, ys)])
+
+
 def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
     """Sorted element indices of the subgroup generated by ``gens``."""
-    t = G.table
     gen_list = sorted({int(g) for g in gens} - {0})
     in_set = np.zeros(G.order, bool)
     in_set[0] = True
@@ -492,7 +494,7 @@ def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
     frontier = np.array([0], np.int32)
     garr = np.array(gen_list, np.int32)
     while frontier.size:
-        prods = np.unique(t[np.ix_(frontier, garr)])
+        prods = product_set(G, frontier, garr)
         new = prods[~in_set[prods]]
         in_set[new] = True
         frontier = new

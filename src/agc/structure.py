@@ -1,17 +1,19 @@
 """Subgroup-structure machinery.
 
 Centralizers, the center, derived series, Sylow subgroups (via normalizer
-growth), Fitting and second-Fitting subgroups, Sylow systems chosen greedily
+growth), p-cores and the Fitting subgroup, Sylow systems chosen greedily
 (Hall: in a solvable group no choice has to be undone), (relative) system
 normalizers, minimal normal subgroups from classes of prime-order elements,
 and normal-subgroup enumeration via join-closure of normal closures.
 
 All operations are pure functions of groups and subgroups, which they do
 not modify.  Most take either a FiniteGroup or a Subgroup; a FiniteGroup is
-treated as its own full subgroup.  Subgroups found as member sets
-(centralizers, centres, normalizers, cores, system normalizers, normal
-closures) are returned without generators; each chooses its own when they
-are first read.
+treated as its own full subgroup.  The p-cores, the Fitting subgroup and
+the Sylow system are given the Sylow subgroups they start from, so that a
+caller (``GroupAnalysis``) builds each once for all three.  Subgroups found
+as member sets (centralizers, centres, normalizers, cores, system
+normalizers, normal closures) are returned without generators; each chooses
+its own when they are first read.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .perm import (
     generated_subgroup,
     p_part,
     prime_divisors,
+    product_set,
     trivial_subgroup,
-    _prime_factors,
 )
 
 GroupLike = FiniteGroup | Subgroup
@@ -83,9 +85,8 @@ def derived_subgroup(H: GroupLike) -> Subgroup:
     H = as_subgroup(H)
     G = H.parent
     t, inv = G.table, G.inverse_array
-    gens = H.generators if H.generators else tuple(H.members.tolist())
     comms: set[int] = set()
-    for g in gens:
+    for g in H.generators:
         # [g, m] = g^-1 m^-1 g m over all members m
         left = t[inv[g], inv[H.members]]
         comms.update(t[left, t[g, H.members]].tolist())
@@ -176,16 +177,20 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     return P
 
 
+def sylow_subgroups(H: GroupLike) -> dict[int, Subgroup]:
+    """One Sylow subgroup of H per prime dividing |H|, by ascending prime."""
+    return {p: sylow_subgroup(H, p) for p in prime_divisors(as_subgroup(H).order)}
+
+
 def conjugates(H: GroupLike, P: Subgroup) -> Iterator[Subgroup]:
     """The conjugates of P under H, each once, breadth-first over H's
     generators, made as they are asked for."""
     H = as_subgroup(H)
-    gens = H.generators if H.generators else tuple(H.members.tolist())
     seen = {P.key()}
     orbit = [P]
     for cur in orbit:  # grows while it is read
         yield cur
-        for g in gens:
+        for g in H.generators:
             conj = cur.conjugate_by(g)
             if conj.key() not in seen:
                 seen.add(conj.key())
@@ -195,12 +200,12 @@ def conjugates(H: GroupLike, P: Subgroup) -> Iterator[Subgroup]:
 # -- Fitting subgroups -------------------------------------------------------
 
 
-def p_core(H: GroupLike, p: int) -> Subgroup:
-    """O_p(H): the intersection of all conjugates of one Sylow p-subgroup."""
+def p_core(H: GroupLike, P: Subgroup) -> Subgroup:
+    """O_p(H): the intersection of all conjugates of P, a Sylow p-subgroup of H."""
     H = as_subgroup(H)
     G = H.parent
-    gens = H.generators if H.generators else tuple(H.members.tolist())
-    members = sylow_subgroup(H, p).members
+    gens = H.generators
+    members = P.members
     while True:
         # keep the members that every generator's conjugate of the set holds
         held = np.bincount(conjugations(G, gens, members).ravel(), minlength=G.order)
@@ -210,30 +215,18 @@ def p_core(H: GroupLike, p: int) -> Subgroup:
         members = kept
 
 
-def fitting_subgroup(H: GroupLike) -> Subgroup:
-    """F(H): the product of the cores O_p(H) over the primes dividing |H|.
+def fitting_subgroup(H: GroupLike, sylows: dict[int, Subgroup]) -> Subgroup:
+    """F(H): the product of the cores O_p(H) of H's Sylow subgroups ``sylows``.
 
     The cores are normal and of coprime orders, so the product set of any
     two is a subgroup, of order the product of theirs; F(H) is read off as
     that set, without closing the cores' generators again."""
     H = as_subgroup(H)
     G = H.parent
-    t = G.table
     members = np.array([0], np.int32)
-    for p in prime_divisors(H.order):
-        members = np.unique(t[np.ix_(members, p_core(H, p).members)])
+    for P in sylows.values():
+        members = product_set(G, members, p_core(H, P).members)
     return Subgroup(G, members)
-
-
-def second_fitting_preimage(G: FiniteGroup, F: Subgroup) -> Subgroup:
-    """The full preimage in G of F(G/F), given the Fitting subgroup F = F(G)."""
-    from .products import quotient  # local import to avoid a cycle
-
-    if F.order == G.order:
-        return F
-    Q, proj = quotient(G, F)
-    FQ = fitting_subgroup(Q)
-    return Subgroup(G, np.nonzero(FQ.member_mask[proj])[0])
 
 
 # -- Sylow systems and system normalizers ------------------------------------
@@ -252,21 +245,21 @@ class SylowSystem:
 
 def product_sets_equal(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> bool:
     """Whether the product sets A·B and B·A coincide (permutability test)."""
-    t = G.table
-    ab = np.unique(t[np.ix_(A, B)])
-    ba = np.unique(t[np.ix_(B, A)])
+    ab = product_set(G, A, B)
+    ba = product_set(G, B, A)
     return ab.size == ba.size and bool((ab == ba).all())
 
 
-def sylow_system(H: GroupLike) -> SylowSystem:
-    """The canonical Sylow system of a solvable group.
+def sylow_system(H: GroupLike, sylows: dict[int, Subgroup]) -> SylowSystem:
+    """The canonical Sylow system of a solvable group H, grown from H's
+    Sylow subgroups ``sylows``, one per prime.
 
-    Primes are taken by descending p-part; for each, the system takes the
-    first conjugate of ``sylow_subgroup(H, p)`` (in ``conjugates`` order)
-    that permutes with every Sylow subgroup already chosen.  No choice ever
-    has to be undone (P. Hall, "On the Sylow systems of a soluble group",
-    1937).  If P_1, ..., P_k are pairwise permutable, their product K is a
-    Hall subgroup.  In any Sylow system of H the subgroups for the same
+    Primes are taken by descending p-part |sylows[p]|; for each, the
+    system takes the first conjugate of ``sylows[p]`` (in ``conjugates``
+    order) that permutes with every Sylow subgroup already chosen.  No
+    choice ever has to be undone (P. Hall, "On the Sylow systems of a
+    soluble group", 1937).  If P_1, ..., P_k are pairwise permutable, their
+    product K is a Hall subgroup.  In any Sylow system of H the subgroups for the same
     primes also multiply to a Hall subgroup, which is conjugate to K, so a
     conjugate of the system has K as that product and restricts to a Sylow
     system of K.  The Sylow systems of K are conjugate in K, so one more
@@ -277,11 +270,10 @@ def sylow_system(H: GroupLike) -> SylowSystem:
     """
     H = as_subgroup(H)
     G = H.parent
-    factors = _prime_factors(H.order)
-    primes = sorted(factors, key=lambda p: (-(p ** factors[p]), p))
+    primes = sorted(sylows, key=lambda p: (-sylows[p].order, p))
     chosen: list[Subgroup] = []
     for p in primes:
-        P = next((Q for Q in conjugates(H, sylow_subgroup(H, p))
+        P = next((Q for Q in conjugates(H, sylows[p])
                   if all(product_sets_equal(G, Q.members, R.members) for R in chosen)),
                  None)
         if P is None:

@@ -29,11 +29,13 @@ from .perm import (
     full_subgroup,
     p_part,
     prime_divisors,
+    product_set,
 )
 from .structure import (
     center,
     contains_centralizers,
     minimal_normal_subgroups,
+    sylow_subgroups,
     sylow_system,
     system_normalizer,
 )
@@ -64,10 +66,6 @@ def group_fingerprint(G: AnalysisLike) -> dict[str, Any]:
         "center_order": a.center.order,
         "primes": prime_divisors(a.group.order),
     }
-
-
-def _product_members(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.unique(G.table[np.ix_(A, B)])
 
 
 def _is_complement(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
@@ -115,7 +113,7 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     for i in range(1, len(terms)):
         K, N = terms[i - 1], terms[i]
         M = a.system_normalizer if i == 1 else \
-            system_normalizer(full_subgroup(G), sylow_system(K))
+            system_normalizer(full_subgroup(G), sylow_system(K, sylow_subgroups(K)))
         ok = _is_complement(G, M, N)
         levels.append({
             "level": i,
@@ -145,7 +143,7 @@ def check_fitting_decomposition(a: GroupAnalysis) -> CheckRecord:
         ZK = a.center if i == 0 else center(K)  # the first term is G itself
         factor_orders.append(ZK.order)
         order_product *= ZK.order
-        product = _product_members(G, product, ZK.members)
+        product = product_set(G, product, ZK.members)
     F = a.fitting
     same_set = product.size == F.order and bool((product == F.members).all())
     direct = order_product == F.order

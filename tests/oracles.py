@@ -14,7 +14,12 @@ Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 over the all-pairs ``brute_adjacency``, where the graph searches from one
 per conjugacy class over the packed rows it builds tile by tile,
 ``fitting_by_closure`` closes the p-cores' generators where
-``fitting_subgroup`` multiplies their member sets,
+``fitting_subgroup`` multiplies their member sets (both start from the
+Sylow subgroups of ``sylow_subgroups``, which ``GroupAnalysis.sylows``
+builds once per group for the A-group test, the Fitting subgroup and the
+Sylow system), ``brute_2frobenius`` scans every pair of normal subgroups
+where ``is_2frobenius`` tests K = F(G) with the Frobenius test of the
+cached analysis of G/F(G),
 ``brute_twin_classes`` lists each cyclic subgroup's generators with
 ``FiniteGroup.power``, ``greedy_generators`` chooses a subgroup's
 generators from its members with ``close_indices``, eagerly, where a
@@ -50,6 +55,7 @@ from agc.structure import (
     p_core,
     product_sets_equal,
     sylow_subgroup,
+    sylow_subgroups,
     system_normalizer,
 )
 
@@ -124,7 +130,7 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
 def fitting_by_closure(H: FiniteGroup | Subgroup) -> Subgroup:
     """F(H) as the subgroup generated by the generators of all the p-cores."""
     H = as_subgroup(H)
-    gens = [x for p in _prime_factors(H.order) for x in p_core(H, p).generators]
+    gens = [x for P in sylow_subgroups(H).values() for x in p_core(H, P).generators]
     return generated_subgroup(H.parent, gens)
 
 

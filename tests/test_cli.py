@@ -8,9 +8,9 @@ import pytest
 
 from agc.cli import _analyze_one, main
 from agc.groupfile import GroupFile, load_group, save_group, serialize_group_file
-from agc.perm import DEFAULT_MAX_ORDER, Subgroup
+from agc.perm import DEFAULT_MAX_ORDER, Subgroup, prime_divisors
 from agc.constructions import symmetric
-from agc.structure import derived_series, sylow_system
+from agc.structure import derived_series, sylow_subgroups, sylow_system
 
 from oracles import brute_center, brute_centralizer
 
@@ -183,7 +183,7 @@ def _analyze_counting_calls(path, monkeypatch):
         structure.derived_series: "derived_series",
         structure.center: "center",
         structure.fitting_subgroup: "fitting_subgroup",
-        structure.second_fitting_preimage: "second_fitting_preimage",
+        structure.sylow_subgroup: "sylow_subgroup",
         structure.conjugacy_classes: "conjugacy_classes",
         modules["products"].quotient: "quotient",
         modules["classify"].classify: "classify",
@@ -219,17 +219,24 @@ def _on_group(calls, G, name):
 
 
 def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
-    """The report and the summary row of a corpus item share one analysis."""
+    """The report and the summary row of a corpus item share one analysis,
+    which builds each Sylow subgroup of G once, for the A-group test, the
+    Fitting subgroup and the Sylow system alike, and G/F(G) at most once."""
     _, calls, G = _analyze_counting_calls(corpus_dir / "c2xw60.json", monkeypatch)
     assert sum(name == "classify" for name, _, _ in calls) == 1
     assert sum(name == "run_all_checks" for name, _, _ in calls) == 1
-    for name in ("derived_series", "center", "fitting_subgroup",
-                 "second_fitting_preimage"):
+    for name in ("derived_series", "center", "fitting_subgroup"):
         assert len(_on_group(calls, G, name)) == 1, name
     assert len(_on_group(calls, G, "conjugacy_classes")) <= 1
+    primes = [args[1] for args, _ in _on_group(calls, G, "sylow_subgroup")]
+    assert sorted(primes) == prime_divisors(G.order)
+    quotients = _on_group(calls, G, "quotient")
     ((_, Z),) = _on_group(calls, G, "center")
     assert 1 < Z.order < G.order
-    assert sum(args[1].same_members(Z) for args, _ in _on_group(calls, G, "quotient")) <= 1
+    assert sum(args[1].same_members(Z) for args, _ in quotients) <= 1
+    ((_, F),) = _on_group(calls, G, "fitting_subgroup")
+    assert 1 < F.order < G.order
+    assert sum(args[1].same_members(F) for args, _ in quotients) <= 1
 
 
 def test_analyze_one_frees_the_group_without_the_cycle_collector(corpus_dir, monkeypatch):
@@ -296,5 +303,5 @@ def test_sylow_systems_of_the_witness_conjugate_little(witness1500, monkeypatch)
 
     monkeypatch.setattr(Subgroup, "conjugate_by", counted)
     for K in derived_series(witness1500).terms:
-        sylow_system(K)
+        sylow_system(K, sylow_subgroups(K))
     assert 100 * len(conjugations) < 2005 + 9724 + 24

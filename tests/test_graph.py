@@ -39,7 +39,6 @@ def test_abelian_group_has_empty_graph():
 def test_s3_graph_is_disconnected():
     g = CommutingGraph(symmetric(3))
     assert g.n_vertices == 5
-    assert g.n_components() == 4
     result = g.diameter()
     assert result.status == "disconnected" and result.components == 4
 

@@ -13,6 +13,7 @@ from agc.structure import (
     fitting_subgroup,
     is_abelian,
     normal_subgroups,
+    sylow_subgroups,
 )
 
 from oracles import closure_quotient
@@ -46,7 +47,8 @@ def test_quotient_matches_closure_oracle(corpus_groups):
     """Read off the parent's table, the quotient equals a fresh closure over
     the coset permutations: same elements, generators, table and projection."""
     for name, G in corpus_groups.items():
-        for N in (center(G), fitting_subgroup(G), derived_subgroup(G)):
+        F = fitting_subgroup(G, sylow_subgroups(G))
+        for N in (center(G), F, derived_subgroup(G)):
             Q, proj = quotient(G, N)
             R, oracle_proj = closure_quotient(G, N)
             assert np.array_equal(Q.elements, R.elements), name

@@ -33,8 +33,8 @@ from agc.structure import (
     normalizer_members,
     p_core,
     product_sets_equal,
-    second_fitting_preimage,
     sylow_subgroup,
+    sylow_subgroups,
     sylow_system,
     system_normalizer,
 )
@@ -130,11 +130,11 @@ def test_sylow_rejects_non_divisor():
 
 def test_fitting_of_s4_is_klein_four():
     G = symmetric(4)
-    F = fitting_subgroup(G)
+    F = fitting_subgroup(G, sylow_subgroups(G))
     assert F.order == 4
     assert F.is_normal()
     assert F.is_abelian()
-    assert second_fitting_preimage(G, F).order == 12
+    assert GroupAnalysis(G).upper_fitting.order == 12
 
 
 def test_fitting_subgroup_is_the_product_set_of_the_p_cores(corpus_groups):
@@ -143,19 +143,19 @@ def test_fitting_subgroup_is_the_product_set_of_the_p_cores(corpus_groups):
     for name, G in corpus_groups.items():
         Q, _ = quotient(G, center(G))
         for label, H in ((name, G), (f"{name}/Z", Q)):
-            F = fitting_subgroup(H)
+            F = fitting_subgroup(H, sylow_subgroups(H))
             assert np.array_equal(F.members, fitting_by_closure(H).members), label
 
 
 def test_p_core_of_s4():
     G = symmetric(4)
-    assert p_core(G, 2).order == 4
-    assert p_core(G, 3).order == 1
+    assert p_core(G, sylow_subgroup(G, 2)).order == 4
+    assert p_core(G, sylow_subgroup(G, 3)).order == 1
 
 
 def test_sylow_system_of_s3():
     G = symmetric(3)
-    system = sylow_system(G)
+    system = sylow_system(G, sylow_subgroups(G))
     assert {p: S.order for p, S in system.sylows.items()} == {2: 2, 3: 3}
     # the product of the system is the whole group
     product = G.table[np.ix_(system.sylows[2].members, system.sylows[3].members)]
@@ -165,7 +165,7 @@ def test_sylow_system_of_s3():
 def test_sylow_systems_require_solvable():
     for G in (alternating(5), symmetric(5)):
         with pytest.raises(NotSolvable):
-            sylow_system(G)
+            sylow_system(G, sylow_subgroups(G))
 
 
 def _solvable_terms(corpus_groups):
@@ -189,7 +189,7 @@ def test_all_sylow_systems_are_permutable(corpus_groups):
     AGL(1,7), has one Sylow subgroup per prime, and each two of them permute."""
     terms = list(_solvable_terms(corpus_groups)) + [("AGL(1,7)", full_subgroup(_agl17()))]
     for name, K in terms:
-        system = sylow_system(K)
+        system = sylow_system(K, sylow_subgroups(K))
         assert system.primes() == prime_divisors(K.order), name
         t = K.parent.table
         for p, q in itertools.combinations(system.primes(), 2):
@@ -206,10 +206,10 @@ def test_sylow_system_is_first_of_exhaustive_search(corpus_groups):
     P2, P3 = sylow_subgroup(G, 2), sylow_subgroup(G, 3)
     assert not product_sets_equal(G, P2.members, P3.members)
     candidates = list(conjugates(G, P2))
-    assert sylow_system(G).sylows[2].same_members(candidates[2])
+    assert sylow_system(G, sylow_subgroups(G)).sylows[2].same_members(candidates[2])
     terms = list(_solvable_terms(corpus_groups)) + [("AGL(1,7)", full_subgroup(G))]
     for name, K in terms:
-        got = sylow_system(K)
+        got = sylow_system(K, sylow_subgroups(K))
         (first,) = sylow_systems(K, limit=1)
         assert got.primes() == first.primes(), name
         for p in got.primes():
@@ -244,12 +244,12 @@ def test_found_subgroups_choose_the_greedy_generators_when_read(corpus_groups,
         primes = prime_divisors(G.order)
         reps = [int(c[0]) for c in conjugacy_classes(G)[1:]]
         found = [center(G)]
-        found += [p_core(G, p) for p in primes]
+        found += [p_core(G, P) for P in sylow_subgroups(G).values()]
         found += [normal_closure(G, x) for x in reps]
         found += [centralizer(G, x) for x in reps]
         found += [normalizer(full, sylow_subgroup(G, p)) for p in primes]
         if is_solvable(G):
-            found.append(system_normalizer(full, sylow_system(full)))
+            found.append(system_normalizer(full, sylow_system(full, sylow_subgroups(G))))
         for H in found:
             assert "generators" not in vars(H), (G.name, H)
             assert H.generators == greedy_generators(G, H.members), (G.name, H)
@@ -258,7 +258,8 @@ def test_found_subgroups_choose_the_greedy_generators_when_read(corpus_groups,
 
 def test_system_normalizer_complements_derived_subgroup(witness60):
     G = witness60
-    M = system_normalizer(full_subgroup(G), sylow_system(full_subgroup(G)))
+    full = full_subgroup(G)
+    M = system_normalizer(full, sylow_system(full, sylow_subgroups(G)))
     D = derived_subgroup(G)
     assert M.order * D.order == G.order
     assert np.intersect1d(M.members, D.members).size == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agc.errors import NotComplement
-from agc.perm import full_subgroup, generated_subgroup
+from agc.perm import full_subgroup, generated_subgroup, trivial_subgroup
 from agc.constructions import cyclic, metacyclic, symmetric
 from agc.structure import derived_subgroup, minimal_normal_subgroups, sylow_subgroup
 from agc.verify import (
@@ -135,6 +135,30 @@ def test_stray_p_part_check_passes_non_vacuously_on_g126(corpus_groups):
     rec = check_stray_p_part_centralizers(GroupAnalysis(corpus_groups["g126"]))
     assert rec.status == "pass"
     assert rec.witness["qualifying_elements"] > 0
+
+
+def test_stray_p_part_check_fails_without_a_centralizing_normalizer(corpus_groups):
+    """With the trivial subgroup in place of the system normalizer, no
+    conjugate of it has a nontrivial member to centralize the first
+    qualifying element, of order 3."""
+    G = corpus_groups["g126"]
+    a = GroupAnalysis(G)
+    a.__dict__["system_normalizer"] = trivial_subgroup(G)
+    rec = check_stray_p_part_centralizers(a)
+    assert rec.status == "fail"
+    assert rec.witness == {"element": 2, "defect": "no normalizer conjugate centralizes"}
+
+
+def test_stray_p_part_check_fails_on_a_trivial_centralizer_in_the_derived(corpus_groups):
+    """With the Sylow 3-subgroup of G' in place of G' (of order 3, so not a
+    Hall subgroup of G, of order 126), the first qualifying element, of
+    order 14, centralizes none of its nontrivial members."""
+    G = corpus_groups["g126"]
+    a = GroupAnalysis(G)
+    a.__dict__["derived"] = sylow_subgroup(a.derived, 3)
+    rec = check_stray_p_part_centralizers(a)
+    assert rec.status == "fail"
+    assert rec.witness == {"element": 7, "defect": "trivial centralizer in G'"}
 
 
 def test_stray_p_part_check_skips_when_derived_is_hall():
