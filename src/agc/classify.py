@@ -144,6 +144,11 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     a = as_analysis(G)
     if not a.series.solvable:
         raise NotSolvable("Frobenius detection implemented for solvable groups only")
+    return _frobenius_kernel(a)
+
+
+def _frobenius_kernel(a: GroupAnalysis) -> tuple[bool, Subgroup | None]:
+    """``is_frobenius`` of a group already known to be solvable."""
     G, F = a.group, a.fitting
     if F.order == 1 or F.order == G.order:
         return False, None
@@ -161,14 +166,15 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     F(G) ∩ H is nilpotent and normal in H, so it lies in F(H) = K; and
     F(G)/K is nilpotent and normal in G/K, so it lies in F(G/K) = H/K.
     Hence F(G) = K, and then H/K = F(G/F(G)).  So the upper level is the
-    Frobenius test of G/F(G), whose only candidate kernel is F(G/F(G)).
+    Frobenius test of G/F(G), whose only candidate kernel is F(G/F(G)); a
+    quotient of a solvable group is solvable, so it skips that test.
     """
     a = as_analysis(G)
     if not a.series.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
     G, K = a.group, a.fitting
     # upper level: G/K Frobenius with kernel H/K; lower: H with kernel K
-    if 1 < K.order < G.order and is_frobenius(a.fitting_quotient[0])[0]:
+    if 1 < K.order < G.order and _frobenius_kernel(a.fitting_quotient[0])[0]:
         H = a.upper_fitting
         if contains_centralizers(G, K.members, H.members):
             return True, (K, H)

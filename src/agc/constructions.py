@@ -22,7 +22,8 @@ def abelian(invariants: Sequence[int], *, name: str | None = None) -> FiniteGrou
     """Direct product of cyclic groups, acting on disjoint cycles.
 
     Element indices follow breadth-first enumeration; the rotation vector of
-    element i can be read off the stored image rows (see ``abelian_vectors``).
+    element i is read off its images of each cycle's first point (see
+    ``abelian_vectors``).
     """
     invariants = [int(d) for d in invariants]
     degree = sum(invariants)
@@ -40,7 +41,7 @@ def abelian(invariants: Sequence[int], *, name: str | None = None) -> FiniteGrou
 def abelian_vectors(G: FiniteGroup, invariants: Sequence[int]) -> np.ndarray:
     """Per-element rotation vectors for a group built by ``abelian``."""
     offsets = np.cumsum([0] + [int(d) for d in invariants[:-1]])
-    vecs = G.elements[:, offsets] - offsets
+    vecs = G.images(offsets) - offsets
     return vecs.astype(np.int64)
 
 

@@ -67,8 +67,7 @@ def serialize_group_file(f: GroupFile) -> str:
 
 
 def group_to_file(G: FiniteGroup) -> GroupFile:
-    gens = [G.elements[g].tolist() for g in G.generators]
-    return GroupFile(degree=G.degree, generators=gens, name=G.name)
+    return GroupFile(degree=G.degree, generators=G.generator_rows.tolist(), name=G.name)
 
 
 def load_group(path: str | Path, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

@@ -9,10 +9,10 @@ enumeration computed.
 
 The enumeration tells elements apart by their images of a base: a point
 tuple S whose pointwise stabilizer is trivial.  It searches the images of S
-rather than whole image rows, and certifies S by Schreier's lemma before it
-writes any row: if every Schreier generator of the stabilizer G_(S) fixes
-g(S) for each generator g, then G_(S) is normal, fixes every orbit that S
-meets, and so is trivial (see ``closure``).
+rather than whole image rows, and certifies S by Schreier's lemma (see
+``closure``).  A group keeps no image row of its elements: only its
+generators' rows, the search tree and the table, from which
+``FiniteGroup.images`` recovers the images of any points.
 """
 
 from __future__ import annotations
@@ -105,49 +105,50 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 class FiniteGroup:
     """A fully enumerated permutation group with index-based arithmetic.
 
-    ``elements`` is an (order, degree) array whose rows are image arrays,
-    listed breadth-first: row 0 is the identity and every other row is first
-    reached as x·g for an earlier row x and a generator g.  ``generators``
-    are element indices, and ``right[k, i]`` is the index of element i times
-    generator k.  The dense multiplication table and the inverse array are
-    built from these columns when the group is made.
+    Elements are listed breadth-first: element 0 is the identity and every
+    other element j is first reached as parent(j)·gen(j), for an earlier
+    element parent(j) and a generator gen(j).  Row h of ``generator_rows``
+    holds the images of generator h, ``generators[h]`` is its element index,
+    and ``right[h, i]`` is the index of element i times generator h.  The
+    dense multiplication table, the inverse array and the tree are built
+    from these columns when the group is made; no element's image row is
+    kept, and ``images`` reads any of them off the tree.
     """
 
     def __init__(
         self,
-        elements: np.ndarray,
+        generator_rows: np.ndarray,
         generators: Sequence[int],
         right: np.ndarray,
         *,
         name: str | None = None,
     ):
-        elems = np.ascontiguousarray(elements, dtype=np.int32)
-        if elems.ndim != 2:
-            raise ValueError("elements must be a 2-d array of image rows")
-        elems.setflags(write=False)
-        self.elements = elems
-        self.order, self.degree = elems.shape
+        rows = np.array(generator_rows, dtype=np.int32)
+        right = np.asarray(right, np.int32)
+        if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
+            raise ValueError("need one image row per right column")
+        rows.setflags(write=False)
+        self.generator_rows = rows
+        self.degree = rows.shape[1]
+        self.order = right.shape[1]
         self.generators = [int(g) for g in generators]
         self.name = name
         self._orders: np.ndarray | None = None
-        self._build_table(np.asarray(right, np.int32))
+        self._build_table(right)
 
     # -- basic accessors ----------------------------------------------------
 
-    def perm(self, i: int) -> Permutation:
-        return Permutation(self.elements[i])
-
-    @cached_property
-    def _index(self) -> dict[bytes, int]:
-        return {row.tobytes(): i for i, row in enumerate(self.elements)}
-
-    def index_of(self, p: Permutation | np.ndarray) -> int:
-        arr = p.images if isinstance(p, Permutation) else np.asarray(p, np.int32)
-        key = np.ascontiguousarray(arr, dtype=np.int32).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError("permutation is not an element of this group") from None
+    def images(self, points: Sequence[int]) -> np.ndarray:
+        """Row i holds the images of ``points`` under element i: its parent's
+        row mapped through its generator's row, filled in one pass."""
+        pts = np.asarray(points, np.int32)
+        img = np.empty((self.order, pts.size), np.int32)
+        img[0] = pts
+        rows = self.generator_rows
+        tree = zip(self._parent[1:].tolist(), self._gen[1:].tolist())
+        for j, (i, h) in enumerate(tree, start=1):
+            rows[h].take(img[i], out=img[j])
+        return img
 
     def __len__(self) -> int:
         return self.order
@@ -176,7 +177,7 @@ class FiniteGroup:
 
     def _build_table(self, right: np.ndarray) -> None:
         """Fill ``table`` and ``inverse_array`` from the right-multiplication
-        columns, a row at a time.
+        columns, a row at a time, and keep the tree that ``images`` reads.
 
         If element j is first reached as parent(j)·gen(j), then with
         left_g[j] the index of g·e_j (left_g[0] is g itself)
@@ -199,6 +200,7 @@ class FiniteGroup:
         gen[reached] = first % ngens
         if (parent[1:] >= np.arange(1, n)).any():
             raise ValueError("element list is not generated by the given generators")
+        self._parent, self._gen = parent.astype(np.int32), gen.astype(np.int32)
         r, p, g = right.tolist(), parent.tolist(), gen.tolist()
         left = [[row[0]] for row in r]  # left[h][j]: index of g_h·e_j
         for row in left:
@@ -250,9 +252,9 @@ def closure(
     generators, starting at the identity, so the listing is deterministic
     for a fixed generator order.  The search runs over the images of a short
     point tuple S, a base, rather than over whole image rows: the key of
-    x·g is g applied to the key of x.  Each new key j is reached along a
-    tree edge parent(j)·gen(j), and once the search is certified the element
-    rows are written from the tree into an array of the known order.
+    x·g is g applied to the key of x.  No element's image row is ever made:
+    the group keeps the generators' rows and the right columns of the
+    certified search.
 
     S starts as the least point of each orbit of ⟨gens⟩ that has more than
     one point.  Let e_i be the tree element of key i and j the key of e_i·g.
@@ -267,8 +269,7 @@ def closure(
     point of some g(S), that point joins S and the search starts again;
     G_(S) at least halves each time, so there are at most log2 |G| restarts.
 
-    Raises GroupTooLarge once more than ``max_order`` keys are found, so no
-    array of max_order x degree entries is ever made.
+    Raises GroupTooLarge once more than ``max_order`` keys are found.
     """
     if degree < 1:
         raise MalformedPermutation("degree must be positive")
@@ -288,11 +289,7 @@ def closure(
         if moved is None:
             break
         base.append(moved)
-    elements = np.empty((tree.order, degree), np.int32)
-    elements[0] = np.arange(degree)
-    for j, (i, g) in enumerate(zip(tree.parent, tree.gen), start=1):
-        garr[g].take(elements[i], out=elements[j])
-    return FiniteGroup(elements, tree.right[:, 0], tree.right, name=name)
+    return FiniteGroup(garr, tree.right[:, 0], tree.right, name=name)
 
 
 def _orbit_representatives(garr: np.ndarray) -> list[int]:
@@ -318,10 +315,9 @@ class _KeyTree:
     """The breadth-first search of ``closure`` over the images of a point
     tuple S, the base, under right multiplication by the rows of ``garr``.
 
-    Key j > 0 is first found as key ``parent[j - 1]`` times generator
-    ``gen[j - 1]``, and ``right[h, i]`` is the key of element i times
-    generator h.  Each element keeps its images of S, its key, and of every
-    g(S) in ``images``, which is all ``moved_point`` needs.
+    ``right[h, i]`` is the key of element i times generator h.  Each
+    element keeps its images of S, its key, and of every g(S) in
+    ``images``, which is all ``moved_point`` needs.
     """
 
     def __init__(self, garr: np.ndarray, base: list[int], max_order: int):
@@ -332,8 +328,8 @@ class _KeyTree:
         width = len(base) * 4  # bytes in a key
         cur = np.array([self.points], np.int32)
         index = {cur[0, :len(base)].tobytes(): 0}
-        images, right, self.parent, self.gen = [cur], [], [], []
-        n, lo = 1, 0  # keys found, index of the level's first key
+        images, right = [cur], []
+        n = 1  # keys found
         while len(cur):
             # products x·g in the enumeration's reading order, x-major
             count = len(cur) * ngens
@@ -350,9 +346,6 @@ class _KeyTree:
                     new.append(q)
                     n += 1
                 right.append(j)
-            self.parent.extend(lo + q // ngens for q in new)
-            self.gen.extend(q % ngens for q in new)
-            lo += len(cur)
             cur = prods[new]
             images.append(cur)
         self.order = n

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, Permutation, Subgroup, closure, row_blocks
+from .perm import FiniteGroup, Permutation, Subgroup, closure
 
 
 def quotient(
@@ -24,7 +24,7 @@ def quotient(
     of N (degree |G|/|N|) and ``proj[x]`` is the index in Q of the coset Nx.
     The cosets are listed breadth-first from N over right multiplication by
     G's generators, the order a closure over the coset permutations would
-    give, and Q's elements and table are read off G's table.
+    give, and Q's generator rows and right columns are read off G's table.
     Raises NotNormal when N is not normal in G.
     """
     if N.parent is not G:
@@ -48,13 +48,10 @@ def quotient(
                 pos[c] = len(r)
                 r.append(int(reps[c]))
     proj = pos[cid]
-    # row p of the elements is the coset permutation c ↦ cid[reps[c]·r[p]]
-    k = len(r)
-    elements = np.empty((k, k), np.int32)
-    for rows in row_blocks(k, k):
-        elements[rows] = cid[t[np.ix_(reps, r[rows])].T]
+    # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]
+    rows = cid[t[np.ix_(reps, gens)].T]
     right = proj[t[np.ix_(r, gens)]].T
-    Q = FiniteGroup(elements, proj[gens], right, name=name)
+    Q = FiniteGroup(rows, proj[gens], right, name=name)
     return Q, proj
 
 

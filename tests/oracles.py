@@ -6,7 +6,9 @@ algorithms under test beyond the element indexing of FiniteGroup, except
 in the superseded constructions kept as references: ``row_closure``
 enumerates a group over whole image rows, where ``closure`` searches the
 images of a certified base, ``closure_quotient``
-enumerates G/N with ``closure``, which ``quotient`` no longer calls,
+enumerates G/N with ``closure``, which ``quotient`` no longer calls, and
+looks elements up by their image rows with ``indices_of_rows``, which a
+group no longer does,
 ``sylow_systems`` is the depth-first search over all conjugates of the
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
@@ -123,8 +125,18 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     cid = np.searchsorted(reps, coset_rep)
     k = int(reps.size)
     Q = closure(k, [Permutation(cid[t[reps, g]]) for g in G.generators], max_order=k)
-    proj = np.array([Q.index_of(cid[t[reps, x]]) for x in range(G.order)], np.int32)
+    proj = indices_of_rows(Q, cid[t[reps].T]).astype(np.int32)
     return Q, proj
+
+
+def indices_of_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
+    """Element indices of image rows (the last axis of ``rows``), looked up
+    by their bytes among all of G's image rows rather than through the
+    table."""
+    index = {row.tobytes(): i for i, row in enumerate(G.images(range(G.degree)))}
+    rows = np.asarray(rows, np.int32)
+    found = [index[row.tobytes()] for row in rows.reshape(-1, G.degree)]
+    return np.array(found, np.int64).reshape(rows.shape[:-1])
 
 
 def fitting_by_closure(H: FiniteGroup | Subgroup) -> Subgroup:

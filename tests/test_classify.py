@@ -143,10 +143,10 @@ def test_classification_invariant_under_generator_relabeling(corpus_groups):
     rng = np.random.default_rng(7)
     for key in ("s3xs3", "f20", "diameter4-witness"):
         G = corpus_groups[key]
-        gens = [Permutation(G.elements[g]) for g in G.generators]
+        gens = [Permutation(row) for row in G.generator_rows]
         order = rng.permutation(len(gens))
         # extra redundant generator and shuffled order
-        extra = Permutation(G.elements[int(rng.integers(1, G.order))])
+        extra = Permutation(G.images(range(G.degree))[int(rng.integers(1, G.order))])
         H = closure(G.degree, [gens[i] for i in order] + [extra])
         assert H.order == G.order
         a, b = classify(G), classify(H)

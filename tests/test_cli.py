@@ -239,6 +239,27 @@ def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
     assert sum(args[1].same_members(F) for args, _ in quotients) <= 1
 
 
+def test_corpus_analyses_derive_51_series(corpus_dir, monkeypatch):
+    """The 2-Frobenius test reads G/F(G) without asking whether it is
+    solvable, as every quotient of a solvable group is: the corpus analyses
+    make 51 derived-series calls, where that question made 77."""
+    structure = importlib.import_module("agc.structure")
+    derive, calls = structure.derived_series, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return derive(*args, **kwargs)
+
+    for name in ("classify", "cli", "graph", "products", "structure", "verify", "witness"):
+        module = importlib.import_module(f"agc.{name}")
+        for attr, value in list(vars(module).items()):
+            if value is derive:
+                monkeypatch.setattr(module, attr, counted)
+    for path in sorted(corpus_dir.glob("*.json")):
+        assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
+    assert len(calls) == 51
+
+
 def test_analyze_one_frees_the_group_without_the_cycle_collector(corpus_dir, monkeypatch):
     """A corpus item's group is freed when its analysis ends, not at some
     later run of the cyclic garbage collector, so the next item's arrays are

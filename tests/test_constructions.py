@@ -41,8 +41,8 @@ def test_symmetric_and_alternating():
     assert alternating(5).order == 60
     # A_n consists of even permutations only
     G = alternating(5)
-    for i in range(G.order):
-        assert _parity(G.elements[i]) == 0
+    for row in G.images(range(G.degree)):
+        assert _parity(row) == 0
 
 
 def _parity(images) -> int:

@@ -29,7 +29,7 @@ from agc.constructions import (
 )
 from agc.products import direct_product, quotient
 
-from oracles import brute_closure, row_closure
+from oracles import brute_closure, indices_of_rows, row_closure
 
 
 def test_permutation_rejects_non_bijections():
@@ -74,7 +74,7 @@ def test_closure_matches_brute_force():
     G = closure(4, gens)
     expected = brute_closure(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
     assert G.order == len(expected) == 24
-    got = {tuple(int(v) for v in G.elements[i]) for i in range(G.order)}
+    got = {tuple(row) for row in G.images(range(4)).tolist()}
     assert got == expected
 
 
@@ -82,7 +82,8 @@ def test_closure_is_deterministic():
     gens = [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])]
     G1 = closure(4, gens)
     G2 = closure(4, gens)
-    assert np.array_equal(G1.elements, G2.elements)
+    assert np.array_equal(G1.images(range(4)), G2.images(range(4)))
+    assert np.array_equal(G1.table, G2.table)
 
 
 def test_closure_respects_max_order():
@@ -113,7 +114,7 @@ def _generator_sets():
 def _assert_matches_row_closure(degree, gens, label):
     G = closure(degree, gens)
     elements, generators, table = row_closure(degree, gens)
-    assert np.array_equal(G.elements, elements), label
+    assert np.array_equal(G.images(range(degree)), elements), label
     assert G.generators == generators, label
     assert np.array_equal(G.table, table), label
 
@@ -122,7 +123,7 @@ def test_closure_matches_row_closure(corpus_groups):
     """The search over base images lists the elements, names the generators
     and fills the table exactly as the search over whole rows does."""
     for name, W in corpus_groups.items():
-        _assert_matches_row_closure(W.degree, [W.perm(g) for g in W.generators], name)
+        _assert_matches_row_closure(W.degree, W.generator_rows, name)
     for name, (degree, gens) in _generator_sets().items():
         _assert_matches_row_closure(degree, gens, name)
 
@@ -149,22 +150,13 @@ def test_closure_matches_row_closure_on_random_generators(case):
     _assert_matches_row_closure(degree, gens, gens)
 
 
-def _indices_of_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
-    """Element indices of image rows, looked up by each row read as a
-    base-degree number rather than through the table."""
-    weights = G.degree ** np.arange(G.degree, dtype=np.int64)
-    keys = G.elements.astype(np.int64) @ weights
-    order = np.argsort(keys)
-    found = order[np.searchsorted(keys, rows @ weights, sorter=order)]
-    assert np.array_equal(G.elements[found], rows)
-    return found
-
-
 def _assert_primitives_match_image_rows(G: FiniteGroup, xs: list[int], ys: list[int]):
     """``commuting(G, xs, ys)`` and ``conjugations(G, xs, ys)`` equal the
     products of the image rows, x·y being y read at x."""
+    listing = G.images(range(G.degree))
+
     def rows(idx):
-        return G.elements[np.array(idx, np.int64)].reshape(len(idx), G.degree)
+        return listing[np.array(idx, np.int64)].reshape(len(idx), G.degree)
 
     def product(p, q):
         return np.take_along_axis(q, p, axis=-1)
@@ -174,7 +166,7 @@ def _assert_primitives_match_image_rows(G: FiniteGroup, xs: list[int], ys: list[
                           (product(X, Y) == product(Y, X)).all(axis=-1))
     X_inverse = np.argsort(X, axis=-1)
     conj = product(product(X, Y), X_inverse)
-    assert np.array_equal(conjugations(G, xs, ys), _indices_of_rows(G, conj))
+    assert np.array_equal(conjugations(G, xs, ys), indices_of_rows(G, conj))
 
 
 @settings(max_examples=100)
@@ -198,20 +190,43 @@ def test_commuting_and_conjugations_fill_every_row_block():
 
 
 def test_closure_holds_each_element_once(corpus_groups):
-    """Enumerating the order-1500 witness writes each element row once,
-    into an array of the known order: the traced peak, table included,
-    stays under two and a half element arrays.  A buffer of rows that
-    doubled when full, beside the table, made nearly three."""
+    """Enumerating the order-1500 witness makes no element rows: the traced
+    peak, table included, stays under 1.25 tables.  An order x degree
+    array of element rows beside the table made more than two."""
     W = corpus_groups["diameter6-witness"]
-    gens = [W.perm(g) for g in W.generators]
     tracemalloc.start()
     try:
-        G = closure(W.degree, gens)
+        G = closure(W.degree, W.generator_rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(G.table, W.table)
-    assert peak < 2.5 * G.elements.nbytes
+    assert peak < 1.25 * G.table.nbytes
+
+
+def test_closure_of_a_high_degree_group_makes_no_element_rows(address_space_cap):
+    """C_1000 rotating 100 blocks of 1000 points at once has degree
+    100 000; its element rows would take 400 MB, and the closure stays
+    within 16 MB."""
+    rotation = (np.arange(100_000) + 1) % 1000 + np.arange(100_000) // 1000 * 1000
+    tracemalloc.start()
+    try:
+        G = closure(rotation.size, [rotation])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 1000
+    assert peak < 16 << 20
+    first, last = G.images([0, 99_999]).T  # element k rotates each block by k
+    assert np.array_equal(first, np.arange(1000))
+    assert np.array_equal(last, 99_000 + (first + 999) % 1000)
+
+
+def test_images_of_some_points_are_columns_of_all_images(corpus_groups):
+    rng = np.random.default_rng(3)
+    for name, G in corpus_groups.items():
+        points = rng.integers(0, G.degree, size=5)  # repeats are allowed
+        assert np.array_equal(G.images(points), G.images(range(G.degree))[:, points]), name
 
 
 def test_closure_of_a_long_cycle_stops_at_the_order_cap(address_space_cap):
@@ -231,8 +246,9 @@ def test_closure_of_a_long_cycle_stops_at_the_order_cap(address_space_cap):
 
 def _table_groups():
     s4 = symmetric(4)
+    rows = s4.images(range(4))
     klein = [x for x in range(s4.order)
-             if s4.element_orders[x] == 2 and not (s4.elements[x] == np.arange(4)).any()]
+             if s4.element_orders[x] == 2 and not (rows[x] == np.arange(4)).any()]
     return {
         "C1": cyclic(1),
         "C12": cyclic(12),
@@ -249,19 +265,18 @@ def _table_groups():
 
 
 def test_table_against_direct_products():
+    """t[i, j] is the element whose image row is j's row read at i's."""
     for name, G in _table_groups().items():
-        t = G.table
-        for i in range(G.order):
-            for j in range(G.order):
-                prod = G.elements[j][G.elements[i]]
-                assert t[i, j] == G.index_of(prod), name
+        rows = G.images(range(G.degree))
+        products = rows[:, rows]  # products[j, i] = rows[j][rows[i]]
+        assert np.array_equal(G.table, indices_of_rows(G, products).T), name
 
 
 def test_identity_and_inverse_laws():
     for name, G in _table_groups().items():
         t = G.table
         n = G.order
-        assert np.array_equal(G.elements[0], np.arange(G.degree)), name
+        assert np.array_equal(G.images(range(G.degree))[0], np.arange(G.degree)), name
         assert np.array_equal(t[0], np.arange(n)), name
         assert np.array_equal(t[:, 0], np.arange(n)), name
         inv = G.inverse_array
@@ -270,9 +285,8 @@ def test_identity_and_inverse_laws():
 
 
 def test_table_rejects_elements_the_generators_miss():
-    swap = np.array([[0, 1], [1, 0]])
-    with pytest.raises(ValueError, match="not generated"):
-        FiniteGroup(swap, [], np.zeros((0, 2), np.int32))
+    with pytest.raises(ValueError, match="not generated"):  # two elements, no generator
+        FiniteGroup(np.zeros((0, 2), np.int32), [], np.zeros((0, 2), np.int32))
 
 
 def test_element_orders():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agc.errors import InvalidAction, NotNormal
-from agc import perm
+from agc.groupfile import load_group, save_group
 from agc.perm import generated_subgroup
 from agc.products import direct_product, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, symmetric
@@ -16,14 +16,14 @@ from agc.structure import (
     sylow_subgroups,
 )
 
-from oracles import closure_quotient
+from oracles import closure_quotient, indices_of_rows
 
 
 def _klein_four(s4):
-    orders = s4.element_orders
+    orders, rows = s4.element_orders, s4.images(range(4))
     double_transpositions = [
         x for x in range(s4.order)
-        if orders[x] == 2 and not np.any(s4.elements[x] == np.arange(4))
+        if orders[x] == 2 and not np.any(rows[x] == np.arange(4))
     ]
     return generated_subgroup(s4, double_transpositions)
 
@@ -51,24 +51,27 @@ def test_quotient_matches_closure_oracle(corpus_groups):
         for N in (center(G), F, derived_subgroup(G)):
             Q, proj = quotient(G, N)
             R, oracle_proj = closure_quotient(G, N)
-            assert np.array_equal(Q.elements, R.elements), name
+            points = range(Q.degree)
+            assert np.array_equal(Q.images(points), R.images(points)), name
+            assert np.array_equal(Q.generator_rows, R.generator_rows), name
             assert Q.generators == R.generators, name
             assert np.array_equal(Q.table, R.table), name
             assert np.array_equal(Q.inverse_array, R.inverse_array), name
             assert np.array_equal(proj, oracle_proj), name
 
 
-def test_quotient_in_blocks_matches_closure_oracle(monkeypatch):
-    """Filled a few rows at a time, the quotient's elements are the same."""
-    monkeypatch.setattr(perm, "ROW_BLOCK_ENTRIES", 50)
-    G = direct_product(symmetric(4), cyclic(3))
-    for N in (center(G), generated_subgroup(G, [])):  # Q of order 24 and 72
-        Q, proj = quotient(G, N)
-        R, oracle_proj = closure_quotient(G, N)
-        assert Q.order >= 24  # many blocks of rows
-        assert np.array_equal(Q.elements, R.elements)
-        assert np.array_equal(Q.table, R.table)
-        assert np.array_equal(proj, oracle_proj)
+def test_saved_quotient_reloads_with_its_table(corpus_groups, tmp_path):
+    """A quotient written out as its generator rows and enumerated again
+    has the same generators and table."""
+    path = tmp_path / "quotient.json"
+    for name, G in corpus_groups.items():
+        for N in (center(G), derived_subgroup(G)):
+            Q = quotient(G, N, name=name)[0]
+            save_group(Q, path)
+            R = load_group(path)
+            assert R.name == name
+            assert R.generators == Q.generators, name
+            assert np.array_equal(R.table, Q.table), name
 
 
 def test_quotient_rejects_non_normal():
@@ -107,8 +110,8 @@ def test_semidirect_pairing_is_bijective():
     phis = np.array([action(a) for a in range(4)])
     pts = np.arange(20)
     b_of, a_of = pts // 4, pts % 4
-    pairing = np.array([[G.index_of(tb[b_of, phis[a_of, b]] * 4 + ta[a_of, a])
-                         for a in range(4)] for b in range(5)])
+    pairing = indices_of_rows(G, [[tb[b_of, phis[a_of, b]] * 4 + ta[a_of, a]
+                                   for a in range(4)] for b in range(5)])
     assert sorted(pairing.ravel().tolist()) == list(range(20))
     # pairing respects the product law (b1,a1)(b2,a2) = (b1*phi_a1(b2), a1a2)
     for b1 in range(5):
