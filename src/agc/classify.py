@@ -172,6 +172,11 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     a = as_analysis(G)
     if not a.series.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
+    return _two_frobenius_pair(a)
+
+
+def _two_frobenius_pair(a: GroupAnalysis) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
+    """``is_2frobenius`` of a group already known to be solvable."""
     G, K = a.group, a.fitting
     # upper level: G/K Frobenius with kernel H/K; lower: H with kernel K
     if 1 < K.order < G.order and _frobenius_kernel(a.fitting_quotient[0])[0]:
@@ -238,9 +243,10 @@ def classify(G: AnalysisLike) -> Classification:
         if Z.order == 1:
             q_frob, q_two_frob = frob, two_frob
         else:
+            # G/Z is solvable as G is: its derived series is never needed
             Q = a.central_quotient
-            q_frob = is_frobenius(Q)[0]
-            q_two_frob = False if q_frob else is_2frobenius(Q)[0]
+            q_frob = _frobenius_kernel(Q)[0]
+            q_two_frob = False if q_frob else _two_frobenius_pair(Q)[0]
         hypothesis = a_group and not q_frob and not q_two_frob
 
     return Classification(

@@ -29,7 +29,7 @@ from .perm import FiniteGroup
 from .structure import center, conjugacy_classes
 
 
-TILE_WIDTH = 128  # a 128 x 128 int32 tile is 64 KiB: both operands stay in L2
+TILE_WIDTH = 128  # a 128 x 128 int16 tile is 32 KiB: both operands stay in L2
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,12 @@ rather than whole image rows, and certifies S by Schreier's lemma (see
 ``closure``).  A group keeps no image row of its elements: only its
 generators' rows, the search tree and the table, from which
 ``FiniteGroup.images`` recovers the images of any points.
+
+The table is most of what a group holds, so its entries, element indices,
+take the narrowest dtype that holds them: ``index_dtype`` chooses it, int16
+for every order up to 32 767, which covers the default order cap, and
+int32 above.  Arithmetic on table entries must widen them first, since
+int16 values times a Python int stay int16 and wrap.
 """
 
 from __future__ import annotations
@@ -31,6 +37,12 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 20_000
 ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling a large array
+
+
+def index_dtype(order: int) -> type[np.signedinteger]:
+    """The dtype of a group's table and inverse array: the narrowest that
+    holds every element index of a group of ``order`` elements."""
+    return np.int16 if order <= np.iinfo(np.int16).max else np.int32
 
 
 def _validate_images(images, degree: int | None = None) -> np.ndarray:
@@ -112,7 +124,10 @@ class FiniteGroup:
     and ``right[h, i]`` is the index of element i times generator h.  The
     dense multiplication table, the inverse array and the tree are built
     from these columns when the group is made; no element's image row is
-    kept, and ``images`` reads any of them off the tree.
+    kept, and ``images`` reads any of them off the tree.  The table and
+    the inverse array have dtype ``index_dtype(order)``: int16 up to order
+    32 767, so the order x order table, the largest array a group holds,
+    takes two bytes an entry.
     """
 
     def __init__(
@@ -206,15 +221,16 @@ class FiniteGroup:
         for row in left:
             for j in range(1, n):
                 row.append(r[g[j]][row[p[j]]])
-        left = np.array(left, np.int32).reshape(ngens, n)
-        table = np.empty((n, n), np.int32)
-        table[0] = np.arange(n, dtype=np.int32)
+        dtype = index_dtype(n)
+        left = np.array(left, dtype).reshape(ngens, n)
+        table = np.empty((n, n), dtype)
+        table[0] = np.arange(n, dtype=dtype)
         for i in range(1, n):
             table[p[i]].take(left[g[i]], out=table[i])
         self.table = table
         # each row is a permutation of the indices, so its least entry is
         # the identity, in the inverse's column
-        self.inverse_array = table.argmin(axis=1).astype(np.int32)
+        self.inverse_array = table.argmin(axis=1).astype(dtype)
 
     # -- element data ---------------------------------------------------------
 

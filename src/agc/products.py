@@ -96,8 +96,10 @@ def semidirect_product(
     b_of, a_of = pts // m, pts % m
     gen_perms = []
     for gb in base.generators:
-        # right multiplication by (gb, identity)
-        gen_perms.append(Permutation(tb[b_of, phis[a_of, gb]] * m + a_of))
+        # right multiplication by (gb, identity); widened first, since table
+        # entries may be int16 where the point labels b·m + a are not
+        b_img = tb[b_of, phis[a_of, gb]].astype(np.int64)
+        gen_perms.append(Permutation(b_img * m + a_of))
     for ga in actor.generators:
         # right multiplication by (identity, ga)
         gen_perms.append(Permutation(b_of * m + ta[a_of, ga]))

@@ -311,14 +311,23 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
     point stabilizer of the Frobenius action on cosets of H).  Candidate
     subgroups are taken 2-generated, with the first generator ranging over
     conjugacy-class representatives; Frobenius complements of solvable
-    groups are always 2-generated, so the search is complete here.
+    groups are always 2-generated, so the search is complete here.  For c
+    in C_G(x), ⟨x, y⟩^c = ⟨x, y^c⟩, and a conjugate of a malnormal
+    subgroup is malnormal, so y ranges over one representative of each
+    orbit of C_G(x) acting on G by conjugation.
     """
     from agc.structure import conjugacy_classes
 
+    t, inv = G.table, G.inverse_array
     reps = [int(c[0]) for c in conjugacy_classes(G) if c[0] != 0]
     seen: set[bytes] = set()
     for x in reps:
+        cx = np.array(brute_centralizer(G, x))
+        reached = np.zeros(G.order, bool)
         for y in range(G.order):
+            if reached[y]:
+                continue
+            reached[t[t[cx, y], inv[cx]]] = True
             H = generated_subgroup(G, [x, y])
             if not 1 < H.order < G.order:
                 continue

@@ -116,7 +116,22 @@ def _assert_matches_row_closure(degree, gens, label):
     elements, generators, table = row_closure(degree, gens)
     assert np.array_equal(G.images(range(degree)), elements), label
     assert G.generators == generators, label
+    assert table.dtype == np.int32
     assert np.array_equal(G.table, table), label
+    dtype = perm.index_dtype(G.order)
+    assert G.table.dtype == G.inverse_array.dtype == dtype, label
+
+
+def test_index_dtype_is_int16_up_to_32767():
+    assert perm.index_dtype(1) == perm.index_dtype(32_767) == np.int16
+    assert perm.index_dtype(32_768) == perm.index_dtype(10**6) == np.int32
+    assert perm.index_dtype(perm.DEFAULT_MAX_ORDER) == np.int16
+
+
+def test_conjugations_keep_the_table_dtype(corpus_groups):
+    G = corpus_groups["diameter6-witness"]
+    everyone = np.arange(G.order)
+    assert conjugations(G, [1, 2], everyone).dtype == G.table.dtype == np.int16
 
 
 def test_closure_matches_row_closure(corpus_groups):

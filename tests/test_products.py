@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,36 @@ def test_semidirect_pairing_is_bijective():
                     phi = action(a1)
                     right = pairing[tb[b1, phi[b2]], ta[a1, a2]]
                     assert left == right
+
+
+def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
+    """C_200 x C_200 acts on 40 000 points, more than an int16 holds,
+    though each factor's table is int16.  Its 40 000² table is not made:
+    the closure is stopped once it is handed the generators, which must be
+    those of the regular representation, b·200 + a ↦ (b·g)·200 + a for
+    the base generator g and b·200 + a ↦ b·200 + a·g for the actor's."""
+    products = importlib.import_module("agc.products")
+    handed = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(degree, gens, **kwargs):
+        handed.append((degree, list(gens)))
+        raise Stop
+
+    monkeypatch.setattr(products, "closure", stop)
+    C = cyclic(200)
+    with pytest.raises(Stop):
+        direct_product(C, C)
+    ((degree, gens),) = handed
+    assert degree == 40_000 and C.table.dtype == np.int16
+    (g,) = C.generators
+    pairs = [(b, a) for b in range(200) for a in range(200)]
+    assert [p.images.tolist() for p in gens] == [
+        [C.mult(b, g) * 200 + a for b, a in pairs],
+        [b * 200 + C.mult(a, g) for b, a in pairs],
+    ]
 
 
 def test_semidirect_rejects_non_automorphism():

@@ -88,7 +88,7 @@ def test_center_makes_no_table_sized_temporary(corpus_groups):
     finally:
         tracemalloc.stop()
     assert Z.order == 1
-    assert peak < G.order ** 2  # a quarter of one order x order int32 array
+    assert peak < G.order ** 2  # half of the order x order int16 table
 
 
 @pytest.mark.parametrize("G", SMALL, ids=lambda g: g.name)
