@@ -9,8 +9,10 @@ diameter bound.
 ``GroupAnalysis`` computes each invariant of a group once, on first use, by
 the function that defines it; the predicates, the fingerprints, the checks
 and the reports all read from it.  It alone builds the group's Sylow
-subgroups and G/F(G).  Functions taking an ``AnalysisLike`` also accept a
-bare group, which they analyse afresh.
+subgroups, G/Z and G/F(G).  A quotient grows no Sylow subgroups of its own:
+it takes the images of G's, since the image of a Sylow p-subgroup under
+G -> G/N is a Sylow p-subgroup of G/N.  Functions taking an
+``AnalysisLike`` also accept a bare group, which they analyse afresh.
 """
 
 from __future__ import annotations
@@ -66,18 +68,37 @@ class GroupAnalysis:
 
     @cached_property
     def sylows(self) -> dict[int, Subgroup]:
-        """One Sylow subgroup per prime, the only ones built of this group."""
+        """One Sylow subgroup per prime, the only ones built of this group.
+
+        A quotient's are the images of its parent's, set by ``_quotient``
+        once the parent has built them.  Their only reader, ``fitting``,
+        takes p-cores, and O_p is the intersection of all Sylow
+        p-subgroups, so it is the same whichever one is given."""
         return sylow_subgroups(self.group)
 
     @cached_property
     def fitting(self) -> Subgroup:
         return fitting_subgroup(self.group, self.sylows)
 
+    def _quotient(self, N: Subgroup) -> tuple[GroupAnalysis, np.ndarray]:
+        """The analysis of G/N, with the projection of G onto it.
+
+        Its Sylow subgroups are the images of G's when G has built them, as
+        a solvable G has before anything reads the quotient's Fitting
+        subgroup; G's are not built for this alone."""
+        Q, proj = quotient(self.group, N)
+        q = GroupAnalysis(Q)
+        if "sylows" in vars(self):
+            # an instance entry shadows the cached property
+            q.__dict__["sylows"] = {
+                p: Subgroup(Q, proj[P.members], [x for x in proj[list(P.generators)].tolist() if x])
+                for p, P in self.sylows.items() if Q.order % p == 0}
+        return q, proj
+
     @cached_property
     def fitting_quotient(self) -> tuple[GroupAnalysis, np.ndarray]:
         """The analysis of G/F(G), with the projection of G onto it."""
-        Q, proj = quotient(self.group, self.fitting)
-        return GroupAnalysis(Q), proj
+        return self._quotient(self.fitting)
 
     @cached_property
     def upper_fitting(self) -> Subgroup:
@@ -93,7 +114,7 @@ class GroupAnalysis:
 
     @cached_property
     def central_quotient(self) -> GroupAnalysis:
-        return GroupAnalysis(quotient(self.group, self.center)[0])
+        return self._quotient(self.center)[0]
 
     @cached_property
     def classification(self) -> Classification:

@@ -213,29 +213,6 @@ def build_diameter4_witness() -> GroupAnalysis:
 # -- the order-1500 witness ------------------------------------------------------
 
 
-def _gf_inverse(mat: np.ndarray, p: int) -> np.ndarray | None:
-    """Matrix inverse over GF(p), or None when singular."""
-    n = mat.shape[0]
-    a = mat.copy() % p
-    inv = np.eye(n, dtype=np.int64)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r, col] % p), None)
-        if piv is None:
-            return None
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        scale = pow(int(a[col, col]), -1, p)
-        a[col] = a[col] * scale % p
-        inv[col] = inv[col] * scale % p
-        for r in range(n):
-            if r != col and a[r, col]:
-                f = int(a[r, col])
-                a[r] = (a[r] - f * a[col]) % p
-                inv[r] = (inv[r] - f * inv[col]) % p
-    return inv
-
-
 def _gf_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Row basis of the nullspace of ``mat`` over GF(p)."""
     rows, cols = mat.shape
@@ -274,27 +251,17 @@ def _matrix_action_candidates(p: int = 5) -> Iterator[tuple[np.ndarray, np.ndarr
     """
     # order-3 map with one-dimensional fixed space: companion(x^2+x+1) + [1]
     A = np.array([[0, p - 1, 0], [1, p - 1, 0], [0, 0, 1]], np.int64)
-    Ainv = _gf_inverse(A, p)
-    assert Ainv is not None
+    Ainv = A @ A % p  # A^-1 = A^2, as A^3 = I
     # linear system B A - A^-1 B = 0 in the 9 entries of B
-    n = 3
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(3, dtype=np.int64)
     M = (np.kron(eye, A.T) - np.kron(Ainv, eye)) % p  # rows index (i,j) of BA - A^-1 B
     basis = _gf_nullspace(M, p)
-    dim = basis.shape[0]
     minus_eye = (-eye) % p
-    for coeffs in iproduct(range(p), repeat=dim):
-        vec = np.zeros(9, np.int64)
-        for c, b in zip(coeffs, basis):
-            vec = (vec + c * b) % p
-        B = vec.reshape(3, 3)
-        if _gf_inverse(B, p) is None:
-            continue
-        if not np.array_equal(B @ B % p, minus_eye):
-            continue
-        if not np.array_equal((B @ A - Ainv @ B) % p, np.zeros((3, 3), np.int64)):
-            continue
-        yield A, B
+    for coeffs in iproduct(range(p), repeat=basis.shape[0]):
+        B = (np.array(coeffs, np.int64) @ basis % p).reshape(3, 3)
+        # B^2 = -I makes B invertible, as B (-B) = I
+        if np.array_equal(B @ B % p, minus_eye):
+            yield A, B
 
 
 def _matrix_to_perm(mat: np.ndarray, vecs: np.ndarray, index: dict,

@@ -4,13 +4,16 @@ from functools import cached_property
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from agc.cli import _analyze_one, main
 from agc.groupfile import GroupFile, load_group, save_group, serialize_group_file
 from agc.perm import DEFAULT_MAX_ORDER, Subgroup, prime_divisors
-from agc.constructions import symmetric
+from agc.constructions import alternating, cyclic, symmetric
+from agc.products import direct_product
 from agc.structure import derived_series, sylow_subgroups, sylow_system
+from agc.verify import group_report
 
 from oracles import brute_center, brute_centralizer
 
@@ -221,7 +224,8 @@ def _on_group(calls, G, name):
 def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
     """The report and the summary row of a corpus item share one analysis,
     which builds each Sylow subgroup of G once, for the A-group test, the
-    Fitting subgroup and the Sylow system alike, and G/F(G) at most once."""
+    Fitting subgroup and the Sylow system alike, and G/Z and G/F(G) at most
+    once each.  The quotients grow no Sylow subgroups: they take G's images."""
     _, calls, G = _analyze_counting_calls(corpus_dir / "c2xw60.json", monkeypatch)
     assert sum(name == "classify" for name, _, _ in calls) == 1
     assert sum(name == "run_all_checks" for name, _, _ in calls) == 1
@@ -237,6 +241,10 @@ def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
     ((_, F),) = _on_group(calls, G, "fitting_subgroup")
     assert 1 < F.order < G.order
     assert sum(args[1].same_members(F) for args, _ in quotients) <= 1
+    # quotients are made, and no Sylow subgroup is grown in one
+    grown_in = [args[0].parent if isinstance(args[0], Subgroup) else args[0]
+                for n, args, _ in calls if n == "sylow_subgroup"]
+    assert len(quotients) == 2 and all(H is G for H in grown_in)
 
 
 def test_corpus_analyses_derive_37_series(corpus_dir, monkeypatch):
@@ -259,6 +267,29 @@ def test_corpus_analyses_derive_37_series(corpus_dir, monkeypatch):
     for path in sorted(corpus_dir.glob("*.json")):
         assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
     assert len(calls) == 37
+
+
+def test_corpus_analyses_grow_128_sylow_subgroups(corpus_dir, monkeypatch):
+    """G/Z and G/F(G) take the images of G's Sylow subgroups, which are
+    Sylow subgroups of the quotient: the corpus analyses grow 128, where
+    growing the quotients' own grew 205.  A nonsolvable group's report
+    reads G/Z for its diameter alone, and grows none."""
+    structure = importlib.import_module("agc.structure")
+    grow, calls = structure.sylow_subgroup, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "sylow_subgroup", counted)
+    for path in sorted(corpus_dir.glob("*.json")):
+        assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
+    assert len(calls) == 128
+    calls.clear()
+    report = group_report(direct_product(alternating(5), cyclic(2)))
+    statuses = {c["id"]: c["status"] for c in report["checks"]}
+    assert statuses["center-quotient-transfer"] == "pass"
+    assert calls == []
 
 
 def test_analyze_one_frees_the_group_without_the_cycle_collector(corpus_dir, monkeypatch):
@@ -327,3 +358,72 @@ def test_sylow_systems_of_the_witness_conjugate_little(witness1500, monkeypatch)
     for K in derived_series(witness1500).terms:
         sylow_system(K, sylow_subgroups(K))
     assert 100 * len(conjugations) < 2005 + 9724 + 24
+
+
+def _fuzzed(obj, rng):
+    """(label, valid, document) for mutations of the group file ``obj``: the
+    ones a loader must reject, then a few that leave a valid group file."""
+    n, gens = obj["degree"], obj["generators"]
+    i = int(rng.integers(n))
+
+    def with_image(value, at=i):
+        images = list(gens[0])
+        images[at] = value
+        return {**obj, "generators": [images] + gens[1:]}
+
+    invalid = [
+        ("degree+1", {**obj, "degree": n + 1}),
+        ("degree-1", {**obj, "degree": n - 1}),
+        ("degree 0", {**obj, "degree": 0}),
+        ("degree huge", {**obj, "degree": 10 ** 12}),
+        ("degree bool", {**obj, "degree": True}),
+        ("degree float", {**obj, "degree": float(n)}),
+        ("degree string", {**obj, "degree": str(n)}),
+        ("image dropped", {**obj, "generators": [gens[0][:i] + gens[0][i + 1:]] + gens[1:]}),
+        ("image duplicated", with_image(gens[0][(i + 1) % n])),
+        ("image out of range", with_image(n)),
+        ("image negative", with_image(-1)),
+        # the mistyped images equal the right ones, so only their type is wrong
+        ("image bool", with_image(True, gens[0].index(1))),
+        ("image float", with_image(float(gens[0][i]))),
+        ("image string", with_image(str(gens[0][i]))),
+        ("image nested", with_image([gens[0][i]])),
+        ("generator truncated", {**obj, "generators": gens[:-1] + [gens[-1][:i]]}),
+        ("generator not a list", {**obj, "generators": gens[:-1] + [n]}),
+        ("generators not a list", {**obj, "generators": {"0": gens[0]}}),
+        ("name not a string", {**obj, "name": 7}),
+        ("top level list", [obj]),
+        ("top level string", json.dumps(obj)),
+        ("top level number", n),
+        ("top level null", None),
+    ]
+    fixed = [g + [n] for g in gens]  # one more point, fixed by every generator
+    valid = [
+        ("no name", {k: v for k, v in obj.items() if k != "name"}),
+        ("extra key", {**obj, "note": [1, 2]}),
+        ("generators reversed", {**obj, "generators": gens[::-1]}),
+        ("generator repeated", {**obj, "generators": gens + gens[:1]}),
+        ("identity added", {**obj, "generators": gens + [list(range(n))]}),
+        ("fixed point added", {**obj, "degree": n + 1, "generators": fixed}),
+        ("no generators", {**obj, "generators": []}),
+    ]
+    return [(label, False, doc) for label, doc in invalid] + \
+        [(label, True, doc) for label, doc in valid]
+
+
+@pytest.mark.parametrize("name", ["s3", "d8", "q8", "f20"])
+def test_fuzzed_group_files_fail_only_with_an_input_error(name, corpus_dir, tmp_path,
+                                                          capsys, address_space_cap):
+    """A corpus file mutated into an invalid group file exits 1 with an
+    ``error:`` line; one still valid analyses with exit code 0 or 2; no
+    exception escapes ``main`` either way."""
+    obj = json.loads((corpus_dir / f"{name}.json").read_text())
+    path = tmp_path / "fuzzed.json"
+    for label, valid, doc in _fuzzed(obj, np.random.default_rng(sum(map(ord, name)))):
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        if valid:
+            assert code in (0, 2) and err == "", (label, err)
+        else:
+            assert code == 1 and err.startswith("error: "), (label, code, err)

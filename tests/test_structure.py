@@ -147,6 +147,33 @@ def test_fitting_subgroup_is_the_product_set_of_the_p_cores(corpus_groups):
             assert np.array_equal(F.members, fitting_by_closure(H).members), label
 
 
+def test_quotients_take_the_images_of_the_sylow_subgroups(corpus_groups):
+    """G/Z and G/F(G) take the images of G's Sylow subgroups: each is a
+    p-subgroup with the full p-part of the quotient's order, and the
+    Fitting subgroup read from them is the one that grown Sylow subgroups
+    and closing the p-cores' generators give."""
+    for name, G in corpus_groups.items():
+        a = GroupAnalysis(G)
+        assert a.classification.solvable  # which builds G's Sylow subgroups
+        quotients = []
+        if a.center.order > 1:
+            quotients.append(("Z", a.central_quotient))
+        if 1 < a.fitting.order < G.order:
+            quotients.append(("F", a.fitting_quotient[0]))
+        for label, q in quotients:
+            Q = q.group
+            assert "sylows" in vars(q), (name, label)
+            assert sorted(q.sylows) == prime_divisors(Q.order), (name, label)
+            for p, P in q.sylows.items():
+                # a p-group whose index is prime to p
+                assert Q.order % P.order == 0 and Q.order // P.order % p, (name, label, p)
+                assert is_p_subgroup(Q, P.members, p), (name, label, p)
+                assert close_indices(Q, P.generators).tolist() == P.members.tolist()
+            grown = fitting_subgroup(Q, sylow_subgroups(Q))
+            assert np.array_equal(q.fitting.members, grown.members), (name, label)
+            assert np.array_equal(q.fitting.members, fitting_by_closure(Q).members)
+
+
 def test_p_core_of_s4():
     G = symmetric(4)
     assert p_core(G, sylow_subgroup(G, 2)).order == 4

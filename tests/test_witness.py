@@ -13,6 +13,7 @@ from agc.witness import (
     extend_action,
     witness_fingerprint,
     _invariant_decompositions,
+    _matrix_action_candidates,
 )
 
 
@@ -48,6 +49,20 @@ def test_order3_automorphism_detection():
     assert not has_order3_automorphism(cyclic(125), (125,))
     assert not has_order3_automorphism(abelian([25, 5]), (25, 5))
     assert has_order3_automorphism(abelian([5, 5]), (5, 5))
+
+
+def test_matrix_action_candidates_satisfy_the_relations():
+    """The order-1500 witness's actions: 12 pairs (A, B) over GF(5)^3 with
+    A^3 = I, B^2 = -I and B A = A^-1 B, all with the one A."""
+    eye = np.eye(3, dtype=np.int64)
+    pairs = list(_matrix_action_candidates(5))
+    assert len(pairs) == 12
+    assert len({B.tobytes() for _, B in pairs}) == 12
+    for A, B in pairs:
+        assert np.array_equal(A, pairs[0][0])
+        assert np.array_equal(A @ A @ A % 5, eye)
+        assert np.array_equal(B @ B % 5, -eye % 5)
+        assert np.array_equal(B @ A % 5, A @ A @ B % 5)  # A^-1 = A^2
 
 
 def test_extend_action_rejects_inconsistent_generators():
