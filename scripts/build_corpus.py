@@ -3,9 +3,13 @@
 Run from the repository root:  python3 scripts/build_corpus.py
 
 The corpus mixes abelian groups, dihedral/dicyclic/symmetric groups,
-Frobenius and 2-Frobenius instances, hypothesis-satisfying groups, the two
-extremal witnesses, and direct products of the order-60 witness with abelian
-factors.  Files are written deterministically, so reruns are byte-identical.
+Frobenius and 2-Frobenius instances (some of them elementary abelian groups
+acted on by matrices, from ``agc.constructions.matrix_action_group``),
+hypothesis-satisfying groups, the two extremal witnesses as
+``agc.witness`` constructs them, and direct products of the order-60
+witness with abelian factors.  Files are written deterministically, so
+reruns are byte-identical; ``tests/test_build_corpus.py`` checks that
+``build_all`` reproduces every file in corpus/.
 """
 
 from __future__ import annotations
@@ -13,42 +17,23 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from agc.constructions import (
     abelian,
     alternating,
     cyclic,
     dicyclic,
     dihedral,
+    matrix_action_group,
     metacyclic,
     quaternion,
     symmetric,
 )
 from agc.groupfile import save_group
 from agc.perm import FiniteGroup
-from agc.products import direct_product, semidirect_product
-from agc.witness import (
-    _abelian_vectors_index,
-    _matrix_to_perm,
-    build_witness,
-    extend_action,
-)
+from agc.products import direct_product
+from agc.witness import build_witness
 
 OUT = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def matrix_action_group(p: int, dim: int, actor: FiniteGroup,
-                        gen_matrices: dict[int, np.ndarray],
-                        name: str) -> FiniteGroup:
-    """Elementary abelian p-group of rank dim acted on by matrices over GF(p)."""
-    invariants = tuple([p] * dim)
-    base = abelian(list(invariants))
-    vecs, index = _abelian_vectors_index(base, invariants)
-    gen_phis = {g: _matrix_to_perm(np.asarray(m, np.int64), vecs, index, p)
-                for g, m in gen_matrices.items()}
-    phis = extend_action(actor, gen_phis, base.order)
-    return semidirect_product(base, actor, lambda a: phis[a], name=name)
 
 
 def generator_by_order(G: FiniteGroup, order: int) -> int:
@@ -94,21 +79,20 @@ def build_all() -> dict[str, FiniteGroup]:
     # matrix-action Frobenius groups on elementary abelian bases
     c3 = cyclic(3, name="C3")
     add("c5sq-c3", matrix_action_group(
-        5, 2, c3, {generator_by_order(c3, 3): [[0, 4], [1, 4]]}, "C5^2:C3"))
+        5, 2, c3, {generator_by_order(c3, 3): [[0, 4], [1, 4]]}))
     c4 = cyclic(4, name="C4")
     add("c5sq-c4", matrix_action_group(
-        5, 2, c4, {generator_by_order(c4, 4): [[0, 4], [1, 0]]}, "C5^2:C4"))
+        5, 2, c4, {generator_by_order(c4, 4): [[0, 4], [1, 0]]}))
     c2 = cyclic(2, name="C2")
     add("c3sq-c2", matrix_action_group(
-        3, 2, c2, {generator_by_order(c2, 2): [[2, 0], [0, 2]]}, "C3^2:C2"))
+        3, 2, c2, {generator_by_order(c2, 2): [[2, 0], [0, 2]]}))
 
     # a second 2-Frobenius instance: C7^2 acted on by S3
     s3a = symmetric(3)
     add("c7sq-s3", matrix_action_group(
         7, 2, s3a,
         {generator_by_order(s3a, 3): [[2, 0], [0, 4]],
-         generator_by_order(s3a, 2): [[0, 1], [1, 0]]},
-        "C7^2:S3"))
+         generator_by_order(s3a, 2): [[0, 1], [1, 0]]}))
 
     # hypothesis-satisfying groups and related constructions
     add("s3xs3", direct_product(symmetric(3), symmetric(3), name="S3xS3"))

@@ -39,6 +39,7 @@ from .constructions import (
     cyclic,
     dicyclic,
     dihedral,
+    matrix_action_group,
     metacyclic,
     quaternion,
     symmetric,

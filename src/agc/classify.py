@@ -259,12 +259,15 @@ def classify(G: AnalysisLike) -> Classification:
     frob = two_frob = q_frob = q_two_frob = False
     hypothesis = False
     if solvable and not abelian:
-        frob = is_frobenius(a)[0]
-        two_frob = False if frob else is_2frobenius(a)[0]
         if Z.order == 1:
-            q_frob, q_two_frob = frob, two_frob
+            frob = q_frob = is_frobenius(a)[0]
+            two_frob = q_two_frob = False if frob else is_2frobenius(a)[0]
         else:
-            # G/Z is solvable as G is: its derived series is never needed
+            # G is neither Frobenius nor 2-Frobenius: a Frobenius group has
+            # trivial centre, and for a 2-Frobenius pair K < H, ZK/K lies in
+            # Z(G/K) = 1 and then Z = Z ∩ H lies in Z(H) = 1.  So only G/Z
+            # is tested; it is solvable as G is, and its derived series is
+            # never needed.
             Q = a.central_quotient
             q_frob = _frobenius_kernel(Q)[0]
             q_two_frob = False if q_frob else _two_frobenius_pair(Q)[0]

@@ -1,4 +1,4 @@
-"""Stock groups used by tests, the corpus builder, and witness recipes."""
+"""Stock groups used by tests, the corpus builder, and the witnesses."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .perm import FiniteGroup, Permutation, closure
-from .products import direct_product, semidirect_product
+from .products import extend_action, semidirect_product
 
 
 def cyclic(n: int, *, name: str | None = None) -> FiniteGroup:
@@ -96,6 +96,28 @@ def metacyclic(n: int, m: int, r: int, *, name: str | None = None) -> FiniteGrou
         return (idx * pow(r, a, n)) % n
 
     return semidirect_product(base, actor, action, name=name or f"C{n}:C{m}(r={r})")
+
+
+def matrix_action_group(p: int, dim: int, actor: FiniteGroup,
+                        gen_matrices: dict[int, Sequence[Sequence[int]] | np.ndarray],
+                        *, name: str | None = None) -> FiniteGroup:
+    """GF(p)^dim ⋊ actor, each actor generator acting by its matrix.
+
+    ``gen_matrices`` maps actor generator indices to dim × dim matrices over
+    GF(p), which act on the column vectors of the base ``abelian([p] * dim)``.
+    Raises InvalidAction when the matrices do not define an action.
+    """
+    invariants = [p] * dim
+    base = abelian(invariants)
+    vecs = abelian_vectors(base, invariants)
+    # element index by the base-p code of its vector
+    weights = p ** np.arange(dim, dtype=np.int64)
+    index = np.empty(base.order, np.int32)
+    index[vecs @ weights] = np.arange(base.order, dtype=np.int32)
+    gen_phis = {g: index[vecs @ np.asarray(m, np.int64).T % p @ weights]
+                for g, m in gen_matrices.items()}
+    phis = extend_action(actor, gen_phis, base.order)
+    return semidirect_product(base, actor, lambda a: phis[a], name=name)
 
 
 def dicyclic(n: int) -> FiniteGroup:

@@ -109,6 +109,34 @@ def semidirect_product(
     return G
 
 
+def extend_action(actor: FiniteGroup,
+                  gen_phis: dict[int, np.ndarray],
+                  degree: int) -> np.ndarray:
+    """Extend generator automorphisms to all actor elements.
+
+    Follows phi_(x*g) = phi_x applied after phi_g, matching the homomorphism
+    convention of ``semidirect_product``.  Raises InvalidAction when the
+    generator assignment is inconsistent (not a homomorphism).
+    """
+    ta = actor.table
+    phis = np.full((actor.order, degree), -1, np.int32)
+    phis[0] = np.arange(degree)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, phig in gen_phis.items():
+                y = int(ta[x, g])
+                img = phis[x][phig]
+                if phis[y][0] == -1:
+                    phis[y] = img
+                    nxt.append(y)
+                elif not np.array_equal(phis[y], img):
+                    raise InvalidAction("generator images do not define an action")
+        frontier = nxt
+    return phis
+
+
 def direct_product(
     A: FiniteGroup, B: FiniteGroup, *, name: str | None = None
 ) -> FiniteGroup:

@@ -181,7 +181,7 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     cover[images] = True
     malnormal = nontrivial and not A.member_mask[images[~A.member_mask, 1:]].any()
     missed = np.nonzero(~cover)[0]
-    kernel_match = missed.size == N.order - 1 and N.member_mask[missed].all()
+    kernel_match = missed.size == N.order - 1 and bool(N.member_mask[missed].all())
     cond1 = malnormal and kernel_match
 
     cond2 = nontrivial and contains_centralizers(G, A.members, everyone)

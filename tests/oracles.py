@@ -29,14 +29,18 @@ generators from its members with ``close_indices``, eagerly, where a
 ``brute_frobenius_conditions`` and ``brute_stray_p_part_centralizers``
 make every conjugate of a subgroup and test each one, where the checks
 read the union of the conjugates off one table gather.
+``abelian_automorphisms`` lists every automorphism of an abelian group by
+its generator images; the witnesses are built from one chosen action each.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product as iproduct
 
 import numpy as np
 
+from agc.constructions import abelian_vectors
 from agc.graph import CommutingGraph, DiameterResult
 from agc.perm import (
     FiniteGroup,
@@ -511,3 +515,30 @@ def brute_twin_classes(graph: CommutingGraph) -> tuple[list[int], list[int]]:
         sizes[j] = sizes.get(j, 0) + 1
     keep = sorted(first.values())
     return keep, [sizes[i] for i in keep]
+
+
+def abelian_automorphisms(base: FiniteGroup,
+                          invariants: tuple[int, ...]) -> list[np.ndarray]:
+    """All automorphisms of an abelian group, as base-index permutations.
+
+    An endomorphism is determined by generator images whose orders divide the
+    corresponding invariants; the bijective ones are the automorphisms.
+    Enumeration order is the lexicographic order of the image tuples.
+    """
+    vecs = abelian_vectors(base, invariants)
+    orders = base.element_orders
+    gens = base.generators
+    candidates = [
+        [x for x in range(base.order) if invariants[i] % int(orders[x]) == 0]
+        for i in range(len(gens))
+    ]
+    autos = []
+    for images in iproduct(*candidates):
+        phi = np.zeros(base.order, np.int32)
+        for i, a in enumerate(images):
+            col = np.array([base.power(a, int(e)) for e in range(invariants[i])],
+                           np.int32)
+            phi = base.table[phi, col[vecs[:, i]]]
+        if np.unique(phi).size == base.order:
+            autos.append(phi)
+    return autos

@@ -75,7 +75,7 @@ def test_witness_emit_and_reanalyze(tmp_path, capsys):
 
 
 def test_witness_computes_one_diameter(tmp_path, monkeypatch):
-    """The fingerprint check reads the analysis the builder matched."""
+    """The fingerprint check reads the analysis the builder returns."""
     graph = importlib.import_module("agc.graph")
     diameter = graph.CommutingGraph.diameter
     orders = []
@@ -224,8 +224,9 @@ def _on_group(calls, G, name):
 def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
     """The report and the summary row of a corpus item share one analysis,
     which builds each Sylow subgroup of G once, for the A-group test, the
-    Fitting subgroup and the Sylow system alike, and G/Z and G/F(G) at most
-    once each.  The quotients grow no Sylow subgroups: they take G's images."""
+    Fitting subgroup and the Sylow system alike, and G/Z once.  G has a
+    centre, so it is neither Frobenius nor 2-Frobenius and G/F(G) is not
+    built.  G/Z grows no Sylow subgroups: it takes G's images."""
     _, calls, G = _analyze_counting_calls(corpus_dir / "c2xw60.json", monkeypatch)
     assert sum(name == "classify" for name, _, _ in calls) == 1
     assert sum(name == "run_all_checks" for name, _, _ in calls) == 1
@@ -237,14 +238,14 @@ def test_analyze_one_computes_each_invariant_once(corpus_dir, monkeypatch):
     quotients = _on_group(calls, G, "quotient")
     ((_, Z),) = _on_group(calls, G, "center")
     assert 1 < Z.order < G.order
-    assert sum(args[1].same_members(Z) for args, _ in quotients) <= 1
     ((_, F),) = _on_group(calls, G, "fitting_subgroup")
     assert 1 < F.order < G.order
-    assert sum(args[1].same_members(F) for args, _ in quotients) <= 1
-    # quotients are made, and no Sylow subgroup is grown in one
+    # G/Z is the one quotient made, and no Sylow subgroup is grown in it
+    ((args, _),) = quotients
+    assert args[1].same_members(Z)
     grown_in = [args[0].parent if isinstance(args[0], Subgroup) else args[0]
                 for n, args, _ in calls if n == "sylow_subgroup"]
-    assert len(quotients) == 2 and all(H is G for H in grown_in)
+    assert all(H is G for H in grown_in)
 
 
 def test_corpus_analyses_derive_37_series(corpus_dir, monkeypatch):

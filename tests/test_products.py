@@ -6,7 +6,7 @@ import pytest
 from agc.errors import InvalidAction, NotNormal
 from agc.groupfile import load_group, save_group
 from agc.perm import generated_subgroup
-from agc.products import direct_product, quotient, semidirect_product
+from agc.products import direct_product, extend_action, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, symmetric
 from agc.structure import (
     center,
@@ -187,3 +187,11 @@ def test_frobenius_20_structure():
     assert derived_series(G).orders() == [20, 5, 1]
     infos = normal_subgroups(G)
     assert [i.subgroup.order for i in infos] == [1, 5, 10, 20]
+
+
+def test_extend_action_rejects_inconsistent_generators():
+    actor = cyclic(4)
+    # order-3 permutation on 3 points assigned to an order-4 generator
+    phi = np.array([1, 2, 0], np.int32)
+    with pytest.raises(InvalidAction):
+        extend_action(actor, {actor.generators[0]: phi}, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agc.errors import NotComplement
-from agc.perm import full_subgroup, generated_subgroup, trivial_subgroup
+from agc.perm import Permutation, closure, full_subgroup, generated_subgroup, trivial_subgroup
 from agc.constructions import cyclic, metacyclic, symmetric
 from agc.structure import derived_subgroup, minimal_normal_subgroups, sylow_subgroup
 from agc.verify import (
@@ -226,3 +226,27 @@ def test_report_shape_and_no_failures(corpus_groups):
     assert all(c["status"] != "fail" for c in report["checks"])
     assert all(set(c) == {"id", "status", "witness", "millis"}
                for c in report["checks"])
+
+
+def _non_native(value, path):
+    """Paths to the values under ``value`` that json encodes only through a
+    ``default`` hook, with their types."""
+    if isinstance(value, dict):
+        return [q for k, v in value.items() for q in _non_native(v, f"{path}.{k}")]
+    if isinstance(value, (list, tuple)):
+        return [q for i, v in enumerate(value) for q in _non_native(v, f"{path}[{i}]")]
+    native = (str, int, float, bool, type(None))
+    return [] if type(value) in native else [f"{path}: {type(value).__name__}"]
+
+
+def test_reports_hold_only_json_native_values(corpus_groups, witness1500):
+    """Every value in the corpus reports and in the order-3000 report (the
+    order-1500 witness times C2, on two copies of its points) is a JSON
+    type: no numpy scalar reaches a report."""
+    n = witness1500.degree
+    gens = [Permutation(np.concatenate([g, g + n])) for g in witness1500.generator_rows]
+    gens.append(Permutation(np.roll(np.arange(2 * n), n)))  # swap the copies
+    groups = {**corpus_groups, "w1500xc2": closure(2 * n, gens)}
+    assert groups["w1500xc2"].order == 3000
+    for name, G in groups.items():
+        assert _non_native(group_report(G), name) == []

@@ -1,27 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from agc.errors import InvalidAction
 from agc.constructions import abelian, cyclic
 from agc.groupfile import group_to_file, serialize_group_file
 from agc.witness import (
     DIAMETER4_FINGERPRINT,
     DIAMETER6_FINGERPRINT,
-    abelian_automorphisms,
     build_witness,
     diameter6_extra_checks,
-    extend_action,
     witness_fingerprint,
-    _invariant_decompositions,
     _matrix_action_candidates,
 )
-
-
-def test_invariant_decompositions():
-    assert _invariant_decompositions(1) == [()]
-    assert _invariant_decompositions(4) == [(2, 2), (4,)]
-    assert _invariant_decompositions(12) == [(2, 6), (12,)]
-    assert _invariant_decompositions(15) == [(15,)]
+from oracles import abelian_automorphisms
 
 
 def test_abelian_automorphism_counts():
@@ -65,14 +57,6 @@ def test_matrix_action_candidates_satisfy_the_relations():
         assert np.array_equal(B @ A % 5, A @ A @ B % 5)  # A^-1 = A^2
 
 
-def test_extend_action_rejects_inconsistent_generators():
-    actor = cyclic(4)
-    # order-3 permutation on 3 points assigned to an order-4 generator
-    phi = np.array([1, 2, 0], np.int32)
-    with pytest.raises(InvalidAction):
-        extend_action(actor, {actor.generators[0]: phi}, 3)
-
-
 def test_diameter4_witness_matches_frozen_fingerprint(witness60):
     assert witness_fingerprint(witness60) == DIAMETER4_FINGERPRINT
 
@@ -95,6 +79,27 @@ def test_witness_builders_are_deterministic(witness60):
     a = serialize_group_file(group_to_file(witness60))
     b = serialize_group_file(group_to_file(again))
     assert a == b
+
+
+def test_each_witness_is_built_by_one_product(monkeypatch):
+    """Each builder makes one semidirect product of its witness's order,
+    where scanning the order-60 products of abelian groups made 43."""
+    make, orders = importlib.import_module("agc.products").semidirect_product, []
+
+    def counted(base, actor, *args, **kwargs):
+        orders.append(base.order * actor.order)
+        return make(base, actor, *args, **kwargs)
+
+    for name in ("constructions", "products", "witness"):
+        module = importlib.import_module(f"agc.{name}")
+        for attr, value in list(vars(module).items()):
+            if value is make:
+                monkeypatch.setattr(module, attr, counted)
+    build_witness("diameter-4")
+    assert orders == [60]
+    orders.clear()
+    build_witness("diameter-6")
+    assert orders == [12, 1500]  # Dic3, then the witness
 
 
 def test_unknown_witness_name():
