@@ -53,11 +53,11 @@ def build_all() -> dict[str, FiniteGroup]:
         return G
 
     # abelian groups
-    add("c6", cyclic(6, name="C6"))
-    add("c12", cyclic(12, name="C12"))
-    add("c15", cyclic(15, name="C15"))
-    add("c2xc2", abelian([2, 2], name="C2xC2"))
-    add("c2xc2xc2", abelian([2, 2, 2], name="C2xC2xC2"))
+    add("c6", cyclic(6))
+    add("c12", cyclic(12))
+    add("c15", cyclic(15))
+    add("c2xc2", abelian([2, 2]))
+    add("c2xc2xc2", abelian([2, 2, 2]))
 
     # dihedral, dicyclic, symmetric, alternating
     add("s3", symmetric(3))
@@ -70,20 +70,20 @@ def build_all() -> dict[str, FiniteGroup]:
     add("dic3", dicyclic(3), name="Dic3")
 
     # metacyclic Frobenius groups
-    add("c7-c3", metacyclic(7, 3, 2, name="C7:C3"))
-    add("f20", metacyclic(5, 4, 2, name="F20"))
-    add("f42", metacyclic(7, 6, 3, name="F42"))
-    add("c13-c4", metacyclic(13, 4, 5, name="C13:C4"))
-    add("c11-c5", metacyclic(11, 5, 3, name="C11:C5"))
+    add("c7-c3", metacyclic(7, 3, 2))
+    add("f20", metacyclic(5, 4, 2))
+    add("f42", metacyclic(7, 6, 3))
+    add("c13-c4", metacyclic(13, 4, 5))
+    add("c11-c5", metacyclic(11, 5, 3))
 
     # matrix-action Frobenius groups on elementary abelian bases
-    c3 = cyclic(3, name="C3")
+    c3 = cyclic(3)
     add("c5sq-c3", matrix_action_group(
         5, 2, c3, {generator_by_order(c3, 3): [[0, 4], [1, 4]]}))
-    c4 = cyclic(4, name="C4")
+    c4 = cyclic(4)
     add("c5sq-c4", matrix_action_group(
         5, 2, c4, {generator_by_order(c4, 4): [[0, 4], [1, 0]]}))
-    c2 = cyclic(2, name="C2")
+    c2 = cyclic(2)
     add("c3sq-c2", matrix_action_group(
         3, 2, c2, {generator_by_order(c2, 2): [[2, 0], [0, 2]]}))
 
@@ -95,31 +95,27 @@ def build_all() -> dict[str, FiniteGroup]:
          generator_by_order(s3a, 2): [[0, 1], [1, 0]]}))
 
     # hypothesis-satisfying groups and related constructions
-    add("s3xs3", direct_product(symmetric(3), symmetric(3), name="S3xS3"))
-    add("a4xc2", direct_product(alternating(4), cyclic(2), name="A4xC2"))
-    add("dic3xc5", direct_product(dicyclic(3), cyclic(5), name="Dic3xC5"))
-    add("c3xf20", direct_product(cyclic(3), metacyclic(5, 4, 2), name="C3xF20"))
-    add("f21xf39", direct_product(metacyclic(7, 3, 2), metacyclic(13, 3, 3),
-                                  name="F21xF39"))
-    g126 = direct_product(metacyclic(7, 3, 2), symmetric(3), name="(C7:C3)xS3")
-    add("g126", g126)
-    add("c2xg126", direct_product(cyclic(2), g126, name="C2x(C7:C3)xS3"))
+    add("s3xs3", direct_product(symmetric(3), symmetric(3)))
+    add("a4xc2", direct_product(alternating(4), cyclic(2)))
+    add("dic3xc5", direct_product(dicyclic(3), cyclic(5)))
+    add("c3xf20", direct_product(cyclic(3), metacyclic(5, 4, 2)))
+    add("f21xf39", direct_product(metacyclic(7, 3, 2), metacyclic(13, 3, 3)))
+    g126 = add("g126", direct_product(metacyclic(7, 3, 2), symmetric(3)))
+    add("c2xg126", direct_product(cyclic(2), g126))
 
     # the extremal witnesses and their products with abelian factors
-    w60 = build_witness("diameter-4").group
-    add("diameter4-witness", w60, name="diameter4-witness")
-    for key, A, aname in [
-        ("c2xw60", cyclic(2), "C2"),
-        ("c3xw60", cyclic(3), "C3"),
-        ("c4xw60", cyclic(4), "C4"),
-        ("c2sqxw60", abelian([2, 2]), "C2xC2"),
-        ("c5xw60", cyclic(5), "C5"),
-        ("c6xw60", cyclic(6), "C6"),
+    w60 = add("diameter4-witness", build_witness("diameter-4").group)
+    for key, A in [
+        ("c2xw60", cyclic(2)),
+        ("c3xw60", cyclic(3)),
+        ("c4xw60", cyclic(4)),
+        ("c2sqxw60", abelian([2, 2])),
+        ("c5xw60", cyclic(5)),
+        ("c6xw60", cyclic(6)),
     ]:
-        add(key, direct_product(A, w60, name=f"{aname}x(diameter4-witness)"))
+        add(key, direct_product(A, w60))
 
-    w1500 = build_witness("diameter-6").group
-    add("diameter6-witness", w1500, name="diameter6-witness")
+    add("diameter6-witness", build_witness("diameter-6").group)
     return groups
 
 

@@ -2,7 +2,6 @@
 
 from .errors import (
     AgcError,
-    DegreeMismatch,
     FormatError,
     GroupTooLarge,
     InvalidAction,
@@ -14,10 +13,8 @@ from .errors import (
 )
 from .perm import (
     FiniteGroup,
-    Permutation,
     Subgroup,
     closure,
-    compose,
     full_subgroup,
     generated_subgroup,
     p_part,

@@ -29,6 +29,7 @@ from .perm import FiniteGroup, Subgroup, full_subgroup, prime_divisors
 from .products import quotient
 from .structure import (
     DerivedSeries,
+    SylowSystem,
     center,
     conjugacy_classes,
     contains_centralizers,
@@ -107,10 +108,14 @@ class GroupAnalysis:
         return Subgroup(self.group, np.nonzero(Q.fitting.member_mask[proj])[0])
 
     @cached_property
+    def sylow_system(self) -> SylowSystem:
+        """The canonical Sylow system, grown from ``sylows``."""
+        return sylow_system(full_subgroup(self.group), self.sylows)
+
+    @cached_property
     def system_normalizer(self) -> Subgroup:
         """The absolute normalizer of the canonical Sylow system."""
-        full = full_subgroup(self.group)
-        return system_normalizer(full, sylow_system(full, self.sylows))
+        return system_normalizer(full_subgroup(self.group), self.sylow_system)
 
     @cached_property
     def central_quotient(self) -> GroupAnalysis:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .perm import FiniteGroup, Permutation, closure
+from .perm import FiniteGroup, closure
 from .products import extend_action, semidirect_product
 
 
@@ -14,8 +14,7 @@ def cyclic(n: int, *, name: str | None = None) -> FiniteGroup:
     """Cyclic group of order n on n points; element index k is rotation by k."""
     if n == 1:
         return closure(1, [], name=name or "C1")
-    gen = Permutation(np.roll(np.arange(n), -1))
-    return closure(n, [gen], name=name or f"C{n}")
+    return closure(n, [np.roll(np.arange(n), -1)], name=name or f"C{n}")
 
 
 def abelian(invariants: Sequence[int], *, name: str | None = None) -> FiniteGroup:
@@ -32,7 +31,7 @@ def abelian(invariants: Sequence[int], *, name: str | None = None) -> FiniteGrou
     for d in invariants:
         images = np.arange(degree)
         images[offset : offset + d] = offset + (np.arange(d) + 1) % d
-        gens.append(Permutation(images))
+        gens.append(images)
         offset += d
     label = name or "x".join(f"C{d}" for d in invariants)
     return closure(degree, gens, name=label)
@@ -51,7 +50,7 @@ def symmetric(n: int) -> FiniteGroup:
     transposition = np.arange(n)
     transposition[[0, 1]] = [1, 0]
     cycle = np.roll(np.arange(n), -1)
-    return closure(n, [Permutation(transposition), Permutation(cycle)], name=f"S{n}")
+    return closure(n, [transposition, cycle], name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
@@ -64,13 +63,13 @@ def alternating(n: int) -> FiniteGroup:
     else:
         rest = np.arange(n)
         rest[1:] = np.roll(np.arange(1, n), -1)  # odd-length cycle on 1..n-1
-    return closure(n, [Permutation(three_cycle), Permutation(rest)], name=f"A{n}")
+    return closure(n, [three_cycle, rest], name=f"A{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n acting on n points."""
-    rotation = Permutation(np.roll(np.arange(n), -1))
-    reflection = Permutation((n - np.arange(n)) % n)
+    rotation = np.roll(np.arange(n), -1)
+    reflection = (n - np.arange(n)) % n
     return closure(n, [rotation, reflection], name=f"D{2 * n}")
 
 
@@ -127,4 +126,4 @@ def dicyclic(n: int) -> FiniteGroup:
     # points 0..2n-1 are a^k, points 2n..4n-1 are b*a^k; act by right mult
     a = np.concatenate(((k + 1) % (2 * n), 2 * n + (k + 1) % (2 * n)))
     b = np.concatenate((2 * n + (-k) % (2 * n), (n - k) % (2 * n)))
-    return closure(deg, [Permutation(a), Permutation(b)], name=f"Dic{n}")
+    return closure(deg, [a, b], name=f"Dic{n}")

@@ -5,10 +5,6 @@ class AgcError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegreeMismatch(AgcError):
-    """Two permutations of different degrees were combined."""
-
-
 class MalformedPermutation(AgcError):
     """An image array is not a bijection on {0..degree-1}."""
 

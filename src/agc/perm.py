@@ -1,7 +1,8 @@
-"""Permutations and fully enumerated permutation groups.
+"""Permutation groups enumerated from their generators' image arrays.
 
-Composition is left-to-right throughout: ``(p * q)(i) == q(p(i))``, i.e. the
-left factor acts first.  Groups enumerate their elements breadth-first over
+A permutation of {0..degree-1} is its image array.  Products are
+left-to-right throughout: p·q is ``q[p]``, i.e. the left factor acts
+first.  Groups enumerate their elements breadth-first over
 generator products starting at the identity, with the generator list order
 fixed, so element indices are fully reproducible.  Each group is enumerated
 once, and its multiplication table is built from the products x·g that the
@@ -28,12 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegreeMismatch,
-    GroupTooLarge,
-    MalformedPermutation,
-    PrimeNotDividing,
-)
+from .errors import GroupTooLarge, MalformedPermutation, PrimeNotDividing
 
 DEFAULT_MAX_ORDER = 20_000
 ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling a large array
@@ -45,73 +41,19 @@ def index_dtype(order: int) -> type[np.signedinteger]:
     return np.int16 if order <= np.iinfo(np.int16).max else np.int32
 
 
-def _validate_images(images, degree: int | None = None) -> np.ndarray:
+def _validate_images(images, degree: int) -> np.ndarray:
+    """``images`` as an int32 array, checked to be a bijection of
+    {0..degree-1} for a degree of at least 1."""
     arr = np.asarray(images, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise MalformedPermutation("image array must be a nonempty 1-d sequence")
-    n = int(arr.size)
-    if degree is not None and n != degree:
-        raise MalformedPermutation(f"expected degree {degree}, got {n}")
-    if int(arr.min()) < 0 or int(arr.max()) >= n:
+    if arr.ndim != 1 or arr.size != degree:
+        raise MalformedPermutation(f"expected {degree} images, got shape {arr.shape}")
+    if int(arr.min()) < 0 or int(arr.max()) >= degree:
         raise MalformedPermutation("image values out of range")
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(degree, dtype=bool)
     seen[arr] = True
     if not bool(seen.all()):
         raise MalformedPermutation("image array is not a bijection")
     return arr.astype(np.int32)
-
-
-class Permutation:
-    """A bijection on {0..degree-1}, stored as an image array."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int] | np.ndarray):
-        arr = _validate_images(images)
-        arr.setflags(write=False)
-        self.images = arr
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(np.arange(degree))
-
-    @property
-    def degree(self) -> int:
-        return int(self.images.size)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.degree, dtype=np.int32)
-        return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.degree)).all())
-
-    def __call__(self, point: int) -> int:
-        return int(self.images[point])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.degree == other.degree and bool(
-            (self.images == other.images).all()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.images.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.images.tolist()})"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Product p·q under the left-to-right convention: i ↦ q(p(i))."""
-    if p.degree != q.degree:
-        raise DegreeMismatch(f"degree {p.degree} != {q.degree}")
-    return Permutation(q.images[p.images])
 
 
 class FiniteGroup:
@@ -257,7 +199,7 @@ class FiniteGroup:
 
 def closure(
     degree: int,
-    gens: Iterable[Permutation | Sequence[int]],
+    gens: Iterable[Sequence[int] | np.ndarray],
     *,
     max_order: int = DEFAULT_MAX_ORDER,
     name: str | None = None,
@@ -285,20 +227,16 @@ def closure(
     point of some g(S), that point joins S and the search starts again;
     G_(S) at least halves each time, so there are at most log2 |G| restarts.
 
-    Raises GroupTooLarge once more than ``max_order`` keys are found.
+    Raises GroupTooLarge once more than ``max_order`` keys are found, so a
+    cap below 1 admits only the trivial group.  Each generator is checked
+    to be a bijection of {0..degree-1}; with no generators nothing of size
+    ``degree`` is made.
     """
     if degree < 1:
         raise MalformedPermutation("degree must be positive")
-    gen_arrays = []
-    for g in gens:
-        arr = g.images if isinstance(g, Permutation) else _validate_images(g)
-        if arr.size != degree:
-            raise MalformedPermutation(
-                f"generator degree {arr.size} does not match {degree}"
-            )
-        gen_arrays.append(np.asarray(arr, np.int32))
+    gen_arrays = [_validate_images(g, degree) for g in gens]
     garr = np.array(gen_arrays, np.int32).reshape(len(gen_arrays), degree)
-    base = _orbit_representatives(garr)
+    base = _orbit_representatives(garr) if gen_arrays else []
     while True:
         tree = _KeyTree(garr, base, max_order)
         moved = tree.moved_point()
@@ -355,7 +293,7 @@ class _KeyTree:
             for q in range(count):
                 j = index.setdefault(keys[q * width:(q + 1) * width], n)
                 if j == n:
-                    if n == max_order:
+                    if n >= max_order:
                         raise GroupTooLarge(
                             f"closure exceeded the order cap of {max_order}"
                         )

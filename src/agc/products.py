@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, Permutation, Subgroup, closure
+from .perm import FiniteGroup, Subgroup, closure
 
 
 def quotient(
@@ -94,16 +94,16 @@ def semidirect_product(
 
     pts = np.arange(nb * m, dtype=np.int32)
     b_of, a_of = pts // m, pts % m
-    gen_perms = []
+    gen_rows = []
     for gb in base.generators:
         # right multiplication by (gb, identity); widened first, since table
         # entries may be int16 where the point labels b·m + a are not
         b_img = tb[b_of, phis[a_of, gb]].astype(np.int64)
-        gen_perms.append(Permutation(b_img * m + a_of))
+        gen_rows.append(b_img * m + a_of)
     for ga in actor.generators:
         # right multiplication by (identity, ga)
-        gen_perms.append(Permutation(b_of * m + ta[a_of, ga]))
-    G = closure(nb * m, gen_perms, max_order=nb * m, name=name)
+        gen_rows.append(b_of * m + ta[a_of, ga])
+    G = closure(nb * m, gen_rows, max_order=nb * m, name=name)
     if G.order != nb * m:
         raise InvalidAction("regular representation did not reach full order")
     return G

@@ -242,6 +242,16 @@ class SylowSystem:
     def primes(self) -> list[int]:
         return sorted(self.sylows)
 
+    def restrict(self, K: Subgroup) -> "SylowSystem":
+        """The subgroups P ∩ K, for the primes dividing |K|: a Sylow system
+        of K when K is normal in the system's group (Hall's reduction
+        theorem).  P ∩ K is a Sylow p-subgroup of K, so P lies in K when |P|
+        divides |K|, and then P is kept with its generators."""
+        return SylowSystem(K, {
+            p: P if K.order % P.order == 0 else
+            Subgroup(K.parent, P.members[K.member_mask[P.members]])
+            for p, P in self.sylows.items() if K.order % p == 0})
+
 
 def product_sets_equal(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> bool:
     """Whether the product sets A·B and B·A coincide (permutability test)."""

@@ -35,8 +35,6 @@ from .structure import (
     center,
     contains_centralizers,
     minimal_normal_subgroups,
-    sylow_subgroups,
-    sylow_system,
     system_normalizer,
 )
 
@@ -97,11 +95,14 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     """Relative system normalizers of derived-series terms complement the next term.
 
     For each i, the system normalizer in G of a Sylow system of G^(i-1) must
-    satisfy M * G^(i) = G with trivial intersection.  Only the canonical
-    system is tested: the Sylow systems of the solvable term are conjugate
-    (Hall), conjugating the system conjugates its normalizer, and G^(i) is
-    normal, so either every system's normalizer complements G^(i) or none
-    does.  The first level's normalizer is the absolute one.
+    satisfy M * G^(i) = G with trivial intersection.  Only one system is
+    tested: the Sylow systems of the solvable term are conjugate (Hall),
+    conjugating the system conjugates its normalizer, and G^(i) is normal,
+    so either every system's normalizer complements G^(i) or none does.
+    The system tested is G's canonical system cut down to G^(i-1): a Sylow
+    system of G meets every normal subgroup K in a Sylow system of K
+    (Hall's reduction theorem), so no term grows Sylow subgroups of its
+    own.  The first level's normalizer is the absolute one.
     """
     cid = "system-normalizer-complement"
     if not a.is_solvable_a_group:
@@ -113,7 +114,7 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     for i in range(1, len(terms)):
         K, N = terms[i - 1], terms[i]
         M = a.system_normalizer if i == 1 else \
-            system_normalizer(full_subgroup(G), sylow_system(K, sylow_subgroups(K)))
+            system_normalizer(full_subgroup(G), a.sylow_system.restrict(K))
         ok = _is_complement(G, M, N)
         levels.append({
             "level": i,

@@ -6,7 +6,7 @@ Each of the two groups is built by one construction:
   abelian-Sylow group of order 60 and derived length 2 whose commuting
   graph is connected with diameter exactly 4.
 * ``diameter-6``: GF(5)^3 ⋊ Dic3, of order 1500, with the dicyclic group of
-  order 12 acting through matrices solved for over GF(5); its commuting
+  order 12 acting through two fixed matrices over GF(5); its commuting
   graph is connected with diameter exactly 6.
 
 Each builder returns the group's analysis, so its invariants (the diameter
@@ -18,8 +18,7 @@ exits with code 3 on a defect.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -88,79 +87,39 @@ def build_diameter4_witness() -> GroupAnalysis:
 # -- the order-1500 witness ------------------------------------------------------
 
 
-def _gf_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Row basis of the nullspace of ``mat`` over GF(p)."""
-    rows, cols = mat.shape
-    a = mat.copy() % p
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i, c] % p), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - int(a[i, c]) * a[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(a[i, c])) % p
-    return basis
-
-
-def _matrix_action_candidates(p: int = 5) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(A, B) pairs over GF(p)^3 with A of order 3 fixing a line, B A = A^-1 B,
-    and B an invertible matrix with B^2 = -I (hence order 4).
-
-    The B^2 = -I constraint encodes that the square of the order-4 actor
-    element must act without nonzero fixed vectors.
-    """
-    # order-3 map with one-dimensional fixed space: companion(x^2+x+1) + [1]
-    A = np.array([[0, p - 1, 0], [1, p - 1, 0], [0, 0, 1]], np.int64)
-    Ainv = A @ A % p  # A^-1 = A^2, as A^3 = I
-    # linear system B A - A^-1 B = 0 in the 9 entries of B
-    eye = np.eye(3, dtype=np.int64)
-    M = (np.kron(eye, A.T) - np.kron(Ainv, eye)) % p  # rows index (i,j) of BA - A^-1 B
-    basis = _gf_nullspace(M, p)
-    minus_eye = (-eye) % p
-    for coeffs in iproduct(range(p), repeat=basis.shape[0]):
-        B = (np.array(coeffs, np.int64) @ basis % p).reshape(3, 3)
-        # B^2 = -I makes B invertible, as B (-B) = I
-        if np.array_equal(B @ B % p, minus_eye):
-            yield A, B
+# the actions of Dic3's generators a (order 3) and b (order 4) on GF(5)^3
+DIAMETER6_A = ((0, 4, 0), (1, 4, 0), (0, 0, 1))
+DIAMETER6_B = ((3, 2, 0), (0, 2, 0), (0, 0, 2))
 
 
 def build_diameter6_witness() -> GroupAnalysis:
-    """V ⋊ Dic3 with V = GF(5)^3, from the first pair (A, B) of
-    ``_matrix_action_candidates``: Dic3 = C3 ⋊ C4 has its order-3
-    generator a act by A and its order-4 generator b by B.
+    """V ⋊ Dic3 with V = GF(5)^3: Dic3 = C3 ⋊ C4 has its order-3 generator
+    a act by A = ``DIAMETER6_A`` and its order-4 generator b by
+    B = ``DIAMETER6_B``, over GF(5).
+
+    A is the companion matrix of x² + x + 1 beside a 1, so A³ = I and A
+    fixes exactly a line; B² = −I; and BA = A²B = A⁻¹B, the relation
+    bab⁻¹ = a⁻¹ of Dic3.  These are what the construction needs.  Matrices
+    that break Dic3's relations make ``extend_action`` or
+    ``semidirect_product`` raise InvalidAction, and any other wrong pair
+    fails ``agc witness``'s fingerprint check.
 
     Every nontrivial normal subgroup of Dic3 contains a or b², and B² = −I
-    fixes no nonzero vector, so the action is faithful and Z = C_V(Dic3) = 1.
-    O_2(G) and O_3(G) would centralize V, so F(G) = V, the Sylow
-    5-subgroup.  G′ = V ⋊ ⟨a⟩ of order 375, as (B² − I)V = V and
-    Dic3′ = ⟨a⟩; G″ = (A − I)V is the plane that A moves, abelian, so the
-    derived length is 3.  A fixes a line of V, so neither G nor the
+    fixes no nonzero vector, so the action is faithful and
+    Z = C_V(Dic3) = 1.  O_2(G) and O_3(G) would centralize V, so F(G) = V,
+    the Sylow 5-subgroup.  G′ = V ⋊ ⟨a⟩ of order 375, as (B² − I)V = V
+    and Dic3′ = ⟨a⟩; G″ = (A − I)V is the plane that A moves, abelian, so
+    the derived length is 3.  A fixes a line of V, so neither G nor the
     preimage V ⋊ ⟨a, b²⟩ of F(G/F(G)) is Frobenius with kernel V: G is
     neither Frobenius nor 2-Frobenius and satisfies the hypothesis.  The
     base is elementary abelian because the other abelian groups of order
     125 have no automorphism of order 3.  The diameter, 6, is measured
     rather than argued, by ``agc witness``'s fingerprint check.
     """
-    A, B = next(_matrix_action_candidates(5))
     actor = metacyclic(3, 4, 2, name="Dic3")
     ga, gb = actor.generators
-    return GroupAnalysis(matrix_action_group(5, 3, actor, {ga: A, gb: B},
-                                             name="diameter6-witness"))
+    return GroupAnalysis(matrix_action_group(
+        5, 3, actor, {ga: DIAMETER6_A, gb: DIAMETER6_B}, name="diameter6-witness"))
 
 
 def diameter6_extra_checks(G: AnalysisLike) -> dict[str, bool]:

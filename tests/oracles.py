@@ -44,7 +44,6 @@ from agc.constructions import abelian_vectors
 from agc.graph import CommutingGraph, DiameterResult
 from agc.perm import (
     FiniteGroup,
-    Permutation,
     Subgroup,
     _prime_factors,
     close_indices,
@@ -93,8 +92,7 @@ def row_closure(degree: int, gens: list) -> tuple[np.ndarray, list[int], np.ndar
     j is first reached as i·g, column j is column i mapped through the
     right-multiplication column of g.
     """
-    gen_arrays = [np.asarray(g.images if isinstance(g, Permutation) else g, np.int32)
-                  for g in gens]
+    gen_arrays = [np.asarray(g, np.int32) for g in gens]
     rows = [np.arange(degree, dtype=np.int32)]
     index = {rows[0].tobytes(): 0}
     right: list[list[int]] = [[] for _ in gen_arrays]
@@ -128,7 +126,7 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     reps = np.unique(coset_rep)
     cid = np.searchsorted(reps, coset_rep)
     k = int(reps.size)
-    Q = closure(k, [Permutation(cid[t[reps, g]]) for g in G.generators], max_order=k)
+    Q = closure(k, [cid[t[reps, g]] for g in G.generators], max_order=k)
     proj = indices_of_rows(Q, cid[t[reps].T]).astype(np.int32)
     return Q, proj
 

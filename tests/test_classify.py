@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agc.errors import NotSolvable
-from agc.perm import Permutation, closure
+from agc.perm import closure
 from agc.classify import (
     GroupAnalysis,
     classify,
@@ -72,8 +72,8 @@ def test_2frobenius_s4():
 
 def _affine(a, b, c, d, e=0):
     """x + 3y -> (a x + b y + e) + 3 (c x + d y) on the points of F_3^2."""
-    return Permutation([(a * x + b * y + e) % 3 + 3 * ((c * x + d * y) % 3)
-                        for y in range(3) for x in range(3)])
+    return [(a * x + b * y + e) % 3 + 3 * ((c * x + d * y) % 3)
+            for y in range(3) for x in range(3)]
 
 
 def test_2frobenius_negatives():
@@ -159,7 +159,7 @@ def _relabeled(G, rng):
     for g in rows:
         h = np.empty(G.degree, np.int64)
         h[sigma] = sigma[g]  # h = sigma g sigma^-1
-        gens.append(Permutation(h))
+        gens.append(h)
     return closure(G.degree, gens, name=G.name)
 
 

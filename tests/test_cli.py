@@ -51,6 +51,22 @@ def test_analyze_of_a_long_cycle_exits_one(tmp_path, capsys, address_space_cap):
     assert "order cap" in capsys.readouterr().err
 
 
+def test_analyze_of_a_trivial_group_of_huge_degree(tmp_path, capsys, address_space_cap):
+    """A file of 41 bytes may name a degree of 10^9 with no generators.
+    Its closure makes nothing of the degree's size, and its report, timings
+    aside, is the trivial group's report on one point."""
+    reports = []
+    for degree in (1_000_000_000, 1):
+        path, out = tmp_path / f"trivial{degree}.json", tmp_path / f"report{degree}.json"
+        path.write_text(serialize_group_file(GroupFile(degree, [])))
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for check in report["checks"]:
+            del check["millis"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_max_order_flag_and_env(s3_file, tmp_path, monkeypatch, capsys):
     s4 = tmp_path / "s4.json"
     save_group(symmetric(4), s4)
@@ -59,6 +75,13 @@ def test_max_order_flag_and_env(s3_file, tmp_path, monkeypatch, capsys):
     assert main(["analyze", str(s4)]) == 1
     # the flag wins over the environment
     assert main(["--max-order", "100", "analyze", str(s4)]) == 0
+    # a cap below 1 admits only the trivial group; it does not lift the cap
+    capsys.readouterr()
+    assert main(["--max-order", "0", "analyze", str(s4)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.setenv("AGC_MAX_ORDER", "-1")
+    assert main(["analyze", str(s4)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_witness_emit_and_reanalyze(tmp_path, capsys):
@@ -270,11 +293,13 @@ def test_corpus_analyses_derive_37_series(corpus_dir, monkeypatch):
     assert len(calls) == 37
 
 
-def test_corpus_analyses_grow_128_sylow_subgroups(corpus_dir, monkeypatch):
+def test_corpus_analyses_grow_85_sylow_subgroups(corpus_dir, monkeypatch):
     """G/Z and G/F(G) take the images of G's Sylow subgroups, which are
-    Sylow subgroups of the quotient: the corpus analyses grow 128, where
-    growing the quotients' own grew 205.  A nonsolvable group's report
-    reads G/Z for its diameter alone, and grows none."""
+    Sylow subgroups of the quotient, and each derived term K takes the
+    Sylow system S ∩ K of G's canonical system S: the corpus analyses grow
+    85, where growing each derived term's own grew 128, and growing the
+    quotients' own as well grew 205.  A nonsolvable group's report reads G/Z for
+    its diameter alone, and grows none."""
     structure = importlib.import_module("agc.structure")
     grow, calls = structure.sylow_subgroup, []
 
@@ -285,7 +310,7 @@ def test_corpus_analyses_grow_128_sylow_subgroups(corpus_dir, monkeypatch):
     monkeypatch.setattr(structure, "sylow_subgroup", counted)
     for path in sorted(corpus_dir.glob("*.json")):
         assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
-    assert len(calls) == 128
+    assert len(calls) == 85
     calls.clear()
     report = group_report(direct_product(alternating(5), cyclic(2)))
     statuses = {c["id"]: c["status"] for c in report["checks"]}

@@ -150,7 +150,7 @@ def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
     assert degree == 40_000 and C.table.dtype == np.int16
     (g,) = C.generators
     pairs = [(b, a) for b in range(200) for a in range(200)]
-    assert [p.images.tolist() for p in gens] == [
+    assert [p.tolist() for p in gens] == [
         [C.mult(b, g) * 200 + a for b, a in pairs],
         [b * 200 + C.mult(a, g) for b, a in pairs],
     ]

@@ -7,7 +7,6 @@ import pytest
 from agc.errors import NotSolvable, PrimeNotDividing
 from agc.classify import GroupAnalysis
 from agc.perm import (
-    Permutation,
     close_indices,
     closure,
     full_subgroup,
@@ -207,7 +206,7 @@ def _agl17():
     """AGL(1,7), generated by x -> -x, x -> 2x + 1 and x -> x + 1 in that
     order: its canonical Sylow 2- and 3-subgroups do not permute."""
     maps = [lambda x: -x, lambda x: 2 * x + 1, lambda x: x + 1]
-    return closure(7, [Permutation([f(x) % 7 for x in range(7)]) for f in maps],
+    return closure(7, [[f(x) % 7 for x in range(7)] for f in maps],
                    name="AGL(1,7)")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agc.errors import NotComplement
-from agc.perm import Permutation, closure, full_subgroup, generated_subgroup, trivial_subgroup
+from agc.perm import closure, full_subgroup, generated_subgroup, trivial_subgroup
 from agc.constructions import cyclic, metacyclic, symmetric
 from agc.structure import derived_subgroup, minimal_normal_subgroups, sylow_subgroup
 from agc.verify import (
@@ -244,8 +244,8 @@ def test_reports_hold_only_json_native_values(corpus_groups, witness1500):
     order-1500 witness times C2, on two copies of its points) is a JSON
     type: no numpy scalar reaches a report."""
     n = witness1500.degree
-    gens = [Permutation(np.concatenate([g, g + n])) for g in witness1500.generator_rows]
-    gens.append(Permutation(np.roll(np.arange(2 * n), n)))  # swap the copies
+    gens = [np.concatenate([g, g + n]) for g in witness1500.generator_rows]
+    gens.append(np.roll(np.arange(2 * n), n))  # swap the copies
     groups = {**corpus_groups, "w1500xc2": closure(2 * n, gens)}
     assert groups["w1500xc2"].order == 3000
     for name, G in groups.items():

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from agc.constructions import abelian, cyclic
 from agc.groupfile import group_to_file, serialize_group_file
 from agc.witness import (
     DIAMETER4_FINGERPRINT,
+    DIAMETER6_A,
+    DIAMETER6_B,
     DIAMETER6_FINGERPRINT,
     build_witness,
     diameter6_extra_checks,
     witness_fingerprint,
-    _matrix_action_candidates,
 )
 from oracles import abelian_automorphisms
 
@@ -43,18 +45,17 @@ def test_order3_automorphism_detection():
     assert has_order3_automorphism(abelian([5, 5]), (5, 5))
 
 
-def test_matrix_action_candidates_satisfy_the_relations():
-    """The order-1500 witness's actions: 12 pairs (A, B) over GF(5)^3 with
-    A^3 = I, B^2 = -I and B A = A^-1 B, all with the one A."""
+def test_diameter6_matrices_satisfy_the_relations():
+    """The order-1500 witness's actions over GF(5)^3: A^3 = I, A fixes
+    exactly a line, B^2 = -I and B A = A^2 B = A^-1 B."""
+    A, B = np.array(DIAMETER6_A), np.array(DIAMETER6_B)
     eye = np.eye(3, dtype=np.int64)
-    pairs = list(_matrix_action_candidates(5))
-    assert len(pairs) == 12
-    assert len({B.tobytes() for _, B in pairs}) == 12
-    for A, B in pairs:
-        assert np.array_equal(A, pairs[0][0])
-        assert np.array_equal(A @ A @ A % 5, eye)
-        assert np.array_equal(B @ B % 5, -eye % 5)
-        assert np.array_equal(B @ A % 5, A @ A @ B % 5)  # A^-1 = A^2
+    assert np.array_equal(A @ A @ A % 5, eye)
+    # rank(A - I) = 2 over GF(5): its image, all (A - I)v, has 5^2 vectors
+    vectors = np.array(list(itertools.product(range(5), repeat=3)))
+    assert len({tuple(v) for v in vectors @ (A - eye).T % 5}) == 5 ** 2
+    assert np.array_equal(B @ B % 5, -eye % 5)
+    assert np.array_equal(B @ A % 5, A @ A @ B % 5)
 
 
 def test_diameter4_witness_matches_frozen_fingerprint(witness60):
