@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .classify import GroupAnalysis
@@ -131,6 +130,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     cap = _max_order(args)
     work = [(p, cap) for p in paths]
     if args.jobs > 1:
+        # imported only here: with multiprocessing it costs ~30 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_analyze_one, work))
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import FiniteGroup
+from .perm import FiniteGroup, distinct
 from .structure import center, conjugacy_classes
 
 
@@ -199,7 +199,7 @@ class CommutingGraph:
         # the least generator of <v> generates <v>, so it is the class's
         # first vertex
         first = np.searchsorted(self.vertices, _least_generators(self.group, self.vertices))
-        keep = np.unique(first)
+        keep = distinct(first, self.n_vertices)
         reduced = np.searchsorted(keep, first)
         # the kept rows of this graph, restricted to the kept columns
         packed = np.zeros((keep.size, (keep.size + 7) // 8), np.uint8)
@@ -208,7 +208,7 @@ class CommutingGraph:
                                  count=self.n_vertices, bitorder="little")
             packed[s:s + TILE_WIDTH] = np.packbits(rows[:, keep], axis=1, bitorder="little")
         return CommutingGraph(self.group, self.vertices[keep], packed,
-                              sources=np.unique(reduced[self.sources]),
+                              sources=distinct(reduced[self.sources], keep.size),
                               class_sizes=np.bincount(reduced).astype(np.int32))
 
     def diameter_via_reduction(self) -> DiameterResult:

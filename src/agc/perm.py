@@ -119,9 +119,6 @@ class FiniteGroup:
     def mult(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def inverse_of(self, i: int) -> int:
-        return int(self.inverse_array[i])
-
     def power(self, i: int, e: int) -> int:
         e %= int(self.element_orders[i])
         result, base = 0, int(i)
@@ -332,7 +329,7 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: np.ndarray | Sequence[int],
                  generators: Iterable[int] | None = None):
-        mem = np.unique(np.asarray(members, np.int32))
+        mem = distinct(np.asarray(members, np.int32), parent.order)
         mem.setflags(write=False)
         self.parent = parent
         self.members = mem
@@ -364,9 +361,6 @@ class Subgroup:
     def contains(self, i: int) -> bool:
         return bool(self.member_mask[i])
 
-    def is_full(self) -> bool:
-        return self.order == self.parent.order
-
     def is_abelian(self) -> bool:
         # the subgroup is abelian when its generators commute pairwise
         return bool(commuting(self.parent, self.generators, self.generators).all())
@@ -380,11 +374,6 @@ class Subgroup:
         gens = conjugations(self.parent, [g], self.generators)[0]
         return Subgroup(self.parent, mem, gens.tolist())
 
-    def same_members(self, other: "Subgroup") -> bool:
-        return self.order == other.order and bool(
-            (self.members == other.members).all()
-        )
-
     def key(self) -> bytes:
         return self.members.tobytes()
 
@@ -396,6 +385,23 @@ def row_blocks(rows: int, row_len: int) -> Iterator[slice]:
     """Slices covering ``rows`` rows, each of about ROW_BLOCK_ENTRIES entries."""
     step = max(1, ROW_BLOCK_ENTRIES // max(row_len, 1))
     return (slice(s, s + step) for s in range(0, rows, step))
+
+
+def distinct(idx: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct values of ``idx``, an index array of any shape
+    whose values all lie in {0..n-1}, with ``idx``'s dtype: ``np.unique``'s
+    result, read off a mask of n flags instead of a sort (and without the
+    ``numpy.ma`` import that ``np.unique`` makes on its first call)."""
+    seen = np.zeros(n, bool)
+    seen[idx] = True
+    return np.flatnonzero(seen).astype(idx.dtype, copy=False)
+
+
+def commutes_with(G: FiniteGroup, x: int, ys: np.ndarray) -> np.ndarray:
+    """Boolean vector whose entry j says whether x and ys[j] commute: one
+    row of ``commuting(G, [x], ys)`` from two 1-d gathers."""
+    t = G.table
+    return t[x, ys] == t[ys, x]
 
 
 def commuting(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
@@ -428,7 +434,7 @@ def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
 def product_set(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
                 ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """The product set xs·ys: the distinct products x·y, sorted."""
-    return np.unique(G.table[np.ix_(xs, ys)])
+    return distinct(G.table[np.ix_(xs, ys)], G.order)
 
 
 def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, Subgroup, closure
+from .perm import FiniteGroup, Subgroup, closure, distinct
 
 
 def quotient(
@@ -35,7 +35,7 @@ def quotient(
     gens = np.array(G.generators, np.int64)
     # canonical representative of the coset Nx: the least element of {n·x}
     coset_rep = t[N.members].min(axis=0).astype(np.int32)
-    reps = np.unique(coset_rep)
+    reps = distinct(coset_rep, G.order)
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
     # representatives r of the cosets in breadth-first order, N (rep 0) first;
     # r grows while it is read

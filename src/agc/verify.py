@@ -24,6 +24,7 @@ from .errors import NotComplement
 from .perm import (
     FiniteGroup,
     Subgroup,
+    commutes_with,
     commuting,
     conjugations,
     full_subgroup,
@@ -253,7 +254,7 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
         if not qualifying:
             continue
         instances += 1
-        cg = commuting(G, [g], everyone)[0]
+        cg = commutes_with(G, g, everyone)
         if (cg & D.member_mask).sum() <= 1:
             return CheckRecord(cid, "fail",
                                {"element": g, "defect": "trivial centralizer in G'"})

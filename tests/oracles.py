@@ -244,7 +244,7 @@ def _is_malnormal(G: FiniteGroup, H: Subgroup) -> bool:
 
 def _conjugate_sets(G: FiniteGroup, H: Subgroup) -> set[frozenset[int]]:
     """Every conjugate gHg⁻¹ of H, one element g at a time."""
-    return {frozenset(G.mult(G.mult(g, h), G.inverse_of(g)) for h in H.members.tolist())
+    return {frozenset(G.mult(G.mult(g, h), int(G.inverse_array[g])) for h in H.members.tolist())
             for g in range(G.order)}
 
 

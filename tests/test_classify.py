@@ -46,7 +46,7 @@ def test_frobenius_s3():
     ok, kernel = is_frobenius(symmetric(3))
     assert ok
     assert kernel.order == 3
-    assert derived_subgroup(symmetric(3)).same_members(kernel)
+    assert np.array_equal(derived_subgroup(symmetric(3)).members, kernel.members)
 
 
 def test_frobenius_f20_and_negatives():

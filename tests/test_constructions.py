@@ -90,7 +90,7 @@ def test_metacyclic_relation():
     assert G.order == 21
     a, b = G.generators
     # b a b^-1 = a^2
-    lhs = G.mult(G.mult(b, a), G.inverse_of(b))
+    lhs = G.mult(G.mult(b, a), int(G.inverse_array[b]))
     assert lhs == G.power(a, 2)
 
 

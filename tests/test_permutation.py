@@ -9,8 +9,10 @@ from agc import perm
 from agc.perm import (
     FiniteGroup,
     closure,
+    commutes_with,
     commuting,
     conjugations,
+    distinct,
     generated_subgroup,
     p_part,
 )
@@ -152,11 +154,29 @@ def _assert_primitives_match_image_rows(G: FiniteGroup, xs: list[int], ys: list[
         return np.take_along_axis(q, p, axis=-1)
 
     X, Y = rows(xs)[:, None], rows(ys)[None]
-    assert np.array_equal(commuting(G, xs, ys),
-                          (product(X, Y) == product(Y, X)).all(axis=-1))
+    commutes = (product(X, Y) == product(Y, X)).all(axis=-1)
+    assert np.array_equal(commuting(G, xs, ys), commutes)
+    for x, row in zip(xs, commutes):
+        assert np.array_equal(commutes_with(G, x, np.array(ys, np.intp)), row)
     X_inverse = np.argsort(X, axis=-1)
     conj = product(product(X, Y), X_inverse)
     assert np.array_equal(conjugations(G, xs, ys), indices_of_rows(G, conj))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.intp])
+def test_distinct_matches_np_unique(dtype):
+    """``distinct`` returns what ``np.unique`` does, values and dtype, on
+    index arrays with repeats, of one and two dimensions, on the empty array
+    and on an array holding every index below n."""
+    rng = np.random.default_rng(5)
+    n = 300
+    cases = [rng.integers(0, n, size=shape).astype(dtype)
+             for shape in [(1,), (50,), (1000,), (7, 9), (40, 40)]]
+    cases += [np.array([], dtype), rng.permutation(n).astype(dtype)]
+    for idx in cases:
+        got, want = distinct(idx, n), np.unique(idx)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=100)
@@ -309,7 +329,7 @@ def test_p_part_decomposition():
             o = int(orders[xp])
             # the p-part is a p-element and the complement part is coprime to p
             assert o == 1 or set(_factor(o)) == {p}
-            rest = G.mult(G.inverse_of(xp), x)
+            rest = G.mult(int(G.inverse_array[xp]), x)
             assert int(orders[rest]) % p != 0
             assert G.mult(xp, rest) == x
 
