@@ -7,6 +7,10 @@ Commands:
   graph <file>            export the commuting graph (dot or json)
 
 Exit codes: 0 ok, 1 input error, 2 check failure, 3 fingerprint defect.
+
+Each command imports only what it runs: ``agc.witness`` (and with it
+``agc.constructions``) is loaded by ``witness`` alone, and the process pool
+by ``corpus --jobs N`` with N > 1 alone.
 """
 
 from __future__ import annotations
@@ -25,13 +29,6 @@ from .graph import CommutingGraph
 from .groupfile import group_to_file, load_group, serialize_group_file
 from .perm import DEFAULT_MAX_ORDER
 from .verify import group_report, report_summary_row
-from .witness import (
-    WITNESS_BUILDERS,
-    WITNESS_FINGERPRINTS,
-    build_witness,
-    diameter6_extra_checks,
-    witness_fingerprint,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,7 +130,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         # imported only here: with multiprocessing it costs ~30 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forking pool starts all its workers at the first submit, so it
+        # gets no more of them than there are files
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             results = list(pool.map(_analyze_one, work))
     else:
         results = [_analyze_one(w) for w in work]
@@ -172,6 +171,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .witness import (
+        WITNESS_BUILDERS,
+        WITNESS_FINGERPRINTS,
+        build_witness,
+        diameter6_extra_checks,
+        witness_fingerprint,
+    )
+
     if args.name not in WITNESS_BUILDERS:
         print(f"error: unknown witness {args.name!r}; "
               f"choices: {', '.join(sorted(WITNESS_BUILDERS))}", file=sys.stderr)

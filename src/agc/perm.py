@@ -142,8 +142,11 @@ class FiniteGroup:
             as e_i·e_j = e_parent(i)·(gen(i)·e_j).
 
         Parents come before their children, so filling in index order reads
-        only what is filled: each row of the table is one contiguous gather
-        of an earlier row, where a column at a time strides through it."""
+        only what is filled: each row of the table is one contiguous,
+        bounds-checked gather of an earlier row, where a column at a time
+        strides through it.  The gathers index by intp rows, numpy's own
+        index type, and are assigned to the table row, since ``take`` into
+        an ``out`` row copies through a buffer first."""
         n = self.order
         ngens = right.shape[0]
         # first occurrence of each index in the enumeration's reading order
@@ -160,12 +163,12 @@ class FiniteGroup:
         for row in left:
             for j in range(1, n):
                 row.append(r[g[j]][row[p[j]]])
+        left = list(np.array(left, np.intp).reshape(ngens, n))
         dtype = index_dtype(n)
-        left = np.array(left, dtype).reshape(ngens, n)
         table = np.empty((n, n), dtype)
         table[0] = np.arange(n, dtype=dtype)
         for i in range(1, n):
-            table[p[i]].take(left[g[i]], out=table[i])
+            table[i] = table[p[i]][left[g[i]]]
         self.table = table
         # each row is a permutation of the indices, so its least entry is
         # the identity, in the inverse's column
@@ -370,8 +373,11 @@ class Subgroup:
         return bool(self.member_mask[conj].all())
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        mem = conjugations(self.parent, [g], self.members)[0]
-        gens = conjugations(self.parent, [g], self.generators)[0]
+        """g·H·g⁻¹, its members and generators each from two 1-d gathers:
+        a row of ``conjugations(G, [g], xs)`` without its index matrices."""
+        t, h = self.parent.table, self.parent.inverse_array[g]
+        mem = t[t[g, self.members], h]
+        gens = t[t[g, list(self.generators)], h]
         return Subgroup(self.parent, mem, gens.tolist())
 
     def key(self) -> bytes:

@@ -37,16 +37,24 @@ def quotient(
     coset_rep = t[N.members].min(axis=0).astype(np.int32)
     reps = distinct(coset_rep, G.order)
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
-    # representatives r of the cosets in breadth-first order, N (rep 0) first;
-    # r grows while it is read
+    # the cosets in breadth-first order, N (coset 0) first, a level at a
+    # time: each level lists the cosets r·g of the level before that are
+    # new, in the reading order r-major, then by generator, each at its
+    # first occurrence
     pos = np.full(reps.size, -1, np.int32)
     pos[0] = 0
-    r = [0]
-    for x in r:
-        for c in cid[t[x, gens]]:
-            if pos[c] < 0:
-                pos[c] = len(r)
-                r.append(int(reps[c]))
+    levels = [np.zeros(1, np.int32)]
+    found = 1
+    while levels[-1].size:
+        reached = cid[t[np.ix_(reps[levels[-1]], gens)]].ravel()
+        reached = reached[pos[reached] < 0]
+        first = np.zeros(reached.size, bool)
+        first[np.unique(reached, return_index=True)[1]] = True
+        level = reached[first]
+        pos[level] = np.arange(found, found + level.size)
+        found += level.size
+        levels.append(level)
+    r = reps[np.concatenate(levels)]
     proj = pos[cid]
     # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]
     rows = cid[t[np.ix_(reps, gens)].T]

@@ -9,7 +9,9 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from agc.constructions import cyclic
 from agc.groupfile import load_group
+from agc.products import direct_product
 from agc.witness import build_diameter4_witness, build_diameter6_witness
 
 # every run of the suite draws the same examples, with no time limit on one
@@ -64,3 +66,9 @@ def witness60():
 @pytest.fixture(scope="session")
 def witness1500():
     return build_diameter6_witness().group
+
+
+@pytest.fixture(scope="session")
+def witness1500_x_c2(witness1500):
+    """W1500 × C2, order and degree 3000: the group of the analyze-3000 benchmark."""
+    return direct_product(witness1500, cyclic(2))

@@ -8,7 +8,9 @@ enumerates a group over whole image rows, where ``closure`` searches the
 images of a certified base, ``closure_quotient``
 enumerates G/N with ``closure``, which ``quotient`` no longer calls, and
 looks elements up by their image rows with ``indices_of_rows``, which a
-group no longer does,
+group no longer does, ``breadth_first_projection`` lists the cosets of
+G/N from a queue, one coset and generator at a time, where ``quotient``
+lists them a breadth-first level at a time,
 ``sylow_systems`` is the depth-first search over all conjugates of the
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
@@ -108,9 +110,10 @@ def row_closure(degree: int, gens: list) -> tuple[np.ndarray, list[int], np.ndar
     n = len(rows)
     table = np.empty((n, n), np.int32)
     table[:, 0] = np.arange(n)
+    columns = [np.array(col, np.int32) for col in right]
     for j in range(1, n):
         i, k = first[j]
-        table[:, j] = np.array(right[k], np.int32)[table[:, i]]
+        table[:, j] = columns[k][table[:, i]]
     return np.array(rows, np.int32), [col[0] for col in right], table
 
 
@@ -129,6 +132,24 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     Q = closure(k, [cid[t[reps, g]] for g in G.generators], max_order=k)
     proj = indices_of_rows(Q, cid[t[reps].T]).astype(np.int32)
     return Q, proj
+
+
+def breadth_first_projection(G: FiniteGroup, N: Subgroup) -> np.ndarray:
+    """``proj`` of G/N from a queue over the cosets: coset Nx's place in the
+    listing breadth-first from N over right multiplication by G's
+    generators, one coset and one generator at a time.  A coset is known by
+    its least element and continued from the element that first reached
+    it."""
+    least = G.table[N.members].min(axis=0).tolist()
+    place = {least[0]: 0}
+    queue = [0]
+    for x in queue:  # grows while it is read
+        for g in G.generators:
+            y = int(G.table[x, g])
+            if least[y] not in place:
+                place[least[y]] = len(queue)
+                queue.append(y)
+    return np.array([place[c] for c in least], np.int64)
 
 
 def indices_of_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from functools import cached_property
 import json
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import weakref
@@ -118,9 +119,9 @@ def test_witness_computes_one_diameter(tmp_path, monkeypatch):
 
 
 def test_witness_fingerprint_defect_exits_three(monkeypatch, capsys):
-    cli = importlib.import_module("agc.cli")
-    wrong = {**cli.WITNESS_FINGERPRINTS["diameter-4"], "diameter": 5}
-    monkeypatch.setitem(cli.WITNESS_FINGERPRINTS, "diameter-4", wrong)
+    witness = importlib.import_module("agc.witness")
+    wrong = {**witness.WITNESS_FINGERPRINTS["diameter-4"], "diameter": 5}
+    monkeypatch.setitem(witness.WITNESS_FINGERPRINTS, "diameter-4", wrong)
     assert main(["witness", "diameter-4"]) == 3
     assert "fingerprint defect" in capsys.readouterr().err
 
@@ -173,34 +174,135 @@ def test_corpus_command(tmp_path, capsys):
     assert len(csv_lines) == 3
 
 
+def _run_fresh(script: str, *args: str, cwd) -> list:
+    """The JSON lines that ``script`` prints in a fresh interpreter that
+    imports agc from this checkout."""
+    src = str(Path(agc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def test_commands_below_two_jobs_load_no_pool_or_masked_arrays(corpus_dir, tmp_path):
     """A command imports only what it runs.  In a fresh interpreter,
-    ``analyze``, ``witness`` and ``corpus --jobs 1`` each leave the process
-    pool's modules and ``numpy.ma`` unloaded.  The pool itself is covered by
-    the ``--jobs 3`` run in test_acceptance."""
+    ``analyze``, ``corpus --jobs 1`` and ``witness`` each leave the process
+    pool's modules and ``numpy.ma`` unloaded, and only ``witness`` loads
+    ``agc.witness`` and ``agc.constructions``.  The pool itself is covered
+    by the ``--jobs 3`` run in test_acceptance."""
     commands = [
         ["analyze", str(corpus_dir / "s4.json"), "--out", str(tmp_path / "s4.json")],
-        ["witness", "diameter-4", "--emit", str(tmp_path / "witness.json")],
         ["corpus", str(corpus_dir), "--jobs", "1", "--out", str(tmp_path / "corpus")],
+        ["witness", "diameter-4", "--emit", str(tmp_path / "witness.json")],
     ]
     script = (
         "import json, sys\n"
         "from agc.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    code = main(argv)\n"
-        "    loaded = [m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing')\n"
+        "    loaded = [m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing',\n"
+        "                          'agc.constructions', 'agc.witness')\n"
         "              if m in sys.modules]\n"
         "    print(json.dumps([argv[0], code, loaded]))\n"
     )
-    src = str(Path(agc.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    results = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert results == [[argv[0], 0, []] for argv in commands]
+    assert _run_fresh(script, json.dumps(commands), cwd=tmp_path) == [
+        ["analyze", 0, []],
+        ["corpus", 0, []],
+        ["witness", 0, ["agc.constructions", "agc.witness"]],
+    ]
+
+
+# the names agc exports, pinned: its lazy namespace lists and resolves each
+PACKAGE_NAMES = [
+    "AgcError", "CheckRecord", "Classification", "CommutingGraph", "DerivedSeries",
+    "DiameterResult", "FiniteGroup", "FormatError", "GroupAnalysis", "GroupFile",
+    "GroupTooLarge", "InvalidAction", "MalformedPermutation", "NotComplement",
+    "NotNormal", "NotSolvable", "PrimeNotDividing", "Subgroup", "SylowSystem",
+    "abelian", "alternating", "build_witness", "center", "centralizer", "classify",
+    "closure", "conjugacy_classes", "constructions", "corollary_class", "cyclic",
+    "derived_series", "derived_subgroup", "dicyclic", "dihedral", "direct_product",
+    "errors", "fitting_subgroup", "full_subgroup", "generated_subgroup", "graph",
+    "group_fingerprint", "group_report", "group_to_file", "groupfile",
+    "is_2frobenius", "is_a_group", "is_frobenius", "is_solvable", "load_group",
+    "matrix_action_group", "metacyclic", "minimal_normal_subgroups",
+    "normal_subgroups", "normalizer", "p_part", "parse_group_file", "perm",
+    "prime_divisors", "products", "quaternion", "quotient", "run_all_checks",
+    "satisfies_hypothesis", "save_group", "semidirect_product",
+    "serialize_group_file", "structure", "sylow_subgroup", "sylow_subgroups",
+    "sylow_system", "symmetric", "system_normalizer", "trivial_subgroup", "verify",
+    "witness", "witness_fingerprint",
+]
+
+
+def test_import_agc_loads_nothing_until_a_name_is_used(tmp_path):
+    """In a fresh interpreter, ``import agc`` loads no ``agc`` module and no
+    numpy, and lists the same names as before.  Each name, the five that
+    perfbench/test_bench_inputs.py imports among them, then resolves to the
+    object its defining module holds: a submodule to itself."""
+    script = (
+        "import importlib, json, sys, types\n"
+        "import agc\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.startswith('agc.') or m.split('.')[0] == 'numpy')\n"
+        "print(json.dumps([loaded, dir(agc), agc.__all__]))\n"
+        "for name in json.loads(sys.argv[1]):\n"
+        "    value = getattr(agc, name)\n"
+        "    if isinstance(value, types.ModuleType):\n"
+        "        home, same = value.__name__, value is importlib.import_module(f'agc.{name}')\n"
+        "    else:\n"
+        "        home = value.__module__\n"
+        "        same = getattr(importlib.import_module(home), name) is value\n"
+        "    print(json.dumps([name, home.startswith('agc.') and same]))\n"
+    )
+    (loaded, names, exported), *resolved = _run_fresh(
+        script, json.dumps(PACKAGE_NAMES), cwd=tmp_path)
+    assert loaded == []
+    assert names == exported == PACKAGE_NAMES
+    assert resolved == [[name, True] for name in PACKAGE_NAMES]
+    for name in ("cyclic", "direct_product", "group_fingerprint", "group_report",
+                 "load_group"):
+        assert name in PACKAGE_NAMES
+    with pytest.raises(AttributeError, match="nosuch"):
+        agc.nosuch
+
+
+def test_corpus_pool_gets_no_more_workers_than_files(tmp_path, monkeypatch, capsys):
+    """``corpus --jobs 1000`` over three files asks for a pool of three
+    workers, and writes what ``--jobs 1`` writes, byte for byte but for the
+    timings.  The pool is a serial stand-in, so no process is started."""
+    import concurrent.futures
+
+    def output():
+        return re.sub(r'"millis": [-+.0-9e]+', '"millis": 0', capsys.readouterr().out)
+
+    src = tmp_path / "groups"
+    src.mkdir()
+    for name, G in (("s3", symmetric(3)), ("c5", cyclic(5)), ("a4", alternating(4))):
+        save_group(G, src / f"{name}.json")
+    assert main(["corpus", str(src), "--jobs", "1"]) == 0
+    serial = output()
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert main(["corpus", str(src), "--jobs", "1000"]) == 0
+    assert workers == [3]
+    assert output() == serial
 
 
 def test_corpus_skips_corrupt_files_unless_strict(tmp_path, capsys):

@@ -15,6 +15,7 @@ from agc.perm import (
     distinct,
     generated_subgroup,
     p_part,
+    trivial_subgroup,
 )
 from agc.errors import PrimeNotDividing
 from agc.constructions import (
@@ -28,6 +29,7 @@ from agc.constructions import (
     symmetric,
 )
 from agc.products import direct_product, quotient
+from agc.structure import sylow_subgroups
 
 from oracles import brute_closure, indices_of_rows, row_closure
 
@@ -280,6 +282,32 @@ def test_table_against_direct_products():
         rows = G.images(range(G.degree))
         products = rows[:, rows]  # products[j, i] = rows[j][rows[i]]
         assert np.array_equal(G.table, indices_of_rows(G, products).T), name
+
+
+def test_table_at_order_3000_matches_row_closure(witness1500_x_c2):
+    """The table of W1500 × C2 (order 3000, six generators), filled a row at
+    a time, equals the one the search over whole rows fills a column at a
+    time."""
+    G = witness1500_x_c2
+    _, generators, table = row_closure(G.degree, list(G.generator_rows))
+    assert G.generators == generators
+    assert np.array_equal(G.table, table)
+
+
+def test_conjugate_by_matches_conjugations(corpus_groups):
+    """``Subgroup.conjugate_by(g)`` has the members and generators of g's
+    ``conjugations`` row, for every generator g of each corpus group of order
+    at most 500, on its Sylow subgroups and its trivial subgroup."""
+    for name, G in corpus_groups.items():
+        if G.order > 500:
+            continue
+        for H in [trivial_subgroup(G), *sylow_subgroups(G).values()]:
+            for g in G.generators:
+                conj = H.conjugate_by(g)
+                members = conjugations(G, [g], H.members)[0]
+                assert np.array_equal(conj.members, np.sort(members)), name
+                gens = conjugations(G, [g], H.generators)[0]
+                assert conj.generators == tuple(gens.tolist()), name
 
 
 def test_identity_and_inverse_laws():

@@ -18,7 +18,7 @@ from agc.structure import (
     sylow_subgroups,
 )
 
-from oracles import closure_quotient, indices_of_rows
+from oracles import breadth_first_projection, closure_quotient, indices_of_rows
 
 
 def _klein_four(s4):
@@ -60,6 +60,17 @@ def test_quotient_matches_closure_oracle(corpus_groups):
             assert np.array_equal(Q.table, R.table), name
             assert np.array_equal(Q.inverse_array, R.inverse_array), name
             assert np.array_equal(proj, oracle_proj), name
+
+
+def test_quotient_lists_cosets_breadth_first_at_order_3000(witness1500_x_c2):
+    """On W1500 × C2, the cosets of the centre (1500 of them) and of the
+    derived subgroup come in the order of a queue that visits them one coset
+    and one generator at a time."""
+    G = witness1500_x_c2
+    for N in (center(G), derived_subgroup(G)):
+        Q, proj = quotient(G, N)
+        assert Q.order == G.order // N.order
+        assert np.array_equal(proj, breadth_first_projection(G, N)), N.order
 
 
 def test_saved_quotient_reloads_with_its_table(corpus_groups, tmp_path):
