@@ -35,6 +35,7 @@ from .structure import (
     contains_centralizers,
     derived_series,
     fitting_subgroup,
+    minimal_normal_subgroups,
     sylow_subgroups,
     sylow_system,
     system_normalizer,
@@ -53,6 +54,12 @@ class GroupAnalysis:
     @cached_property
     def series(self) -> DerivedSeries:
         return derived_series(self.group)
+
+    @cached_property
+    def solvable(self) -> bool:
+        """Preset to True on the quotients of a solvable group, which are
+        solvable, so that they derive no series of their own."""
+        return self.series.solvable
 
     @cached_property
     def derived(self) -> Subgroup:
@@ -84,13 +91,15 @@ class GroupAnalysis:
     def _quotient(self, N: Subgroup) -> tuple[GroupAnalysis, np.ndarray]:
         """The analysis of G/N, with the projection of G onto it.
 
-        Its Sylow subgroups are the images of G's when G has built them, as
-        a solvable G has before anything reads the quotient's Fitting
-        subgroup; G's are not built for this alone."""
+        It is solvable when G is.  Its Sylow subgroups are the images of
+        G's when G has built them, as a solvable G has before anything reads
+        the quotient's Fitting subgroup; G's are not built for this alone."""
         Q, proj = quotient(self.group, N)
         q = GroupAnalysis(Q)
+        # an instance entry shadows the cached property
+        if self.solvable:
+            q.__dict__["solvable"] = True
         if "sylows" in vars(self):
-            # an instance entry shadows the cached property
             q.__dict__["sylows"] = {
                 p: Subgroup(Q, proj[P.members], [x for x in proj[list(P.generators)].tolist() if x])
                 for p, P in self.sylows.items() if Q.order % p == 0}
@@ -116,6 +125,10 @@ class GroupAnalysis:
     def system_normalizer(self) -> Subgroup:
         """The absolute normalizer of the canonical Sylow system."""
         return system_normalizer(full_subgroup(self.group), self.sylow_system)
+
+    @cached_property
+    def minimal_normals(self) -> list[Subgroup]:
+        return minimal_normal_subgroups(self.group, self.classes)
 
     @cached_property
     def central_quotient(self) -> GroupAnalysis:
@@ -168,13 +181,8 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     fixed-point-freely, so a complement exists and G is Frobenius.
     """
     a = as_analysis(G)
-    if not a.series.solvable:
+    if not a.solvable:
         raise NotSolvable("Frobenius detection implemented for solvable groups only")
-    return _frobenius_kernel(a)
-
-
-def _frobenius_kernel(a: GroupAnalysis) -> tuple[bool, Subgroup | None]:
-    """``is_frobenius`` of a group already known to be solvable."""
     G, F = a.group, a.fitting
     if F.order == 1 or F.order == G.order:
         return False, None
@@ -193,19 +201,14 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     F(G)/K is nilpotent and normal in G/K, so it lies in F(G/K) = H/K.
     Hence F(G) = K, and then H/K = F(G/F(G)).  So the upper level is the
     Frobenius test of G/F(G), whose only candidate kernel is F(G/F(G)); a
-    quotient of a solvable group is solvable, so it skips that test.
+    quotient of a solvable group is solvable, so it derives no series.
     """
     a = as_analysis(G)
-    if not a.series.solvable:
+    if not a.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
-    return _two_frobenius_pair(a)
-
-
-def _two_frobenius_pair(a: GroupAnalysis) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
-    """``is_2frobenius`` of a group already known to be solvable."""
     G, K = a.group, a.fitting
     # upper level: G/K Frobenius with kernel H/K; lower: H with kernel K
-    if 1 < K.order < G.order and _frobenius_kernel(a.fitting_quotient[0])[0]:
+    if 1 < K.order < G.order and is_frobenius(a.fitting_quotient[0])[0]:
         H = a.upper_fitting
         if contains_centralizers(G, K.members, H.members):
             return True, (K, H)
@@ -255,8 +258,7 @@ def corollary_class(G: FiniteGroup, hypothesis: bool) -> str:
 def classify(G: AnalysisLike) -> Classification:
     a = as_analysis(G)
     G = a.group
-    series = a.series
-    solvable = series.solvable
+    solvable = a.solvable
     Z = a.center
     abelian = Z.order == G.order
     a_group = is_a_group(a) if solvable else False
@@ -264,24 +266,22 @@ def classify(G: AnalysisLike) -> Classification:
     frob = two_frob = q_frob = q_two_frob = False
     hypothesis = False
     if solvable and not abelian:
+        # With a centre, G is neither Frobenius nor 2-Frobenius: a Frobenius
+        # group has trivial centre, and for a 2-Frobenius pair K < H, ZK/K
+        # lies in Z(G/K) = 1 and then Z = Z ∩ H lies in Z(H) = 1.  So only
+        # G/Z is tested, and it is G itself when Z = 1; G/Z is solvable as
+        # G is, and its derived series is never needed.
+        Q = a if Z.order == 1 else a.central_quotient
+        q_frob = is_frobenius(Q)[0]
+        q_two_frob = not q_frob and is_2frobenius(Q)[0]
         if Z.order == 1:
-            frob = q_frob = is_frobenius(a)[0]
-            two_frob = q_two_frob = False if frob else is_2frobenius(a)[0]
-        else:
-            # G is neither Frobenius nor 2-Frobenius: a Frobenius group has
-            # trivial centre, and for a 2-Frobenius pair K < H, ZK/K lies in
-            # Z(G/K) = 1 and then Z = Z ∩ H lies in Z(H) = 1.  So only G/Z
-            # is tested; it is solvable as G is, and its derived series is
-            # never needed.
-            Q = a.central_quotient
-            q_frob = _frobenius_kernel(Q)[0]
-            q_two_frob = False if q_frob else _two_frobenius_pair(Q)[0]
+            frob, two_frob = q_frob, q_two_frob
         hypothesis = a_group and not q_frob and not q_two_frob
 
     return Classification(
         order=G.order,
         solvable=solvable,
-        derived_length=series.derived_length,
+        derived_length=a.series.derived_length,
         abelian=abelian,
         center_order=Z.order,
         a_group=a_group,

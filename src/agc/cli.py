@@ -6,7 +6,8 @@ Commands:
   witness <name>          rebuild a registered witness group and emit it
   graph <file>            export the commuting graph (dot or json)
 
-Exit codes: 0 ok, 1 input error, 2 check failure, 3 fingerprint defect.
+Exit codes: 0 ok, 1 input or output error, 2 check failure, 3 fingerprint
+defect.
 
 Each command imports only what it runs: ``agc.witness`` (and with it
 ``agc.constructions``) is loaded by ``witness`` alone, and the process pool
@@ -81,11 +82,7 @@ def _report_json(report: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        G = load_group(args.file, max_order=_max_order(args))
-    except (AgcError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    G = load_group(args.file, max_order=_max_order(args))
     report = group_report(G)
     _write_output(_report_json(report), args.out)
     failed = any(c["status"] == "fail" for c in report["checks"])
@@ -202,11 +199,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    try:
-        G = load_group(args.file, max_order=_max_order(args))
-    except (AgcError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    G = load_group(args.file, max_order=_max_order(args))
     graph = CommutingGraph(G)
     if args.format == "dot":
         text = graph.to_dot()
@@ -257,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AgcError as exc:
+    except (AgcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

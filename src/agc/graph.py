@@ -135,7 +135,6 @@ class CommutingGraph:
         self._sources = sources
         if class_sizes is not None:
             self.class_sizes = class_sizes
-        self._component_ids: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -147,33 +146,13 @@ class CommutingGraph:
             self._sources = class_sources(self.vertices, conjugacy_classes(self.group))
         return self._sources
 
-    def component_ids(self, reach: np.ndarray | None = None) -> np.ndarray:
-        """Component id per vertex, numbered by least vertex position.
-
-        ``reach`` is the distance array of a search already made; its
-        component is taken from it rather than searched again."""
-        if self._component_ids is None:
-            n = self.n_vertices
-            ids = np.full(n, -1, np.int32)
-            cid = 0
-            for s in range(n):
-                if ids[s] >= 0:
-                    continue
-                if reach is not None and reach[s] >= 0:
-                    dist = reach
-                else:
-                    dist = _bfs_packed(self._packed, n, s)
-                ids[dist >= 0] = cid
-                cid += 1
-            self._component_ids = ids
-        return self._component_ids
-
     def diameter(self) -> DiameterResult:
         """Status, diameter and component count, from one search per source.
 
         The graph is connected when the first search reaches every vertex;
         only when it does not are the components counted, the first one
-        from that search."""
+        from that search and each further one from a search from the least
+        vertex not yet reached."""
         n = self.n_vertices
         if n == 0:
             return DiameterResult("empty-vertex-set", None, 0)
@@ -181,8 +160,11 @@ class CommutingGraph:
         for s in self.sources:
             dist = _bfs_packed(self._packed, n, int(s))
             if dist.min() < 0:
-                ids = self.component_ids(reach=dist)
-                return DiameterResult("disconnected", None, int(ids.max()) + 1)
+                reached, components = dist >= 0, 1
+                while not reached.all():
+                    reached |= _bfs_packed(self._packed, n, int(np.argmin(reached))) >= 0
+                    components += 1
+                return DiameterResult("disconnected", None, components)
             diam = max(diam, int(dist.max()))
         return DiameterResult("connected", diam, 1)
 

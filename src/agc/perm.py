@@ -361,9 +361,6 @@ class Subgroup:
         mask.setflags(write=False)
         return mask
 
-    def contains(self, i: int) -> bool:
-        return bool(self.member_mask[i])
-
     def is_abelian(self) -> bool:
         # the subgroup is abelian when its generators commute pairwise
         return bool(commuting(self.parent, self.generators, self.generators).all())

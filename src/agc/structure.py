@@ -170,7 +170,7 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
         ext = None
         for y in nz:
             yp = p_part(G, int(y), p)
-            if yp != 0 and not P.contains(yp):
+            if yp != 0 and not P.member_mask[yp]:
                 ext = yp
                 break
         assert ext is not None, "normalizer growth stalled below full p-part"

@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .classify import AnalysisLike, GroupAnalysis, as_analysis
+from .classify import AnalysisLike, Classification, GroupAnalysis, as_analysis
 from .errors import NotComplement
 from .perm import (
     FiniteGroup,
@@ -32,12 +32,7 @@ from .perm import (
     prime_divisors,
     product_set,
 )
-from .structure import (
-    center,
-    contains_centralizers,
-    minimal_normal_subgroups,
-    system_normalizer,
-)
+from .structure import center, contains_centralizers, system_normalizer
 
 
 @dataclass
@@ -272,36 +267,21 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
 # -- diameter bound checks ----------------------------------------------------
 
 
-def _diameter_checks(a: GroupAnalysis) -> list[CheckRecord]:
-    c = a.classification
-    records = []
+Check = Callable[[GroupAnalysis], CheckRecord]
 
-    def bound_check(cid: str, applies: bool, bound: int, reason: str) -> None:
-        if not applies:
-            records.append(CheckRecord(cid, "skipped-precondition",
-                                       {"reason": reason}))
-            return
+
+def _diameter_bound(cid: str, bound: int, reason: str,
+                    applies: Callable[[Classification], bool]) -> Check:
+    """The check that the graph of a group whose classification ``applies``
+    is connected with diameter at most ``bound``."""
+    def check(a: GroupAnalysis) -> CheckRecord:
+        if not applies(a.classification):
+            return CheckRecord(cid, "skipped-precondition", {"reason": reason})
         d = a.diameter
         ok = d.connected and d.diameter is not None and d.diameter <= bound
-        records.append(CheckRecord(cid, "pass" if ok else "fail",
-                                   {"status": d.status, "diameter": d.diameter,
-                                    "bound": bound}))
-
-    hyp = c.satisfies_hypothesis
-    bound_check("connected-diameter-le-6", hyp, 6,
-                "group does not satisfy the connectivity hypothesis")
-    bound_check("metabelian-diameter-le-4", hyp and c.derived_length == 2, 4,
-                "needs hypothesis and derived length 2")
-    bound_check("two-prime-diameter-le-4",
-                hyp and c.corollary_class == "two-prime-order", 4,
-                "order is not a two-prime order under the hypothesis")
-    bound_check("cube-free-odd-diameter-le-4",
-                hyp and c.corollary_class == "cube-free-odd", 4,
-                "order is not odd and cube-free under the hypothesis")
-
-    records.append(_center_quotient_transfer(a))
-    records.append(_twin_reduction_consistency(a))
-    return records
+        return CheckRecord(cid, "pass" if ok else "fail",
+                           {"status": d.status, "diameter": d.diameter, "bound": bound})
+    return check
 
 
 def _center_quotient_transfer(a: GroupAnalysis) -> CheckRecord:
@@ -339,93 +319,114 @@ def _twin_reduction_consistency(a: GroupAnalysis) -> CheckRecord:
 
 
 # -- diagnostics (reported, never asserted) ------------------------------------
+#
+# Structural measurements tied to the diameter>=7 contradiction argument.  The
+# hypotheses of these statements require a commuting-graph diameter of at
+# least 7, which no in-scope group attains, so they are recorded as vacuous
+# with the raw measurements in the witness.
 
 
-def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
-    """Structural measurements tied to the diameter>=7 contradiction argument.
-
-    The hypotheses of these statements require a commuting-graph diameter of
-    at least 7, which no in-scope group attains, so they are recorded as
-    vacuous with the raw measurements in the witness.
-    """
-    ids = ["fitting-centralizes-minimal-normal", "upper-fitting-index-coprime",
-           "fixed-point-free-primes-in-upper-fitting"]
-    c = a.classification
-    if not (c.solvable and c.center_order == 1 and a.group.order > 1):
-        reason = {"reason": "needs a solvable group with trivial center"}
-        return [CheckRecord(i, "skipped-precondition", dict(reason)) for i in ids]
-    G = a.group
-    F = a.fitting
-    J = a.upper_fitting
-    d = a.diameter
-    base = {"diameter_status": d.status, "diameter": d.diameter,
+def _diagnostic(cid: str, measure: Callable[[GroupAnalysis], dict[str, Any]]) -> Check:
+    """The vacuous record of ``measure`` on a solvable group with trivial
+    center, its witness led by the diameter."""
+    def check(a: GroupAnalysis) -> CheckRecord:
+        c = a.classification
+        if not (c.solvable and c.center_order == 1 and a.group.order > 1):
+            return CheckRecord(cid, "skipped-precondition",
+                               {"reason": "needs a solvable group with trivial center"})
+        d = a.diameter
+        return CheckRecord(cid, "vacuous", {
+            "diameter_status": d.status, "diameter": d.diameter,
             "hypothesis_met": bool(d.connected and d.diameter is not None
-                                   and d.diameter >= 7)}
-    records = []
+                                   and d.diameter >= 7),
+            **measure(a)})
+    return check
 
-    minimals = minimal_normal_subgroups(G, a.classes)
+
+def _minimal_normal_centralizers(a: GroupAnalysis) -> dict[str, Any]:
+    G, F = a.group, a.fitting
     per_v = []
     everyone = np.arange(G.order)
-    for V in minimals:
+    for V in a.minimal_normals:
         # C_G(V): the elements commuting with V's generators
         cgv = np.nonzero(commuting(G, everyone, V.generators).all(axis=1))[0]
         equals_f = cgv.size == F.order and F.member_mask[cgv].all()
         per_v.append({"minimal_order": V.order,
                       "centralizer_order": int(cgv.size),
                       "equals_fitting": bool(equals_f)})
-    records.append(CheckRecord(ids[0], "vacuous",
-                               {**base, "fitting_order": F.order,
-                                "minimal_normals": per_v}))
+    return {"fitting_order": F.order, "minimal_normals": per_v}
 
-    g = math.gcd(J.order // F.order, F.order)
-    records.append(CheckRecord(ids[1], "vacuous",
-                               {**base, "upper_index": J.order // F.order,
-                                "fitting_order": F.order, "gcd": g}))
 
+def _upper_fitting_index(a: GroupAnalysis) -> dict[str, Any]:
+    F = a.fitting
+    index = a.upper_fitting.order // F.order
+    return {"upper_index": index, "fitting_order": F.order,
+            "gcd": math.gcd(index, F.order)}
+
+
+def _fixed_point_free_primes(a: GroupAnalysis) -> dict[str, Any]:
     # the prime-order elements that commute with no nontrivial member of
     # any minimal normal subgroup
+    G = a.group
     fpf = np.nonzero(np.isin(G.element_orders, prime_divisors(G.order)))[0]
-    for V in minimals:
+    for V in a.minimal_normals:
         fpf = fpf[~commuting(G, fpf, V.members[1:]).any(axis=1)]
-    outside = int((~J.member_mask[fpf]).sum())
-    records.append(CheckRecord(ids[2], "vacuous",
-                               {**base, "fixed_point_free_prime_elements": int(fpf.size),
-                                "outside_upper_fitting": outside}))
-    return records
+    outside = int((~a.upper_fitting.member_mask[fpf]).sum())
+    return {"fixed_point_free_prime_elements": int(fpf.size),
+            "outside_upper_fitting": outside}
+
+
+_DIAGNOSTICS: tuple[Check, ...] = (
+    _diagnostic("fitting-centralizes-minimal-normal", _minimal_normal_centralizers),
+    _diagnostic("upper-fitting-index-coprime", _upper_fitting_index),
+    _diagnostic("fixed-point-free-primes-in-upper-fitting", _fixed_point_free_primes),
+)
+
+
+def proof_diagnostics(a: GroupAnalysis) -> list[CheckRecord]:
+    """The records of the three diagnostics."""
+    return [check(a) for check in _DIAGNOSTICS]
 
 
 # -- report assembly -----------------------------------------------------------
 
 
-def _timed(fn: Callable[[], CheckRecord]) -> CheckRecord:
-    start = time.perf_counter()
-    rec = fn()
-    rec.millis = (time.perf_counter() - start) * 1000.0
-    return rec
-
-
-def _timed_many(fn: Callable[[], list[CheckRecord]]) -> list[CheckRecord]:
-    start = time.perf_counter()
-    recs = fn()
-    per = (time.perf_counter() - start) * 1000.0 / max(len(recs), 1)
-    for rec in recs:
-        rec.millis = per
-    return recs
+CHECKS: tuple[Check, ...] = (
+    check_derived_center_intersection,
+    check_system_normalizer_complement,
+    check_fitting_decomposition,
+    _frobenius_equivalences_auto,
+    check_stray_p_part_centralizers,
+    _diameter_bound("connected-diameter-le-6", 6,
+                    "group does not satisfy the connectivity hypothesis",
+                    lambda c: c.satisfies_hypothesis),
+    _diameter_bound("metabelian-diameter-le-4", 4,
+                    "needs hypothesis and derived length 2",
+                    lambda c: c.satisfies_hypothesis and c.derived_length == 2),
+    _diameter_bound("two-prime-diameter-le-4", 4,
+                    "order is not a two-prime order under the hypothesis",
+                    lambda c: c.corollary_class == "two-prime-order"),
+    _diameter_bound("cube-free-odd-diameter-le-4", 4,
+                    "order is not odd and cube-free under the hypothesis",
+                    lambda c: c.corollary_class == "cube-free-odd"),
+    _center_quotient_transfer,
+    _twin_reduction_consistency,
+    *_DIAGNOSTICS,
+)
 
 
 def run_all_checks(G: AnalysisLike) -> list[CheckRecord]:
-    """Every check, sorted by id.  ``GroupAnalysis.records`` keeps the result."""
+    """Every check of ``CHECKS``, each timed alone, sorted by id.
+    ``GroupAnalysis.records`` keeps the result.  A shared invariant is
+    computed, and timed, in the first check that reads it."""
     a = as_analysis(G)
-    records: list[CheckRecord] = []
-    records.append(_timed(lambda: check_derived_center_intersection(a)))
-    records.append(_timed(lambda: check_system_normalizer_complement(a)))
-    records.append(_timed(lambda: check_fitting_decomposition(a)))
-    records.append(_timed(lambda: _frobenius_equivalences_auto(a)))
-    records.append(_timed(lambda: check_stray_p_part_centralizers(a)))
-    records.extend(_timed_many(lambda: _diameter_checks(a)))
-    records.extend(_timed_many(lambda: proof_diagnostics(a)))
-    records.sort(key=lambda r: r.id)
-    return records
+    records = []
+    for check in CHECKS:
+        start = time.perf_counter()
+        record = check(a)
+        record.millis = (time.perf_counter() - start) * 1000.0
+        records.append(record)
+    return sorted(records, key=lambda r: r.id)
 
 
 def group_report(G: AnalysisLike) -> dict[str, Any]:

@@ -61,6 +61,16 @@ def test_frobenius_requires_solvable():
         is_frobenius(alternating(5))
 
 
+def test_only_the_quotients_of_a_solvable_group_are_taken_as_solvable():
+    """G/Z of a solvable group is solvable without a derived series of its
+    own; G/Z of a nonsolvable group is still tested, and still refused."""
+    a = GroupAnalysis(direct_product(symmetric(3), cyclic(2)))
+    Q = a.central_quotient
+    assert Q.solvable and "series" not in vars(Q)
+    with pytest.raises(NotSolvable):
+        is_frobenius(GroupAnalysis(direct_product(alternating(5), cyclic(2))).central_quotient)
+
+
 def test_2frobenius_s4():
     G = symmetric(4)
     ok, pair = is_2frobenius(G)

@@ -331,6 +331,20 @@ def test_corpus_skips_undecodable_and_deeply_nested_files(tmp_path, capsys):
         assert main(["corpus", str(src), "--strict", "--out", str(out)]) == 1
 
 
+def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, capsys):
+    """An output path in a missing directory, or a corpus output directory
+    that is a regular file, exits 1 with one error line."""
+    missing = tmp_path / "missing"
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    for argv in (["analyze", s3_file, "--out", str(missing / "r.json")],
+                 ["witness", "diameter-4", "--emit", str(missing / "w.json")],
+                 ["corpus", str(tmp_path), "--out", str(regular)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_corpus_missing_directory(tmp_path, capsys):
     assert main(["corpus", str(tmp_path / "nope")]) == 1
 

@@ -1,3 +1,7 @@
+import importlib
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -181,6 +185,39 @@ def test_center_quotient_transfer(corpus_groups):
     assert rec.status == "pass"
     assert rec.witness["group"]["diameter"] == 4
     assert rec.witness["central_quotient"]["diameter"] == 4
+
+
+CHECK_IDS = [
+    "center-quotient-transfer", "connected-diameter-le-6",
+    "cube-free-odd-diameter-le-4", "derived-center-intersection",
+    "fitting-centralizes-minimal-normal", "fitting-decomposition",
+    "fixed-point-free-primes-in-upper-fitting", "frobenius-equivalences",
+    "metabelian-diameter-le-4", "stray-p-part-centralizers",
+    "system-normalizer-complement", "twin-reduction-consistency",
+    "two-prime-diameter-le-4", "upper-fitting-index-coprime",
+]
+
+
+def test_every_check_gives_one_record_in_id_order(corpus_groups):
+    """The 14 checks each give one record, sorted by id, and the diagnostics
+    are the same records whether run alone or with the others."""
+    for name in ("s3", "g126", "c2xw60"):
+        a = GroupAnalysis(corpus_groups[name])
+        assert [r.id for r in a.records] == CHECK_IDS
+        alone = {r.id: (r.status, r.witness) for r in proof_diagnostics(a)}
+        assert alone == {r.id: (r.status, r.witness) for r in a.records if r.id in {
+            "fitting-centralizes-minimal-normal", "upper-fitting-index-coprime",
+            "fixed-point-free-primes-in-upper-fitting"}}, name
+
+
+def test_each_record_times_its_own_check(monkeypatch, corpus_groups, witness1500):
+    """With a clock that advances 1 s per reading, every record reads
+    1000 ms: each check is timed alone, none gets a share of a group's time."""
+    clock = itertools.count()
+    monkeypatch.setattr(importlib.import_module("agc.verify"), "time",
+                        SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    for G in (witness1500, corpus_groups["c2xw60"]):
+        assert [r.millis for r in run_all_checks(G)] == [1000.0] * len(CHECK_IDS)
 
 
 def test_diagnostics_are_never_asserted(witness1500):
