@@ -122,6 +122,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         print(f"error: no group files in {directory}", file=sys.stderr)
         return EXIT_INPUT
     cap = _max_order(args)
+    if args.out is not None:
+        # an unusable output directory fails before any analysis
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
     work = [(p, cap) for p in paths]
     if args.jobs > 1:
         # imported only here: with multiprocessing it costs ~30 ms of start-up
@@ -153,8 +157,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         sys.stdout.write(_report_json(payload))
         sys.stdout.write(_summary_csv(rows))
     else:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         _write_output(_report_json(payload), str(outdir / "reports.json"))
         _write_output(_summary_csv(rows), str(outdir / "summary.csv"))
 

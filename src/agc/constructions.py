@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .perm import FiniteGroup, closure
-from .products import extend_action, semidirect_product
+from .products import semidirect_product
 
 
 def cyclic(n: int, *, name: str | None = None) -> FiniteGroup:
@@ -83,18 +83,15 @@ def quaternion() -> FiniteGroup:
 def metacyclic(n: int, m: int, r: int, *, name: str | None = None) -> FiniteGroup:
     """C_n ⋊ C_m where the actor generator maps base elements to r-th powers.
 
-    Requires r^m ≡ 1 (mod n) so the assignment is a homomorphism.
+    Raises InvalidAction unless r^m ≡ 1 (mod n), which makes x ↦ x^r an
+    automorphism whose m-th power is the identity.
     """
-    if pow(r, m, n) != 1:
-        raise ValueError(f"r^m = {r}^{m} is not 1 mod {n}")
-    base = cyclic(n)
     actor = cyclic(m)
-    idx = np.arange(n)
-
-    def action(a: int) -> np.ndarray:
-        return (idx * pow(r, a, n)) % n
-
-    return semidirect_product(base, actor, action, name=name or f"C{n}:C{m}(r={r})")
+    # actor element 1 is the rotation by one: the generator, or for m = 1
+    # the identity, which must then act trivially
+    images = {1 % m: np.arange(n) * r % n}
+    return semidirect_product(cyclic(n), actor, images,
+                              name=name or f"C{n}:C{m}(r={r})")
 
 
 def matrix_action_group(p: int, dim: int, actor: FiniteGroup,
@@ -115,8 +112,7 @@ def matrix_action_group(p: int, dim: int, actor: FiniteGroup,
     index[vecs @ weights] = np.arange(base.order, dtype=np.int32)
     gen_phis = {g: index[vecs @ np.asarray(m, np.int64).T % p @ weights]
                 for g, m in gen_matrices.items()}
-    phis = extend_action(actor, gen_phis, base.order)
-    return semidirect_product(base, actor, lambda a: phis[a], name=name)
+    return semidirect_product(base, actor, gen_phis, name=name)
 
 
 def dicyclic(n: int) -> FiniteGroup:

@@ -44,7 +44,10 @@ def index_dtype(order: int) -> type[np.signedinteger]:
 def _validate_images(images, degree: int) -> np.ndarray:
     """``images`` as an int32 array, checked to be a bijection of
     {0..degree-1} for a degree of at least 1."""
-    arr = np.asarray(images, dtype=np.int64)
+    try:
+        arr = np.asarray(images, dtype=np.int64)
+    except OverflowError:
+        raise MalformedPermutation("image values out of range") from None
     if arr.ndim != 1 or arr.size != degree:
         raise MalformedPermutation(f"expected {degree} images, got shape {arr.shape}")
     if int(arr.min()) < 0 or int(arr.max()) >= degree:
@@ -228,12 +231,13 @@ def closure(
     G_(S) at least halves each time, so there are at most log2 |G| restarts.
 
     Raises GroupTooLarge once more than ``max_order`` keys are found, so a
-    cap below 1 admits only the trivial group.  Each generator is checked
-    to be a bijection of {0..degree-1}; with no generators nothing of size
+    cap below 1 admits only the trivial group.  The degree must lie between
+    1 and the largest ``np.intp``, and each generator is checked to be a
+    bijection of {0..degree-1}; with no generators nothing of size
     ``degree`` is made.
     """
-    if degree < 1:
-        raise MalformedPermutation("degree must be positive")
+    if not 1 <= degree <= np.iinfo(np.intp).max:
+        raise MalformedPermutation("degree must be positive and fit an array index")
     gen_arrays = [_validate_images(g, degree) for g in gens]
     garr = np.array(gen_arrays, np.int32).reshape(len(gen_arrays), degree)
     base = _orbit_representatives(garr) if gen_arrays else []

@@ -1,18 +1,43 @@
 """Quotients and (semi)direct products, realized as permutation groups.
 
 Quotients act by right multiplication on cosets; products act on
-|base|·|actor| points via the regular representation, so every construction
-yields the same uniform FiniteGroup representation.
+|base|·|actor| points via the regular representation.  Both actions are
+regular, so one walk over points lists both as the same uniform FiniteGroup.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, Subgroup, closure, distinct
+from .perm import FiniteGroup, Subgroup, distinct
+
+
+def _regular_group(rows: np.ndarray, *, name: str | None = None
+                   ) -> tuple[FiniteGroup, np.ndarray]:
+    """The group generated by ``rows``, which must act regularly on their
+    points, and ``pos``: ``pos[p]`` indexes the element taking point 0 to p.
+
+    In a regular group an element x is known by x(0), and x·g takes 0 to
+    g(x(0)).  So the points listed breadth-first from 0 give ``closure``'s
+    element order: each level lists the new points g(p) of the level
+    before, p-major, then by generator, each at its first occurrence.
+    """
+    pos = np.full(rows.shape[1], -1, np.int32)
+    pos[0] = 0
+    levels = [np.zeros(1, np.intp)]
+    found = 1
+    while levels[-1].size:
+        reached = rows[:, levels[-1]].T.ravel()
+        reached = reached[pos[reached] < 0]
+        first = np.zeros(reached.size, bool)
+        first[np.unique(reached, return_index=True)[1]] = True
+        level = reached[first]
+        pos[level] = np.arange(found, found + level.size)
+        found += level.size
+        levels.append(level)
+    right = pos[rows[:, np.concatenate(levels)]]
+    return FiniteGroup(rows, right[:, 0], right, name=name), pos
 
 
 def quotient(
@@ -22,99 +47,65 @@ def quotient(
 
     Returns ``(Q, proj)`` where Q acts by right multiplication on the cosets
     of N (degree |G|/|N|) and ``proj[x]`` is the index in Q of the coset Nx.
-    The cosets are listed breadth-first from N over right multiplication by
-    G's generators, the order a closure over the coset permutations would
-    give, and Q's generator rows and right columns are read off G's table.
-    Raises NotNormal when N is not normal in G.
+    The coset permutations are read off G's table and listed by the walk
+    over cosets.  Raises NotNormal when N is not normal in G.
     """
     if N.parent is not G:
         raise ValueError("subgroup does not belong to the given group")
     if not N.is_normal():
         raise NotNormal("quotient by a non-normal subgroup")
     t = G.table
-    gens = np.array(G.generators, np.int64)
-    # canonical representative of the coset Nx: the least element of {n·x}
+    # canonical representative of the coset Nx: the least element of {n·x},
+    # so N itself is coset 0
     coset_rep = t[N.members].min(axis=0).astype(np.int32)
     reps = distinct(coset_rep, G.order)
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
-    # the cosets in breadth-first order, N (coset 0) first, a level at a
-    # time: each level lists the cosets r·g of the level before that are
-    # new, in the reading order r-major, then by generator, each at its
-    # first occurrence
-    pos = np.full(reps.size, -1, np.int32)
-    pos[0] = 0
-    levels = [np.zeros(1, np.int32)]
-    found = 1
-    while levels[-1].size:
-        reached = cid[t[np.ix_(reps[levels[-1]], gens)]].ravel()
-        reached = reached[pos[reached] < 0]
-        first = np.zeros(reached.size, bool)
-        first[np.unique(reached, return_index=True)[1]] = True
-        level = reached[first]
-        pos[level] = np.arange(found, found + level.size)
-        found += level.size
-        levels.append(level)
-    r = reps[np.concatenate(levels)]
-    proj = pos[cid]
     # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]
-    rows = cid[t[np.ix_(reps, gens)].T]
-    right = proj[t[np.ix_(r, gens)]].T
-    Q = FiniteGroup(rows, proj[gens], right, name=name)
-    return Q, proj
-
-
-ActionFn = Callable[[int], Sequence[int] | np.ndarray]
+    rows = cid[t[np.ix_(reps, G.generators)].T]
+    Q, pos = _regular_group(rows, name=name)
+    return Q, pos[cid]
 
 
 def semidirect_product(
     base: FiniteGroup,
     actor: FiniteGroup,
-    action: ActionFn,
+    images: dict[int, np.ndarray],
     *,
     name: str | None = None,
 ) -> FiniteGroup:
-    """The semidirect product base ⋊ actor for a verified action.
+    """The semidirect product base ⋊ actor for an action given on generators.
 
-    ``action(a)`` must give, for each actor element index a, the automorphism
-    of the base as a permutation of base element indices; the assignment must
-    be a homomorphism.  Multiplication follows
-    (b1, a1)(b2, a2) = (b1·action(a1)(b2), a1·a2), realized on
-    |base|·|actor| points via the regular representation: the pair (b, a) is
-    the point b·|actor| + a, and each element is the permutation of the
-    points by which it multiplies them on the right.
+    ``images`` maps actor element indices that generate the actor to
+    automorphisms of the base, as arrays of base element indices, and
+    ``extend_action`` extends them to a ↦ phi_a.  Multiplication follows
+    (b1, a1)(b2, a2) = (b1·phi_a1(b2), a1·a2), realized on |base|·|actor|
+    points via the regular representation: the pair (b, a) is the point
+    b·|actor| + a, and each element is the permutation of the points by
+    which it multiplies them on the right.  Raises InvalidAction when an
+    image is not an automorphism of the base or the images do not define
+    an action.
     """
     nb, m = base.order, actor.order
     tb, ta = base.table, actor.table
-    phis = np.empty((m, nb), np.int32)
-    for a in range(m):
-        phi = np.asarray(action(a), np.int32)
+    for g, phi in images.items():
+        phi = np.asarray(phi)
         if phi.shape != (nb,) or not np.array_equal(np.sort(phi), np.arange(nb)):
-            raise InvalidAction(f"action of actor element {a} is not a bijection")
+            raise InvalidAction(f"image of actor element {g} is not a bijection")
         if not np.array_equal(phi[tb], tb[np.ix_(phi, phi)]):
-            raise InvalidAction(
-                f"action of actor element {a} is not an automorphism"
-            )
-        phis[a] = phi
-    for a1 in range(m):
-        composed = phis[a1][phis]  # row a2 = phi_{a1} ∘ phi_{a2}
-        if not np.array_equal(phis[ta[a1]], composed):
-            raise InvalidAction("action is not a homomorphism into Aut(base)")
+            raise InvalidAction(f"image of actor element {g} is not an automorphism")
+    # each phi_a is a composition of the automorphisms just checked, and
+    # extend_action's check of every phi_x·g makes a ↦ phi_a a homomorphism
+    phis = extend_action(actor, images, nb)
 
     pts = np.arange(nb * m, dtype=np.int32)
     b_of, a_of = pts // m, pts % m
-    gen_rows = []
-    for gb in base.generators:
-        # right multiplication by (gb, identity); widened first, since table
-        # entries may be int16 where the point labels b·m + a are not
-        b_img = tb[b_of, phis[a_of, gb]].astype(np.int64)
-        gen_rows.append(b_img * m + a_of)
-    for ga in actor.generators:
-        # right multiplication by (identity, ga)
-        gen_rows.append(b_of * m + ta[a_of, ga])
-    G = closure(nb * m, gen_rows, max_order=nb * m, name=name)
-    if G.order != nb * m:
-        raise InvalidAction("regular representation did not reach full order")
-    return G
+    # right multiplication by (gb, identity), widened first, since table
+    # entries may be int16 where the point labels b·m + a are not; then by
+    # (identity, ga).  The action is valid, so the rows act regularly.
+    rows = [tb[b_of, phis[a_of, gb]].astype(np.int64) * m + a_of
+            for gb in base.generators]
+    rows += [b_of * m + ta[a_of, ga] for ga in actor.generators]
+    return _regular_group(np.array(rows, np.int64).reshape(-1, nb * m), name=name)[0]
 
 
 def extend_action(actor: FiniteGroup,
@@ -124,7 +115,8 @@ def extend_action(actor: FiniteGroup,
 
     Follows phi_(x*g) = phi_x applied after phi_g, matching the homomorphism
     convention of ``semidirect_product``.  Raises InvalidAction when the
-    generator assignment is inconsistent (not a homomorphism).
+    generator assignment is inconsistent (not a homomorphism) or when the
+    given elements do not generate the actor.
     """
     ta = actor.table
     phis = np.full((actor.order, degree), -1, np.int32)
@@ -142,6 +134,8 @@ def extend_action(actor: FiniteGroup,
                 elif not np.array_equal(phis[y], img):
                     raise InvalidAction("generator images do not define an action")
         frontier = nxt
+    if (phis[:, 0] == -1).any():
+        raise InvalidAction("generator images do not reach every actor element")
     return phis
 
 
@@ -150,4 +144,4 @@ def direct_product(
 ) -> FiniteGroup:
     """Direct product A × B (semidirect product with the trivial action)."""
     ident = np.arange(A.order, dtype=np.int32)
-    return semidirect_product(A, B, lambda a: ident, name=name)
+    return semidirect_product(A, B, {g: ident for g in B.generators}, name=name)

@@ -100,9 +100,9 @@ def build_diameter6_witness() -> GroupAnalysis:
     A is the companion matrix of x² + x + 1 beside a 1, so A³ = I and A
     fixes exactly a line; B² = −I; and BA = A²B = A⁻¹B, the relation
     bab⁻¹ = a⁻¹ of Dic3.  These are what the construction needs.  Matrices
-    that break Dic3's relations make ``extend_action`` or
-    ``semidirect_product`` raise InvalidAction, and any other wrong pair
-    fails ``agc witness``'s fingerprint check.
+    that are singular or break Dic3's relations make ``semidirect_product``
+    raise InvalidAction, and any other wrong pair fails ``agc witness``'s
+    fingerprint check.
 
     Every nontrivial normal subgroup of Dic3 contains a or b², and B² = −I
     fixes no nonzero vector, so the action is faithful and

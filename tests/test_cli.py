@@ -319,7 +319,8 @@ def test_corpus_skips_corrupt_files_unless_strict(tmp_path, capsys):
 
 
 def test_corpus_skips_undecodable_and_deeply_nested_files(tmp_path, capsys):
-    for bad in (b"\xff\xfe\x00", b"[" * 100000):
+    huge = b'{"degree":2,"generators":[[1,%d]]}' % 10 ** 30
+    for bad in (b"\xff\xfe\x00", b"[" * 100000, huge):
         src = tmp_path / "groups"
         src.mkdir(exist_ok=True)
         save_group(symmetric(4), src / "s4.json")
@@ -331,9 +332,14 @@ def test_corpus_skips_undecodable_and_deeply_nested_files(tmp_path, capsys):
         assert main(["corpus", str(src), "--strict", "--out", str(out)]) == 1
 
 
-def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, capsys):
+def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, monkeypatch,
+                                                       capsys):
     """An output path in a missing directory, or a corpus output directory
-    that is a regular file, exits 1 with one error line."""
+    that is a regular file, exits 1 with one error line; the corpus command
+    fails so before it analyses any file."""
+    cli, analysed = importlib.import_module("agc.cli"), []
+    monkeypatch.setattr(cli, "_analyze_one",
+                        lambda work: analysed.append(work) or _analyze_one(work))
     missing = tmp_path / "missing"
     regular = tmp_path / "regular"
     regular.write_text("")
@@ -343,6 +349,7 @@ def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, capsys
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+    assert analysed == []
 
 
 def test_corpus_missing_directory(tmp_path, capsys):
@@ -553,6 +560,7 @@ def _fuzzed(obj, rng):
         ("degree-1", {**obj, "degree": n - 1}),
         ("degree 0", {**obj, "degree": 0}),
         ("degree huge", {**obj, "degree": 10 ** 12}),
+        ("degree beyond intp", {**obj, "degree": 10 ** 30, "generators": []}),
         ("degree bool", {**obj, "degree": True}),
         ("degree float", {**obj, "degree": float(n)}),
         ("degree string", {**obj, "degree": str(n)}),
@@ -560,6 +568,8 @@ def _fuzzed(obj, rng):
         ("image duplicated", with_image(gens[0][(i + 1) % n])),
         ("image out of range", with_image(n)),
         ("image negative", with_image(-1)),
+        ("image huge", with_image(10 ** 30)),
+        ("image huge negative", with_image(-10 ** 30)),
         # the mistyped images equal the right ones, so only their type is wrong
         ("image bool", with_image(True, gens[0].index(1))),
         ("image float", with_image(float(gens[0][i]))),

@@ -12,6 +12,7 @@ from agc.constructions import (
     quaternion,
     symmetric,
 )
+from agc.errors import InvalidAction
 from agc.structure import center, derived_series, is_abelian
 
 
@@ -95,5 +96,5 @@ def test_metacyclic_relation():
 
 
 def test_metacyclic_rejects_invalid_exponent():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAction):
         metacyclic(7, 3, 3)  # 3^3 = 27 is not 1 mod 7

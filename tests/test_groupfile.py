@@ -1,4 +1,3 @@
-import importlib.util
 import json
 
 import pytest
@@ -80,16 +79,3 @@ def test_group_to_file_uses_generators():
     gf = group_to_file(G)
     assert gf.degree == 3
     assert len(gf.generators) == len(G.generators)
-
-
-def test_corpus_builder_reproduces_the_bundled_files(corpus_dir):
-    """``scripts/build_corpus.py`` rebuilds each corpus file byte for byte."""
-    script = corpus_dir.parent / "scripts" / "build_corpus.py"
-    spec = importlib.util.spec_from_file_location("build_corpus", script)
-    builder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(builder)
-    groups = builder.build_all()
-    assert sorted(groups) == sorted(path.stem for path in corpus_dir.glob("*.json"))
-    for key, G in groups.items():
-        text = (corpus_dir / f"{key}.json").read_text(encoding="utf-8")
-        assert serialize_group_file(group_to_file(G)) == text, key

@@ -5,9 +5,9 @@ import pytest
 
 from agc.errors import InvalidAction, NotNormal
 from agc.groupfile import load_group, save_group
-from agc.perm import generated_subgroup
+from agc.perm import closure, generated_subgroup
 from agc.products import direct_product, extend_action, quotient, semidirect_product
-from agc.constructions import abelian, cyclic, symmetric
+from agc.constructions import abelian, cyclic, metacyclic, symmetric
 from agc.structure import (
     center,
     derived_series,
@@ -115,7 +115,7 @@ def test_semidirect_pairing_is_bijective():
     def action(a):
         return (idx * pow(2, a, 5)) % 5
 
-    G = semidirect_product(base, actor, action)
+    G = semidirect_product(base, actor, {actor.generators[0]: action(1)})
     assert G.order == 20
     # (b, a) is the permutation (b2, a2) ↦ (b2·phi_a2(b), a2·a) of the
     # points b2·4 + a2; pairing[b, a] is its element index
@@ -140,7 +140,7 @@ def test_semidirect_pairing_is_bijective():
 def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
     """C_200 x C_200 acts on 40 000 points, more than an int16 holds,
     though each factor's table is int16.  Its 40 000² table is not made:
-    the closure is stopped once it is handed the generators, which must be
+    the walk is stopped once it is handed the generators, which must be
     those of the regular representation, b·200 + a ↦ (b·g)·200 + a for
     the base generator g and b·200 + a ↦ b·200 + a·g for the actor's."""
     products = importlib.import_module("agc.products")
@@ -149,11 +149,11 @@ def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
     class Stop(Exception):
         pass
 
-    def stop(degree, gens, **kwargs):
-        handed.append((degree, list(gens)))
+    def stop(rows, **kwargs):
+        handed.append((rows.shape[1], list(rows)))
         raise Stop
 
-    monkeypatch.setattr(products, "closure", stop)
+    monkeypatch.setattr(products, "_regular_group", stop)
     C = cyclic(200)
     with pytest.raises(Stop):
         direct_product(C, C)
@@ -170,30 +170,22 @@ def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
 def test_semidirect_rejects_non_automorphism():
     base, actor = cyclic(5), cyclic(2)
     bad = np.array([0, 2, 1, 3, 4])  # a bijection that is not an automorphism
-
-    def action(a):
-        return bad if a == 1 else np.arange(5)
-
     with pytest.raises(InvalidAction):
-        semidirect_product(base, actor, action)
+        semidirect_product(base, actor, {actor.generators[0]: bad})
 
 
 def test_semidirect_rejects_non_homomorphism():
     base, actor = cyclic(7), cyclic(4)
-    idx = np.arange(7)
-
-    def action(a):
-        # order-3 automorphism assigned to an order-4 actor: not a homomorphism
-        return (idx * pow(2, a, 7)) % 7
-
+    # order-3 automorphism assigned to an order-4 actor: not a homomorphism
+    phi = (np.arange(7) * 2) % 7
     with pytest.raises(InvalidAction):
-        semidirect_product(base, actor, action)
+        semidirect_product(base, actor, {actor.generators[0]: phi})
 
 
 def test_frobenius_20_structure():
     base, actor = cyclic(5), cyclic(4)
     idx = np.arange(5)
-    G = semidirect_product(base, actor, lambda a: (idx * pow(2, a, 5)) % 5)
+    G = semidirect_product(base, actor, {actor.generators[0]: (idx * 2) % 5})
     assert center(G).order == 1
     assert derived_series(G).orders() == [20, 5, 1]
     infos = normal_subgroups(G)
@@ -206,3 +198,31 @@ def test_extend_action_rejects_inconsistent_generators():
     phi = np.array([1, 2, 0], np.int32)
     with pytest.raises(InvalidAction):
         extend_action(actor, {actor.generators[0]: phi}, 3)
+
+
+def test_extend_action_rejects_keys_that_do_not_generate_the_actor():
+    """Images given on a proper subgroup of the actor leave elements
+    without an automorphism: an error, not rows of -1."""
+    base, actor = cyclic(5), cyclic(4)
+    square = actor.power(actor.generators[0], 2)  # generates the C2 inside C4
+    ident = np.arange(5, dtype=np.int32)
+    with pytest.raises(InvalidAction):
+        extend_action(actor, {square: ident}, 5)
+    for images in ({square: ident}, {}):
+        with pytest.raises(InvalidAction):
+            semidirect_product(base, actor, images)
+
+
+def test_products_match_a_closure_of_their_generators(witness1500):
+    """Each product, listed by the walk over points, equals ``closure`` over
+    its generator rows: the same generators and the same table, so the same
+    elements in the same order.  Covers every metacyclic C_n ⋊ C_m of order
+    at most 60, S3 × C4 and the order-1500 witness."""
+    groups = [metacyclic(n, m, r) for n in range(1, 61) for m in range(1, 60 // n + 1)
+              for r in range(n) if pow(r, m, n) == 1 % n]
+    groups += [direct_product(symmetric(3), cyclic(4)), witness1500]
+    for G in groups:
+        R = closure(G.degree, G.generator_rows, max_order=G.degree)
+        assert R.order == G.order == G.degree, G.name
+        assert G.generators == R.generators, G.name
+        assert np.array_equal(G.table, R.table), G.name
