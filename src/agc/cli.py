@@ -6,8 +6,8 @@ Commands:
   witness <name>          rebuild a registered witness group and emit it
   graph <file>            export the commuting graph (dot or json)
 
-Exit codes: 0 ok, 1 input or output error, 2 check failure, 3 fingerprint
-defect.
+Exit codes: 0 ok, 1 input, output or usage error, 2 check failure,
+3 fingerprint defect.
 
 Each command imports only what it runs: ``agc.witness`` (and with it
 ``agc.constructions``) is loaded by ``witness`` alone, and the process pool
@@ -211,8 +211,29 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT: argparse
+    exits 2, which here means a check failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _job_count(text: str) -> int:
+    """A ``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="agc",
         description="commuting-graph analysis of finite permutation groups",
     )
@@ -229,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--out", default=None,
                    help="directory for reports.json and summary.csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--strict", action="store_true",
                    help="fail on unreadable group files")
     p.set_defaults(func=cmd_corpus)

@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidAction
 from .perm import FiniteGroup, closure
 from .products import semidirect_product
 
@@ -86,10 +87,10 @@ def metacyclic(n: int, m: int, r: int, *, name: str | None = None) -> FiniteGrou
     Raises InvalidAction unless r^m ≡ 1 (mod n), which makes x ↦ x^r an
     automorphism whose m-th power is the identity.
     """
+    if pow(r, m, n) != 1 % n:  # C1 has no generator, so nothing else checks m = 1
+        raise InvalidAction(f"{r}^{m} is not 1 mod {n}")
     actor = cyclic(m)
-    # actor element 1 is the rotation by one: the generator, or for m = 1
-    # the identity, which must then act trivially
-    images = {1 % m: np.arange(n) * r % n}
+    images = {g: np.arange(n) * r % n for g in actor.generators}
     return semidirect_product(cyclic(n), actor, images,
                               name=name or f"C{n}:C{m}(r={r})")
 

@@ -12,8 +12,9 @@ The enumeration tells elements apart by their images of a base: a point
 tuple S whose pointwise stabilizer is trivial.  It searches the images of S
 rather than whole image rows, and certifies S by Schreier's lemma (see
 ``closure``).  A group keeps no image row of its elements: only its
-generators' rows, the search tree and the table, from which
-``FiniteGroup.images`` recovers the images of any points.
+generators' rows, the search tree and the table.  Elements are listed in
+first-reached order, so each level of the tree is a contiguous index range,
+walked with one gather per level by ``FiniteGroup.images`` and the table.
 
 The table is most of what a group holds, so its entries, element indices,
 take the narrowest dtype that holds them: ``index_dtype`` chooses it, int16
@@ -65,9 +66,9 @@ class FiniteGroup:
     Elements are listed breadth-first: element 0 is the identity and every
     other element j is first reached as parent(j)·gen(j), for an earlier
     element parent(j) and a generator gen(j).  Row h of ``generator_rows``
-    holds the images of generator h, ``generators[h]`` is its element index,
-    and ``right[h, i]`` is the index of element i times generator h.  The
-    dense multiplication table, the inverse array and the tree are built
+    holds the images of generator h, and ``right[h, i]`` is the index of
+    element i times generator h, so ``generators[h]`` is ``right[h, 0]``.
+    The dense multiplication table, the inverse array and the tree are built
     from these columns when the group is made; no element's image row is
     kept, and ``images`` reads any of them off the tree.  The table and
     the inverse array have dtype ``index_dtype(order)``: int16 up to order
@@ -75,14 +76,8 @@ class FiniteGroup:
     takes two bytes an entry.
     """
 
-    def __init__(
-        self,
-        generator_rows: np.ndarray,
-        generators: Sequence[int],
-        right: np.ndarray,
-        *,
-        name: str | None = None,
-    ):
+    def __init__(self, generator_rows: np.ndarray, right: np.ndarray, *,
+                 name: str | None = None):
         rows = np.array(generator_rows, dtype=np.int32)
         right = np.asarray(right, np.int32)
         if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
@@ -91,24 +86,28 @@ class FiniteGroup:
         self.generator_rows = rows
         self.degree = rows.shape[1]
         self.order = right.shape[1]
-        self.generators = [int(g) for g in generators]
+        self.generators = right[:, 0].tolist()
         self.name = name
-        self._orders: np.ndarray | None = None
         self._build_table(right)
 
     # -- basic accessors ----------------------------------------------------
 
     def images(self, points: Sequence[int]) -> np.ndarray:
         """Row i holds the images of ``points`` under element i: its parent's
-        row mapped through its generator's row, filled in one pass."""
-        pts = np.asarray(points, np.int32)
-        img = np.empty((self.order, pts.size), np.int32)
-        img[0] = pts
-        rows = self.generator_rows
-        tree = zip(self._parent[1:].tolist(), self._gen[1:].tolist())
-        for j, (i, h) in enumerate(tree, start=1):
-            rows[h].take(img[i], out=img[j])
-        return img
+        row mapped through its generator's row, a level at a time."""
+        return self._walk(self.generator_rows, np.asarray(points, np.int32))
+
+    def _walk(self, perms: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Rows indexed like the elements: row 0 is ``start``, and row j is
+        ``perms[gen(j)]`` applied to row parent(j).  Parents lie in the level
+        before their children, so each level is one gather through the flat
+        indices gen·width + value."""
+        out = np.empty((self.order, start.size), perms.dtype)
+        out[0] = start
+        flat, offset = perms.ravel(), self._gen[:, None] * perms.shape[1]
+        for s, e in self._levels:
+            out[s:e] = flat.take(offset[s:e] + out.take(self._parent[s:e], 0))
+        return out
 
     def __len__(self) -> int:
         return self.order
@@ -144,6 +143,9 @@ class FiniteGroup:
             table[i] = table[parent(i)][left_gen(i)],
             as e_i·e_j = e_parent(i)·(gen(i)·e_j).
 
+        Elements are listed in first-reached order, so parents never decrease
+        and each breadth-first level is a contiguous index range: ``left`` is
+        the walk of ``right`` from its column 0.
         Parents come before their children, so filling in index order reads
         only what is filled: each row of the table is one contiguous,
         bounds-checked gather of an earlier row, where a column at a time
@@ -154,24 +156,28 @@ class FiniteGroup:
         ngens = right.shape[0]
         # first occurrence of each index in the enumeration's reading order
         reached, first = np.unique(right.T.ravel(), return_index=True)
-        parent = np.full(n, n, np.int64)  # n: never reached
+        parent = np.full(n, n, np.intp)  # n: never reached
         parent[reached] = first // ngens
-        gen = np.zeros(n, np.int64)
+        gen = np.zeros(n, np.intp)
         gen[reached] = first % ngens
         if (parent[1:] >= np.arange(1, n)).any():
             raise ValueError("element list is not generated by the given generators")
-        self._parent, self._gen = parent.astype(np.int32), gen.astype(np.int32)
-        r, p, g = right.tolist(), parent.tolist(), gen.tolist()
-        left = [[row[0]] for row in r]  # left[h][j]: index of g_h·e_j
-        for row in left:
-            for j in range(1, n):
-                row.append(r[g[j]][row[p[j]]])
-        left = list(np.array(left, np.intp).reshape(ngens, n))
+        if (np.diff(parent[1:] * ngens + gen[1:]) < 0).any():
+            raise ValueError("element list is not in first-reached order")
+        # the level after one ending at e ends before the first parent >= e;
+        # parent[0] is whatever first reached the identity, so it is left out
+        stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
+        levels, e = [], 1
+        while e < n:
+            s, e = e, stop[e]
+            levels.append((s, e))
+        self._parent, self._gen, self._levels = parent, gen, levels
+        left = list(np.ascontiguousarray(self._walk(right, right[:, 0]).T, np.intp))
         dtype = index_dtype(n)
         table = np.empty((n, n), dtype)
         table[0] = np.arange(n, dtype=dtype)
-        for i in range(1, n):
-            table[i] = table[p[i]][left[g[i]]]
+        for i, p, g in zip(range(1, n), parent[1:].tolist(), gen[1:].tolist()):
+            table[i] = table[p][left[g]]
         self.table = table
         # each row is a permutation of the indices, so its least entry is
         # the identity, in the inverse's column
@@ -179,22 +185,19 @@ class FiniteGroup:
 
     # -- element data ---------------------------------------------------------
 
-    @property
+    @cached_property
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            n = self.order
-            t = self.table
-            orders = np.zeros(n, np.int64)
-            orders[0] = 1
-            idx = np.arange(n)
-            cur = idx.copy()
-            k = 1
-            while (orders == 0).any():
-                k += 1
-                cur = t[cur, idx]
-                orders[(cur == 0) & (orders == 0)] = k
-            self._orders = orders
-        return self._orders
+        n, t = self.order, self.table
+        orders = np.zeros(n, np.int64)
+        orders[0] = 1
+        idx = np.arange(n)
+        cur = idx.copy()
+        k = 1
+        while (orders == 0).any():
+            k += 1
+            cur = t[cur, idx]
+            orders[(cur == 0) & (orders == 0)] = k
+        return orders
 
     def element_order(self, i: int) -> int:
         return int(self.element_orders[i])
@@ -247,7 +250,7 @@ def closure(
         if moved is None:
             break
         base.append(moved)
-    return FiniteGroup(garr, tree.right[:, 0], tree.right, name=name)
+    return FiniteGroup(garr, tree.right, name=name)
 
 
 def _orbit_representatives(garr: np.ndarray) -> list[int]:

@@ -3,6 +3,8 @@
 Quotients act by right multiplication on cosets; products act on
 |base|·|actor| points via the regular representation.  Both actions are
 regular, so one walk over points lists both as the same uniform FiniteGroup.
+A product's action is given on exactly the actor's generators and extended
+along the actor's breadth-first tree, a level at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _regular_group(rows: np.ndarray, *, name: str | None = None
         found += level.size
         levels.append(level)
     right = pos[rows[:, np.concatenate(levels)]]
-    return FiniteGroup(rows, right[:, 0], right, name=name), pos
+    return FiniteGroup(rows, right, name=name), pos
 
 
 def quotient(
@@ -75,15 +77,15 @@ def semidirect_product(
 ) -> FiniteGroup:
     """The semidirect product base ⋊ actor for an action given on generators.
 
-    ``images`` maps actor element indices that generate the actor to
-    automorphisms of the base, as arrays of base element indices, and
-    ``extend_action`` extends them to a ↦ phi_a.  Multiplication follows
+    ``images`` maps the actor's generators, exactly, to automorphisms of
+    the base, as arrays of base element indices, and ``extend_action``
+    extends them to a ↦ phi_a.  Multiplication follows
     (b1, a1)(b2, a2) = (b1·phi_a1(b2), a1·a2), realized on |base|·|actor|
     points via the regular representation: the pair (b, a) is the point
     b·|actor| + a, and each element is the permutation of the points by
     which it multiplies them on the right.  Raises InvalidAction when an
-    image is not an automorphism of the base or the images do not define
-    an action.
+    image is not an automorphism of the base, or the images are not keyed
+    by the actor's generators or do not define an action.
     """
     nb, m = base.order, actor.order
     tb, ta = base.table, actor.table
@@ -114,28 +116,22 @@ def extend_action(actor: FiniteGroup,
     """Extend generator automorphisms to all actor elements.
 
     Follows phi_(x*g) = phi_x applied after phi_g, matching the homomorphism
-    convention of ``semidirect_product``.  Raises InvalidAction when the
-    generator assignment is inconsistent (not a homomorphism) or when the
-    given elements do not generate the actor.
+    convention of ``semidirect_product``: one gather per level of the actor's
+    breadth-first tree, then one per generator g to check it at every x·g.
+    Raises InvalidAction unless the keys of ``gen_phis`` are exactly the
+    actor's generators and the assignment is a homomorphism.
     """
-    ta = actor.table
-    phis = np.full((actor.order, degree), -1, np.int32)
+    gens = actor.generators
+    if set(gen_phis) != set(gens):
+        raise InvalidAction("images must be given on exactly the actor's generators")
+    gphis = np.array([gen_phis[g] for g in gens], np.int32)
+    phis = np.empty((actor.order, degree), np.int32)
     phis[0] = np.arange(degree)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, phig in gen_phis.items():
-                y = int(ta[x, g])
-                img = phis[x][phig]
-                if phis[y][0] == -1:
-                    phis[y] = img
-                    nxt.append(y)
-                elif not np.array_equal(phis[y], img):
-                    raise InvalidAction("generator images do not define an action")
-        frontier = nxt
-    if (phis[:, 0] == -1).any():
-        raise InvalidAction("generator images do not reach every actor element")
+    for s, e in actor._levels:
+        phis[s:e] = phis[actor._parent[s:e, None], gphis[actor._gen[s:e]]]
+    for g, phig in zip(gens, gphis):
+        if not np.array_equal(phis[actor.table[:, g]], phis[:, phig]):
+            raise InvalidAction("generator images do not define an action")
     return phis
 
 

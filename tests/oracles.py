@@ -33,6 +33,9 @@ make every conjugate of a subgroup and test each one, where the checks
 read the union of the conjugates off one table gather.
 ``abelian_automorphisms`` lists every automorphism of an abelian group by
 its generator images; the witnesses are built from one chosen action each.
+``images_by_element`` maps each element's points one element at a time,
+over a tree it reads off the table, where ``FiniteGroup.images`` walks the
+group's own tree a breadth-first level at a time.
 """
 
 from __future__ import annotations
@@ -115,6 +118,25 @@ def row_closure(degree: int, gens: list) -> tuple[np.ndarray, list[int], np.ndar
         i, k = first[j]
         table[:, j] = columns[k][table[:, i]]
     return np.array(rows, np.int32), [col[0] for col in right], table
+
+
+def images_by_element(G: FiniteGroup, points) -> np.ndarray:
+    """Row i holds the images of ``points`` under element i.  The elements
+    are visited in index order and each product x·g in reading order, so
+    each element's row is its first finder's row mapped through the
+    finding generator's row, one element at a time."""
+    pts = np.asarray(points, np.int32)
+    img = np.empty((G.order, pts.size), np.int32)
+    img[0] = pts
+    found = np.zeros(G.order, bool)
+    found[0] = True
+    for x in range(G.order):
+        for h, g in enumerate(G.generators):
+            y = G.mult(x, g)
+            if not found[y]:
+                found[y] = True
+                G.generator_rows[h].take(img[x], out=img[y])
+    return img
 
 
 def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:

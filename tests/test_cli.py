@@ -303,6 +303,32 @@ def test_corpus_pool_gets_no_more_workers_than_files(tmp_path, monkeypatch, caps
     assert main(["corpus", str(src), "--jobs", "1000"]) == 0
     assert workers == [3]
     assert output() == serial
+    # fewer than one job is a usage error, not a run in this process
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["corpus", str(src), "--jobs", jobs])
+        assert exit_.value.code == 1, jobs
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: argument --jobs" in captured.err, jobs
+    assert workers == [3]
+
+
+def test_usage_errors_exit_with_the_input_code(capsys):
+    """argparse exits 2 on a usage error, and ``agc`` keeps 2 for a check
+    failure: a missing argument, an option that is not an integer and an
+    unknown command each exit 1 with the usage message on stderr, while
+    ``--help`` still exits 0."""
+    for argv in (["analyze"], ["corpus", "corpus", "--jobs", "x"],
+                 ["--max-order", "y", "analyze", "f.json"], ["nosuch"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: agc") and "error: " in err, argv
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: agc")
 
 
 def test_corpus_skips_corrupt_files_unless_strict(tmp_path, capsys):

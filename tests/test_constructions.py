@@ -98,3 +98,5 @@ def test_metacyclic_relation():
 def test_metacyclic_rejects_invalid_exponent():
     with pytest.raises(InvalidAction):
         metacyclic(7, 3, 3)  # 3^3 = 27 is not 1 mod 7
+    with pytest.raises(InvalidAction):
+        metacyclic(7, 1, 2)  # C1 has no generator, but 2^1 is not 1 mod 7

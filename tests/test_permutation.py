@@ -31,7 +31,7 @@ from agc.constructions import (
 from agc.products import direct_product, quotient
 from agc.structure import sylow_subgroups
 
-from oracles import brute_closure, indices_of_rows, row_closure
+from oracles import brute_closure, images_by_element, indices_of_rows, row_closure
 
 
 def test_permutation_rejects_non_bijections():
@@ -324,7 +324,29 @@ def test_identity_and_inverse_laws():
 
 def test_table_rejects_elements_the_generators_miss():
     with pytest.raises(ValueError, match="not generated"):  # two elements, no generator
-        FiniteGroup(np.zeros((0, 2), np.int32), [], np.zeros((0, 2), np.int32))
+        FiniteGroup(np.zeros((0, 2), np.int32), np.zeros((0, 2), np.int32))
+
+
+def test_table_rejects_columns_out_of_first_reached_order():
+    """C2 × C2 = ⟨a, b⟩ listed as e, b, a, ab: every element follows the
+    element that first reaches it, but a is reached before b and listed
+    after it.  Listed as e, a, b, ab the same group builds, as ``closure``
+    lists it."""
+    rows = np.array([[1, 0, 3, 2], [2, 3, 0, 1]], np.int32)
+    with pytest.raises(ValueError, match="first-reached order"):
+        FiniteGroup(rows, np.array([[2, 3, 0, 1], [1, 0, 3, 2]], np.int32))
+    G = FiniteGroup(rows, np.array([[1, 0, 3, 2], [2, 3, 0, 1]], np.int32))
+    assert G.generators == [1, 2]
+    assert np.array_equal(G.table, closure(4, rows).table)
+
+
+def test_images_match_the_walk_one_element_at_a_time():
+    """``images`` of every point, a breadth-first level at a time, equals
+    the per-element walk on a deep group (C200: 200 one-element levels), a
+    thin one, one of several generators, and for a few points."""
+    for G in (cyclic(200), dihedral(50), direct_product(symmetric(3), cyclic(12))):
+        for pts in (np.arange(G.degree), [G.degree - 1, 0], []):
+            assert np.array_equal(G.images(pts), images_by_element(G, pts)), G.name
 
 
 def test_element_orders():

@@ -201,8 +201,9 @@ def test_extend_action_rejects_inconsistent_generators():
 
 
 def test_extend_action_rejects_keys_that_do_not_generate_the_actor():
-    """Images given on a proper subgroup of the actor leave elements
-    without an automorphism: an error, not rows of -1."""
+    """Images given on a proper subgroup of the actor, or on none of it,
+    are not keyed by the actor's generators: an error, not an action that
+    leaves elements out."""
     base, actor = cyclic(5), cyclic(4)
     square = actor.power(actor.generators[0], 2)  # generates the C2 inside C4
     ident = np.arange(5, dtype=np.int32)
@@ -211,6 +212,20 @@ def test_extend_action_rejects_keys_that_do_not_generate_the_actor():
     for images in ({square: ident}, {}):
         with pytest.raises(InvalidAction):
             semidirect_product(base, actor, images)
+
+
+def test_extend_action_rejects_a_key_beside_the_generators():
+    """An image keyed by a non-generator is refused even beside images of
+    all the generators, and even when it agrees with them."""
+    base, actor = cyclic(5), cyclic(4)
+    g = actor.generators[0]
+    ident = np.arange(5, dtype=np.int32)
+    images = {g: ident, actor.power(g, 2): ident}
+    with pytest.raises(InvalidAction, match="exactly"):
+        extend_action(actor, images, 5)
+    with pytest.raises(InvalidAction, match="exactly"):
+        semidirect_product(base, actor, images)
+    assert extend_action(actor, {g: ident}, 5).tolist() == [list(range(5))] * 4
 
 
 def test_products_match_a_closure_of_their_generators(witness1500):
