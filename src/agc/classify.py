@@ -100,9 +100,8 @@ class GroupAnalysis:
         if self.solvable:
             q.__dict__["solvable"] = True
         if "sylows" in vars(self):
-            q.__dict__["sylows"] = {
-                p: Subgroup(Q, proj[P.members], [x for x in proj[list(P.generators)].tolist() if x])
-                for p, P in self.sylows.items() if Q.order % p == 0}
+            q.__dict__["sylows"] = {p: Subgroup(Q, proj[P.members])
+                                    for p, P in self.sylows.items() if Q.order % p == 0}
         return q, proj
 
     @cached_property

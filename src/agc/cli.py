@@ -54,31 +54,25 @@ def _max_order(args: argparse.Namespace) -> int:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write ``text`` to standard output, or to the file ``out`` through a
+    temporary file beside it, which a failed write removes again."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        tmp = Path(out).with_suffix(Path(out).suffix + ".tmp")
+        return
+    path = Path(out)
+    if path.is_dir():  # as are '.' and '/', the paths whose name is empty
+        raise AgcError(f"{out} is a directory")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
         tmp.write_text(text)
-        tmp.replace(out)
-
-
-def _coerce(value):
-    """Make numpy scalars and arrays JSON-serializable."""
-    import numpy as np
-
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
+        tmp.replace(path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False, default=_coerce) + "\n"
+    return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -138,19 +132,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     else:
         results = [_analyze_one(w) for w in work]
 
-    skipped = []
-    reports = []
-    rows = []
-    for path, report, row, err in results:
-        if err is not None:
-            skipped.append({"file": path, "error": err})
-            continue
-        reports.append(report)
-        rows.append(row)
-    # deterministic assembly regardless of executor scheduling
-    reports.sort(key=lambda r: (r["fingerprint"]["order"],
-                                str(r["fingerprint"]["name"])))
-    rows.sort(key=lambda r: (r["order"], str(r["name"])))
+    skipped = [{"file": path, "error": err}
+               for path, _, _, err in results if err is not None]
+    # one order for reports and rows, by the row's (order, name), whatever
+    # the executor's scheduling
+    done = sorted((r for r in results if r[3] is None),
+                  key=lambda r: (r[2]["order"], r[2]["name"]))
+    reports = [report for _, report, _, _ in done]
+    rows = [row for _, _, row, _ in done]
 
     payload = {"reports": reports, "skipped": skipped}
     if args.out is None:

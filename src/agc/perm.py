@@ -331,10 +331,11 @@ class Subgroup:
 
     ``members`` are kept sorted and read-only.  Generators that are given
     are kept as given.  Otherwise the subgroup chooses them when they are
-    first read: it walks the members in increasing order and keeps each one
-    not yet in the closure of those kept.  The choice depends on the member
-    set alone, so it yields the same tuple whenever it is made, and a
-    subgroup whose generators are never read never makes it.
+    first read, by the one rule of ``irredundant``: it walks the members in
+    increasing order and keeps each one not in the subgroup generated by
+    those already kept.  The choice depends on the member set alone, so it
+    yields the same tuple whenever it is made, and a subgroup whose
+    generators are never read never makes it.
     """
 
     def __init__(self, parent: FiniteGroup, members: np.ndarray | Sequence[int],
@@ -348,14 +349,7 @@ class Subgroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        gens: list[int] = []
-        covered = np.zeros(self.parent.order, bool)
-        covered[0] = True
-        for x in self.members:
-            if not covered[x]:
-                gens.append(int(x))
-                covered[close_indices(self.parent, gens)] = True
-        return tuple(gens)
+        return irredundant(self.parent, self.members)[0]
 
     @property
     def order(self) -> int:
@@ -444,29 +438,43 @@ def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
 def product_set(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
                 ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """The product set xs·ys: the distinct products x·y, sorted."""
-    return distinct(G.table[np.ix_(xs, ys)], G.order)
+    return distinct(G.table[np.asarray(xs, np.intp)[:, None], ys], G.order)
 
 
 def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
     """Sorted element indices of the subgroup generated by ``gens``."""
-    gen_list = sorted({int(g) for g in gens} - {0})
-    in_set = np.zeros(G.order, bool)
-    in_set[0] = True
-    if not gen_list:
-        return np.array([0], np.int32)
-    frontier = np.array([0], np.int32)
-    garr = np.array(gen_list, np.int32)
-    while frontier.size:
-        prods = product_set(G, frontier, garr)
-        new = prods[~in_set[prods]]
-        in_set[new] = True
-        frontier = new
-    return np.nonzero(in_set)[0].astype(np.int32)
+    return irredundant(G, gens)[1]
+
+
+def irredundant(G: FiniteGroup, xs: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The one rule that picks every generating set: walk ``xs`` in order
+    and keep each element not in the subgroup generated by those already
+    kept.  Returns the kept elements and the sorted members of the subgroup
+    they generate.
+
+    Each kept x grows the subgroup H of those kept before it.  Right
+    multiplication by those maps H into itself, so the new elements are
+    reached from the coset H·x, a level at a time, by right multiplication
+    by all the kept elements."""
+    kept: list[int] = []
+    covered = np.arange(G.order) == 0
+    for x in xs:
+        if not covered[x]:
+            kept.append(int(x))
+            frontier = product_set(G, np.flatnonzero(covered), [x])
+            while frontier.size:
+                covered[frontier] = True
+                prods = product_set(G, frontier, kept)
+                frontier = prods[~covered[prods]]
+    return tuple(kept), np.flatnonzero(covered).astype(np.int32)
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    gen_tuple = tuple(int(g) for g in gens)
-    return Subgroup(G, close_indices(G, gen_tuple), gen_tuple)
+    """The subgroup generated by ``gens``.  By the one rule of ``irredundant``
+    its generators are those of ``gens``, in the order given, that are not
+    in the subgroup generated by the ones kept before them."""
+    kept, members = irredundant(G, gens)
+    return Subgroup(G, members, kept)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:

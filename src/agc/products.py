@@ -32,9 +32,7 @@ def _regular_group(rows: np.ndarray, *, name: str | None = None
     while levels[-1].size:
         reached = rows[:, levels[-1]].T.ravel()
         reached = reached[pos[reached] < 0]
-        first = np.zeros(reached.size, bool)
-        first[np.unique(reached, return_index=True)[1]] = True
-        level = reached[first]
+        level = np.fromiter(dict.fromkeys(reached.tolist()), np.intp)
         pos[level] = np.arange(found, found + level.size)
         found += level.size
         levels.append(level)

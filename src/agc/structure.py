@@ -83,17 +83,16 @@ def is_abelian(H: GroupLike) -> bool:
 
 
 def derived_subgroup(H: GroupLike) -> Subgroup:
-    """The commutator subgroup, generated by commutators of generators with members."""
+    """The commutator subgroup, generated by commutators of generators with
+    members, each marked in a mask and then read in increasing order."""
     H = as_subgroup(H)
     G = H.parent
     t, inv = G.table, G.inverse_array
-    comms: set[int] = set()
+    comms = np.zeros(G.order, bool)
     for g in H.generators:
         # [g, m] = g^-1 m^-1 g m over all members m
-        left = t[inv[g], inv[H.members]]
-        comms.update(t[left, t[g, H.members]].tolist())
-    comms.discard(0)
-    return generated_subgroup(G, sorted(comms))
+        comms[t[t[inv[g], inv[H.members]], t[g, H.members]]] = True
+    return generated_subgroup(G, np.flatnonzero(comms))
 
 
 @dataclass(frozen=True)
@@ -163,19 +162,12 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     orders = G.element_orders
     # deterministic seed: first member whose order is divisible by p
     seed = next(int(x) for x in H.members if orders[x] % p == 0 and x != 0)
-    gens = [p_part(G, seed, p)]
-    P = generated_subgroup(G, gens)
+    P = generated_subgroup(G, [p_part(G, seed, p)])
     while P.order < target:
         nz = normalizer_members(G, H.members, P)
-        ext = None
-        for y in nz:
-            yp = p_part(G, int(y), p)
-            if yp != 0 and not P.member_mask[yp]:
-                ext = yp
-                break
-        assert ext is not None, "normalizer growth stalled below full p-part"
-        gens.append(ext)
-        P = generated_subgroup(G, gens)
+        # by that property some p-part of an element of N_H(P) lies outside P
+        ext = next(x for x in (p_part(G, int(y), p) for y in nz) if not P.member_mask[x])
+        P = generated_subgroup(G, [*P.generators, ext])
     return P
 
 

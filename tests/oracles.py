@@ -26,8 +26,9 @@ where ``is_2frobenius`` tests K = F(G) with the Frobenius test of the
 cached analysis of G/F(G),
 ``brute_twin_classes`` lists each cyclic subgroup's generators with
 ``FiniteGroup.power``, ``greedy_generators`` chooses a subgroup's
-generators from its members with ``close_indices``, eagerly, where a
-``Subgroup`` chooses them when they are first read, and
+generators from its members eagerly, closing each prefix one product at a
+time, where a ``Subgroup`` chooses them when they are first read by
+``irredundant``, which grows each closure from the last a level at a time, and
 ``brute_frobenius_conditions`` and ``brute_stray_p_part_centralizers``
 make every conjugate of a subgroup and test each one, where the checks
 read the union of the conjugates off one table gather.
@@ -51,7 +52,6 @@ from agc.perm import (
     FiniteGroup,
     Subgroup,
     _prime_factors,
-    close_indices,
     closure,
     full_subgroup,
     generated_subgroup,
@@ -192,17 +192,20 @@ def fitting_by_closure(H: FiniteGroup | Subgroup) -> Subgroup:
 
 
 def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
-    """A small generating set for a known subgroup, chosen greedily."""
+    """A small generating set for a known subgroup, chosen greedily: each
+    member outside the closure of those chosen before it, the closure made
+    one product at a time."""
     gens: list[int] = []
-    covered = np.array([0], np.int32)
-    mask = np.zeros(G.order, bool)
-    mask[covered] = True
-    for x in members:
-        if not mask[x]:
-            gens.append(int(x))
-            covered = close_indices(G, gens)
-            mask[:] = False
-            mask[covered] = True
+    covered = {0}
+    for x in members.tolist():
+        if x not in covered:
+            gens.append(x)
+            covered, reached = {0}, [0]
+            for a in reached:  # grows while it is read
+                for b in G.table[a, gens].tolist():
+                    if b not in covered:
+                        covered.add(b)
+                        reached.append(b)
     return tuple(gens)
 
 

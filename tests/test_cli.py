@@ -14,7 +14,8 @@ import pytest
 
 import agc
 from agc.cli import _analyze_one, main
-from agc.groupfile import GroupFile, load_group, save_group, serialize_group_file
+from agc.groupfile import (GroupFile, group_to_file, load_group, save_group,
+                           serialize_group_file)
 from agc.perm import DEFAULT_MAX_ORDER, Subgroup, prime_divisors
 from agc.constructions import alternating, cyclic, symmetric
 from agc.products import direct_product
@@ -172,6 +173,22 @@ def test_corpus_command(tmp_path, capsys):
     csv_lines = (out / "summary.csv").read_text().splitlines()
     assert csv_lines[0].startswith("name,order,derived_length")
     assert len(csv_lines) == 3
+
+
+def test_corpus_lists_reports_and_rows_in_one_order(tmp_path, capsys):
+    """An unnamed file is placed by its file stem in reports.json as in
+    summary.csv: S3 as ``a.json`` without a name comes after S3 named Zed."""
+    src, out = tmp_path / "groups", tmp_path / "out"
+    src.mkdir()
+    rows = group_to_file(symmetric(3)).generators
+    (src / "a.json").write_text(serialize_group_file(GroupFile(3, rows)))
+    (src / "b.json").write_text(serialize_group_file(GroupFile(3, rows, "Zed")))
+    assert main(["corpus", str(src), "--out", str(out)]) == 0
+    reports = json.loads((out / "reports.json").read_text())["reports"]
+    names = [line.split(",")[0] for line in
+             (out / "summary.csv").read_text().splitlines()[1:]]
+    assert names == ["Zed", "a"]
+    assert [r["fingerprint"]["name"] for r in reports] == ["Zed", None]
 
 
 def _run_fresh(script: str, *args: str, cwd) -> list:
@@ -360,12 +377,15 @@ def test_corpus_skips_undecodable_and_deeply_nested_files(tmp_path, capsys):
 
 def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, monkeypatch,
                                                        capsys):
-    """An output path in a missing directory, or a corpus output directory
-    that is a regular file, exits 1 with one error line; the corpus command
-    fails so before it analyses any file."""
+    """An output path in a missing directory, an output path that is a
+    directory (also '.' and '/', whose names are empty), or a corpus output
+    directory that is a regular file, exits 1 with one error line and leaves
+    no temporary file; the corpus command fails so before it analyses any
+    file."""
     cli, analysed = importlib.import_module("agc.cli"), []
     monkeypatch.setattr(cli, "_analyze_one",
                         lambda work: analysed.append(work) or _analyze_one(work))
+    monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing"
     regular = tmp_path / "regular"
     regular.write_text("")
@@ -376,6 +396,17 @@ def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, monkey
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
     assert analysed == []
+    directory = tmp_path / "dir"
+    (directory / "reports.json").mkdir(parents=True)
+    for argv in (["analyze", s3_file, "--out", "."],
+                 ["analyze", s3_file, "--out", str(directory)],
+                 ["witness", "diameter-4", "--emit", "/"],
+                 ["graph", s3_file, "--out", str(directory)],
+                 ["corpus", str(tmp_path), "--out", str(directory)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_corpus_missing_directory(tmp_path, capsys):

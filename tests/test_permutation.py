@@ -310,6 +310,14 @@ def test_conjugate_by_matches_conjugations(corpus_groups):
                 assert conj.generators == tuple(gens.tolist()), name
 
 
+def test_generated_subgroup_keeps_the_irredundant_generators_in_order():
+    G = cyclic(6)
+    g, g2 = G.generators[0], G.power(G.generators[0], 2)
+    H = generated_subgroup(G, [g, g2, g])
+    assert (H.generators, H.order) == ((g,), 6)
+    assert generated_subgroup(G, [g2, g, g2]).generators == (g2, g)
+
+
 def test_identity_and_inverse_laws():
     for name, G in _table_groups().items():
         t = G.table

@@ -11,6 +11,7 @@ from agc.perm import (
     closure,
     full_subgroup,
     generated_subgroup,
+    irredundant,
     prime_divisors,
     trivial_subgroup,
 )
@@ -100,6 +101,20 @@ def test_centralizer_matches_brute_force(G):
 def test_derived_series_matches_brute_force(G):
     got = [set(t.members.tolist()) for t in derived_series(G).terms]
     assert got == brute_derived_series(G)
+
+
+def test_derived_terms_carry_irredundant_generators(corpus_groups, witness1500_x_c2):
+    """Each generator of a derived term lies outside the closure of those
+    before it, and together they generate the term: G' of the order-3000
+    group carries 4 generators, not all 374 of its nontrivial commutators."""
+    for G in [*corpus_groups.values(), witness1500_x_c2]:
+        terms = derived_series(G).terms
+        for T in terms[1:]:
+            gens = T.generators
+            for k, x in enumerate(gens):
+                assert x not in close_indices(G, gens[:k]), (G.name, T)
+            assert close_indices(G, gens).tolist() == T.members.tolist(), (G.name, T)
+    assert [len(T.generators) for T in terms] == [6, 4, 2, 0]
 
 
 def test_solvability():
@@ -280,6 +295,8 @@ def test_found_subgroups_choose_the_greedy_generators_when_read(corpus_groups,
         for H in found:
             assert "generators" not in vars(H), (G.name, H)
             assert H.generators == greedy_generators(G, H.members), (G.name, H)
+            kept, members = irredundant(G, H.members)
+            assert kept == H.generators and members.tolist() == H.members.tolist()
             assert close_indices(G, H.generators).tolist() == H.members.tolist()
 
 
