@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotSolvable
-from .graph import CommutingGraph, DiameterResult, class_sources
+from .graph import CommutingGraph, DiameterResult
 from .perm import FiniteGroup, Subgroup, full_subgroup, prime_divisors
 from .products import quotient
 from .structure import (
@@ -139,9 +139,7 @@ class GroupAnalysis:
 
     @cached_property
     def graph(self) -> CommutingGraph:
-        vertices = np.nonzero(~self.center.member_mask)[0]
-        return CommutingGraph(self.group, vertices,
-                              sources=class_sources(vertices, self.classes))
+        return CommutingGraph(self.group, self.classes)
 
     @cached_property
     def diameter(self) -> DiameterResult:

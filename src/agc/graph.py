@@ -1,35 +1,45 @@
 """Commuting graph of a finite group.
 
 Vertices are the noncentral elements; two vertices are adjacent when they
-commute, that is when ``t[x, y] == t[y, x]`` in the Cayley table ``t``.
-Adjacency is stored packed (one bit per pair) and distances come from
-breadth-first search over packed rows.  The rows are built from the table a
-stripe of TILE_WIDTH rows at a time: each TILE_WIDTH-square tile of the
-stripe is compared with the transposed tile across the diagonal, so both
-operands stay in cache, and the stripe's vertex rows are packed at once.  No
-n x n boolean matrix is ever held.  ``_commuting_rows`` is thus the tiled
-n x n form of ``perm.commuting``, kept separate because it is tuned for
-whole graphs.
+commute.  Adjacency is stored in CSR form: the neighbours of vertex i are
+``indices[indptr[i]:indptr[i + 1]]``, vertex positions in increasing order,
+with ``indices`` in ``perm.index_dtype(order)``.
+
+The rows come from the conjugacy classes, not from comparing the table with
+its transpose.  C(x^g) = C(x)^g, so the centralizers of the noncentral class
+representatives, each conjugated by a transversal of its class, give every
+row: row y is T(y)·C(r)·T(y)⁻¹ without the centre and y, where r is the
+representative of y's class and T(y)·r·T(y)⁻¹ = y.  The rows hold fewer
+than Σ|C(x)| = |G|·k(G) entries, k(G) the number of classes, where the
+table holds |G|².  Representatives and rows are taken a block at a time, so
+no temporary grows with the graph.
 
 Conjugation by any element is an automorphism of the graph, so all members
 of a conjugacy class have the same eccentricity.  The diameter therefore
 searches from one representative of each noncentral class, and the
 twin-reduced graph from the cyclic subgroups of those representatives
-(conjugation permutes cyclic subgroups and keeps commuting pairs).
+(conjugation permutes cyclic subgroups and keeps commuting pairs).  The
+sources are searched up to 64 at once, each a bit of one ``uint64`` word per
+vertex ("The More the Merrier", Then et al., PVLDB 8(4), 2014): a level ORs
+the frontier words of each vertex's neighbours, a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .perm import FiniteGroup, distinct
-from .structure import center, conjugacy_classes
+from .perm import FiniteGroup, conjugations, distinct, index_dtype, row_blocks
+from .structure import conjugacy_classes
 
 
-TILE_WIDTH = 128  # a 128 x 128 int16 tile is 32 KiB: both operands stay in L2
+# adjacency entries built, searched or restricted at once: each takes a few
+# 8-byte temporaries, and blocks of 1 << 16 raised the process's peak RSS
+BLOCK_ENTRIES = 1 << 13
+SOURCE_BITS = 64  # sources searched at once, one bit each of a uint64 word
 
 
 @dataclass(frozen=True)
@@ -43,129 +53,200 @@ class DiameterResult:
         return self.status == "connected"
 
 
-def _bfs_packed(adj_packed: np.ndarray, n: int, start: int) -> np.ndarray:
-    """Distances from start over a packed adjacency matrix; -1 is unreachable."""
-    dist = np.full(n, -1, np.int32)
-    dist[start] = 0
-    frontier = np.array([start], np.int64)
-    visited_packed = np.zeros(adj_packed.shape[1], np.uint8)
-    visited_packed[start >> 3] |= np.uint8(1 << (start & 7))
-    d = 0
-    while frontier.size:
-        reach = np.bitwise_or.reduce(adj_packed[frontier], axis=0)
-        new_packed = reach & ~visited_packed
-        visited_packed |= new_packed
-        nxt = np.nonzero(np.unpackbits(new_packed, count=n, bitorder="little"))[0]
-        d += 1
-        dist[nxt] = d
-        frontier = nxt
-    return dist
+def _chunks(ends: np.ndarray) -> list[tuple[int, int]]:
+    """Runs s..e of consecutive items, given the running totals ``ends`` of
+    their sizes, each of about BLOCK_ENTRIES (a run holds at least one item)."""
+    if not ends.size:
+        return []
+    cuts = np.searchsorted(ends, np.arange(BLOCK_ENTRIES, ends[-1], BLOCK_ENTRIES)) + 1
+    bounds = list(dict.fromkeys([0, *cuts.tolist(), ends.size]))
+    return list(zip(bounds, bounds[1:]))
 
 
-def class_sources(vertices: np.ndarray, classes: list[np.ndarray]) -> np.ndarray:
-    """Positions in the sorted ``vertices`` of the least member of each
-    noncentral conjugacy class (each class of more than one element)."""
-    return np.searchsorted(vertices, [int(c[0]) for c in classes if c.size > 1])
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, concatenated."""
+    ends = lengths.cumsum()
+    return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1])
+
+
+def _adjacency(G: FiniteGroup, classes: list[np.ndarray]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices, ``indptr``, ``indices`` and class sources of the commuting
+    graph, from the conjugacy classes as ``conjugacy_classes`` lists them.
+
+    For a block of class representatives r at a time, one ``conjugations``
+    call gives every g·r·g⁻¹: its values give a transversal of the classes
+    and the g where it equals r give C(r).  The rows of the block's class
+    members are then conjugated, stripped of the vertex itself and sorted,
+    a block of entries at a time."""
+    t, inv, order = G.table, G.inverse_array, G.order
+    noncentral = [c for c in classes if c.size > 1]
+    sizes = np.array([c.size for c in noncentral], np.intp)
+    members = np.concatenate([np.zeros(0, np.int32), *noncentral])
+    first = sizes.cumsum() - sizes  # each class's start in members
+    reps = members[first]
+    central = np.ones(order, bool)
+    central[members] = False
+    vertices = np.flatnonzero(~central).astype(np.int32)
+    n = vertices.size
+    position = np.zeros(order, index_dtype(order))
+    position[vertices] = np.arange(n)
+    # a row of class j holds C(x) without the centre, x itself included:
+    # |G| / |class| - |Z| entries
+    row_len = order // sizes - (order - n)
+    class_of = np.zeros(order, np.intp)
+    class_of[members] = np.repeat(np.arange(sizes.size), sizes)
+    degree = row_len[class_of[vertices]] - 1
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(indptr[-1], position.dtype)
+    everyone = np.arange(order)
+    transversal = np.zeros(order, np.intp)
+    for block in row_blocks(sizes.size, order):
+        conj = conjugations(G, everyone, reps[block])
+        transversal[conj] = everyone[:, None]
+        # C(r) ∖ Z, the g with g·r·g⁻¹ = r, one representative after another
+        cent = np.nonzero(((conj == reps[block]) & ~central[:, None]).T)[1]
+        cent_start = row_len[block].cumsum() - row_len[block]
+        ys = members[first[block.start]:first[block.start] + sizes[block].sum()]
+        span = row_len[class_of[ys]]
+        for s, e in _chunks(span.cumsum()):
+            y, length = ys[s:e], span[s:e]
+            g = transversal[y].repeat(length)
+            x = cent[_segments(cent_start[class_of[y] - block.start], length)]
+            row = t[t[g, x], inv[g]]
+            # sort by row, then by position: one key per entry
+            row_base = (np.arange(y.size) * n).repeat(length - 1)
+            key = row_base + position[row[row != y.repeat(length)]]
+            key.sort()
+            at = position[y]
+            indices[_segments(indptr[at], degree[at])] = key - row_base
+    return vertices, indptr, indices, position[reps]
+
+
+def _bfs_packed(graph: "CommutingGraph", sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from up to 64 sources at once.
+
+    Source k is bit k of a ``uint64`` word per vertex.  Each level ORs the
+    frontier words of every row's neighbours, with ``reduceat`` over a
+    block of rows at a time; rows without neighbours are left out, since
+    ``reduceat`` reads an empty segment as its first entry.  Returns each
+    source's eccentricity in its component, the last level at which its bit
+    spreads, and the word of sources that reached each vertex."""
+    m = len(sources)
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    frontier = np.zeros(graph.n_vertices, np.uint64)
+    frontier[sources] = bits
+    visited = frontier.copy()
+    eccentricity = np.zeros(m, np.int64)
+    reach = np.zeros_like(frontier)
+    level = 0
+    while True:
+        for e0, e1, rows, starts in graph._row_blocks:
+            reach[rows] = np.bitwise_or.reduceat(frontier[graph.indices[e0:e1]], starts)
+        frontier = reach & ~visited
+        spread = np.bitwise_or.reduce(frontier)
+        if not spread:
+            return eccentricity, visited
+        level += 1
+        eccentricity[(bits & spread) != 0] = level
+        visited |= frontier
 
 
 def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     """For each element v, the least generator of the cyclic subgroup <v>.
 
-    The generators of <v> are the powers v^k with k prime to the order of
-    v; the powers of all elements advance together, one vector step per k.
-    Two elements generate the same subgroup exactly when the results agree.
+    The generators of <v> are the powers v^k with 0 < k < o(v) prime to the
+    order o(v); the powers of all elements advance together, one vector step
+    per k, and only those of the elements of order above k take step k
+    (sorted by order, descending, they are a shrinking prefix).  Two
+    elements generate the same subgroup exactly when the results agree.
     """
     t = G.table
-    orders = G.element_orders[elements]
-    least = elements.astype(np.int64)
-    power = least
+    by_order = np.argsort(-G.element_orders[elements], kind="stable")
+    base = elements[by_order].astype(np.intp)
+    orders = G.element_orders[base]
+    least = base.copy()
+    power = base
     for k in range(2, int(orders.max(initial=1))):
-        power = t[power, elements]
-        least = np.where(np.gcd(k, orders) == 1, np.minimum(least, power), least)
-    return least
-
-
-def _commuting_rows(t: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Packed adjacency rows of the commuting graph on ``vertices``.
-
-    Table rows are compared a stripe of TILE_WIDTH rows at a time, one
-    square tile against its transpose across the diagonal; the stripe's
-    vertex rows, restricted to the vertex columns, are then packed.
-    """
-    n, order, w = vertices.size, t.shape[0], TILE_WIDTH
-    packed = np.zeros((n, (n + 7) // 8), np.uint8)
-    stripe = np.empty((w, order), bool)
-    for i in range(0, order, w):
-        rows = np.nonzero((vertices >= i) & (vertices < i + w))[0]
-        if not rows.size:
-            continue
-        h = min(w, order - i)
-        for j in range(0, order, w):
-            np.equal(t[i:i + h, j:j + w], t[j:j + w, i:i + h].T, out=stripe[:h, j:j + w])
-        packed[rows] = np.packbits(np.take(stripe[vertices[rows] - i], vertices, axis=1),
-                                   axis=1, bitorder="little")
-    diagonal = np.arange(n)
-    packed[diagonal, diagonal >> 3] &= ~np.left_shift(1, diagonal & 7).astype(np.uint8)
-    return packed
+        live = int(np.count_nonzero(orders > k))
+        power = t[power[:live], base[:live]]
+        np.minimum(least[:live], power, out=least[:live],
+                   where=np.gcd(k, orders[:live]) == 1)
+    out = np.empty_like(least)
+    out[by_order] = least
+    return out
 
 
 class CommutingGraph:
-    """Commuting graph on the noncentral elements of a group.
+    """Commuting graph on the noncentral elements of a group, in CSR form.
 
-    ``sources`` are the vertex positions the diameter searches from, one in
-    each orbit of conjugation; by default the least member of each
-    noncentral conjugacy class, which presumes the default vertex set.
-    ``packed`` rows, when given, are the adjacency, which is then not built
-    from the table (``twin_reduce`` passes them).  Graphs returned by
-    ``twin_reduce`` also carry ``class_sizes``, the number of vertices
-    merged into each reduced vertex.
+    ``classes`` are the group's conjugacy classes as ``conjugacy_classes``
+    lists them; they are computed when not given.  ``sources`` are the
+    vertex positions the diameter searches from, one in each orbit of
+    conjugation: the least member of each noncentral class.  Graphs
+    returned by ``twin_reduce`` also carry ``class_sizes``, the number of
+    vertices merged into each reduced vertex.
     """
 
-    def __init__(self, group: FiniteGroup, vertices: np.ndarray | None = None,
-                 packed: np.ndarray | None = None, *,
-                 sources: np.ndarray | None = None,
-                 class_sizes: np.ndarray | None = None):
+    def __init__(self, group: FiniteGroup, classes: list[np.ndarray] | None = None):
+        if classes is None:
+            classes = conjugacy_classes(group)
         self.group = group
-        if vertices is None:
-            zmask = center(group).member_mask
-            vertices = np.nonzero(~zmask)[0].astype(np.int32)
-        self.vertices = np.asarray(vertices, np.int32)
-        self._packed = _commuting_rows(group.table, self.vertices) if packed is None \
-            else packed
-        self._sources = sources
-        if class_sizes is not None:
-            self.class_sizes = class_sizes
+        self.vertices, self.indptr, self.indices, self.sources = _adjacency(group, classes)
+
+    @classmethod
+    def _from_csr(cls, group: FiniteGroup, vertices: np.ndarray, indptr: np.ndarray,
+                  indices: np.ndarray, sources: np.ndarray) -> "CommutingGraph":
+        graph = cls.__new__(cls)
+        graph.group, graph.vertices, graph.indptr, graph.indices, graph.sources = \
+            group, vertices, indptr, indices, sources
+        return graph
 
     @property
     def n_vertices(self) -> int:
         return self.vertices.size
 
-    @property
-    def sources(self) -> np.ndarray:
-        if self._sources is None:
-            self._sources = class_sources(self.vertices, conjugacy_classes(self.group))
-        return self._sources
+    @cached_property
+    def _row_blocks(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Blocks of consecutive rows of about BLOCK_ENTRIES entries, each
+        as its entry range e0..e1, its rows with neighbours and their
+        starts within the range."""
+        indptr = self.indptr
+        blocks = []
+        for r0, r1 in _chunks(indptr[1:]):
+            rows = r0 + np.flatnonzero(np.diff(indptr[r0:r1 + 1]))
+            blocks.append((int(indptr[r0]), int(indptr[r1]), rows, indptr[rows] - indptr[r0]))
+        return blocks
+
+    def _rows_of_entries(self, e0: int, e1: int, rows: np.ndarray) -> np.ndarray:
+        """The row of each entry e0..e1 of one of ``_row_blocks``."""
+        return np.repeat(rows, np.diff(np.append(self.indptr[rows], e1)))
 
     def diameter(self) -> DiameterResult:
-        """Status, diameter and component count, from one search per source.
+        """Status, diameter and component count, from the class sources,
+        searched up to 64 at a time.
 
-        The graph is connected when the first search reaches every vertex;
-        only when it does not are the components counted, the first one
-        from that search and each further one from a search from the least
-        vertex not yet reached."""
+        The graph is connected when every source reaches every vertex; only
+        when one does not are the components counted: one for each distinct
+        word of sources that reached a vertex, and one more for each search
+        from the least vertex no search has reached."""
         n = self.n_vertices
         if n == 0:
             return DiameterResult("empty-vertex-set", None, 0)
         diam = 0
-        for s in self.sources:
-            dist = _bfs_packed(self._packed, n, int(s))
-            if dist.min() < 0:
-                reached, components = dist >= 0, 1
+        for s in range(0, self.sources.size, SOURCE_BITS):
+            batch = self.sources[s:s + SOURCE_BITS]
+            eccentricity, visited = _bfs_packed(self, batch)
+            if (visited != np.uint64((1 << batch.size) - 1)).any():
+                words = np.sort(visited[visited != 0])
+                components = 1 + int(np.count_nonzero(words[1:] != words[:-1]))
+                reached = visited != 0
                 while not reached.all():
-                    reached |= _bfs_packed(self._packed, n, int(np.argmin(reached))) >= 0
+                    reached |= _bfs_packed(self, [int(np.argmin(reached))])[1] != 0
                     components += 1
                 return DiameterResult("disconnected", None, components)
-            diam = max(diam, int(dist.max()))
+            diam = max(diam, int(eccentricity.max()))
         return DiameterResult("connected", diam, 1)
 
     # -- twin reduction ------------------------------------------------------
@@ -176,22 +257,30 @@ class CommutingGraph:
         Such vertices have identical closed neighborhoods, so distances
         between distinct classes are preserved exactly.  Each class is kept
         as its first vertex, and the reduced graph searches from the classes
-        of this graph's sources.
+        of this graph's sources.  Its rows are the kept rows restricted to
+        the kept columns, renumbered in the same order, so they stay sorted.
         """
         # the least generator of <v> generates <v>, so it is the class's
         # first vertex
         first = np.searchsorted(self.vertices, _least_generators(self.group, self.vertices))
         keep = distinct(first, self.n_vertices)
         reduced = np.searchsorted(keep, first)
-        # the kept rows of this graph, restricted to the kept columns
-        packed = np.zeros((keep.size, (keep.size + 7) // 8), np.uint8)
-        for s in range(0, keep.size, TILE_WIDTH):
-            rows = np.unpackbits(self._packed[keep[s:s + TILE_WIDTH]], axis=1,
-                                 count=self.n_vertices, bitorder="little")
-            packed[s:s + TILE_WIDTH] = np.packbits(rows[:, keep], axis=1, bitorder="little")
-        return CommutingGraph(self.group, self.vertices[keep], packed,
-                              sources=distinct(reduced[self.sources], keep.size),
-                              class_sizes=np.bincount(reduced).astype(np.int32))
+        renumber = np.full(self.n_vertices, -1, np.intp)
+        renumber[keep] = np.arange(keep.size)
+        degree = np.zeros(self.n_vertices, np.intp)
+        pieces = []
+        for e0, e1, rows, starts in self._row_blocks:
+            col = renumber[self.indices[e0:e1]]
+            taken = (col >= 0) & (renumber[self._rows_of_entries(e0, e1, rows)] >= 0)
+            pieces.append(col[taken].astype(self.indices.dtype))
+            degree[rows] = np.add.reduceat(taken, starts, dtype=np.intp)
+        indptr = np.zeros(keep.size + 1, np.intp)
+        np.cumsum(degree[keep], out=indptr[1:])
+        indices = np.concatenate(pieces) if pieces else self.indices[:0]
+        graph = CommutingGraph._from_csr(self.group, self.vertices[keep], indptr, indices,
+                                           distinct(reduced[self.sources], keep.size))
+        graph.class_sizes = np.bincount(reduced).astype(np.int32)
+        return graph
 
     def diameter_via_reduction(self) -> DiameterResult:
         """Diameter computed on the twin-reduced graph.
@@ -216,15 +305,12 @@ class CommutingGraph:
         """Edges as pairs of group elements, one per pair of vertex positions
         i < j, in row-major order of (i, j)."""
         edges: list[tuple[int, int]] = []
-        n, v = self.n_vertices, self.vertices
-        for s in range(0, n, TILE_WIDTH):
-            c = s - s % 8  # unpack from the byte that holds column s
-            rows = np.unpackbits(self._packed[s:s + TILE_WIDTH, c // 8:], axis=1,
-                                 count=n - c, bitorder="little")
-            i, j = np.nonzero(rows.view(bool))
-            j += c
-            upper = j > s + i
-            edges.extend(zip(v[s + i[upper]].tolist(), v[j[upper]].tolist()))
+        v = self.vertices
+        for e0, e1, rows, _ in self._row_blocks:
+            i = self._rows_of_entries(e0, e1, rows)
+            j = self.indices[e0:e1]
+            upper = j > i
+            edges.extend(zip(v[i[upper]].tolist(), v[j[upper]].tolist()))
         return edges
 
     def to_dot(self, name: str = "commuting") -> str:

@@ -335,7 +335,8 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
 
     Computed as the join-closure of the normal closures of cyclic subgroups,
     which is complete because every normal subgroup is the join of the normal
-    closures of its elements.
+    closures of its elements.  The join of two normal subgroups N and M is
+    their product set N·M, so it needs no closure.
     """
     found: dict[bytes, Subgroup] = {}
 
@@ -359,8 +360,7 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
         for other in list(found.values()):
             if cur.order == G.order or other.order == G.order:
                 continue
-            gens = tuple(cur.generators) + tuple(other.generators)
-            join = generated_subgroup(G, gens)
+            join = Subgroup(G, product_set(G, cur.members, other.members))
             if add(join):
                 worklist.append(join)
     subs = sorted(found.values(), key=lambda s: (s.order, s.members.tolist()))

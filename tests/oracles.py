@@ -517,25 +517,28 @@ def brute_adjacency(G: FiniteGroup, vertices: np.ndarray) -> np.ndarray:
 
 def all_sources_diameter(graph: CommutingGraph) -> DiameterResult:
     """Status, diameter and component count of a graph from a breadth-first
-    search out of every vertex over the boolean adjacency of its vertices,
-    computed here from the group's table rather than read from the graph."""
+    search out of every vertex, one at a time, over the bit-packed rows of
+    the boolean adjacency of its vertices, computed here from the group's
+    table rather than read from the graph."""
     adj = brute_adjacency(graph.group, graph.vertices)
     n = adj.shape[0]
     if n == 0:
         return DiameterResult("empty-vertex-set", None, 0)
+    rows = np.packbits(adj, axis=1, bitorder="little")
     eccentricity = np.zeros(n, np.int64)
     least_reached = np.zeros(n, np.int64)
     for s in range(n):
-        reached = np.zeros(n, bool)
-        reached[s] = True
-        frontier = reached.copy()
+        reached = np.zeros(rows.shape[1], np.uint8)
+        reached[s >> 3] = 1 << (s & 7)
+        frontier = np.array([s])
         while True:
-            frontier = adj[frontier].any(axis=0) & ~reached
-            if not frontier.any():
+            new = np.bitwise_or.reduce(rows[frontier], axis=0) & ~reached
+            frontier = np.flatnonzero(np.unpackbits(new, count=n, bitorder="little"))
+            if not frontier.size:
                 break
-            reached |= frontier
+            reached |= new
             eccentricity[s] += 1
-        least_reached[s] = np.argmax(reached)
+        least_reached[s] = np.argmax(np.unpackbits(reached, count=n, bitorder="little"))
     components = np.unique(least_reached).size
     if components > 1:
         return DiameterResult("disconnected", None, components)

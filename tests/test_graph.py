@@ -8,8 +8,9 @@ from agc import graph as graph_module
 from agc.classify import GroupAnalysis
 from agc.graph import CommutingGraph
 from agc.constructions import abelian, cyclic, dihedral, quaternion, symmetric
-from agc.perm import closure
-from agc.structure import center
+from agc.perm import closure, index_dtype
+from agc.products import direct_product
+from agc.structure import conjugacy_classes
 
 from oracles import (
     all_sources_diameter,
@@ -21,10 +22,17 @@ from oracles import (
 from test_permutation import generator_sets
 
 
-def unpacked(g: CommutingGraph) -> np.ndarray:
-    """The graph's packed rows as a boolean matrix."""
+def dense(g: CommutingGraph) -> np.ndarray:
+    """The graph's CSR rows as a boolean matrix, after checking that each
+    row lists its neighbours in strictly increasing order."""
     n = g.n_vertices
-    return np.unpackbits(g._packed, axis=1, count=n, bitorder="little").astype(bool)
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size
+    assert g.indices.dtype == index_dtype(g.group.order)
+    assert (np.diff(g.indices)[rows[1:] == rows[:-1]] > 0).all()
+    adj = np.zeros((n, n), bool)
+    adj[rows, g.indices] = True
+    return adj
 
 
 def test_abelian_group_has_empty_graph():
@@ -49,36 +57,34 @@ def test_adjacency_matches_centralizers():
     for i, v in enumerate(g.vertices):
         expected = set(brute_centralizer(G, int(v))) & set(g.vertices.tolist())
         expected.discard(int(v))
-        assert set(g.vertices[unpacked(g)[i]].tolist()) == expected
+        assert set(g.vertices[dense(g)[i]].tolist()) == expected
 
 
-def test_adjacency_in_tiles_matches_all_pairs(witness60, monkeypatch):
-    """Built from tiles of an odd width, which straddle the stripe edges
-    and the central elements, the packed rows, their twin reduction and
-    the edge list equal comparing every pair of vertices at once; also on
-    a vertex subset that leaves some stripes without a vertex."""
-    monkeypatch.setattr(graph_module, "TILE_WIDTH", 5)
-    cases = [(G, None) for G in (symmetric(4), dihedral(6), quaternion(), witness60)]
-    cases.append((witness60, np.arange(0, 60, 7)))
-    for G, vertices in cases:
-        g = CommutingGraph(G, vertices)
-        want = brute_adjacency(G, g.vertices)
-        assert np.array_equal(unpacked(g), want), G.name
+def test_adjacency_matches_all_pairs(corpus_groups, witness1500_x_c2):
+    """The CSR rows equal comparing every pair of vertices at once, and the
+    edge list is their upper triangle: on every corpus group, on its G/Z,
+    on the twin reductions of both and on the order-3000 W1500 x C2."""
+    analyses = [GroupAnalysis(G) for G in corpus_groups.values()]
+    analyses += [a.central_quotient for a in analyses] + [GroupAnalysis(witness1500_x_c2)]
+    for a in analyses:
+        g = a.graph
+        want = brute_adjacency(a.group, g.vertices)
+        assert np.array_equal(dense(g), want), a.group.name
         i, j = np.nonzero(np.triu(want))
         assert g.edge_list() == list(zip(g.vertices[i].tolist(), g.vertices[j].tolist()))
         reduced = g.twin_reduce()
-        assert np.array_equal(unpacked(reduced), brute_adjacency(G, reduced.vertices))
+        assert np.array_equal(dense(reduced), brute_adjacency(a.group, reduced.vertices))
 
 
 def test_graph_build_makes_no_table_sized_temporary(corpus_groups):
     """Building the order-1500 witness's graph, and its twin reduction,
-    hold the packed rows and a stripe of the table comparison: less than
-    half the n² bytes of a boolean adjacency matrix."""
+    hold the CSR rows and a block of temporaries: less than half the n²
+    bytes of a boolean adjacency matrix."""
     G = corpus_groups["diameter6-witness"]
-    vertices = np.nonzero(~center(G).member_mask)[0]
+    classes = conjugacy_classes(G)
     tracemalloc.start()
     try:
-        g = CommutingGraph(G, vertices)
+        g = CommutingGraph(G, classes)
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         g.twin_reduce()
@@ -91,14 +97,35 @@ def test_graph_build_makes_no_table_sized_temporary(corpus_groups):
     assert reduce_peak < n * n / 2
 
 
+def test_nearly_abelian_graph_stays_below_the_table():
+    """C500 x S3 (order 3000, 1500 classes) is nearly abelian, so its CSR
+    rows are long: 1 747 500 entries.  Its build, search and twin reduction
+    each peak below the 17.2 MiB of the group's table."""
+    G = direct_product(cyclic(500), symmetric(3))
+    classes = conjugacy_classes(G)
+    peaks = []
+    tracemalloc.start()
+    try:
+        g = CommutingGraph(G, classes)
+        for step in (lambda: None, g.diameter, g.twin_reduce):
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert (len(classes), g.n_vertices) == (1500, 2500)
+    assert g.diameter().components == 4  # C500 x <t> for each transposition t, C500 x A3
+    assert max(peaks) < G.table.nbytes
+
+
 @given(generator_sets())
 def test_packed_adjacency_and_diameters_on_random_groups(case):
-    """On random subgroups of S_n (n <= 7) the packed rows equal the
+    """On random subgroups of S_n (n <= 7) the sorted CSR rows equal the
     all-pairs comparison, and the class-source, twin-reduced and
     all-sources diameters agree."""
     degree, gens = case
     g = CommutingGraph(closure(degree, gens))
-    assert np.array_equal(unpacked(g), brute_adjacency(g.group, g.vertices))
+    assert np.array_equal(dense(g), brute_adjacency(g.group, g.vertices))
     want = all_sources_diameter(g)
     assert g.diameter() == want
     assert g.diameter_via_reduction() == want
@@ -135,26 +162,32 @@ def test_class_sources_match_all_sources_oracle(corpus_groups):
     assert checked > 40
 
 
-def test_diameter_runs_one_bfs_per_class(witness1500, monkeypatch):
-    """A connected graph is searched once per noncentral class, a
-    disconnected one once per component."""
+def test_diameter_runs_one_bfs_per_class(witness1500, witness60, monkeypatch):
+    """A connected graph is searched once from each noncentral class, 64
+    sources a call; a disconnected one stops at the first call that misses
+    a vertex, and then searches once from each component no source met."""
     bfs = graph_module._bfs_packed
-    starts = []
+    calls = []
 
-    def counted(adj_packed, n, start):
-        starts.append(start)
-        return bfs(adj_packed, n, start)
+    def counted(graph, sources):
+        calls.append(len(sources))
+        return bfs(graph, sources)
 
     monkeypatch.setattr(graph_module, "_bfs_packed", counted)
-    for G, diameter, components in ((witness1500, 6, 1), (symmetric(3), None, 4),
-                                    (symmetric(4), None, 5), (dihedral(6), None, 4)):
+    for G, diameter, components, searches in (
+            (witness1500, 6, 1, [18]), (symmetric(3), None, 4, [2, 1, 1]),
+            (symmetric(4), None, 5, [4, 1, 1, 1]), (dihedral(6), None, 4, [4, 1]),
+            (direct_product(cyclic(9), witness60), 4, 1, [64, 8]),
+            (direct_product(cyclic(33), symmetric(3)), None, 4, [64, 1, 1])):
         a = GroupAnalysis(G)
         noncentral = sum(c.size > 1 for c in a.classes)
         for g in (a.graph, CommutingGraph(G)):
-            starts.clear()
+            calls.clear()
             result = g.diameter()
             assert (result.diameter, result.components) == (diameter, components)
-            assert len(starts) == (noncentral if result.connected else components), G.name
+            assert calls == searches, G.name
+            assert calls[0] == min(64, noncentral)
+            assert not result.connected or sum(calls) == noncentral
 
 
 def test_q8_twin_reduction():
