@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotSolvable
 from .graph import CommutingGraph, DiameterResult
-from .perm import FiniteGroup, Subgroup, full_subgroup, prime_divisors
+from .perm import FiniteGroup, Subgroup, commutes_with, full_subgroup, prime_divisors
 from .products import quotient
 from .structure import (
     DerivedSeries,
@@ -127,7 +127,21 @@ class GroupAnalysis:
 
     @cached_property
     def minimal_normals(self) -> list[Subgroup]:
-        return minimal_normal_subgroups(self.group, self.classes)
+        """The minimal normal subgroups of a solvable group, from the
+        classes inside Z(F(G)) alone.
+
+        A minimal normal N of a solvable group is abelian, so nilpotent and
+        inside F(G).  As a nontrivial normal subgroup of the nilpotent F(G),
+        N meets Z(F(G)) nontrivially, and N ∩ Z(F(G)) is normal in G, Z(F(G))
+        being characteristic in F(G); so N lies in Z(F(G)).  A class lies in
+        Z(F(G)) when its least member lies in F(G) and commutes with all of
+        it, which chooses no generators of F(G)."""
+        if not self.solvable:
+            raise NotSolvable("minimal normal subgroups are found for solvable groups only")
+        G, F = self.group, self.fitting
+        central = [c for c in self.classes
+                   if F.member_mask[c[0]] and commutes_with(G, int(c[0]), F.members).all()]
+        return minimal_normal_subgroups(G, central)
 
     @cached_property
     def central_quotient(self) -> GroupAnalysis:

@@ -44,9 +44,8 @@ def parse_group_file(text: str) -> GroupFile:
         raise FormatError("'name' must be a string when present")
     out: list[list[int]] = []
     for g in gens:
-        if not isinstance(g, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in g
-        ):
+        # exact types: a bool is an int subclass, and JSON makes no other
+        if not isinstance(g, list) or not set(map(type, g)) <= {int}:
             raise FormatError("each generator must be a list of integers")
         if len(g) != degree:
             raise FormatError(

@@ -187,16 +187,20 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        n, t = self.order, self.table
-        orders = np.zeros(n, np.int64)
-        orders[0] = 1
-        idx = np.arange(n)
-        cur = idx.copy()
+        """o(x) for every x: the k-th powers of the elements whose order is
+        not yet known advance together, and each leaves at its first power
+        that is the identity."""
+        t = self.table
+        orders = np.ones(self.order, np.int64)
+        live = np.arange(1, self.order)
+        cur = live
         k = 1
-        while (orders == 0).any():
+        while live.size:
             k += 1
-            cur = t[cur, idx]
-            orders[(cur == 0) & (orders == 0)] = k
+            cur = t[cur, live]
+            done = cur == 0
+            orders[live[done]] = k
+            live, cur = live[~done], cur[~done]
         return orders
 
     def element_order(self, i: int) -> int:
@@ -398,7 +402,9 @@ def distinct(idx: np.ndarray, n: int) -> np.ndarray:
     ``numpy.ma`` import that ``np.unique`` makes on its first call)."""
     seen = np.zeros(n, bool)
     seen[idx] = True
-    return np.flatnonzero(seen).astype(idx.dtype, copy=False)
+    # the method, not np.flatnonzero, whose Python wrapper costs more than
+    # the search on the small masks this is mostly given
+    return seen.nonzero()[0].astype(idx.dtype, copy=False)
 
 
 def commutes_with(G: FiniteGroup, x: int, ys: np.ndarray) -> np.ndarray:
@@ -461,12 +467,12 @@ def irredundant(G: FiniteGroup, xs: Iterable[int]) -> tuple[tuple[int, ...], np.
     for x in xs:
         if not covered[x]:
             kept.append(int(x))
-            frontier = product_set(G, np.flatnonzero(covered), [x])
+            frontier = product_set(G, covered.nonzero()[0], [x])
             while frontier.size:
                 covered[frontier] = True
                 prods = product_set(G, frontier, kept)
                 frontier = prods[~covered[prods]]
-    return tuple(kept), np.flatnonzero(covered).astype(np.int32)
+    return tuple(kept), covered.nonzero()[0].astype(np.int32)
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:

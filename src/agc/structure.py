@@ -1,10 +1,12 @@
 """Subgroup-structure machinery.
 
 Centralizers, the center, derived series, Sylow subgroups (via normalizer
-growth), p-cores and the Fitting subgroup, Sylow systems chosen greedily
-(Hall: in a solvable group no choice has to be undone), (relative) system
-normalizers, minimal normal subgroups from classes of prime-order elements,
-and normal-subgroup enumeration via join-closure of normal closures.
+growth, each step one product set P·⟨x⟩), p-cores and the Fitting
+subgroup, Sylow systems chosen greedily (Hall: in a solvable group no
+choice has to be undone), (relative) system normalizers, conjugacy classes
+as the orbits of the generators' conjugations, minimal normal subgroups
+from classes of prime-order elements, and normal-subgroup enumeration via
+join-closure of normal closures.
 
 All operations are pure functions of groups and subgroups, which they do
 not modify.  Most take either a FiniteGroup or a Subgroup; a FiniteGroup is
@@ -145,9 +147,15 @@ def normalizer(H: GroupLike, P: Subgroup) -> Subgroup:
 def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     """A Sylow p-subgroup of H, grown inside successive normalizers.
 
-    Starts from the cyclic group on a p-element and repeatedly extends the
-    current p-subgroup P by a p-element of N_H(P) \\ P; the standard
-    normalizer-growth property guarantees this reaches the full p-part.
+    Starts from the trivial group and repeatedly extends the current
+    p-subgroup P by the first p-part x, over the members of N_H(P) in
+    order, that lies outside P; the standard normalizer-growth property
+    guarantees this reaches the full p-part.  The first x is the p-part of
+    the first member of H whose order p divides.  Since x normalizes P,
+    ⟨P, x⟩ is the product set P·⟨x⟩, and P·{1, x, ..., x^(k-1)} for the
+    least k with x^k in P: one product set, no closure.  Each x lies
+    outside the subgroup of those before it, so the generators are all of
+    them, in the order found, as ``generated_subgroup`` would keep them.
     """
     H = as_subgroup(H)
     G = H.parent
@@ -159,15 +167,18 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     while m % p == 0:
         target *= p
         m //= p
-    orders = G.element_orders
-    # deterministic seed: first member whose order is divisible by p
-    seed = next(int(x) for x in H.members if orders[x] % p == 0 and x != 0)
-    P = generated_subgroup(G, [p_part(G, seed, p)])
+    t, orders = G.table, G.element_orders
+    P = trivial_subgroup(G)
     while P.order < target:
         nz = normalizer_members(G, H.members, P)
-        # by that property some p-part of an element of N_H(P) lies outside P
-        ext = next(x for x in (p_part(G, int(y), p) for y in nz) if not P.member_mask[x])
-        P = generated_subgroup(G, [*P.generators, ext])
+        # an element whose order p does not divide has p-part 1, which is in P
+        x = next(x for x in (p_part(G, int(y), p) for y in nz[orders[nz] % p == 0])
+                 if not P.member_mask[x])
+        powers, y = [0], x
+        while not P.member_mask[y]:
+            powers.append(y)
+            y = int(t[y, x])
+        P = Subgroup(G, product_set(G, P.members, powers), (*P.generators, x))
     return P
 
 
@@ -304,18 +315,27 @@ def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
-    """All conjugacy classes, each sorted, ordered by least member."""
-    n = G.order
-    assigned = np.zeros(n, bool)
-    everyone = np.arange(n)
-    classes = []
-    for x in range(n):
-        if assigned[x]:
-            continue
-        cls = distinct(conjugations(G, everyone, [x]), n)
-        assigned[cls] = True
-        classes.append(cls.astype(np.int32))
-    return classes
+    """All conjugacy classes, each sorted, ordered by least member.
+
+    The classes are the orbits of the conjugations x ↦ g·x·g⁻¹ by G's
+    generators, labelled by their least members.  Each label starts as its
+    element.  A round sets each label to the label of its label (pointer
+    jumping), then lowers it to the label at the other end of each
+    generator's conjugation, in both directions.  Labels only fall and stay
+    in their orbit, so once a round changes none, each orbit carries one
+    label, its least member; a stable sort of the labels lists the classes."""
+    t, inv = G.table, G.inverse_array
+    perms = [t[t[g], inv[g]] for g in G.generators]
+    label = np.arange(G.order, dtype=t.dtype)
+    while True:
+        before, label = label, label[label]
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+            label[perm] = np.minimum(label[perm], label)
+        if (label == before).all():
+            break
+    order = label.argsort(kind="stable").astype(np.int32)
+    return np.split(order, np.diff(label[order]).nonzero()[0] + 1)
 
 
 def normal_closure(G: FiniteGroup, x: int) -> Subgroup:
@@ -382,7 +402,9 @@ def minimal_normal_subgroups(G: FiniteGroup, classes: list[np.ndarray]) -> list[
     class generates; a normal closure that contains no smaller one is
     minimal normal.  So these are the inclusion-minimal subgroups generated
     by one conjugacy class of prime-order elements.  ``classes`` are G's
-    conjugacy classes as ``conjugacy_classes`` lists them, identity first.
+    conjugacy classes as ``conjugacy_classes`` lists them, identity first,
+    or those of them inside a normal subgroup that holds every minimal
+    normal subgroup, as ``GroupAnalysis.minimal_normals`` passes Z(F(G)).
     """
     primes = prime_divisors(G.order)
     orders = G.element_orders

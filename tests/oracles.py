@@ -37,6 +37,11 @@ its generator images; the witnesses are built from one chosen action each.
 ``images_by_element`` maps each element's points one element at a time,
 over a tree it reads off the table, where ``FiniteGroup.images`` walks the
 group's own tree a breadth-first level at a time.
+``brute_conjugacy_classes`` conjugates one element by every element at a
+time, where ``conjugacy_classes`` labels the orbits of the generators'
+conjugations, and ``brute_element_orders`` multiplies each element into
+its own power, where ``FiniteGroup.element_orders`` advances the powers of
+all elements of unknown order together.
 """
 
 from __future__ import annotations
@@ -209,6 +214,33 @@ def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def brute_element_orders(G: FiniteGroup) -> np.ndarray:
+    """o(x) for every x: the least k with x^k the identity, the power of
+    each element multiplied by it one step at a time."""
+    orders = [1]
+    for x in range(1, G.order):
+        col = G.table[:, x].tolist()  # y -> y·x
+        y, k = x, 1
+        while y != 0:
+            y, k = col[y], k + 1
+        orders.append(k)
+    return np.array(orders, np.int64)
+
+
+def brute_conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
+    """The conjugacy classes, one x at a time: the set {g·x·g⁻¹ : g in G}
+    of every x that no class found before holds, sorted, as int32."""
+    inv = G.inverse_array.tolist()
+    seen: set[int] = set()
+    classes = []
+    for x in range(G.order):
+        if x not in seen:
+            cls = {G.mult(G.mult(g, x), inv[g]) for g in range(G.order)}
+            seen |= cls
+            classes.append(np.array(sorted(cls), np.int32))
+    return classes
+
+
 def brute_centralizer(G: FiniteGroup, x: int) -> list[int]:
     return [y for y in range(G.order) if G.mult(y, x) == G.mult(x, y)]
 
@@ -364,10 +396,8 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
     subgroup is malnormal, so y ranges over one representative of each
     orbit of C_G(x) acting on G by conjugation.
     """
-    from agc.structure import conjugacy_classes
-
     t, inv = G.table, G.inverse_array
-    reps = [int(c[0]) for c in conjugacy_classes(G) if c[0] != 0]
+    reps = [int(c[0]) for c in brute_conjugacy_classes(G) if c[0] != 0]
     seen: set[bytes] = set()
     for x in reps:
         cx = np.array(brute_centralizer(G, x))

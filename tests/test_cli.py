@@ -508,6 +508,60 @@ def test_corpus_analyses_derive_37_series(corpus_dir, monkeypatch):
     assert len(calls) == 37
 
 
+def test_corpus_sylow_growth_and_classes_close_nothing(corpus_dir, witness1500,
+                                                       monkeypatch):
+    """Over the corpus analyses, growing the Sylow subgroups makes no
+    ``irredundant`` call, as each step is one product set P·⟨x⟩, and
+    listing the classes makes no ``conjugations`` call, as it labels the
+    orbits of the generators' conjugations.  Each Sylow subgroup keeps the
+    members and generators that closing its generators gives."""
+    modules = {name: importlib.import_module(f"agc.{name}") for name in (
+        "classify", "cli", "graph", "perm", "products", "structure", "verify")}
+    structure, perm = modules["structure"], modules["perm"]
+    inside, entries, calls, grown = [], [], [], []
+
+    def entered(name, fn):
+        def wrapper(*args, **kwargs):
+            entries.append(name)
+            inside.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                inside.pop()
+            if name == "sylow_subgroups":
+                grown.append((args[0], result))
+            return result
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, tuple(inside)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {structure.sylow_subgroups: entered("sylow_subgroups", structure.sylow_subgroups),
+                structure.conjugacy_classes: entered("conjugacy_classes",
+                                                     structure.conjugacy_classes),
+                perm.irredundant: counted("irredundant", perm.irredundant),
+                perm.conjugations: counted("conjugations", perm.conjugations)}
+    for module in modules.values():
+        for attr, value in list(vars(module).items()):
+            wrapper = next((w for f, w in wrappers.items() if f is value), None)
+            if wrapper is not None:
+                monkeypatch.setattr(module, attr, wrapper)
+    for path in sorted(corpus_dir.glob("*.json")):
+        assert _analyze_one((str(path), DEFAULT_MAX_ORDER))[3] is None
+    assert entries.count("sylow_subgroups") == 37 and "conjugacy_classes" in entries
+    assert {name for name, _ in calls} == {"irredundant", "conjugations"}
+    assert not [c for c in calls if c[0] == "irredundant" and "sylow_subgroups" in c[1]]
+    assert not [c for c in calls if c[0] == "conjugations" and "conjugacy_classes" in c[1]]
+    grown.append((witness1500, sylow_subgroups(witness1500)))
+    for G, sylows in grown:
+        for P in sylows.values():
+            Q = perm.generated_subgroup(G, P.generators)
+            assert Q.generators == P.generators and np.array_equal(Q.members, P.members)
+
+
 def test_corpus_analyses_grow_85_sylow_subgroups(corpus_dir, monkeypatch):
     """G/Z and G/F(G) take the images of G's Sylow subgroups, which are
     Sylow subgroups of the quotient, and each derived term K takes the

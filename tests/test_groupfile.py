@@ -48,6 +48,9 @@ def test_parse_rejects_bad_json():
     '{"degree": 3, "generators": "abc"}',
     '{"degree": 0, "generators": []}',
     pytest.param("[" * 100000, id="deeply-nested"),
+    *(pytest.param(f'{{"degree": 3, "generators": [[0, {image}, 2]]}}', id=f"image-{kind}")
+      for kind, image in (("true", "true"), ("false", "false"), ("float", "1.0"),
+                          ("string", '"1"'), ("null", "null"), ("list", "[1]"))),
 ])
 def test_parse_rejects_malformed_documents(payload):
     with pytest.raises(FormatError):

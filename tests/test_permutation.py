@@ -31,7 +31,13 @@ from agc.constructions import (
 from agc.products import direct_product, quotient
 from agc.structure import sylow_subgroups
 
-from oracles import brute_closure, images_by_element, indices_of_rows, row_closure
+from oracles import (
+    brute_closure,
+    brute_element_orders,
+    images_by_element,
+    indices_of_rows,
+    row_closure,
+)
 
 
 def test_permutation_rejects_non_bijections():
@@ -366,6 +372,17 @@ def test_element_orders():
         assert G.power(i, o) == 0
         for d in range(1, o):
             assert G.power(i, d) != 0
+
+
+def test_element_orders_match_brute_powers(corpus_groups):
+    """Advancing only the powers of elements whose order is still unknown
+    gives each element's order, also on C500 × S3, whose elements of small
+    order leave long before the 1500th power."""
+    for G in [*corpus_groups.values(), direct_product(cyclic(500), symmetric(3))]:
+        orders = G.element_orders
+        assert orders.dtype == np.int64, G.name
+        assert np.array_equal(orders, brute_element_orders(G)), G.name
+    assert cyclic(1).element_orders.tolist() == [1]
 
 
 def test_power_binary_exponentiation():

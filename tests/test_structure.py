@@ -42,6 +42,7 @@ from agc.structure import (
 from oracles import (
     brute_center,
     brute_centralizer,
+    brute_conjugacy_classes,
     brute_derived_series,
     brute_normal_subgroups,
     brute_normalizer,
@@ -318,6 +319,21 @@ def test_normalizer_and_conjugacy():
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
 
 
+def test_conjugacy_classes_match_brute_oracle(corpus_groups, witness1500_x_c2):
+    """The orbit labels give the classes of conjugating one element at a
+    time, each sorted, as int32, ordered by least member: on every corpus
+    group, its G/Z and G/F(G), and the order-3000 W1500 × C2."""
+    groups = [witness1500_x_c2]
+    for G in corpus_groups.values():
+        a = GroupAnalysis(G)
+        groups += [G, a.central_quotient.group, a.fitting_quotient[0].group]
+    for G in groups:
+        got, want = conjugacy_classes(G), brute_conjugacy_classes(G)
+        assert len(got) == len(want), G.name
+        for c, w in zip(got, want):
+            assert c.dtype == np.int32 and np.array_equal(c, w), G.name
+
+
 def test_normal_subgroups_of_s4():
     G = symmetric(4)
     infos = normal_subgroups(G)
@@ -345,3 +361,29 @@ def test_minimal_normal_subgroups_match_oracle(corpus_groups):
                          key=lambda m: (len(m), m))
         got = [S.members.tolist() for S in minimal_normal_subgroups(G, conjugacy_classes(G))]
         assert got == minimal, G.name
+
+
+def test_analysis_minimal_normals_lie_in_the_fittings_centre(corpus_groups):
+    """From the classes inside Z(F(G)) alone, the analysis finds the minimal
+    members of the full normal-subgroup lattice of every solvable corpus
+    group with trivial centre, in (order, members) order.  In F21 = C7:C3
+    and S4 classes of prime order lie outside Z(F(G)) and are skipped."""
+    skipped = {}
+    for name, G in corpus_groups.items():
+        a = GroupAnalysis(G)
+        if not a.solvable or a.center.order > 1:
+            continue
+        normals = brute_normal_subgroups(G)
+        minimal = sorted((sorted(S) for S in normals
+                          if len(S) > 1 and not any(1 < len(T) < len(S) and T < S
+                                                    for T in normals)),
+                         key=lambda m: (len(m), m))
+        assert [S.members.tolist() for S in a.minimal_normals] == minimal, name
+        fitting = a.fitting.members.tolist()
+        zf = {x for x in fitting if all(G.mult(x, y) == G.mult(y, x) for y in fitting)}
+        skipped[name] = sum(int(c[0]) not in zf and int(G.element_orders[c[0]]) in
+                            prime_divisors(G.order) for c in a.classes)
+    assert len(skipped) == 18
+    assert skipped["c7-c3"] > 0 and skipped["s4"] > 0
+    with pytest.raises(NotSolvable):
+        GroupAnalysis(alternating(5)).minimal_normals
