@@ -9,12 +9,12 @@ once, and its multiplication table is built from the products x·g that the
 enumeration computed.
 
 The enumeration tells elements apart by their images of a base: a point
-tuple S whose pointwise stabilizer is trivial.  It searches the images of S
-rather than whole image rows, and certifies S by Schreier's lemma (see
-``closure``).  A group keeps no image row of its elements: only its
-generators' rows, the search tree and the table.  Elements are listed in
-first-reached order, so each level of the tree is a contiguous index range,
-walked with one gather per level by ``FiniteGroup.images`` and the table.
+tuple S whose pointwise stabilizer is trivial, started from the orbits
+that ``orbit_labels``, the one orbit routine, finds, and certified by
+Schreier's lemma (see ``closure``).  A group keeps no image row of its
+elements: only its generators' rows, the search tree and the table.
+Elements are listed in first-reached order, so each level of the tree is
+a contiguous index range, walked with one gather per level.
 
 The table is most of what a group holds, so its entries, element indices,
 take the narrowest dtype that holds them: ``index_dtype`` chooses it, int16
@@ -225,17 +225,18 @@ def closure(
     certified search.
 
     S starts as the least point of each orbit of ⟨gens⟩ that has more than
-    one point.  Let e_i be the tree element of key i and j the key of e_i·g.
-    By Schreier's lemma the stabilizer G_(S) is generated by the elements
-    s = e_i·g·e_j⁻¹.  If every such s fixes every point of g(S), for every
-    generator g, then G_(S) lies in the stabilizer of g(S), a conjugate of
-    G_(S) of the same order, so every generator normalizes G_(S).  A normal
-    subgroup that fixes a point fixes its orbit, and S meets every orbit
-    that moves, so G_(S) is trivial: S is a base, keys and elements
-    correspond one to one, and the listing, the generator indices and the
-    right columns are those of a search over whole rows.  If some s moves a
-    point of some g(S), that point joins S and the search starts again;
-    G_(S) at least halves each time, so there are at most log2 |G| restarts.
+    one point (``orbit_labels``), or as the point 0 if none has.  Let e_i be
+    the tree element of key i and j the key of e_i·g.  By Schreier's lemma
+    the stabilizer G_(S) is generated by the elements s = e_i·g·e_j⁻¹.  If
+    every such s fixes every point of g(S), for every generator g, then
+    G_(S) lies in the stabilizer of g(S), a conjugate of G_(S) of the same
+    order, so every generator normalizes G_(S).  A normal subgroup that
+    fixes a point fixes its orbit, and S meets every orbit that moves, so
+    G_(S) is trivial: S is a base, keys and elements correspond one to one,
+    and the listing, the generator indices and the right columns are those
+    of a search over whole rows.  If some s moves a point of some g(S), that
+    point joins S and the search starts again; G_(S) at least halves each
+    time, so there are at most log2 |G| restarts.
 
     Raises GroupTooLarge once more than ``max_order`` keys are found, so a
     cap below 1 admits only the trivial group.  The degree must lie between
@@ -247,33 +248,46 @@ def closure(
         raise MalformedPermutation("degree must be positive and fit an array index")
     gen_arrays = [_validate_images(g, degree) for g in gens]
     garr = np.array(gen_arrays, np.int32).reshape(len(gen_arrays), degree)
-    base = _orbit_representatives(garr) if gen_arrays else []
-    while True:
+    base = _orbit_representatives(garr)
+    tree = _KeyTree(garr, base, max_order)
+    while (moved := tree.moved_point()) is not None:
+        base = np.append(base, moved)
         tree = _KeyTree(garr, base, max_order)
-        moved = tree.moved_point()
-        if moved is None:
-            break
-        base.append(moved)
     return FiniteGroup(garr, tree.right, name=name)
 
 
-def _orbit_representatives(garr: np.ndarray) -> list[int]:
-    """The least point of each orbit of ⟨garr⟩ that has more than one point."""
-    images = garr.tolist()
-    seen = (garr == np.arange(garr.shape[1])).all(axis=0).tolist()  # fixed points
-    reps = []
-    for p in range(len(seen)):
-        if seen[p]:
-            continue
-        reps.append(p)
-        seen[p] = True
-        orbit = [p]
-        for q in orbit:  # grows while it is read
-            for img in images:
-                if not seen[img[q]]:
-                    seen[img[q]] = True
-                    orbit.append(img[q])
-    return reps
+def orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """Each point's label: the least point of its orbit under the group that
+    the rows of ``perms`` generate, in their dtype.  Each round hooks, then
+    jumps (Shiloach and Vishkin, "An O(log n) parallel connectivity
+    algorithm", 1982): for each row g, the labels of the labels at the ends
+    of each pair p ↦ g(p) fall to the lesser of those two, then each label
+    jumps to its label's label until none moves.  Hooking labels, not only
+    points, carries a low label along a whole run of points in one round.
+    Labels only fall and stay in their orbit; once a round changes nothing,
+    both ends of each pair share one label, its own, the orbit's least."""
+    label = np.arange(perms.shape[1], dtype=perms.dtype)
+    while True:
+        before = label.copy()
+        for g in perms:
+            low = np.minimum(label, label[g])
+            np.minimum.at(label, label, low)
+            np.minimum.at(label, label[g], low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
+def _orbit_representatives(garr: np.ndarray) -> np.ndarray:
+    """The least point of each orbit of ⟨garr⟩ that has more than one point,
+    in increasing order, or the point 0, a base of the trivial group, when
+    no point moves; with no rows nothing of the degree's size is made."""
+    if not garr.shape[0]:
+        return np.zeros(1, np.intp)
+    points = np.arange(garr.shape[1])
+    reps = ((garr != points).any(axis=0) & (orbit_labels(garr) == points)).nonzero()[0]
+    return reps if reps.size else np.zeros(1, np.intp)
 
 
 class _KeyTree:
@@ -285,35 +299,34 @@ class _KeyTree:
     ``images``, which is all ``moved_point`` needs.
     """
 
-    def __init__(self, garr: np.ndarray, base: list[int], max_order: int):
-        ngens = garr.shape[0]
-        # the points whose images are kept: S first, then each g(S)
-        self.points = list(dict.fromkeys(base + garr[:, base].ravel().tolist()))
+    def __init__(self, garr: np.ndarray, base: np.ndarray, max_order: int):
+        ngens, size = garr.shape[0], len(base)
+        # the points whose images are kept: S first, then the rest of g(S),
+        # from a mask as long as the largest of them needs
+        rest = np.bincount(garr[:, base].ravel(), minlength=base.max() + 1) > 0
+        rest[base] = False
+        self.points = np.concatenate([base, rest.nonzero()[0]])
         self.garr = garr
-        width = len(base) * 4  # bytes in a key
-        cur = np.array([self.points], np.int32)
-        index = {cur[0, :len(base)].tobytes(): 0}
+        key_dtype = np.dtype((np.void, 4 * size))  # a key: the int32 images of S
+        cur = self.points.astype(np.int32)[None]
+        index = {cur[:, :size].view(key_dtype).item(): 0}
         images, right = [cur], []
         n = 1  # keys found
         while len(cur):
             # products x·g in the enumeration's reading order, x-major
-            count = len(cur) * ngens
-            prods = garr[:, cur].transpose(1, 0, 2).reshape(count, len(self.points))
-            keys = np.ascontiguousarray(prods[:, :len(base)]).tobytes()
+            prods = garr[:, cur].transpose(1, 0, 2).reshape(-1, self.points.size)
+            keys = np.ascontiguousarray(prods[:, :size]).view(key_dtype).ravel().tolist()
             new = []
-            for q in range(count):
-                j = index.setdefault(keys[q * width:(q + 1) * width], n)
+            for q, key in enumerate(keys):
+                j = index.setdefault(key, n)
                 if j == n:
                     if n >= max_order:
-                        raise GroupTooLarge(
-                            f"closure exceeded the order cap of {max_order}"
-                        )
+                        raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
                     new.append(q)
                     n += 1
                 right.append(j)
             cur = prods[new]
             images.append(cur)
-        self.order = n
         self.images = np.concatenate(images)
         self.right = np.array(right, np.int32).reshape(n, ngens).T.copy()
 
@@ -326,7 +339,7 @@ class _KeyTree:
         for h, row in enumerate(self.garr):
             moved = np.nonzero(row[self.images] != self.images[self.right[h]])
             if moved[0].size:
-                return self.points[int(moved[1][0])]
+                return int(self.points[moved[1][0]])
         return None
 
 
@@ -445,11 +458,6 @@ def product_set(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
                 ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """The product set xs·ys: the distinct products x·y, sorted."""
     return distinct(G.table[np.asarray(xs, np.intp)[:, None], ys], G.order)
-
-
-def close_indices(G: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
-    """Sorted element indices of the subgroup generated by ``gens``."""
-    return irredundant(G, gens)[1]
 
 
 def irredundant(G: FiniteGroup, xs: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray]:

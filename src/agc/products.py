@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, Subgroup, distinct
+from .perm import FiniteGroup, Subgroup, distinct, row_blocks
 
 
 def _regular_group(rows: np.ndarray, *, name: str | None = None
@@ -56,8 +56,10 @@ def quotient(
         raise NotNormal("quotient by a non-normal subgroup")
     t = G.table
     # canonical representative of the coset Nx: the least element of {n·x},
-    # so N itself is coset 0
-    coset_rep = t[N.members].min(axis=0).astype(np.int32)
+    # so N itself is coset 0, from a block of N's rows at a time
+    coset_rep = t[0].astype(np.int32)
+    for rows in row_blocks(N.order, G.order):
+        np.minimum(coset_rep, t[N.members[rows]].min(axis=0), out=coset_rep)
     reps = distinct(coset_rep, G.order)
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
     # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]

@@ -1,12 +1,12 @@
 """Subgroup-structure machinery.
 
 Centralizers, the center, derived series, Sylow subgroups (via normalizer
-growth, each step one product set P·⟨x⟩), p-cores and the Fitting
-subgroup, Sylow systems chosen greedily (Hall: in a solvable group no
-choice has to be undone), (relative) system normalizers, conjugacy classes
-as the orbits of the generators' conjugations, minimal normal subgroups
-from classes of prime-order elements, and normal-subgroup enumeration via
-join-closure of normal closures.
+growth, each step one product set P·⟨x⟩ by ``grow``), p-cores and the
+Fitting subgroup, Sylow systems chosen greedily (Hall: in a solvable group
+no choice has to be undone), (relative) system normalizers, conjugacy
+classes as the orbits of the generators' conjugations (``orbit_labels``),
+minimal normal subgroups grown from classes of prime-order elements, and
+normal-subgroup enumeration via join-closure of normal closures.
 
 All operations are pure functions of groups and subgroups, which they do
 not modify.  Most take either a FiniteGroup or a Subgroup; a FiniteGroup is
@@ -20,6 +20,7 @@ its own when they are first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,13 +30,13 @@ from .errors import NotSolvable, PrimeNotDividing
 from .perm import (
     FiniteGroup,
     Subgroup,
-    close_indices,
     commutes_with,
     commuting,
     conjugations,
-    distinct,
     full_subgroup,
     generated_subgroup,
+    irredundant,
+    orbit_labels,
     p_part,
     prime_divisors,
     product_set,
@@ -151,35 +152,37 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     p-subgroup P by the first p-part x, over the members of N_H(P) in
     order, that lies outside P; the standard normalizer-growth property
     guarantees this reaches the full p-part.  The first x is the p-part of
-    the first member of H whose order p divides.  Since x normalizes P,
-    ⟨P, x⟩ is the product set P·⟨x⟩, and P·{1, x, ..., x^(k-1)} for the
-    least k with x^k in P: one product set, no closure.  Each x lies
-    outside the subgroup of those before it, so the generators are all of
-    them, in the order found, as ``generated_subgroup`` would keep them.
+    the first member of H whose order p divides.  x normalizes P, so
+    ⟨P, x⟩ is one product set (``grow``).  Each x lies outside the subgroup
+    of those before it, so the generators are all of them, in the order
+    found, as ``generated_subgroup`` would keep them.
     """
     H = as_subgroup(H)
     G = H.parent
     n = H.order
     if n % p != 0:
         raise PrimeNotDividing(f"{p} does not divide the order {n}")
-    target = 1
-    m = n
-    while m % p == 0:
-        target *= p
-        m //= p
-    t, orders = G.table, G.element_orders
+    target = math.gcd(n, p ** n.bit_length())  # the p-part of n
+    orders = G.element_orders
     P = trivial_subgroup(G)
     while P.order < target:
         nz = normalizer_members(G, H.members, P)
         # an element whose order p does not divide has p-part 1, which is in P
         x = next(x for x in (p_part(G, int(y), p) for y in nz[orders[nz] % p == 0])
                  if not P.member_mask[x])
-        powers, y = [0], x
-        while not P.member_mask[y]:
-            powers.append(y)
-            y = int(t[y, x])
-        P = Subgroup(G, product_set(G, P.members, powers), (*P.generators, x))
+        P = grow(G, P, x)
     return P
+
+
+def grow(G: FiniteGroup, P: Subgroup, x: int) -> Subgroup:
+    """⟨P, x⟩ for an x outside P that normalizes P: the product set
+    P·{1, x, ..., x^(k-1)} for the least k with x^k in P, no closure, with
+    P's generators, then x."""
+    powers, y = [0], x
+    while not P.member_mask[y]:
+        powers.append(y)
+        y = int(G.table[y, x])
+    return Subgroup(G, product_set(G, P.members, powers), (*P.generators, x))
 
 
 def sylow_subgroups(H: GroupLike) -> dict[int, Subgroup]:
@@ -318,30 +321,12 @@ def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
     """All conjugacy classes, each sorted, ordered by least member.
 
     The classes are the orbits of the conjugations x ↦ g·x·g⁻¹ by G's
-    generators, labelled by their least members.  Each label starts as its
-    element.  A round sets each label to the label of its label (pointer
-    jumping), then lowers it to the label at the other end of each
-    generator's conjugation, in both directions.  Labels only fall and stay
-    in their orbit, so once a round changes none, each orbit carries one
-    label, its least member; a stable sort of the labels lists the classes."""
-    t, inv = G.table, G.inverse_array
-    perms = [t[t[g], inv[g]] for g in G.generators]
-    label = np.arange(G.order, dtype=t.dtype)
-    while True:
-        before, label = label, label[label]
-        for perm in perms:
-            np.minimum(label, label[perm], out=label)
-            label[perm] = np.minimum(label[perm], label)
-        if (label == before).all():
-            break
+    generators, which ``orbit_labels`` labels by their least members; a
+    stable sort of the labels lists the classes."""
+    t, gens = G.table, np.array(G.generators, np.intp)
+    label = orbit_labels(t[t[gens], G.inverse_array[gens, None]])
     order = label.argsort(kind="stable").astype(np.int32)
     return np.split(order, np.diff(label[order]).nonzero()[0] + 1)
-
-
-def normal_closure(G: FiniteGroup, x: int) -> Subgroup:
-    """The smallest normal subgroup containing element x."""
-    cls = distinct(conjugations(G, np.arange(G.order), [x]), G.order)
-    return Subgroup(G, close_indices(G, cls.tolist()))
 
 
 @dataclass(frozen=True)
@@ -355,7 +340,8 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
 
     Computed as the join-closure of the normal closures of cyclic subgroups,
     which is complete because every normal subgroup is the join of the normal
-    closures of its elements.  The join of two normal subgroups N and M is
+    closures of its elements.  The normal closure of x is the subgroup its
+    conjugacy class generates.  The join of two normal subgroups N and M is
     their product set N·M, so it needs no closure.
     """
     found: dict[bytes, Subgroup] = {}
@@ -372,7 +358,7 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
     for cls in conjugacy_classes(G):
         if cls[0] == 0 and cls.size == 1:
             continue
-        add(normal_closure(G, int(cls[0])))
+        add(Subgroup(G, irredundant(G, cls.tolist())[1]))
     # join-closure
     worklist = list(found.values())
     while worklist:
@@ -401,17 +387,21 @@ def minimal_normal_subgroups(G: FiniteGroup, classes: list[np.ndarray]) -> list[
     is the normal closure of each of its nontrivial elements, which its
     class generates; a normal closure that contains no smaller one is
     minimal normal.  So these are the inclusion-minimal subgroups generated
-    by one conjugacy class of prime-order elements.  ``classes`` are G's
-    conjugacy classes as ``conjugacy_classes`` lists them, identity first,
-    or those of them inside a normal subgroup that holds every minimal
-    normal subgroup, as ``GroupAnalysis.minimal_normals`` passes Z(F(G)).
+    by one conjugacy class of prime-order elements.  ``classes`` must be
+    G's classes inside an abelian normal subgroup that holds every minimal
+    normal subgroup, identity first, as ``GroupAnalysis.minimal_normals``
+    passes those inside Z(F(G)).  There every member normalizes, so each
+    class grows by ``grow``, keeping the members that grew it as generators.
     """
     primes = prime_divisors(G.order)
     orders = G.element_orders
     closures: dict[bytes, Subgroup] = {}
     for cls in classes[1:]:
         if orders[cls[0]] in primes:
-            S = Subgroup(G, close_indices(G, cls.tolist()))
+            S = trivial_subgroup(G)
+            for x in cls.tolist():
+                if not S.member_mask[x]:
+                    S = grow(G, S, x)
             closures.setdefault(S.key(), S)
     subs = sorted(closures.values(), key=lambda s: (s.order, s.members.tolist()))
     return [S for S in subs

@@ -39,7 +39,8 @@ over a tree it reads off the table, where ``FiniteGroup.images`` walks the
 group's own tree a breadth-first level at a time.
 ``brute_conjugacy_classes`` conjugates one element by every element at a
 time, where ``conjugacy_classes`` labels the orbits of the generators'
-conjugations, and ``brute_element_orders`` multiplies each element into
+conjugations, ``brute_orbit_labels`` searches each orbit over a set, where
+``orbit_labels`` hooks and jumps labels over all points at once, and ``brute_element_orders`` multiplies each element into
 its own power, where ``FiniteGroup.element_orders`` advances the powers of
 all elements of unknown order together.
 """
@@ -239,6 +240,24 @@ def brute_conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
             seen |= cls
             classes.append(np.array(sorted(cls), np.int32))
     return classes
+
+
+def brute_orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """The least point of each point's orbit under the rows of ``perms``:
+    a breadth-first search over a set from every point that no orbit found
+    before holds, the orbits found in increasing order of their least
+    points."""
+    rows = perms.tolist()
+    label = [-1] * perms.shape[1]
+    for p in range(perms.shape[1]):
+        if label[p] < 0:
+            orbit, frontier = {p}, [p]
+            while frontier:
+                frontier = [g[q] for q in frontier for g in rows if g[q] not in orbit]
+                orbit.update(frontier)
+            for q in orbit:
+                label[q] = p
+    return np.array(label)
 
 
 def brute_centralizer(G: FiniteGroup, x: int) -> list[int]:

@@ -1,11 +1,12 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from agc.errors import InvalidAction, NotNormal
 from agc.groupfile import load_group, save_group
-from agc.perm import closure, generated_subgroup
+from agc.perm import closure, distinct, generated_subgroup
 from agc.products import direct_product, extend_action, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, metacyclic, symmetric
 from agc.structure import (
@@ -71,6 +72,25 @@ def test_quotient_lists_cosets_breadth_first_at_order_3000(witness1500_x_c2):
         Q, proj = quotient(G, N)
         assert Q.order == G.order // N.order
         assert np.array_equal(proj, breadth_first_projection(G, N)), N.order
+
+
+def test_quotient_by_a_large_subgroup_makes_no_product_block(witness1500_x_c2):
+    """The least member of each coset is taken over a block of N's rows at a
+    time: on W1500 × C2, the quotient by the order-750 subgroup that the
+    squares generate traces under 1 MB, where taking all 750 rows of N at
+    once traced 4.5 MB."""
+    G = witness1500_x_c2
+    everyone = np.arange(G.order)
+    N = generated_subgroup(G, distinct(G.table[everyone, everyone], G.order).tolist())
+    assert N.order == 750
+    tracemalloc.start()
+    try:
+        Q, proj = quotient(G, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.order == 4 and np.array_equal(proj, breadth_first_projection(G, N))
+    assert peak < 1 << 20
 
 
 def test_saved_quotient_reloads_with_its_table(corpus_groups, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from agc.errors import NotComplement
 from agc.perm import closure, full_subgroup, generated_subgroup, trivial_subgroup
 from agc.constructions import cyclic, metacyclic, symmetric
-from agc.structure import derived_subgroup, minimal_normal_subgroups, sylow_subgroup
+from agc.structure import derived_subgroup, sylow_subgroup
 from agc.verify import (
     GroupAnalysis,
     check_derived_center_intersection,
@@ -238,7 +238,7 @@ def test_diagnostics_centralize_each_minimal_normal_by_brute_force(corpus_groups
         record = proof_diagnostics(a)[0]
         if record.status == "skipped-precondition":
             continue
-        minimals = minimal_normal_subgroups(G, a.classes)
+        minimals = a.minimal_normals
         assert len(record.witness["minimal_normals"]) == len(minimals)
         for V, got in zip(minimals, record.witness["minimal_normals"]):
             cgv = set(range(G.order))
