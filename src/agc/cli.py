@@ -9,9 +9,11 @@ Commands:
 Exit codes: 0 ok, 1 input, output or usage error, 2 check failure,
 3 fingerprint defect.
 
-Each command imports only what it runs: ``agc.witness`` (and with it
-``agc.constructions``) is loaded by ``witness`` alone, and the process pool
-by ``corpus --jobs N`` with N > 1 alone.
+Each command imports only what it runs: ``agc.verify`` is loaded by
+``analyze`` and ``corpus`` alone, ``agc.classify`` by every command but
+``graph``, ``agc.witness`` (and with it ``agc.constructions``) by
+``witness`` alone, and the process pool by ``corpus --jobs N`` with N > 1
+alone.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ import os
 import sys
 from pathlib import Path
 
-from .classify import GroupAnalysis
 from .errors import AgcError
 from .graph import CommutingGraph
 from .groupfile import group_to_file, load_group, serialize_group_file
 from .perm import DEFAULT_MAX_ORDER
-from .verify import group_report, report_summary_row
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -76,6 +76,8 @@ def _report_json(report: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .verify import group_report
+
     G = load_group(args.file, max_order=_max_order(args))
     report = group_report(G)
     _write_output(_report_json(report), args.out)
@@ -85,6 +87,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _analyze_one(path_and_cap: tuple[str, int]) -> tuple[str, dict | None, dict | None, str | None]:
     """Worker: returns (path, report, summary_row, error message)."""
+    from .classify import GroupAnalysis
+    from .verify import group_report, report_summary_row
+
     path, cap = path_and_cap
     try:
         G = load_group(path, max_order=cap)

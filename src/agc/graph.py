@@ -5,13 +5,13 @@ commute.  Adjacency is stored in CSR form: the neighbours of vertex i are
 ``indices[indptr[i]:indptr[i + 1]]``, vertex positions in increasing order,
 with ``indices`` in ``perm.index_dtype(order)``.
 
-The rows come from the conjugacy classes, not from comparing the table with
-its transpose.  C(x^g) = C(x)^g, so the centralizers of the noncentral class
+The rows come from the conjugacy classes, not from comparing x·y with y·x
+for every pair.  C(x^g) = C(x)^g, so the centralizers of the noncentral class
 representatives, each conjugated by a transversal of its class, give every
 row: row y is T(y)·C(r)·T(y)⁻¹ without the centre and y, where r is the
 representative of y's class and T(y)·r·T(y)⁻¹ = y.  The rows hold fewer
-than Σ|C(x)| = |G|·k(G) entries, k(G) the number of classes, where the
-table holds |G|².  Representatives and rows are taken a block at a time, so
+than Σ|C(x)| = |G|·k(G) entries, k(G) the number of classes, where all
+pairs are |G|².  Representatives and rows are taken a block at a time, so
 no temporary grows with the graph.
 
 Conjugation by any element is an automorphism of the graph, so all members
@@ -79,7 +79,7 @@ def _adjacency(G: FiniteGroup, classes: list[np.ndarray]
     and the g where it equals r give C(r).  The rows of the block's class
     members are then conjugated, stripped of the vertex itself and sorted,
     a block of entries at a time."""
-    t, inv, order = G.table, G.inverse_array, G.order
+    inv, order = G.inverse_array, G.order
     noncentral = [c for c in classes if c.size > 1]
     sizes = np.array([c.size for c in noncentral], np.intp)
     members = np.concatenate([np.zeros(0, np.int32), *noncentral])
@@ -114,7 +114,7 @@ def _adjacency(G: FiniteGroup, classes: list[np.ndarray]
             y, length = ys[s:e], span[s:e]
             g = transversal[y].repeat(length)
             x = cent[_segments(cent_start[class_of[y] - block.start], length)]
-            row = t[t[g, x], inv[g]]
+            row = G.products(G.products(g, x), inv[g])
             # sort by row, then by position: one key per entry
             row_base = (np.arange(y.size) * n).repeat(length - 1)
             key = row_base + position[row[row != y.repeat(length)]]
@@ -162,7 +162,6 @@ def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     (sorted by order, descending, they are a shrinking prefix).  Two
     elements generate the same subgroup exactly when the results agree.
     """
-    t = G.table
     by_order = np.argsort(-G.element_orders[elements], kind="stable")
     base = elements[by_order].astype(np.intp)
     orders = G.element_orders[base]
@@ -170,7 +169,7 @@ def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     power = base
     for k in range(2, int(orders.max(initial=1))):
         live = int(np.count_nonzero(orders > k))
-        power = t[power[:live], base[:live]]
+        power = G.products(power[:live], base[:live])
         np.minimum(least[:live], power, out=least[:live],
                    where=np.gcd(k, orders[:live]) == 1)
     out = np.empty_like(least)
@@ -228,9 +227,7 @@ class CommutingGraph:
         searched up to 64 at a time.
 
         The graph is connected when every source reaches every vertex; only
-        when one does not are the components counted: one for each distinct
-        word of sources that reached a vertex, and one more for each search
-        from the least vertex no search has reached."""
+        when one does not are the components counted, by ``_component_labels``."""
         n = self.n_vertices
         if n == 0:
             return DiameterResult("empty-vertex-set", None, 0)
@@ -239,15 +236,32 @@ class CommutingGraph:
             batch = self.sources[s:s + SOURCE_BITS]
             eccentricity, visited = _bfs_packed(self, batch)
             if (visited != np.uint64((1 << batch.size) - 1)).any():
-                words = np.sort(visited[visited != 0])
-                components = 1 + int(np.count_nonzero(words[1:] != words[:-1]))
-                reached = visited != 0
-                while not reached.all():
-                    reached |= _bfs_packed(self, [int(np.argmin(reached))])[1] != 0
-                    components += 1
+                labels = self._component_labels()
+                components = int(np.count_nonzero(labels == np.arange(n)))
                 return DiameterResult("disconnected", None, components)
             diam = max(diam, int(eccentricity.max()))
         return DiameterResult("connected", diam, 1)
+
+    def _component_labels(self) -> np.ndarray:
+        """Each vertex's label: the least vertex of its component, found as
+        ``perm.orbit_labels`` finds orbits.  Each round hooks, then jumps:
+        the least label among each row's neighbours, one
+        ``np.minimum.reduceat`` over a block of rows at a time, lowers the
+        row's label and its label's label; then each label jumps to its
+        label's label until none moves.  Labels only fall and stay in their
+        component; once a round changes nothing, adjacent vertices share one
+        label, which is its own, the component's least vertex."""
+        label = np.arange(self.n_vertices)
+        while True:
+            before = label.copy()
+            for e0, e1, rows, starts in self._row_blocks:
+                low = np.minimum.reduceat(label[self.indices[e0:e1]], starts)
+                np.minimum.at(label, label[rows], low)
+                label[rows] = np.minimum(label[rows], low)
+            while not np.array_equal(jumped := label[label], label):
+                label = jumped
+            if np.array_equal(label, before):
+                return label
 
     # -- twin reduction ------------------------------------------------------
 

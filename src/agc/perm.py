@@ -5,22 +5,28 @@ left-to-right throughout: p·q is ``q[p]``, i.e. the left factor acts
 first.  Groups enumerate their elements breadth-first over
 generator products starting at the identity, with the generator list order
 fixed, so element indices are fully reproducible.  Each group is enumerated
-once, and its multiplication table is built from the products x·g that the
-enumeration computed.
+once.  Elements are multiplied through one primitive,
+``FiniteGroup.products``, and inverted through ``inverse_array``; no other
+module reads a table.  A group from ``closure`` or from a regular action
+answers products from its multiplication table, built from the products x·g
+that the enumeration computed.  A ``QuotientGroup`` keeps no table and
+answers them through the group it is a quotient of.
 
 The enumeration tells elements apart by their images of a base: a point
 tuple S whose pointwise stabilizer is trivial, started from the orbits
 that ``orbit_labels``, the one orbit routine, finds, and certified by
 Schreier's lemma (see ``closure``).  A group keeps no image row of its
-elements: only its generators' rows, the search tree and the table.
+elements: only its generators' rows, the search tree, and the table or, in
+a quotient, one coset representative per element and the projection.
 Elements are listed in first-reached order, so each level of the tree is
 a contiguous index range, walked with one gather per level.
 
 The table is most of what a group holds, so its entries, element indices,
 take the narrowest dtype that holds them: ``index_dtype`` chooses it, int16
 for every order up to 32 767, which covers the default order cap, and
-int32 above.  Arithmetic on table entries must widen them first, since
-int16 values times a Python int stay int16 and wrap.
+int32 above.  Products have that dtype in every group.  Arithmetic on them
+must widen them first, since int16 values times a Python int stay int16
+and wrap.
 """
 
 from __future__ import annotations
@@ -68,16 +74,29 @@ class FiniteGroup:
     element parent(j) and a generator gen(j).  Row h of ``generator_rows``
     holds the images of generator h, and ``right[h, i]`` is the index of
     element i times generator h, so ``generators[h]`` is ``right[h, 0]``.
-    The dense multiplication table, the inverse array and the tree are built
-    from these columns when the group is made; no element's image row is
-    kept, and ``images`` reads any of them off the tree.  The table and
-    the inverse array have dtype ``index_dtype(order)``: int16 up to order
+    The tree, and here the dense multiplication table and the inverse
+    array, are built from these columns when the group is made; no
+    element's image row is kept, and ``images`` reads any of them off the
+    tree.  ``products`` is one gather of the table.  The table and the
+    inverse array have dtype ``index_dtype(order)``: int16 up to order
     32 767, so the order x order table, the largest array a group holds,
-    takes two bytes an entry.
+    takes two bytes an entry.  ``QuotientGroup`` keeps the tree but no
+    table.
     """
 
     def __init__(self, generator_rows: np.ndarray, right: np.ndarray, *,
                  name: str | None = None):
+        self._build_tree(generator_rows, right, name)
+        self._build_table(right)
+
+    def _build_tree(self, generator_rows: np.ndarray, right: np.ndarray,
+                    name: str | None) -> None:
+        """Keep the generators' rows and the breadth-first tree that the
+        right-multiplication columns ``right`` describe.
+
+        Element j is first reached as parent(j)·gen(j).  Elements are listed
+        in first-reached order, so parents never decrease and each
+        breadth-first level is a contiguous index range."""
         rows = np.array(generator_rows, dtype=np.int32)
         right = np.asarray(right, np.int32)
         if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
@@ -85,10 +104,28 @@ class FiniteGroup:
         rows.setflags(write=False)
         self.generator_rows = rows
         self.degree = rows.shape[1]
-        self.order = right.shape[1]
+        self.order = n = right.shape[1]
         self.generators = right[:, 0].tolist()
         self.name = name
-        self._build_table(right)
+        ngens = right.shape[0]
+        # first occurrence of each index in the enumeration's reading order
+        reached, first = np.unique(right.T.ravel(), return_index=True)
+        parent = np.full(n, n, np.intp)  # n: never reached
+        parent[reached] = first // ngens
+        gen = np.zeros(n, np.intp)
+        gen[reached] = first % ngens
+        if (parent[1:] >= np.arange(1, n)).any():
+            raise ValueError("element list is not generated by the given generators")
+        if (np.diff(parent[1:] * ngens + gen[1:]) < 0).any():
+            raise ValueError("element list is not in first-reached order")
+        # the level after one ending at e ends before the first parent >= e;
+        # parent[0] is whatever first reached the identity, so it is left out
+        stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
+        levels, e = [], 1
+        while e < n:
+            s, e = e, stop[e]
+            levels.append((s, e))
+        self._parent, self._gen, self._levels = parent, gen, levels
 
     # -- basic accessors ----------------------------------------------------
 
@@ -118,8 +155,15 @@ class FiniteGroup:
 
     # -- multiplication -----------------------------------------------------
 
+    def products(self, xs, ys) -> np.ndarray:
+        """The products x·y of the index arrays ``xs`` and ``ys``, broadcast
+        against each other, in ``index_dtype(order)``: one gather of the
+        table.  With ``inverse_array`` this is how every element is
+        multiplied."""
+        return self.table[xs, ys]
+
     def mult(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        return int(self.products(i, j))
 
     def power(self, i: int, e: int) -> int:
         e %= int(self.element_orders[i])
@@ -133,19 +177,16 @@ class FiniteGroup:
 
     def _build_table(self, right: np.ndarray) -> None:
         """Fill ``table`` and ``inverse_array`` from the right-multiplication
-        columns, a row at a time, and keep the tree that ``images`` reads.
+        columns and the tree, a row at a time.
 
-        If element j is first reached as parent(j)·gen(j), then with
-        left_g[j] the index of g·e_j (left_g[0] is g itself)
+        With left_g[j] the index of g·e_j (left_g[0] is g itself)
 
             left_g[j] = right_gen(j)[left_g[parent(j)]],
             as g·e_j = (g·e_parent(j))·gen(j), and
             table[i] = table[parent(i)][left_gen(i)],
-            as e_i·e_j = e_parent(i)·(gen(i)·e_j).
+            as e_i·e_j = e_parent(i)·(gen(i)·e_j),
 
-        Elements are listed in first-reached order, so parents never decrease
-        and each breadth-first level is a contiguous index range: ``left`` is
-        the walk of ``right`` from its column 0.
+        so ``left`` is the walk of ``right`` from its column 0.
         Parents come before their children, so filling in index order reads
         only what is filled: each row of the table is one contiguous,
         bounds-checked gather of an earlier row, where a column at a time
@@ -153,30 +194,11 @@ class FiniteGroup:
         index type, and are assigned to the table row, since ``take`` into
         an ``out`` row copies through a buffer first."""
         n = self.order
-        ngens = right.shape[0]
-        # first occurrence of each index in the enumeration's reading order
-        reached, first = np.unique(right.T.ravel(), return_index=True)
-        parent = np.full(n, n, np.intp)  # n: never reached
-        parent[reached] = first // ngens
-        gen = np.zeros(n, np.intp)
-        gen[reached] = first % ngens
-        if (parent[1:] >= np.arange(1, n)).any():
-            raise ValueError("element list is not generated by the given generators")
-        if (np.diff(parent[1:] * ngens + gen[1:]) < 0).any():
-            raise ValueError("element list is not in first-reached order")
-        # the level after one ending at e ends before the first parent >= e;
-        # parent[0] is whatever first reached the identity, so it is left out
-        stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
-        levels, e = [], 1
-        while e < n:
-            s, e = e, stop[e]
-            levels.append((s, e))
-        self._parent, self._gen, self._levels = parent, gen, levels
         left = list(np.ascontiguousarray(self._walk(right, right[:, 0]).T, np.intp))
         dtype = index_dtype(n)
         table = np.empty((n, n), dtype)
         table[0] = np.arange(n, dtype=dtype)
-        for i, p, g in zip(range(1, n), parent[1:].tolist(), gen[1:].tolist()):
+        for i, p, g in zip(range(1, n), self._parent[1:].tolist(), self._gen[1:].tolist()):
             table[i] = table[p][left[g]]
         self.table = table
         # each row is a permutation of the indices, so its least entry is
@@ -190,14 +212,13 @@ class FiniteGroup:
         """o(x) for every x: the k-th powers of the elements whose order is
         not yet known advance together, and each leaves at its first power
         that is the identity."""
-        t = self.table
         orders = np.ones(self.order, np.int64)
         live = np.arange(1, self.order)
         cur = live
         k = 1
         while live.size:
             k += 1
-            cur = t[cur, live]
+            cur = self.products(cur, live)
             done = cur == 0
             orders[live[done]] = k
             live, cur = live[~done], cur[~done]
@@ -205,6 +226,28 @@ class FiniteGroup:
 
     def element_order(self, i: int) -> int:
         return int(self.element_orders[i])
+
+
+class QuotientGroup(FiniteGroup):
+    """G/N for a normal subgroup N of ``parent_group`` G, listed over the
+    coset permutations like any group but keeping no table.
+
+    Element q is the coset of G's element ``rep[q]``, and ``proj[x]`` is the
+    element that is x's coset, so x·y is ``proj`` of the product of the
+    representatives in G, and x⁻¹ is ``proj`` of a representative's
+    inverse.  A quotient of a quotient asks its parent, which asks its own.
+    ``proj`` and the products have dtype ``index_dtype(order)``.
+    """
+
+    def __init__(self, generator_rows: np.ndarray, right: np.ndarray,
+                 parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray, *,
+                 name: str | None = None):
+        self._build_tree(generator_rows, right, name)
+        self.parent_group, self.rep, self.proj = parent_group, rep, proj
+        self.inverse_array = proj[parent_group.inverse_array[rep]]
+
+    def products(self, xs, ys) -> np.ndarray:
+        return self.proj[self.parent_group.products(self.rep[xs], self.rep[ys])]
 
 
 def closure(
@@ -388,12 +431,13 @@ class Subgroup:
         return bool(self.member_mask[conj].all())
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        """g·H·g⁻¹, its members and generators each from two 1-d gathers:
+        """g·H·g⁻¹, its members and generators each from two 1-d products:
         a row of ``conjugations(G, [g], xs)`` without its index matrices."""
-        t, h = self.parent.table, self.parent.inverse_array[g]
-        mem = t[t[g, self.members], h]
-        gens = t[t[g, list(self.generators)], h]
-        return Subgroup(self.parent, mem, gens.tolist())
+        G = self.parent
+        h = G.inverse_array[g]
+        mem = G.products(G.products(g, self.members), h)
+        gens = G.products(G.products(g, list(self.generators)), h)
+        return Subgroup(G, mem, gens.tolist())
 
     def key(self) -> bytes:
         return self.members.tobytes()
@@ -422,22 +466,20 @@ def distinct(idx: np.ndarray, n: int) -> np.ndarray:
 
 def commutes_with(G: FiniteGroup, x: int, ys: np.ndarray) -> np.ndarray:
     """Boolean vector whose entry j says whether x and ys[j] commute: one
-    row of ``commuting(G, [x], ys)`` from two 1-d gathers."""
-    t = G.table
-    return t[x, ys] == t[ys, x]
+    row of ``commuting(G, [x], ys)`` from two 1-d products."""
+    return G.products(x, ys) == G.products(ys, x)
 
 
 def commuting(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
               ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """Boolean matrix whose entry (i, j) says whether xs[i] and ys[j]
-    commute, that is whether ``t[x, y] == t[y, x]``; filled a block of rows
-    at a time."""
-    t = G.table
+    commute, that is whether x·y == y·x; filled a block of rows at a
+    time."""
     xs, ys = np.asarray(xs, np.intp), np.asarray(ys, np.intp)
     out = np.empty((xs.size, ys.size), bool)
     for rows in row_blocks(xs.size, ys.size):
         x = xs[rows, None]
-        np.equal(t[x, ys], t[ys, x], out=out[rows])
+        np.equal(G.products(x, ys), G.products(ys, x), out=out[rows])
     return out
 
 
@@ -445,19 +487,19 @@ def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
                  xs: Sequence[int] | np.ndarray) -> np.ndarray:
     """Index matrix whose entry (i, j) is gs[i]·xs[j]·gs[i]⁻¹; filled a
     block of rows at a time."""
-    t, inv = G.table, G.inverse_array
+    inv = G.inverse_array
     gs, xs = np.asarray(gs, np.intp), np.asarray(xs, np.intp)
-    out = np.empty((gs.size, xs.size), t.dtype)
+    out = np.empty((gs.size, xs.size), index_dtype(G.order))
     for rows in row_blocks(gs.size, xs.size):
         g = gs[rows, None]
-        out[rows] = t[t[g, xs], inv[g]]
+        out[rows] = G.products(G.products(g, xs), inv[g])
     return out
 
 
 def product_set(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
                 ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """The product set xs·ys: the distinct products x·y, sorted."""
-    return distinct(G.table[np.asarray(xs, np.intp)[:, None], ys], G.order)
+    return distinct(G.products(np.asarray(xs, np.intp)[:, None], ys), G.order)
 
 
 def irredundant(G: FiniteGroup, xs: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray]:

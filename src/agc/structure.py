@@ -90,11 +90,11 @@ def derived_subgroup(H: GroupLike) -> Subgroup:
     members, each marked in a mask and then read in increasing order."""
     H = as_subgroup(H)
     G = H.parent
-    t, inv = G.table, G.inverse_array
+    inv = G.inverse_array
     comms = np.zeros(G.order, bool)
     for g in H.generators:
         # [g, m] = g^-1 m^-1 g m over all members m
-        comms[t[t[inv[g], inv[H.members]], t[g, H.members]]] = True
+        comms[G.products(G.products(inv[g], inv[H.members]), G.products(g, H.members))] = True
     return generated_subgroup(G, np.flatnonzero(comms))
 
 
@@ -181,7 +181,7 @@ def grow(G: FiniteGroup, P: Subgroup, x: int) -> Subgroup:
     powers, y = [0], x
     while not P.member_mask[y]:
         powers.append(y)
-        y = int(G.table[y, x])
+        y = G.mult(y, x)
     return Subgroup(G, product_set(G, P.members, powers), (*P.generators, x))
 
 
@@ -323,8 +323,9 @@ def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
     The classes are the orbits of the conjugations x ↦ g·x·g⁻¹ by G's
     generators, which ``orbit_labels`` labels by their least members; a
     stable sort of the labels lists the classes."""
-    t, gens = G.table, np.array(G.generators, np.intp)
-    label = orbit_labels(t[t[gens], G.inverse_array[gens, None]])
+    gens = np.array(G.generators, np.intp)[:, None]
+    conj = G.products(G.products(gens, np.arange(G.order)), G.inverse_array[gens])
+    label = orbit_labels(conj)
     order = label.argsort(kind="stable").astype(np.int32)
     return np.split(order, np.diff(label[order]).nonzero()[0] + 1)
 

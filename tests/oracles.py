@@ -16,7 +16,9 @@ Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
 ``all_sources_diameter`` searches from every vertex of a commuting graph,
 over the all-pairs ``brute_adjacency``, where the graph searches from one
-per conjugacy class over the packed rows it builds tile by tile,
+per conjugacy class over the packed rows it builds tile by tile, and
+``brute_component_labels`` searches each component from its least vertex,
+where the graph hooks and jumps labels over all its rows at once,
 ``fitting_by_closure`` closes the p-cores' generators where
 ``fitting_subgroup`` multiplies their member sets (both start from the
 Sylow subgroups of ``sylow_subgroups``, which ``GroupAnalysis.sylows``
@@ -126,6 +128,19 @@ def row_closure(degree: int, gens: list) -> tuple[np.ndarray, list[int], np.ndar
     return np.array(rows, np.int32), [col[0] for col in right], table
 
 
+def table_of(G: FiniteGroup) -> np.ndarray:
+    """G's multiplication table: the one it keeps, or, for a quotient, which
+    keeps none, one read off its image rows.  A quotient acts regularly on
+    its cosets, so an element is known by its image of the point 0, and
+    x·y takes 0 to y(x(0))."""
+    if hasattr(G, "table"):
+        return G.table
+    rows = G.images(range(G.degree))
+    at = np.empty(G.order, np.intp)
+    at[rows[:, 0]] = np.arange(G.order)  # the element taking 0 to each point
+    return at[rows[:, rows[:, 0]]].T
+
+
 def images_by_element(G: FiniteGroup, points) -> np.ndarray:
     """Row i holds the images of ``points`` under element i.  The elements
     are visited in index order and each product x·g in reading order, so
@@ -152,7 +167,7 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     The cosets are indexed by their least elements, as in ``quotient``, so
     the two constructions must agree index for index.
     """
-    t = G.table
+    t = table_of(G)
     coset_rep = t[N.members].min(axis=0)
     reps = np.unique(coset_rep)
     cid = np.searchsorted(reps, coset_rep)
@@ -168,12 +183,13 @@ def breadth_first_projection(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     generators, one coset and one generator at a time.  A coset is known by
     its least element and continued from the element that first reached
     it."""
-    least = G.table[N.members].min(axis=0).tolist()
+    t = table_of(G)
+    least = t[N.members].min(axis=0).tolist()
     place = {least[0]: 0}
     queue = [0]
     for x in queue:  # grows while it is read
         for g in G.generators:
-            y = int(G.table[x, g])
+            y = int(t[x, g])
             if least[y] not in place:
                 place[least[y]] = len(queue)
                 queue.append(y)
@@ -201,6 +217,7 @@ def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
     """A small generating set for a known subgroup, chosen greedily: each
     member outside the closure of those chosen before it, the closure made
     one product at a time."""
+    t = table_of(G)
     gens: list[int] = []
     covered = {0}
     for x in members.tolist():
@@ -208,7 +225,7 @@ def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
             gens.append(x)
             covered, reached = {0}, [0]
             for a in reached:  # grows while it is read
-                for b in G.table[a, gens].tolist():
+                for b in t[a, gens].tolist():
                     if b not in covered:
                         covered.add(b)
                         reached.append(b)
@@ -218,9 +235,10 @@ def greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
 def brute_element_orders(G: FiniteGroup) -> np.ndarray:
     """o(x) for every x: the least k with x^k the identity, the power of
     each element multiplied by it one step at a time."""
+    t = table_of(G)
     orders = [1]
     for x in range(1, G.order):
-        col = G.table[:, x].tolist()  # y -> y·x
+        col = t[:, x].tolist()  # y -> y·x
         y, k = x, 1
         while y != 0:
             y, k = col[y], k + 1
@@ -309,7 +327,7 @@ def brute_derived_series(G: FiniteGroup) -> list[set[int]]:
 def brute_normalizer(G: FiniteGroup, scope: np.ndarray, members: np.ndarray) -> list[int]:
     """The elements g of ``scope`` with g·members·g⁻¹ = members, found by
     conjugating every member."""
-    t, inv = G.table, G.inverse_array
+    t, inv = table_of(G), G.inverse_array
     return [int(g) for g in scope
             if np.array_equal(np.unique(t[t[g, members], inv[g]]), members)]
 
@@ -327,7 +345,7 @@ def is_p_subgroup(G: FiniteGroup, members: np.ndarray, p: int) -> bool:
 
 def _is_malnormal(G: FiniteGroup, H: Subgroup) -> bool:
     """H ∩ gHg⁻¹ = 1 for every g outside H."""
-    t, inv = G.table, G.inverse_array
+    t, inv = table_of(G), G.inverse_array
     mask = H.member_mask
     for g in range(G.order):
         if mask[g]:
@@ -415,7 +433,7 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
     subgroup is malnormal, so y ranges over one representative of each
     orbit of C_G(x) acting on G by conjugation.
     """
-    t, inv = G.table, G.inverse_array
+    t, inv = table_of(G), G.inverse_array
     reps = [int(c[0]) for c in brute_conjugacy_classes(G) if c[0] != 0]
     seen: set[bytes] = set()
     for x in reps:
@@ -439,7 +457,7 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
 
 def _generated(G: FiniteGroup, seed: np.ndarray) -> frozenset[int]:
     """The subgroup generated by ``seed``: products added until none is new."""
-    t = G.table
+    t = table_of(G)
     members = np.union1d(seed, [0])
     while True:
         grown = np.union1d(members, t[np.ix_(members, members)].ravel())
@@ -455,7 +473,7 @@ def brute_normal_subgroups(G: FiniteGroup) -> set[frozenset[int]]:
     normal subgroup is the join of the normal closures of its elements, and
     the join of two normal subgroups A and B is the product set AB.
     """
-    t, inv = G.table, G.inverse_array
+    t, inv = table_of(G), G.inverse_array
     everyone = np.arange(G.order)
     seen = np.zeros(G.order, bool)
     found = set()
@@ -489,7 +507,7 @@ def brute_2frobenius(G: FiniteGroup) -> list[tuple[frozenset[int], frozenset[int
     commutator [x, g] = x^-1 g^-1 x g lies in K.  G is 2-Frobenius exactly
     when the list is nonempty.
     """
-    t, inv = G.table, G.inverse_array
+    t, inv = table_of(G), G.inverse_array
     normals = sorted(brute_normal_subgroups(G), key=lambda s: (len(s), sorted(s)))
     pairs = []
     for K in normals:
@@ -558,7 +576,7 @@ def system_complements(G: FiniteGroup, limit: int = 64) -> list[list[bool]]:
 def brute_adjacency(G: FiniteGroup, vertices: np.ndarray) -> np.ndarray:
     """Boolean commuting matrix on ``vertices``: every pair compared at once
     in one gather of the table, the diagonal cleared."""
-    sub = G.table[np.ix_(vertices, vertices)]
+    sub = table_of(G)[np.ix_(vertices, vertices)]
     adj = sub == sub.T
     np.fill_diagonal(adj, False)
     return adj
@@ -592,6 +610,20 @@ def all_sources_diameter(graph: CommutingGraph) -> DiameterResult:
     if components > 1:
         return DiameterResult("disconnected", None, components)
     return DiameterResult("connected", int(eccentricity.max()), 1)
+
+
+def brute_component_labels(graph: CommutingGraph) -> np.ndarray:
+    """Each vertex's label, the least vertex of its component: a
+    breadth-first search over the all-pairs ``brute_adjacency`` from each
+    vertex that no earlier search reached, in vertex order."""
+    adj = brute_adjacency(graph.group, graph.vertices)
+    label = np.full(adj.shape[0], -1, np.int64)
+    for v in range(adj.shape[0]):
+        frontier = np.array([v] if label[v] < 0 else [], np.intp)
+        while frontier.size:
+            label[frontier] = v
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
+    return label
 
 
 def brute_twin_classes(graph: CommutingGraph) -> tuple[list[int], list[int]]:
@@ -628,13 +660,14 @@ def abelian_automorphisms(base: FiniteGroup,
         [x for x in range(base.order) if invariants[i] % int(orders[x]) == 0]
         for i in range(len(gens))
     ]
+    t = table_of(base)
     autos = []
     for images in iproduct(*candidates):
         phi = np.zeros(base.order, np.int32)
         for i, a in enumerate(images):
             col = np.array([base.power(a, int(e)) for e in range(invariants[i])],
                            np.int32)
-            phi = base.table[phi, col[vecs[:, i]]]
+            phi = t[phi, col[vecs[:, i]]]
         if np.unique(phi).size == base.order:
             autos.append(phi)
     return autos

@@ -205,30 +205,35 @@ def _run_fresh(script: str, *args: str, cwd) -> list:
 
 
 def test_commands_below_two_jobs_load_no_pool_or_masked_arrays(corpus_dir, tmp_path):
-    """A command imports only what it runs.  In a fresh interpreter,
-    ``analyze``, ``corpus --jobs 1`` and ``witness`` each leave the process
-    pool's modules and ``numpy.ma`` unloaded, and only ``witness`` loads
-    ``agc.witness`` and ``agc.constructions``.  The pool itself is covered
-    by the ``--jobs 3`` run in test_acceptance."""
+    """A command imports only what it runs.  In a fresh interpreter each,
+    ``analyze``, ``corpus --jobs 1``, ``witness`` and ``graph`` leave the
+    process pool's modules and ``numpy.ma`` unloaded; only ``witness`` loads
+    ``agc.witness`` and ``agc.constructions``, only ``analyze`` and
+    ``corpus`` load ``agc.verify``, and ``graph`` leaves ``agc.classify``
+    unloaded.  The pool itself is covered by the ``--jobs 3`` run in
+    test_acceptance."""
     commands = [
         ["analyze", str(corpus_dir / "s4.json"), "--out", str(tmp_path / "s4.json")],
         ["corpus", str(corpus_dir), "--jobs", "1", "--out", str(tmp_path / "corpus")],
         ["witness", "diameter-4", "--emit", str(tmp_path / "witness.json")],
+        ["graph", str(corpus_dir / "s4.json"), "--out", str(tmp_path / "s4.graph.json")],
     ]
     script = (
         "import json, sys\n"
         "from agc.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    code = main(argv)\n"
-        "    loaded = [m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing',\n"
-        "                          'agc.constructions', 'agc.witness')\n"
-        "              if m in sys.modules]\n"
-        "    print(json.dumps([argv[0], code, loaded]))\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = main(argv)\n"
+        "loaded = [m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing',\n"
+        "                      'agc.constructions', 'agc.witness', 'agc.verify',\n"
+        "                      'agc.classify')\n"
+        "          if m in sys.modules]\n"
+        "print(json.dumps([argv[0], code, loaded]))\n"
     )
-    assert _run_fresh(script, json.dumps(commands), cwd=tmp_path) == [
-        ["analyze", 0, []],
-        ["corpus", 0, []],
-        ["witness", 0, ["agc.constructions", "agc.witness"]],
+    assert [_run_fresh(script, json.dumps(argv), cwd=tmp_path)[0] for argv in commands] == [
+        ["analyze", 0, ["agc.verify", "agc.classify"]],
+        ["corpus", 0, ["agc.verify", "agc.classify"]],
+        ["witness", 0, ["agc.constructions", "agc.witness", "agc.classify"]],
+        ["graph", 0, []],
     ]
 
 

@@ -17,6 +17,7 @@ from oracles import (
     brute_adjacency,
     brute_center,
     brute_centralizer,
+    brute_component_labels,
     brute_twin_classes,
 )
 from test_permutation import generator_sets
@@ -131,6 +132,14 @@ def test_packed_adjacency_and_diameters_on_random_groups(case):
     assert g.diameter_via_reduction() == want
 
 
+@given(generator_sets())
+def test_component_labels_on_random_groups(case):
+    """On random subgroups of S_n (n <= 7) every vertex is labelled with the
+    least vertex of its component."""
+    g = CommutingGraph(closure(*case))
+    assert np.array_equal(g._component_labels(), brute_component_labels(g))
+
+
 def test_vertices_are_the_noncentral_elements():
     for G in (dihedral(6), quaternion(), symmetric(4)):
         g = CommutingGraph(G)
@@ -148,9 +157,10 @@ def test_diameter_of_witness(witness60):
 
 def test_class_sources_match_all_sources_oracle(corpus_groups):
     """One search per conjugacy class gives the status, diameter and
-    component count of searching from every vertex: on the graph of G, of
+    component count of searching from every vertex, and every vertex is
+    labelled with the least vertex of its component: on the graph of G, of
     G/Z and on both twin reductions."""
-    checked = 0
+    checked = disconnected = 0
     for name, G in corpus_groups.items():
         if G.order > 1500:
             continue
@@ -158,14 +168,18 @@ def test_class_sources_match_all_sources_oracle(corpus_groups):
         for b in (a, a.central_quotient):
             for g in (b.graph, b.graph.twin_reduce()):
                 assert g.diameter() == all_sources_diameter(g), (name, b.group.order)
+                labels = g._component_labels()
+                assert np.array_equal(labels, brute_component_labels(g)), name
                 checked += g.n_vertices > 0
-    assert checked > 40
+                disconnected += np.count_nonzero(labels == np.arange(g.n_vertices)) > 1
+    assert checked > 40 and disconnected > 10
 
 
 def test_diameter_runs_one_bfs_per_class(witness1500, witness60, monkeypatch):
     """A connected graph is searched once from each noncentral class, 64
     sources a call; a disconnected one stops at the first call that misses
-    a vertex, and then searches once from each component no source met."""
+    a vertex, and its components are counted by labelling, with no further
+    search."""
     bfs = graph_module._bfs_packed
     calls = []
 
@@ -175,10 +189,10 @@ def test_diameter_runs_one_bfs_per_class(witness1500, witness60, monkeypatch):
 
     monkeypatch.setattr(graph_module, "_bfs_packed", counted)
     for G, diameter, components, searches in (
-            (witness1500, 6, 1, [18]), (symmetric(3), None, 4, [2, 1, 1]),
-            (symmetric(4), None, 5, [4, 1, 1, 1]), (dihedral(6), None, 4, [4, 1]),
+            (witness1500, 6, 1, [18]), (symmetric(3), None, 4, [2]),
+            (symmetric(4), None, 5, [4]), (dihedral(6), None, 4, [4]),
             (direct_product(cyclic(9), witness60), 4, 1, [64, 8]),
-            (direct_product(cyclic(33), symmetric(3)), None, 4, [64, 1, 1])):
+            (direct_product(cyclic(33), symmetric(3)), None, 4, [64])):
         a = GroupAnalysis(G)
         noncentral = sum(c.size > 1 for c in a.classes)
         for g in (a.graph, CommutingGraph(G)):

@@ -1,5 +1,7 @@
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +321,12 @@ def test_closure_of_many_disjoint_transpositions(address_space_cap):
     assert peak < 72 << 20
 
 
+def all_products(G):
+    """Every product x·y, at (x, y), from ``G.products``."""
+    everyone = np.arange(G.order)
+    return G.products(everyone[:, None], everyone)
+
+
 def _table_groups():
     s4 = symmetric(4)
     rows = s4.images(range(4))
@@ -344,7 +352,7 @@ def test_table_against_direct_products():
     for name, G in _table_groups().items():
         rows = G.images(range(G.degree))
         products = rows[:, rows]  # products[j, i] = rows[j][rows[i]]
-        assert np.array_equal(G.table, indices_of_rows(G, products).T), name
+        assert np.array_equal(all_products(G), indices_of_rows(G, products).T), name
 
 
 def test_table_at_order_3000_matches_row_closure(witness1500_x_c2):
@@ -383,7 +391,7 @@ def test_generated_subgroup_keeps_the_irredundant_generators_in_order():
 
 def test_identity_and_inverse_laws():
     for name, G in _table_groups().items():
-        t = G.table
+        t = all_products(G)
         n = G.order
         assert np.array_equal(G.images(range(G.degree))[0], np.arange(G.degree)), name
         assert np.array_equal(t[0], np.arange(n)), name
@@ -483,3 +491,12 @@ def _factor(n):
     if n > 1:
         fac.append(n)
     return fac
+
+
+def test_no_module_but_perm_reads_a_table():
+    """Outside ``agc.perm`` every product goes through ``FiniteGroup.products``
+    and every inverse through ``inverse_array``: no other module of agc
+    reads ``.table``, so none can bypass a group that keeps no table."""
+    readers = [path.name for path in sorted(Path(perm.__file__).parent.glob("*.py"))
+               if re.search(r"\.table\b", path.read_text(encoding="utf-8"))]
+    assert readers == ["perm.py"]

@@ -6,7 +6,7 @@ import pytest
 
 from agc.errors import InvalidAction, NotNormal
 from agc.groupfile import load_group, save_group
-from agc.perm import closure, distinct, generated_subgroup
+from agc.perm import Subgroup, closure, distinct, generated_subgroup, index_dtype
 from agc.products import direct_product, extend_action, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, metacyclic, symmetric
 from agc.structure import (
@@ -20,6 +20,12 @@ from agc.structure import (
 )
 
 from oracles import breadth_first_projection, closure_quotient, indices_of_rows
+
+
+def all_products(G):
+    """Every product x·y, at (x, y), from ``G.products``."""
+    everyone = np.arange(G.order)
+    return G.products(everyone[:, None], everyone)
 
 
 def _klein_four(s4):
@@ -38,29 +44,47 @@ def test_quotient_s4_by_v4():
     assert Q.order == 6
     assert not is_abelian(Q)  # S4/V4 is the nonabelian group of order 6
     # the projection is a homomorphism
-    t, tq = G.table, Q.table
+    t = G.table
     for i in range(0, 24, 3):
         for j in range(0, 24, 5):
-            assert proj[t[i, j]] == tq[proj[i], proj[j]]
+            assert proj[t[i, j]] == Q.mult(proj[i], proj[j])
     # kernel is exactly V
     assert sorted(np.nonzero(proj == 0)[0].tolist()) == V.members.tolist()
 
 
-def test_quotient_matches_closure_oracle(corpus_groups):
-    """Read off the parent's table, the quotient equals a fresh closure over
-    the coset permutations: same elements, generators, table and projection."""
+def _assert_matches_closure_quotient(G, N, name, oracle_parent=None):
+    """``quotient(G, N)`` equals G/N enumerated afresh by ``closure_quotient``
+    over ``oracle_parent``, a group with a table equal to G's products
+    (G itself when not given): the same elements, generators, projection,
+    products and inverses, with no table kept.  Returns both."""
+    P = G if oracle_parent is None else oracle_parent
+    Q, proj = quotient(G, N)
+    R, oracle_proj = closure_quotient(P, Subgroup(P, N.members))
+    points = range(Q.degree)
+    assert "table" not in vars(Q), name
+    assert np.array_equal(Q.images(points), R.images(points)), name
+    assert np.array_equal(Q.generator_rows, R.generator_rows), name
+    assert Q.generators == R.generators, name
+    products = all_products(Q)
+    assert products.dtype == Q.inverse_array.dtype == index_dtype(Q.order), name
+    assert np.array_equal(products, R.table), name
+    assert np.array_equal(Q.inverse_array, R.inverse_array), name
+    assert np.array_equal(proj, oracle_proj), name
+    return Q, R
+
+
+def test_quotient_matches_closure_oracle(corpus_groups, witness1500_x_c2):
+    """Read off the parent's products, the quotient equals a fresh closure
+    over the coset permutations, and multiplies through its parent, keeping
+    no table: on G/Z, G/F(G), G/G' and (G/Z)/F(G/Z) of every corpus group,
+    and on the G/Z of W1500 × C2."""
     for name, G in corpus_groups.items():
-        F = fitting_subgroup(G, sylow_subgroups(G))
-        for N in (center(G), F, derived_subgroup(G)):
-            Q, proj = quotient(G, N)
-            R, oracle_proj = closure_quotient(G, N)
-            points = range(Q.degree)
-            assert np.array_equal(Q.images(points), R.images(points)), name
-            assert np.array_equal(Q.generator_rows, R.generator_rows), name
-            assert Q.generators == R.generators, name
-            assert np.array_equal(Q.table, R.table), name
-            assert np.array_equal(Q.inverse_array, R.inverse_array), name
-            assert np.array_equal(proj, oracle_proj), name
+        for N in (fitting_subgroup(G, sylow_subgroups(G)), derived_subgroup(G)):
+            _assert_matches_closure_quotient(G, N, name)
+        Q, R = _assert_matches_closure_quotient(G, center(G), name)
+        _assert_matches_closure_quotient(Q, fitting_subgroup(Q, sylow_subgroups(Q)), name, R)
+    G = witness1500_x_c2
+    _assert_matches_closure_quotient(G, center(G), "W1500 x C2")
 
 
 def test_quotient_lists_cosets_breadth_first_at_order_3000(witness1500_x_c2):
@@ -75,10 +99,10 @@ def test_quotient_lists_cosets_breadth_first_at_order_3000(witness1500_x_c2):
 
 
 def test_quotient_by_a_large_subgroup_makes_no_product_block(witness1500_x_c2):
-    """The least member of each coset is taken over a block of N's rows at a
-    time: on W1500 × C2, the quotient by the order-750 subgroup that the
-    squares generate traces under 1 MB, where taking all 750 rows of N at
-    once traced 4.5 MB."""
+    """The least member of each coset is its label among the orbits of left
+    multiplication by N's generators: on W1500 × C2, the quotient by the
+    order-750 subgroup that the squares generate traces under 1 MB, where
+    taking all 750 rows of N at once traced 4.5 MB."""
     G = witness1500_x_c2
     everyone = np.arange(G.order)
     N = generated_subgroup(G, distinct(G.table[everyone, everyone], G.order).tolist())
@@ -104,7 +128,7 @@ def test_saved_quotient_reloads_with_its_table(corpus_groups, tmp_path):
             R = load_group(path)
             assert R.name == name
             assert R.generators == Q.generators, name
-            assert np.array_equal(R.table, Q.table), name
+            assert np.array_equal(R.table, all_products(Q)), name
 
 
 def test_quotient_rejects_non_normal():

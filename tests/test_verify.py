@@ -1,11 +1,13 @@
 import importlib
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from agc.errors import NotComplement
+from agc.groupfile import load_group, save_group
 from agc.perm import closure, full_subgroup, generated_subgroup, trivial_subgroup
 from agc.constructions import cyclic, metacyclic, symmetric
 from agc.structure import derived_subgroup, sylow_subgroup
@@ -287,3 +289,20 @@ def test_reports_hold_only_json_native_values(corpus_groups, witness1500):
     assert groups["w1500xc2"].order == 3000
     for name, G in groups.items():
         assert _non_native(group_report(G), name) == []
+
+
+def test_report_of_the_order_3000_group_keeps_no_quotient_table(witness1500_x_c2, tmp_path):
+    """After W1500 × C2 is loaded, its analysis and report trace a peak
+    under 2.5 MB: G/Z multiplies through G's table and keeps none of its
+    own, where a 1500² table of G/Z made the peak 5.5 MB."""
+    save_group(witness1500_x_c2, tmp_path / "w1500xc2.json")
+    G = load_group(tmp_path / "w1500xc2.json")
+    tracemalloc.start()
+    try:
+        a = GroupAnalysis(G)
+        group_report(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.center.order == 2 and "table" not in vars(a.central_quotient.group)
+    assert peak < 2.5 * 2**20
