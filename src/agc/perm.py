@@ -12,14 +12,15 @@ answers products from its multiplication table, built from the products x·g
 that the enumeration computed.  A ``QuotientGroup`` keeps no table and
 answers them through the group it is a quotient of.
 
-The enumeration tells elements apart by their images of a base: a point
-tuple S whose pointwise stabilizer is trivial, started from the orbits
-that ``orbit_labels``, the one orbit routine, finds, and certified by
-Schreier's lemma (see ``closure``).  A group keeps no image row of its
-elements: only its generators' rows, the search tree, and the table or, in
-a quotient, one coset representative per element and the projection.
-Elements are listed in first-reached order, so each level of the tree is
-a contiguous index range, walked with one gather per level.
+One routine, ``_enumerate``, lists every group, so no other module knows
+the listing order.  It tells elements apart by their images of a base, a
+point tuple S with trivial pointwise stabilizer: any point of a regular
+action (a product's or a quotient's), or for ``closure`` one started from
+the orbits of ``orbit_labels``, the one orbit routine, and certified by
+Schreier's lemma.  A group keeps no image row of its elements: only its
+generators' rows, the search tree, and the table or, in a quotient, one
+coset representative per element and the projection.  Elements are listed
+in first-reached order, so each tree level is a contiguous index range.
 
 The table is most of what a group holds, so its entries, element indices,
 take the narrowest dtype that holds them: ``index_dtype`` chooses it, int16
@@ -40,12 +41,13 @@ from .errors import GroupTooLarge, MalformedPermutation, PrimeNotDividing
 
 DEFAULT_MAX_ORDER = 20_000
 ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling a large array
+INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 def index_dtype(order: int) -> type[np.signedinteger]:
     """The dtype of a group's table and inverse array: the narrowest that
     holds every element index of a group of ``order`` elements."""
-    return np.int16 if order <= np.iinfo(np.int16).max else np.int32
+    return np.int16 if order <= INT16_MAX else np.int32
 
 
 def _validate_images(images, degree: int) -> np.ndarray:
@@ -101,6 +103,8 @@ class FiniteGroup:
         right = np.asarray(right, np.int32)
         if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
             raise ValueError("need one image row per right column")
+        if right.size and (int(right.min()) < 0 or int(right.max()) >= right.shape[1]):
+            raise ValueError("right columns index outside the element list")
         rows.setflags(write=False)
         self.generator_rows = rows
         self.degree = rows.shape[1]
@@ -138,12 +142,17 @@ class FiniteGroup:
         """Rows indexed like the elements: row 0 is ``start``, and row j is
         ``perms[gen(j)]`` applied to row parent(j).  Parents lie in the level
         before their children, so each level is one gather through the flat
-        indices gen·width + value."""
+        indices gen·width + value, or one gather per row on a level of one
+        or two elements (a cyclic group's tree is a chain of them)."""
         out = np.empty((self.order, start.size), perms.dtype)
         out[0] = start
         flat, offset = perms.ravel(), self._gen[:, None] * perms.shape[1]
         for s, e in self._levels:
-            out[s:e] = flat.take(offset[s:e] + out.take(self._parent[s:e], 0))
+            if e - s > 2:
+                out[s:e] = flat.take(offset[s:e] + out.take(self._parent[s:e], 0))
+            else:
+                for j in range(s, e):
+                    out[j] = perms[self._gen[j]].take(out[self._parent[j]])
         return out
 
     def __len__(self) -> int:
@@ -188,22 +197,37 @@ class FiniteGroup:
 
         so ``left`` is the walk of ``right`` from its column 0.
         Parents come before their children, so filling in index order reads
-        only what is filled: each row of the table is one contiguous,
-        bounds-checked gather of an earlier row, where a column at a time
-        strides through it.  The gathers index by intp rows, numpy's own
-        index type, and are assigned to the table row, since ``take`` into
-        an ``out`` row copies through a buffer first."""
+        only what is filled: each row of the table is one contiguous gather
+        of an earlier row.  ``_build_tree`` checked that ``right``, and so
+        ``left``, holds element indices only, so the gathers ``take`` in
+        "clip" mode, straight into the row, not through a checking buffer.
+        As e_i⁻¹ = gen(i)⁻¹·e_parent(i)⁻¹, the inverse array is the walk from
+        the identity of the table rows of the generators' inverses."""
         n = self.order
         left = list(np.ascontiguousarray(self._walk(right, right[:, 0]).T, np.intp))
         dtype = index_dtype(n)
         table = np.empty((n, n), dtype)
         table[0] = np.arange(n, dtype=dtype)
         for i, p, g in zip(range(1, n), self._parent[1:].tolist(), self._gen[1:].tolist()):
-            table[i] = table[p][left[g]]
+            table[p].take(left[g], out=table[i], mode="clip")
         self.table = table
-        # each row is a permutation of the indices, so its least entry is
-        # the identity, in the inverse's column
-        self.inverse_array = table.argmin(axis=1).astype(dtype)
+        # a generator's inverse is the column of the identity in its row
+        inverses = table[self.generators].argmin(axis=1)
+        self.inverse_array = self._walk(table[inverses], np.zeros(1, dtype))[:, 0]
+
+    def _moved_point(self, base: np.ndarray, right: np.ndarray) -> int | None:
+        """The first point, by generator, then element, of some g(S) that a
+        Schreier generator s = e_i·h·e_j⁻¹ of the listing keyed by S,
+        ``base``, moves, or None when S is a base (see ``closure``).  s moves
+        y exactly when h(e_i(y)) differs from e_j(y): one gather over the
+        images of S ∪ g(S), read off the tree, g(S) ∖ S off a mask."""
+        rows = self.generator_rows
+        rest = np.bincount(rows[:, base].ravel(), minlength=base.max() + 1) > 0
+        rest[base] = False
+        points = np.concatenate([base, rest.nonzero()[0]])
+        images = self.images(points)
+        moved = np.nonzero(rows[:, images] != images[right])[2]
+        return int(points[moved[0]]) if moved.size else None
 
     # -- element data ---------------------------------------------------------
 
@@ -259,13 +283,10 @@ def closure(
 ) -> FiniteGroup:
     """Enumerate the group generated by ``gens`` on {0..degree-1}.
 
-    Elements are listed breadth-first over right-multiplication by the
-    generators, starting at the identity, so the listing is deterministic
-    for a fixed generator order.  The search runs over the images of a short
-    point tuple S, a base, rather than over whole image rows: the key of
-    x·g is g applied to the key of x.  No element's image row is ever made:
-    the group keeps the generators' rows and the right columns of the
-    certified search.
+    ``_enumerate`` lists the elements by their images of a short point
+    tuple S, a base, not by whole image rows, and no element's image row is
+    ever made: the group keeps the generators' rows and the right columns
+    of the certified listing.
 
     S starts as the least point of each orbit of ⟨gens⟩ that has more than
     one point (``orbit_labels``), or as the point 0 if none has.  Let e_i be
@@ -279,7 +300,8 @@ def closure(
     and the listing, the generator indices and the right columns are those
     of a search over whole rows.  If some s moves a point of some g(S), that
     point joins S and the search starts again; G_(S) at least halves each
-    time, so there are at most log2 |G| restarts.
+    time, so there are at most log2 |G| restarts.  Only a certified listing
+    gets its table.
 
     Raises GroupTooLarge once more than ``max_order`` keys are found, so a
     cap below 1 admits only the trivial group.  The degree must lie between
@@ -292,11 +314,65 @@ def closure(
     gen_arrays = [_validate_images(g, degree) for g in gens]
     garr = np.array(gen_arrays, np.int32).reshape(len(gen_arrays), degree)
     base = _orbit_representatives(garr)
-    tree = _KeyTree(garr, base, max_order)
-    while (moved := tree.moved_point()) is not None:
+    while True:
+        right = _enumerate(garr, base, max_order)[0]
+        group = FiniteGroup.__new__(FiniteGroup)
+        group._build_tree(garr, right, name)
+        if (moved := group._moved_point(base, right)) is None:
+            group._build_table(right)
+            return group
         base = np.append(base, moved)
-        tree = _KeyTree(garr, base, max_order)
-    return FiniteGroup(garr, tree.right, name=name)
+
+
+def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one listing of group elements: breadth-first from the identity
+    over right multiplication by the permutations ``rows``, each element
+    known by its key, its images of the points ``base`` (the key of x·g is
+    g applied to x's), and listed where its key is first reached, x-major,
+    then by generator.  Returns the right columns, ``right[h, i]`` the
+    index of element i times generator h, and ``pos``: for one base point,
+    the dense array over the points that numbers the keys (-1 while
+    unseen), so ``pos[p]`` indexes the element taking the base point to p;
+    for longer keys, which a dict of their bytes numbers, None.  Keys name
+    elements one to one when the base is a base, as any point is of a
+    regular action; ``closure`` certifies the rest.  Raises GroupTooLarge
+    once more than ``max_order`` keys are found."""
+    base = np.asarray(base, np.int32)
+    ngens = rows.shape[0]
+    if base.size == 1:
+        # memoryviews read Python ints and copy nothing of the degree, and
+        # with no rows nothing of the degree's size is made
+        images, listed = [memoryview(row) for row in rows], base.tolist()
+        pos = np.full(rows.shape[1] if ngens else listed[0] + 1, -1, np.int32)
+        at = memoryview(pos)
+        at[listed[0]] = 0
+        for p in listed:  # grows while it is read
+            for row in images:
+                q = row[p]
+                if at[q] < 0:
+                    if len(listed) >= max_order:
+                        raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
+                    at[q] = len(listed)
+                    listed.append(q)
+        return pos[rows[:, listed]], pos
+    key = np.dtype((np.void, rows.dtype.itemsize * base.size))  # a key's bytes
+    cur = base.astype(rows.dtype)[None]
+    index = {cur.view(key).item(): 0}
+    right, n = [], 1  # n: the keys found
+    while len(cur):
+        prods = np.ascontiguousarray(rows[:, cur].transpose(1, 0, 2).reshape(-1, base.size))
+        new = []
+        for q, k in enumerate(prods.view(key).ravel().tolist()):
+            j = index.setdefault(k, n)
+            if j == n:
+                if n >= max_order:
+                    raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
+                new.append(q)
+                n += 1
+            right.append(j)
+        cur = prods[new]
+    return np.array(right, np.int32).reshape(-1, ngens).T.copy(), None
 
 
 def orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -331,59 +407,6 @@ def _orbit_representatives(garr: np.ndarray) -> np.ndarray:
     points = np.arange(garr.shape[1])
     reps = ((garr != points).any(axis=0) & (orbit_labels(garr) == points)).nonzero()[0]
     return reps if reps.size else np.zeros(1, np.intp)
-
-
-class _KeyTree:
-    """The breadth-first search of ``closure`` over the images of a point
-    tuple S, the base, under right multiplication by the rows of ``garr``.
-
-    ``right[h, i]`` is the key of element i times generator h.  Each
-    element keeps its images of S, its key, and of every g(S) in
-    ``images``, which is all ``moved_point`` needs.
-    """
-
-    def __init__(self, garr: np.ndarray, base: np.ndarray, max_order: int):
-        ngens, size = garr.shape[0], len(base)
-        # the points whose images are kept: S first, then the rest of g(S),
-        # from a mask as long as the largest of them needs
-        rest = np.bincount(garr[:, base].ravel(), minlength=base.max() + 1) > 0
-        rest[base] = False
-        self.points = np.concatenate([base, rest.nonzero()[0]])
-        self.garr = garr
-        key_dtype = np.dtype((np.void, 4 * size))  # a key: the int32 images of S
-        cur = self.points.astype(np.int32)[None]
-        index = {cur[:, :size].view(key_dtype).item(): 0}
-        images, right = [cur], []
-        n = 1  # keys found
-        while len(cur):
-            # products x·g in the enumeration's reading order, x-major
-            prods = garr[:, cur].transpose(1, 0, 2).reshape(-1, self.points.size)
-            keys = np.ascontiguousarray(prods[:, :size]).view(key_dtype).ravel().tolist()
-            new = []
-            for q, key in enumerate(keys):
-                j = index.setdefault(key, n)
-                if j == n:
-                    if n >= max_order:
-                        raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
-                    new.append(q)
-                    n += 1
-                right.append(j)
-            cur = prods[new]
-            images.append(cur)
-        self.images = np.concatenate(images)
-        self.right = np.array(right, np.int32).reshape(n, ngens).T.copy()
-
-    def moved_point(self) -> int | None:
-        """A point of some g(S) that some Schreier generator e_i·h·e_j⁻¹
-        moves, or None when there is none and S is a base.
-
-        Such an s moves a point y exactly when h(e_i(y)) differs from
-        e_j(y), so each generator h takes one gather over the kept images."""
-        for h, row in enumerate(self.garr):
-            moved = np.nonzero(row[self.images] != self.images[self.right[h]])
-            if moved[0].size:
-                return int(self.points[moved[1][0]])
-        return None
 
 
 class Subgroup:

@@ -2,7 +2,9 @@
 
 Quotients act by right multiplication on cosets; products act on
 |base|·|actor| points via the regular representation.  Both actions are
-regular, so one walk over points lists both.  A product keeps a table; a
+regular, so any point is a base that needs no certifying, and
+``perm._enumerate`` lists both from the point 0, through a dense array
+over the points.  A product keeps a table; a
 quotient keeps none and multiplies through the group it is a quotient of.
 A product's action is given on exactly the actor's generators and extended
 along the actor's breadth-first tree, a level at a time.
@@ -13,39 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidAction, NotNormal
-from .perm import FiniteGroup, QuotientGroup, Subgroup, distinct, index_dtype, orbit_labels
-
-
-def _regular_walk(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The right-multiplication columns of the group generated by ``rows``,
-    which must act regularly on their points, and ``pos``: ``pos[p]``
-    indexes the element taking point 0 to p.
-
-    In a regular group an element x is known by x(0), and x·g takes 0 to
-    g(x(0)).  So the points listed breadth-first from 0 give ``closure``'s
-    element order: each level lists the new points g(p) of the level
-    before, p-major, then by generator, each at its first occurrence.
-    """
-    pos = np.full(rows.shape[1], -1, np.int32)
-    pos[0] = 0
-    levels = [np.zeros(1, np.intp)]
-    found = 1
-    while levels[-1].size:
-        reached = rows[:, levels[-1]].T.ravel()
-        reached = reached[pos[reached] < 0]
-        level = np.fromiter(dict.fromkeys(reached.tolist()), np.intp)
-        pos[level] = np.arange(found, found + level.size)
-        found += level.size
-        levels.append(level)
-    return pos[rows[:, np.concatenate(levels)]], pos
-
-
-def _regular_group(rows: np.ndarray, *, name: str | None = None
-                   ) -> tuple[FiniteGroup, np.ndarray]:
-    """The group generated by ``rows``, acting regularly, with its table,
-    and ``pos`` (see ``_regular_walk``)."""
-    right, pos = _regular_walk(rows)
-    return FiniteGroup(rows, right, name=name), pos
+from .perm import (FiniteGroup, QuotientGroup, Subgroup, _enumerate, distinct, index_dtype,
+                   orbit_labels)
 
 
 def quotient(
@@ -55,10 +26,11 @@ def quotient(
 
     Returns ``(Q, proj)`` where Q acts by right multiplication on the cosets
     of N (degree |G|/|N|) and ``proj[x]`` is the index in Q of the coset Nx.
-    The coset permutations come from G's products and are listed by the
-    walk over cosets.  Q is a ``QuotientGroup``: it keeps each coset's least
-    member and ``proj``, not a table, and multiplies through G.  Raises
-    NotNormal when N is not normal in G.
+    The coset permutations come from G's products, and ``_enumerate``
+    lists them from coset 0 and tells each coset's element.  Q is a
+    ``QuotientGroup``: it keeps each coset's least member and ``proj``, not
+    a table, and multiplies through G.  Raises NotNormal when N is not
+    normal in G.
     """
     if N.parent is not G:
         raise ValueError("subgroup does not belong to the given group")
@@ -74,7 +46,7 @@ def quotient(
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
     # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]
     rows = cid[G.products(reps[:, None], G.generators).T]
-    right, pos = _regular_walk(rows)
+    right, pos = _enumerate(rows, [0], reps.size)
     rep = np.empty_like(reps)
     rep[pos] = reps
     proj = pos[cid].astype(index_dtype(reps.size))
@@ -124,7 +96,8 @@ def semidirect_product(
     rows = [base.products(b_of, phis[a_of, gb]).astype(np.int64) * m + a_of
             for gb in base.generators]
     rows += [b_of * m + actor.products(a_of, ga) for ga in actor.generators]
-    return _regular_group(np.array(rows, np.int64).reshape(-1, nb * m), name=name)[0]
+    rows = np.array(rows, np.int64).reshape(-1, nb * m)
+    return FiniteGroup(rows, _enumerate(rows, [0], nb * m)[0], name=name)
 
 
 def extend_action(actor: FiniteGroup,

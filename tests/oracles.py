@@ -287,34 +287,15 @@ def brute_center(G: FiniteGroup) -> list[int]:
             if all(G.mult(y, x) == G.mult(x, y) for x in range(G.order))]
 
 
-def _close_set(G: FiniteGroup, seed: set[int]) -> set[int]:
-    members = set(seed) | {0}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for prod in (G.mult(a, b), G.mult(b, a)):
-                    if prod not in members:
-                        members.add(prod)
-                        nxt.append(prod)
-        frontier = nxt
-    return members
-
-
 def brute_derived_series(G: FiniteGroup) -> list[set[int]]:
     """Derived series via commutators over all member pairs."""
-    inv = G.inverse_array
+    t, inv = table_of(G), G.inverse_array
     current = set(range(G.order))
     series = [current]
     while True:
-        members = sorted(current)
-        comms = set()
-        for a in members:
-            for b in members:
-                c = G.mult(G.mult(int(inv[a]), int(inv[b])), G.mult(a, b))
-                comms.add(c)
-        nxt = _close_set(G, comms)
+        a = np.array(sorted(current))[:, None]
+        b = a.T
+        nxt = set(_generated(G, t[t[inv[a], inv[b]], t[a, b]].ravel()))  # a⁻¹·b⁻¹·a·b
         if nxt == current:
             break
         series.append(nxt)
@@ -344,17 +325,13 @@ def is_p_subgroup(G: FiniteGroup, members: np.ndarray, p: int) -> bool:
 
 
 def _is_malnormal(G: FiniteGroup, H: Subgroup) -> bool:
-    """H ∩ gHg⁻¹ = 1 for every g outside H."""
+    """H ∩ gHg⁻¹ = 1 for every g outside H: every conjugate of H at once,
+    one row per g."""
     t, inv = table_of(G), G.inverse_array
     mask = H.member_mask
-    for g in range(G.order):
-        if mask[g]:
-            continue
-        conj = t[t[g, H.members], inv[g]]
-        inter = mask[conj].sum()
-        if inter > 1:
-            return False
-    return True
+    outside = np.flatnonzero(~mask)
+    conj = t[t[outside[:, None], H.members], inv[outside][:, None]]
+    return bool((mask[conj].sum(axis=1) <= 1).all())
 
 
 def _conjugate_sets(G: FiniteGroup, H: Subgroup) -> set[frozenset[int]]:
@@ -429,28 +406,28 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
     subgroups are taken 2-generated, with the first generator ranging over
     conjugacy-class representatives; Frobenius complements of solvable
     groups are always 2-generated, so the search is complete here.  For c
-    in C_G(x), ⟨x, y⟩^c = ⟨x, y^c⟩, and a conjugate of a malnormal
-    subgroup is malnormal, so y ranges over one representative of each
-    orbit of C_G(x) acting on G by conjugation.
+    in C_G(x) and a, b in ⟨x⟩, ⟨x, a·y·b⟩^c = ⟨x, (a·y·b)^c⟩ is ⟨x, y⟩^c,
+    and a conjugate of a malnormal subgroup is malnormal, so y ranges over
+    one representative of each set a·y^c·b.  Each ⟨x, y⟩ is closed by
+    ``_generated``.
     """
     t, inv = table_of(G), G.inverse_array
     reps = [int(c[0]) for c in brute_conjugacy_classes(G) if c[0] != 0]
-    seen: set[bytes] = set()
+    seen: set[frozenset[int]] = set()
     for x in reps:
         cx = np.array(brute_centralizer(G, x))
+        powers = np.array(sorted(_generated(G, np.array([x]))))
         reached = np.zeros(G.order, bool)
         for y in range(G.order):
             if reached[y]:
                 continue
-            reached[t[t[cx, y], inv[cx]]] = True
-            H = generated_subgroup(G, [x, y])
-            if not 1 < H.order < G.order:
+            conj = t[t[cx, y], inv[cx]]
+            reached[t[t[powers[:, None], conj].ravel()[:, None], powers]] = True
+            H = _generated(G, np.array([x, y]))
+            if not 1 < len(H) < G.order or H in seen:
                 continue
-            key = H.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if _is_malnormal(G, H):
+            seen.add(H)
+            if _is_malnormal(G, Subgroup(G, sorted(H))):
                 return True
     return False
 
@@ -458,9 +435,12 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
 def _generated(G: FiniteGroup, seed: np.ndarray) -> frozenset[int]:
     """The subgroup generated by ``seed``: products added until none is new."""
     t = table_of(G)
-    members = np.union1d(seed, [0])
+    inside = np.zeros(G.order, bool)
+    inside[0] = inside[seed] = True
+    members = np.flatnonzero(inside)
     while True:
-        grown = np.union1d(members, t[np.ix_(members, members)].ravel())
+        inside[t[members][:, members]] = True
+        grown = np.flatnonzero(inside)
         if grown.size == members.size:
             return frozenset(members.tolist())
         members = grown

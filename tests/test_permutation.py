@@ -82,6 +82,84 @@ def test_closure_respects_max_order():
     assert closure(5, [], max_order=0).order == 1
 
 
+def _assert_enumerates_as_row_closure(rows, base, label):
+    """``_enumerate`` keyed by ``base``, a base of the group ``rows``
+    generate, gives the right columns of the search over whole rows, and
+    for one point a ``pos`` that indexes each element by its image of it."""
+    rows = np.asarray(rows, np.int32)
+    elements, generators, table = row_closure(rows.shape[1], list(rows))
+    right, pos = perm._enumerate(rows, base, elements.shape[0])
+    assert np.array_equal(right, table[:, generators].T), label
+    if len(base) == 1:
+        assert np.array_equal(pos[elements[:, base[0]]], np.arange(len(elements))), label
+        assert (np.delete(pos, elements[:, base[0]]) == -1).all(), label
+    else:
+        assert pos is None, label
+
+
+def test_enumerate_lists_one_point_bases_as_the_row_search(witness60):
+    """A regular action, as of a cyclic group on its points or a product
+    or W60 on theirs, has every point as a base: its one-point keys, looked
+    up in a dense array, list it as the whole rows do, from any point."""
+    groups = [cyclic(1), cyclic(2), cyclic(12), direct_product(cyclic(4), cyclic(6)),
+              direct_product(symmetric(3), cyclic(2)), witness60]
+    for G in groups:
+        for point in {0, G.degree - 1}:
+            _assert_enumerates_as_row_closure(G.generator_rows, [point], G.name)
+
+
+def test_enumerate_lists_multi_point_bases_as_the_row_search():
+    """Keys of several points, looked up by their bytes, list S3, D8, A4,
+    S4 and C2³ as the whole rows do."""
+    swap = lambda n, a, b: [b if i == a else a if i == b else i for i in range(n)]
+    cases = {
+        "S3": ([swap(3, 0, 1), [1, 2, 0]], [0, 1]),
+        "D8": ([[1, 2, 3, 0], [3, 2, 1, 0]], [0, 1]),
+        "A4": ([[1, 2, 0, 3], [0, 2, 3, 1]], [0, 1]),
+        "S4": ([swap(4, 0, 1), [1, 2, 3, 0]], [0, 1, 2]),
+        "C2^3": ([swap(6, 0, 1), swap(6, 2, 3), swap(6, 4, 5)], [0, 2, 4]),
+    }
+    for label, (rows, base) in cases.items():
+        _assert_enumerates_as_row_closure(rows, base, label)
+
+
+def test_closure_restarts_a_one_point_listing_that_is_no_base(monkeypatch):
+    """S3, S4 and D8 move one orbit, so ``closure`` lists them first by one
+    point, whose stabilizer is not trivial; it adds a moved point, lists
+    again by the longer keys, and only that listing, the row search's,
+    gets a table."""
+    bases = []
+    enumerate_ = perm._enumerate
+
+    def recorded(rows, base, max_order):
+        bases.append(len(base))
+        return enumerate_(rows, base, max_order)
+
+    monkeypatch.setattr(perm, "_enumerate", recorded)
+    for G in (symmetric(3), symmetric(4), dihedral(4)):
+        bases.clear()
+        _assert_matches_row_closure(G.degree, list(G.generator_rows), G.name)
+        assert bases[0] == 1 < bases[-1] and len(bases) > 1, G.name
+
+
+def test_enumerate_stops_at_the_key_past_the_cap():
+    """Both lookups raise GroupTooLarge exactly when key cap + 1 is found:
+    C10 by one point and S4 by three list whole at cap 10 and 24."""
+    cycle = np.array([[1, 2, 3, 4, 5, 6, 7, 8, 9, 0]], np.int32)
+    s4 = np.array([[1, 0, 2, 3], [1, 2, 3, 0]], np.int32)
+    for rows, base, order in ((cycle, [0], 10), (s4, [0, 1, 2], 24)):
+        assert perm._enumerate(rows, base, order)[0].shape == (rows.shape[0], order)
+        with pytest.raises(GroupTooLarge):
+            perm._enumerate(rows, base, order - 1)
+
+
+def test_enumerate_of_no_rows_makes_nothing_of_the_degree():
+    """With no generators the listing is the identity alone, and ``pos``
+    reaches only to the base point, whatever the degree."""
+    right, pos = perm._enumerate(np.zeros((0, 10**12), np.int32), [0], 1)
+    assert right.shape == (0, 1) and pos.tolist() == [0]
+
+
 def _generator_sets():
     """Generator lists where one point is not a base, the group is not
     transitive, a generator fixes the base point, or there is nothing to

@@ -184,7 +184,7 @@ def test_semidirect_pairing_is_bijective():
 def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
     """C_200 x C_200 acts on 40 000 points, more than an int16 holds,
     though each factor's table is int16.  Its 40 000² table is not made:
-    the walk is stopped once it is handed the generators, which must be
+    the listing is stopped once it is handed the generators, which must be
     those of the regular representation, b·200 + a ↦ (b·g)·200 + a for
     the base generator g and b·200 + a ↦ b·200 + a·g for the actor's."""
     products = importlib.import_module("agc.products")
@@ -193,16 +193,16 @@ def test_semidirect_point_labels_outgrow_the_factor_tables(monkeypatch):
     class Stop(Exception):
         pass
 
-    def stop(rows, **kwargs):
-        handed.append((rows.shape[1], list(rows)))
+    def stop(rows, base, max_order):
+        handed.append((rows.shape[1], list(rows), list(base)))
         raise Stop
 
-    monkeypatch.setattr(products, "_regular_group", stop)
+    monkeypatch.setattr(products, "_enumerate", stop)
     C = cyclic(200)
     with pytest.raises(Stop):
         direct_product(C, C)
-    ((degree, gens),) = handed
-    assert degree == 40_000 and C.table.dtype == np.int16
+    ((degree, gens, base),) = handed
+    assert degree == 40_000 and C.table.dtype == np.int16 and base == [0]
     (g,) = C.generators
     pairs = [(b, a) for b in range(200) for a in range(200)]
     assert [p.tolist() for p in gens] == [
