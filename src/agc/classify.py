@@ -17,9 +17,8 @@ G -> G/N is a Sylow p-subgroup of G/N.  Functions taking an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -226,8 +225,7 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     return False, None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     order: int
     solvable: bool
     derived_length: int | None

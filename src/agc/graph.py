@@ -27,8 +27,8 @@ the frontier words of each vertex's neighbours, a block of rows at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ BLOCK_ENTRIES = 1 << 13
 SOURCE_BITS = 64  # sources searched at once, one bit each of a uint64 word
 
 
-@dataclass(frozen=True)
-class DiameterResult:
+class DiameterResult(NamedTuple):
     status: str  # "connected", "disconnected", or "empty-vertex-set"
     diameter: int | None
     components: int

@@ -10,15 +10,14 @@ reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FormatError
 from .perm import DEFAULT_MAX_ORDER, FiniteGroup, _validate_images, closure
 
 
-@dataclass
-class GroupFile:
+class GroupFile(NamedTuple):
     degree: int
     generators: list[list[int]]
     name: str | None = None
@@ -40,8 +39,13 @@ def parse_group_file(text: str) -> GroupFile:
     if not isinstance(gens, list):
         raise FormatError("'generators' must be a list of image arrays")
     name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise FormatError("'name' must be a string when present")
+    if name is not None:
+        if not isinstance(name, str):
+            raise FormatError("'name' must be a string when present")
+        try:  # JSON escapes can spell a lone surrogate, which no output can hold
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError("'name' is not encodable as UTF-8") from None
     out: list[list[int]] = []
     for g in gens:
         # exact types: a bool is an int subclass, and JSON makes no other

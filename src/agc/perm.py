@@ -33,7 +33,7 @@ and wrap.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -66,6 +66,18 @@ def _validate_images(images, degree: int) -> np.ndarray:
     if not bool(seen.all()):
         raise MalformedPermutation("image array is not a bijection")
     return arr.astype(np.int32)
+
+
+def _reject_listing(flat: np.ndarray, n: int, ngens: int) -> NoReturn:
+    """Say why the right-multiplication columns ``flat``, read parent by
+    parent, list no n elements in first-reached order."""
+    # j is generated when some element before it reaches it: an entry j at
+    # position i, in the row of parent i // ngens < j
+    generated = np.zeros(n, bool)
+    generated[flat[flat.astype(np.intp) * ngens > np.arange(flat.size)]] = True
+    if not generated[1:].all():
+        raise ValueError("element list is not generated by the given generators")
+    raise ValueError("element list is not in first-reached order")
 
 
 class FiniteGroup:
@@ -112,18 +124,17 @@ class FiniteGroup:
         self.generators = right[:, 0].tolist()
         self.name = name
         ngens = right.shape[0]
-        # first occurrence of each index in the enumeration's reading order
-        reached, first = np.unique(right.T.ravel(), return_index=True)
-        parent = np.full(n, n, np.intp)  # n: never reached
-        parent[reached] = first // ngens
+        # read parent by parent, a first-reached listing reaches 1, 2, ...,
+        # n - 1 in turn, each where the running maximum rises to it
+        flat = right.T.ravel()
+        rises = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=0))
+        if rises.size != n - 1 or (rises >= np.arange(1, n) * ngens).any():
+            _reject_listing(flat, n, ngens)
+        parent = np.zeros(n, np.intp)  # parent[0] and gen[0] are never read
         gen = np.zeros(n, np.intp)
-        gen[reached] = first % ngens
-        if (parent[1:] >= np.arange(1, n)).any():
-            raise ValueError("element list is not generated by the given generators")
-        if (np.diff(parent[1:] * ngens + gen[1:]) < 0).any():
-            raise ValueError("element list is not in first-reached order")
+        parent[1:], gen[1:] = np.divmod(rises, ngens)
         # the level after one ending at e ends before the first parent >= e;
-        # parent[0] is whatever first reached the identity, so it is left out
+        # the identity has no parent, so parent[0] is left out
         stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
         levels, e = [], 1
         while e < n:

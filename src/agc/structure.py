@@ -21,8 +21,7 @@ its own when they are first read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -98,8 +97,7 @@ def derived_subgroup(H: GroupLike) -> Subgroup:
     return generated_subgroup(G, np.flatnonzero(comms))
 
 
-@dataclass(frozen=True)
-class DerivedSeries:
+class DerivedSeries(NamedTuple):
     terms: tuple[Subgroup, ...]
     derived_length: int | None  # None when the series stabilizes above 1
 
@@ -240,8 +238,7 @@ def fitting_subgroup(H: GroupLike, sylows: dict[int, Subgroup]) -> Subgroup:
 # -- Sylow systems and system normalizers ------------------------------------
 
 
-@dataclass(frozen=True)
-class SylowSystem:
+class SylowSystem(NamedTuple):
     """One Sylow subgroup per prime divisor, pairwise permutable."""
 
     group: Subgroup
@@ -330,8 +327,7 @@ def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
     return np.split(order, np.diff(label[order]).nonzero()[0] + 1)
 
 
-@dataclass(frozen=True)
-class NormalSubgroupInfo:
+class NormalSubgroupInfo(NamedTuple):
     subgroup: Subgroup
     minimal: bool
 

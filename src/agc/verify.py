@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -35,12 +34,22 @@ from .perm import (
 from .structure import center, contains_centralizers, system_normalizer
 
 
-@dataclass
 class CheckRecord:
-    id: str
-    status: str  # pass | fail | vacuous | skipped-precondition
-    witness: dict[str, Any] = field(default_factory=dict)
-    millis: float = 0.0
+    """One check's outcome; ``run_all_checks`` sets ``millis`` once the
+    check has run."""
+
+    __slots__ = ("id", "status", "witness", "millis")
+
+    def __init__(self, id: str, status: str, witness: dict[str, Any] | None = None,
+                 millis: float = 0.0) -> None:
+        self.id = id
+        self.status = status  # pass | fail | vacuous | skipped-precondition
+        self.witness = {} if witness is None else witness
+        self.millis = millis
+
+    def __repr__(self) -> str:
+        return (f"CheckRecord(id={self.id!r}, status={self.status!r}, "
+                f"witness={self.witness!r}, millis={self.millis!r})")
 
     def to_json(self) -> dict[str, Any]:
         return {

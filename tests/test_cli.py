@@ -207,7 +207,8 @@ def _run_fresh(script: str, *args: str, cwd) -> list:
 def test_commands_below_two_jobs_load_no_pool_or_masked_arrays(corpus_dir, tmp_path):
     """A command imports only what it runs.  In a fresh interpreter each,
     ``analyze``, ``corpus --jobs 1``, ``witness`` and ``graph`` leave the
-    process pool's modules and ``numpy.ma`` unloaded; only ``witness`` loads
+    process pool's modules, ``numpy.ma`` and ``dataclasses`` (whose classes
+    generate their methods at import) unloaded; only ``witness`` loads
     ``agc.witness`` and ``agc.constructions``, only ``analyze`` and
     ``corpus`` load ``agc.verify``, and ``graph`` leaves ``agc.classify``
     unloaded.  The pool itself is covered by the ``--jobs 3`` run in
@@ -224,8 +225,8 @@ def test_commands_below_two_jobs_load_no_pool_or_masked_arrays(corpus_dir, tmp_p
         "argv = json.loads(sys.argv[1])\n"
         "code = main(argv)\n"
         "loaded = [m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing',\n"
-        "                      'agc.constructions', 'agc.witness', 'agc.verify',\n"
-        "                      'agc.classify')\n"
+        "                      'dataclasses', 'agc.constructions', 'agc.witness',\n"
+        "                      'agc.verify', 'agc.classify')\n"
         "          if m in sys.modules]\n"
         "print(json.dumps([argv[0], code, loaded]))\n"
     )
@@ -412,6 +413,73 @@ def test_unwritable_output_is_an_error_not_a_traceback(s3_file, tmp_path, monkey
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_main_freezes_the_heap_at_exit_once_per_process(s3_file, tmp_path):
+    """``main`` registers one exit handler however often it runs in a
+    process, and whatever its exit codes, and by exit the heap is frozen: a
+    handler registered before ``main`` runs after ``main``'s."""
+    script = (
+        "import atexit, gc, json, sys\n"
+        "atexit.register(lambda: print(json.dumps(gc.get_freeze_count() > 0)))\n"
+        "from agc.cli import main\n"
+        "before = atexit._ncallbacks()\n"
+        "codes = [main(json.loads(argv)) for argv in sys.argv[1:]]\n"
+        "print(json.dumps([codes, atexit._ncallbacks() - before]))\n"
+    )
+    runs = [["graph", s3_file, "--out", str(tmp_path / "g.json")],
+            ["witness", "nosuch"],
+            ["analyze", s3_file, "--out", str(tmp_path / "a.json")]]
+    assert _run_fresh(script, *map(json.dumps, runs), cwd=tmp_path) == [[[0, 1, 0], 1], True]
+
+
+def test_corpus_skips_a_name_no_utf8_can_hold(tmp_path, capsys):
+    """A JSON escape can spell a lone surrogate, which no UTF-8 output can
+    hold: the file is skipped, ``--strict`` exits 1, and every output is
+    whole, with no temporary file left behind."""
+    src = tmp_path / "groups"
+    src.mkdir()
+    save_group(symmetric(3), src / "s3.json")
+    (src / "bad.json").write_text('{"name": "s3\\ud800", "degree": 3, '
+                                  '"generators": [[1, 0, 2], [1, 2, 0]]}')
+    out = tmp_path / "out"
+    assert main(["corpus", str(src), "--out", str(out)]) == 0
+    reports = json.loads((out / "reports.json").read_text())
+    assert [entry["file"] for entry in reports["skipped"]] == [str(src / "bad.json")]
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("S3,")
+    assert main(["corpus", str(src), "--strict", "--out", str(out)]) == 1
+    assert main(["analyze", str(src / "bad.json")]) == 1
+    assert capsys.readouterr().err.count("not encodable as UTF-8") == 3
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, with UTF-8 mode off, a non-ASCII group name
+    reaches summary.csv and standard output as UTF-8."""
+    src = tmp_path / "groups"
+    src.mkdir()
+    save_group(symmetric(3), src / "s3.json")
+    rows = group_to_file(symmetric(3)).generators
+    (src / "s3e.json").write_text(serialize_group_file(GroupFile(3, rows, "s3-é")),
+                                  encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(agc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    script = "import sys; from agc.cli import main; sys.exit(main())"
+    for out in ([], ["--out", str(tmp_path / "out")]):
+        proc = subprocess.run([sys.executable, "-c", script, "corpus", str(src), *out],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        text = proc.stdout if not out else (tmp_path / "out" / "summary.csv").read_bytes()
+        assert "\ns3-é,6,".encode() in text
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_write_output_removes_its_temporary_on_any_error(tmp_path):
+    cli = importlib.import_module("agc.cli")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_output("s3\ud800", str(tmp_path / "out.txt"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corpus_missing_directory(tmp_path, capsys):

@@ -48,6 +48,8 @@ def test_parse_rejects_bad_json():
     '{"degree": 3, "generators": "abc"}',
     '{"degree": 0, "generators": []}',
     pytest.param("[" * 100000, id="deeply-nested"),
+    # a lone surrogate, which JSON can escape but no UTF-8 output can hold
+    pytest.param('{"name": "s3\\ud800", "degree": 1, "generators": []}', id="surrogate-name"),
     *(pytest.param(f'{{"degree": 3, "generators": [[0, {image}, 2]]}}', id=f"image-{kind}")
       for kind, image in (("true", "true"), ("false", "false"), ("float", "1.0"),
                           ("string", '"1"'), ("null", "null"), ("list", "[1]"))),
