@@ -17,6 +17,7 @@ G -> G/N is a Sylow p-subgroup of G/N.  Functions taking an
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -51,8 +52,15 @@ class GroupAnalysis:
         self.group = group
 
     @cached_property
+    def whole(self) -> Subgroup:
+        """G as its own full subgroup, made once for every invariant that
+        starts from it.  The analysis keeps it, not the group, which would
+        then refer to a subgroup that refers back to it."""
+        return full_subgroup(self.group)
+
+    @cached_property
     def series(self) -> DerivedSeries:
-        return derived_series(self.group)
+        return derived_series(self.whole)
 
     @cached_property
     def solvable(self) -> bool:
@@ -67,7 +75,7 @@ class GroupAnalysis:
 
     @cached_property
     def center(self) -> Subgroup:
-        return center(self.group)
+        return center(self.whole)
 
     @cached_property
     def classes(self) -> list[np.ndarray]:
@@ -85,7 +93,7 @@ class GroupAnalysis:
 
     @cached_property
     def fitting(self) -> Subgroup:
-        return fitting_subgroup(self.group, self.sylows)
+        return fitting_subgroup(self.whole, self.sylows)
 
     def _quotient(self, N: Subgroup) -> tuple[GroupAnalysis, np.ndarray]:
         """The analysis of G/N, with the projection of G onto it.
@@ -112,17 +120,17 @@ class GroupAnalysis:
     def upper_fitting(self) -> Subgroup:
         """The preimage of F(G/F(G))."""
         Q, proj = self.fitting_quotient
-        return Subgroup(self.group, np.nonzero(Q.fitting.member_mask[proj])[0])
+        return Subgroup._sorted(self.group, Q.fitting.member_mask[proj].nonzero()[0])
 
     @cached_property
     def sylow_system(self) -> SylowSystem:
         """The canonical Sylow system, grown from ``sylows``."""
-        return sylow_system(full_subgroup(self.group), self.sylows)
+        return sylow_system(self.whole, self.sylows)
 
     @cached_property
     def system_normalizer(self) -> Subgroup:
         """The absolute normalizer of the canonical Sylow system."""
-        return system_normalizer(full_subgroup(self.group), self.sylow_system)
+        return system_normalizer(self.whole, self.sylow_system)
 
     @cached_property
     def minimal_normals(self) -> list[Subgroup]:
@@ -188,13 +196,15 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     Frobenius kernel is nilpotent and self-centralizing, hence equals F(G).
     The test checks 1 < F(G) < G and C_G(x) <= F(G) for nontrivial x in F(G);
     that condition forces F(G) to be a normal Hall subgroup acted on
-    fixed-point-freely, so a complement exists and G is Frobenius.
+    fixed-point-freely, so a complement exists and G is Frobenius.  A
+    Frobenius kernel is a normal Hall subgroup, so an F(G) whose order
+    shares a prime with its index is none, and no centralizer is taken.
     """
     a = as_analysis(G)
     if not a.solvable:
         raise NotSolvable("Frobenius detection implemented for solvable groups only")
     G, F = a.group, a.fitting
-    if F.order == 1 or F.order == G.order:
+    if F.order == 1 or F.order == G.order or math.gcd(F.order, G.order // F.order) != 1:
         return False, None
     if contains_centralizers(G, F.members, np.arange(G.order)):
         return True, F
@@ -211,14 +221,17 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     F(G)/K is nilpotent and normal in G/K, so it lies in F(G/K) = H/K.
     Hence F(G) = K, and then H/K = F(G/F(G)).  So the upper level is the
     Frobenius test of G/F(G), whose only candidate kernel is F(G/F(G)); a
-    quotient of a solvable group is solvable, so it derives no series.
+    quotient of a solvable group is solvable, so it derives no series.  A
+    Frobenius group has a kernel and a complement of coprime orders, so when
+    |G : F(G)| is a prime power G/F(G) is not built.
     """
     a = as_analysis(G)
     if not a.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
     G, K = a.group, a.fitting
     # upper level: G/K Frobenius with kernel H/K; lower: H with kernel K
-    if 1 < K.order < G.order and is_frobenius(a.fitting_quotient[0])[0]:
+    if (1 < K.order < G.order and len(prime_divisors(G.order // K.order)) > 1
+            and is_frobenius(a.fitting_quotient[0])[0]):
         H = a.upper_fitting
         if contains_centralizers(G, K.members, H.members):
             return True, (K, H)

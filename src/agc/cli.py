@@ -37,6 +37,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .errors import AgcError
 from .graph import CommutingGraph
@@ -65,13 +66,16 @@ def _max_order(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_ORDER
 
 
-def _write_output(text: str, out: str | None) -> None:
-    """Write ``text`` as UTF-8, whatever the locale, to standard output, or
-    to the file ``out`` through a temporary file beside it, which a failed
-    write removes again."""
+def _write_output(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, a string or its pieces in turn, as UTF-8, whatever
+    the locale, to standard output, or to the file ``out`` through a
+    temporary file beside it, which a failed write removes again.  Pieces
+    are written as they come, so the whole text is never held at once."""
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
         sys.stdout.flush()  # what was written before goes first
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk.encode("utf-8"))
         sys.stdout.buffer.flush()
         return
     path = Path(out)
@@ -79,7 +83,8 @@ def _write_output(text: str, out: str | None) -> None:
         raise AgcError(f"{out} is a directory")
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -211,11 +216,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     G = load_group(args.file, max_order=_max_order(args))
     graph = CommutingGraph(G)
-    if args.format == "dot":
-        text = graph.to_dot()
-    else:
-        text = graph.to_json()
-    _write_output(text, args.out)
+    chunks = graph.dot_chunks() if args.format == "dot" else graph.json_chunks()
+    _write_output(chunks, args.out)
     return EXIT_OK
 
 

@@ -22,17 +22,22 @@ twin-reduced graph from the cyclic subgroups of those representatives
 sources are searched up to 64 at once, each a bit of one ``uint64`` word per
 vertex ("The More the Merrier", Then et al., PVLDB 8(4), 2014): a level ORs
 the frontier words of each vertex's neighbours, a block of rows at a time.
+
+The JSON and DOT exports are streamed: ``json_chunks`` and ``dot_chunks``
+yield the text a block of rows at a time, so a graph of millions of edges
+is written without holding its edges as Python pairs or its whole text.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .perm import FiniteGroup, conjugations, distinct, index_dtype, row_blocks
+from .perm import FiniteGroup, conjugations, distinct, index_dtype, orbit_labels, row_blocks
 from .structure import conjugacy_classes
 
 
@@ -57,7 +62,9 @@ def _chunks(ends: np.ndarray) -> list[tuple[int, int]]:
     their sizes, each of about BLOCK_ENTRIES (a run holds at least one item)."""
     if not ends.size:
         return []
-    cuts = np.searchsorted(ends, np.arange(BLOCK_ENTRIES, ends[-1], BLOCK_ENTRIES)) + 1
+    if ends[-1] <= BLOCK_ENTRIES:
+        return [(0, ends.size)]
+    cuts = ends.searchsorted(np.arange(BLOCK_ENTRIES, ends[-1], BLOCK_ENTRIES)) + 1
     bounds = list(dict.fromkeys([0, *cuts.tolist(), ends.size]))
     return list(zip(bounds, bounds[1:]))
 
@@ -86,7 +93,7 @@ def _adjacency(G: FiniteGroup, classes: list[np.ndarray]
     reps = members[first]
     central = np.ones(order, bool)
     central[members] = False
-    vertices = np.flatnonzero(~central).astype(np.int32)
+    vertices = (~central).nonzero()[0].astype(np.int32)
     n = vertices.size
     position = np.zeros(order, index_dtype(order))
     position[vertices] = np.arange(n)
@@ -94,10 +101,10 @@ def _adjacency(G: FiniteGroup, classes: list[np.ndarray]
     # |G| / |class| - |Z| entries
     row_len = order // sizes - (order - n)
     class_of = np.zeros(order, np.intp)
-    class_of[members] = np.repeat(np.arange(sizes.size), sizes)
+    class_of[members] = np.arange(sizes.size).repeat(sizes)
     degree = row_len[class_of[vertices]] - 1
     indptr = np.zeros(n + 1, np.intp)
-    np.cumsum(degree, out=indptr[1:])
+    degree.cumsum(out=indptr[1:])
     indices = np.empty(indptr[-1], position.dtype)
     everyone = np.arange(order)
     transversal = np.zeros(order, np.intp)
@@ -105,7 +112,7 @@ def _adjacency(G: FiniteGroup, classes: list[np.ndarray]
         conj = conjugations(G, everyone, reps[block])
         transversal[conj] = everyone[:, None]
         # C(r) ∖ Z, the g with g·r·g⁻¹ = r, one representative after another
-        cent = np.nonzero(((conj == reps[block]) & ~central[:, None]).T)[1]
+        cent = ((conj == reps[block]) & ~central[:, None]).T.nonzero()[1]
         cent_start = row_len[block].cumsum() - row_len[block]
         ys = members[first[block.start]:first[block.start] + sizes[block].sum()]
         span = row_len[class_of[ys]]
@@ -152,28 +159,45 @@ def _bfs_packed(graph: "CommutingGraph", sources: np.ndarray) -> tuple[np.ndarra
         visited |= frontier
 
 
+def _unit_generators(e: int) -> list[int]:
+    """A few units modulo e that generate all of them: each unit k, in
+    increasing order, that the subgroup of those kept before it misses.
+    That subgroup H grows to ⟨H, k⟩, the cosets H·k^i until k^i is in H."""
+    size = sum(1 for k in range(e) if math.gcd(k, e) == 1)  # Euler's phi
+    reached, kept, k = {1 % e}, [], 1
+    while len(reached) < size:
+        k += 1
+        if math.gcd(k, e) == 1 and k not in reached:
+            kept.append(k)
+            H, y = list(reached), k
+            while y not in reached:
+                reached.update(h * y % e for h in H)
+                y = y * k % e
+    return kept
+
+
 def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     """For each element v, the least generator of the cyclic subgroup <v>.
 
-    The generators of <v> are the powers v^k with 0 < k < o(v) prime to the
-    order o(v); the powers of all elements advance together, one vector step
-    per k, and only those of the elements of order above k take step k
-    (sorted by order, descending, they are a shrinking prefix).  Two
-    elements generate the same subgroup exactly when the results agree.
+    The generators of <v> are the powers v^k with k prime to the order
+    o(v).  Every unit modulo o(v) lifts to a unit modulo the exponent e of
+    G, so they are the orbit of v under the power maps x ↦ x^k, k a unit
+    modulo e.  These maps permute G, and the maps of a few units generate
+    them (``_unit_generators``), each the square-and-multiply powers of all
+    elements at once; ``orbit_labels`` of those maps labels each element
+    with the least member of its orbit.  Two elements generate the same
+    subgroup exactly when the results agree.
     """
-    by_order = np.argsort(-G.element_orders[elements], kind="stable")
-    base = elements[by_order].astype(np.intp)
-    orders = G.element_orders[base]
-    least = base.copy()
-    power = base
-    for k in range(2, int(orders.max(initial=1))):
-        live = int(np.count_nonzero(orders > k))
-        power = G.products(power[:live], base[:live])
-        np.minimum(least[:live], power, out=least[:live],
-                   where=np.gcd(k, orders[:live]) == 1)
-    out = np.empty_like(least)
-    out[by_order] = least
-    return out
+    everyone = np.arange(G.order)
+    maps = []
+    for k in _unit_generators(math.lcm(*set(G.element_orders.tolist()))):
+        power, base = np.zeros(G.order, index_dtype(G.order)), everyone
+        while k:
+            if k & 1:
+                power = G.products(power, base)
+            base, k = G.products(base, base), k >> 1
+        maps.append(power)
+    return orbit_labels(np.array(maps, index_dtype(G.order)).reshape(-1, G.order))[elements]
 
 
 class CommutingGraph:
@@ -213,13 +237,13 @@ class CommutingGraph:
         indptr = self.indptr
         blocks = []
         for r0, r1 in _chunks(indptr[1:]):
-            rows = r0 + np.flatnonzero(np.diff(indptr[r0:r1 + 1]))
+            rows = r0 + (indptr[r0 + 1:r1 + 1] != indptr[r0:r1]).nonzero()[0]
             blocks.append((int(indptr[r0]), int(indptr[r1]), rows, indptr[rows] - indptr[r0]))
         return blocks
 
     def _rows_of_entries(self, e0: int, e1: int, rows: np.ndarray) -> np.ndarray:
         """The row of each entry e0..e1 of one of ``_row_blocks``."""
-        return np.repeat(rows, np.diff(np.append(self.indptr[rows], e1)))
+        return rows.repeat(self.indptr[rows + 1] - self.indptr[rows])
 
     def diameter(self) -> DiameterResult:
         """Status, diameter and component count, from the class sources,
@@ -247,19 +271,23 @@ class CommutingGraph:
         the least label among each row's neighbours, one
         ``np.minimum.reduceat`` over a block of rows at a time, lowers the
         row's label and its label's label; then each label jumps to its
-        label's label until none moves.  Labels only fall and stay in their
-        component; once a round changes nothing, adjacent vertices share one
-        label, which is its own, the component's least vertex."""
+        label's label until none moves.
+
+        The rounds stop once, after the jumps, each vertex with neighbours
+        has the least label among them, one more ``reduceat`` a block.  Then
+        adjacent vertices share one label: each end's label is at most the
+        other's.  Labels only fall and stay in their component, so that
+        label is the component's least vertex."""
         label = np.arange(self.n_vertices)
         while True:
-            before = label.copy()
             for e0, e1, rows, starts in self._row_blocks:
                 low = np.minimum.reduceat(label[self.indices[e0:e1]], starts)
                 np.minimum.at(label, label[rows], low)
                 label[rows] = np.minimum(label[rows], low)
-            while not np.array_equal(jumped := label[label], label):
+            while ((jumped := label[label]) != label).any():
                 label = jumped
-            if np.array_equal(label, before):
+            if all((np.minimum.reduceat(label[self.indices[e0:e1]], starts) == label[rows]).all()
+                   for e0, e1, rows, starts in self._row_blocks):
                 return label
 
     # -- twin reduction ------------------------------------------------------
@@ -314,32 +342,46 @@ class CommutingGraph:
 
     # -- export ---------------------------------------------------------------
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Edges as pairs of group elements, one per pair of vertex positions
-        i < j, in row-major order of (i, j)."""
-        edges: list[tuple[int, int]] = []
+    def _edge_blocks(self) -> Iterator[tuple[list[int], list[int]]]:
+        """The edges of each of ``_row_blocks`` as two lists of group
+        elements, one entry per pair of vertex positions i < j, in
+        row-major order of (i, j)."""
         v = self.vertices
         for e0, e1, rows, _ in self._row_blocks:
             i = self._rows_of_entries(e0, e1, rows)
             j = self.indices[e0:e1]
             upper = j > i
-            edges.extend(zip(v[i[upper]].tolist(), v[j[upper]].tolist()))
-        return edges
+            yield v[i[upper]].tolist(), v[j[upper]].tolist()
+
+    def edge_list(self) -> list[tuple[int, int]]:
+        """Edges as pairs of group elements, one per pair of vertex positions
+        i < j, in row-major order of (i, j)."""
+        return [edge for a, b in self._edge_blocks() for edge in zip(a, b)]
+
+    def dot_chunks(self, name: str = "commuting") -> Iterator[str]:
+        """The DOT text, a block of rows at a time."""
+        yield f"graph {name} {{\n"
+        yield "".join(f"  {v};\n" for v in self.vertices.tolist())
+        for a, b in self._edge_blocks():
+            yield "".join(f"  {x} -- {y};\n" for x, y in zip(a, b))
+        yield "}\n"
+
+    def json_chunks(self) -> Iterator[str]:
+        """The JSON text, a block of rows at a time: the bytes of
+        ``json.dumps`` of the object {group, order, vertices, edges}
+        without spaces, then a newline."""
+        vertices = ",".join(map(str, self.vertices.tolist()))
+        yield (f'{{"group":{json.dumps(self.group.name)},"order":{self.group.order},'
+               f'"vertices":[{vertices}],"edges":[')
+        sep = ""
+        for a, b in self._edge_blocks():
+            if a:
+                yield sep + ",".join(f"[{x},{y}]" for x, y in zip(a, b))
+                sep = ","
+        yield "]}\n"
 
     def to_dot(self, name: str = "commuting") -> str:
-        lines = [f"graph {name} {{"]
-        for v in self.vertices:
-            lines.append(f"  {int(v)};")
-        for a, b in self.edge_list():
-            lines.append(f"  {a} -- {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.dot_chunks(name))
 
     def to_json(self) -> str:
-        payload = {
-            "group": self.group.name,
-            "order": self.group.order,
-            "vertices": [int(v) for v in self.vertices],
-            "edges": [[a, b] for a, b in self.edge_list()],
-        }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return "".join(self.json_chunks())

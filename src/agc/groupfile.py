@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FormatError
-from .perm import DEFAULT_MAX_ORDER, FiniteGroup, _validate_images, closure
+from .perm import DEFAULT_MAX_ORDER, FiniteGroup, _validate_rows, closure
 
 
 class GroupFile(NamedTuple):
@@ -50,13 +50,17 @@ def parse_group_file(text: str) -> GroupFile:
     for g in gens:
         # exact types: a bool is an int subclass, and JSON makes no other
         if not isinstance(g, list) or not set(map(type, g)) <= {int}:
-            raise FormatError("each generator must be a list of integers")
-        if len(g) != degree:
-            raise FormatError(
-                f"generator has {len(g)} images but degree is {degree}"
-            )
-        _validate_images(g, degree)  # MalformedPermutation on non-bijections
-        out.append(list(g))
+            error = "each generator must be a list of integers"
+        elif len(g) != degree:
+            error = f"generator has {len(g)} images but degree is {degree}"
+        else:
+            out.append(list(g))
+            continue
+        if out:  # a non-bijection before this generator is the first error
+            _validate_rows(out, degree)
+        raise FormatError(error)
+    if out:
+        _validate_rows(out, degree)  # MalformedPermutation on non-bijections
     return GroupFile(degree=degree, generators=out, name=name)
 
 

@@ -16,11 +16,19 @@ One routine, ``_enumerate``, lists every group, so no other module knows
 the listing order.  It tells elements apart by their images of a base, a
 point tuple S with trivial pointwise stabilizer: any point of a regular
 action (a product's or a quotient's), or for ``closure`` one started from
-the orbits of ``orbit_labels``, the one orbit routine, and certified by
-Schreier's lemma.  A group keeps no image row of its elements: only its
-generators' rows, the search tree, and the table or, in a quotient, one
-coset representative per element and the projection.  Elements are listed
-in first-reached order, so each tree level is a contiguous index range.
+the least moved point, or from every orbit's least point (``orbit_labels``,
+the one orbit routine) when that point's orbit misses a moved point, and
+certified by Schreier's lemma.  ``_enumerate`` returns the breadth-first
+tree it walked with the listing.  A group keeps no image row of its
+elements: only its generators' rows, the search tree, and the table or, in
+a quotient, one coset representative per element and the projection.
+Elements are listed in first-reached order, so each tree level is a
+contiguous index range.
+
+A ``Subgroup`` keeps sorted, distinct members.  ``Subgroup(G, members)``
+makes them so with ``distinct``; agc's own callers, whose members are
+sorted and distinct by construction, keep them through
+``Subgroup._sorted`` without that mask and scan.
 
 The table is most of what a group holds, so its entries, element indices,
 take the narrowest dtype that holds them: ``index_dtype`` chooses it, int16
@@ -41,6 +49,9 @@ from .errors import GroupTooLarge, MalformedPermutation, PrimeNotDividing
 
 DEFAULT_MAX_ORDER = 20_000
 ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling a large array
+# tree levels of at most this many elements are walked a row at a time: a
+# gather per row costs less than one gather of the level's flat indices
+THIN_LEVEL = 6
 INT16_MAX = int(np.iinfo(np.int16).max)
 
 
@@ -66,6 +77,59 @@ def _validate_images(images, degree: int) -> np.ndarray:
     if not bool(seen.all()):
         raise MalformedPermutation("image array is not a bijection")
     return arr.astype(np.int32)
+
+
+def _validate_rows(gens, degree: int) -> np.ndarray:
+    """The image arrays ``gens`` as the rows of one int32 array, each
+    checked as ``_validate_images`` checks it, all at once: one mask of
+    flags per row.  On a failure the first bad row's error is raised, as a
+    check of one row after another raises it."""
+    try:
+        arr = np.asarray(gens, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):  # ragged, or beyond int64
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.shape[1] == degree:
+        if not arr.size:
+            return arr.astype(np.int32)
+        if int(arr.min()) >= 0 and int(arr.max()) < degree:
+            seen = np.zeros(arr.size, bool)
+            seen[(arr + np.arange(0, arr.size, degree)[:, None]).ravel()] = True
+            if seen.all():
+                return arr.astype(np.int32)
+    elif arr is not None and arr.size == 0:  # no rows at all
+        return np.zeros(0, np.int32).reshape(0, degree)
+    for g in gens:
+        _validate_images(g, degree)
+    raise AssertionError("a row failed the joint check but passed its own")
+
+
+# a listing's breadth-first tree: the parent and the generator of each
+# element (those of the identity are 0 and never read) and the index ranges
+# of the levels after the identity's
+Tree = tuple[Sequence[int], Sequence[int], list[tuple[int, int]]]
+
+
+def _tree_of(right: np.ndarray) -> Tree:
+    """The tree of the right-multiplication columns ``right``, checked to
+    list their elements in first-reached order."""
+    ngens, n = right.shape
+    # read parent by parent, a first-reached listing reaches 1, 2, ...,
+    # n - 1 in turn, each where the running maximum rises to it
+    flat = right.T.ravel()
+    rises = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=0))
+    if rises.size != n - 1 or (rises >= np.arange(1, n) * ngens).any():
+        _reject_listing(flat, n, ngens)
+    parent = np.zeros(n, np.intp)
+    gen = np.zeros(n, np.intp)
+    parent[1:], gen[1:] = np.divmod(rises, ngens)
+    # the level after one ending at e ends before the first parent >= e;
+    # the identity has no parent, so parent[0] is left out
+    stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
+    levels, e = [], 1
+    while e < n:
+        s, e = e, stop[e]
+        levels.append((s, e))
+    return parent, gen, levels
 
 
 def _reject_listing(flat: np.ndarray, n: int, ngens: int) -> NoReturn:
@@ -99,48 +163,38 @@ class FiniteGroup:
     """
 
     def __init__(self, generator_rows: np.ndarray, right: np.ndarray, *,
-                 name: str | None = None):
-        self._build_tree(generator_rows, right, name)
+                 name: str | None = None, tree: Tree | None = None):
+        self._build_tree(generator_rows, right, name, tree)
         self._build_table(right)
 
     def _build_tree(self, generator_rows: np.ndarray, right: np.ndarray,
-                    name: str | None) -> None:
+                    name: str | None, tree: Tree | None = None) -> None:
         """Keep the generators' rows and the breadth-first tree that the
-        right-multiplication columns ``right`` describe.
+        right-multiplication columns ``right`` describe, or ``tree``, the
+        tree that ``_enumerate`` walked to list them, taken as it is.
 
         Element j is first reached as parent(j)·gen(j).  Elements are listed
         in first-reached order, so parents never decrease and each
         breadth-first level is a contiguous index range."""
-        rows = np.array(generator_rows, dtype=np.int32)
-        right = np.asarray(right, np.int32)
-        if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
-            raise ValueError("need one image row per right column")
-        if right.size and (int(right.min()) < 0 or int(right.max()) >= right.shape[1]):
-            raise ValueError("right columns index outside the element list")
+        if tree is not None:  # _enumerate's own rows and listing
+            rows = np.asarray(generator_rows, np.int32)
+        else:
+            rows = np.array(generator_rows, dtype=np.int32)
+            right = np.asarray(right, np.int32)
+            if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
+                raise ValueError("need one image row per right column")
+            if right.size and (int(right.min()) < 0 or int(right.max()) >= right.shape[1]):
+                raise ValueError("right columns index outside the element list")
+            tree = _tree_of(right)
         rows.setflags(write=False)
         self.generator_rows = rows
         self.degree = rows.shape[1]
-        self.order = n = right.shape[1]
+        self.order = right.shape[1]
         self.generators = right[:, 0].tolist()
         self.name = name
-        ngens = right.shape[0]
-        # read parent by parent, a first-reached listing reaches 1, 2, ...,
-        # n - 1 in turn, each where the running maximum rises to it
-        flat = right.T.ravel()
-        rises = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=0))
-        if rises.size != n - 1 or (rises >= np.arange(1, n) * ngens).any():
-            _reject_listing(flat, n, ngens)
-        parent = np.zeros(n, np.intp)  # parent[0] and gen[0] are never read
-        gen = np.zeros(n, np.intp)
-        parent[1:], gen[1:] = np.divmod(rises, ngens)
-        # the level after one ending at e ends before the first parent >= e;
-        # the identity has no parent, so parent[0] is left out
-        stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
-        levels, e = [], 1
-        while e < n:
-            s, e = e, stop[e]
-            levels.append((s, e))
-        self._parent, self._gen, self._levels = parent, gen, levels
+        parent, gen, self._levels = tree
+        self._parent = np.array(parent, np.intp)  # parent[0] and gen[0] are never read
+        self._gen = np.array(gen, np.intp)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -153,17 +207,20 @@ class FiniteGroup:
         """Rows indexed like the elements: row 0 is ``start``, and row j is
         ``perms[gen(j)]`` applied to row parent(j).  Parents lie in the level
         before their children, so each level is one gather through the flat
-        indices gen·width + value, or one gather per row on a level of one
-        or two elements (a cyclic group's tree is a chain of them)."""
+        indices gen·width + value, or one gather per row on a level of at
+        most THIN_LEVEL elements (a cyclic group's tree is a chain of
+        them).  The values index ``perms``' rows, so the gathers ``take``
+        in "clip" mode, straight into the row."""
         out = np.empty((self.order, start.size), perms.dtype)
         out[0] = start
         flat, offset = perms.ravel(), self._gen[:, None] * perms.shape[1]
+        parents, gens = self._parent.tolist(), self._gen.tolist()
         for s, e in self._levels:
-            if e - s > 2:
+            if e - s > THIN_LEVEL:
                 out[s:e] = flat.take(offset[s:e] + out.take(self._parent[s:e], 0))
             else:
                 for j in range(s, e):
-                    out[j] = perms[self._gen[j]].take(out[self._parent[j]])
+                    perms[gens[j]].take(out[parents[j]], out=out[j], mode="clip")
         return out
 
     def __len__(self) -> int:
@@ -197,7 +254,7 @@ class FiniteGroup:
 
     def _build_table(self, right: np.ndarray) -> None:
         """Fill ``table`` and ``inverse_array`` from the right-multiplication
-        columns and the tree, a row at a time.
+        columns and the tree, a level at a time.
 
         With left_g[j] the index of g·e_j (left_g[0] is g itself)
 
@@ -207,33 +264,45 @@ class FiniteGroup:
             as e_i·e_j = e_parent(i)·(gen(i)·e_j),
 
         so ``left`` is the walk of ``right`` from its column 0.
-        Parents come before their children, so filling in index order reads
-        only what is filled: each row of the table is one contiguous gather
-        of an earlier row.  ``_build_tree`` checked that ``right``, and so
-        ``left``, holds element indices only, so the gathers ``take`` in
-        "clip" mode, straight into the row, not through a checking buffer.
+        Parents lie in the level before their children, so filling a level
+        at a time reads only what is filled.  A level of more than
+        THIN_LEVEL rows that fit one block of ROW_BLOCK_ENTRIES entries is
+        one gather from the flat rows before it, at parent(i)·n +
+        left_gen(i); a thinner or a wider one is one contiguous gather of an
+        earlier row per row.  The tree holds element indices only, so the
+        gathers ``take`` in "clip" mode, straight into the rows, not through
+        a checking buffer.
         As e_i⁻¹ = gen(i)⁻¹·e_parent(i)⁻¹, the inverse array is the walk from
         the identity of the table rows of the generators' inverses."""
         n = self.order
-        left = list(np.ascontiguousarray(self._walk(right, right[:, 0]).T, np.intp))
+        left = np.ascontiguousarray(self._walk(right, right[:, 0]).T, np.intp)
         dtype = index_dtype(n)
         table = np.empty((n, n), dtype)
         table[0] = np.arange(n, dtype=dtype)
-        for i, p, g in zip(range(1, n), self._parent[1:].tolist(), self._gen[1:].tolist()):
-            table[p].take(left[g], out=table[i], mode="clip")
+        flat, narrow = table.reshape(-1), ROW_BLOCK_ENTRIES // n
+        parent, gen, left_rows = self._parent, self._gen, list(left)
+        parents, gens = parent.tolist(), gen.tolist()
+        for s, e in self._levels:
+            if THIN_LEVEL < e - s <= narrow:
+                # the flat rows before s, which table[s:e] does not overlap
+                flat[:s * n].take(left[gen[s:e]] + parent[s:e, None] * n,
+                                  out=table[s:e], mode="clip")
+            else:
+                for i in range(s, e):
+                    table[parents[i]].take(left_rows[gens[i]], out=table[i], mode="clip")
         self.table = table
         # a generator's inverse is the column of the identity in its row
         inverses = table[self.generators].argmin(axis=1)
         self.inverse_array = self._walk(table[inverses], np.zeros(1, dtype))[:, 0]
 
-    def _moved_point(self, base: np.ndarray, right: np.ndarray) -> int | None:
+    def _moved_point(self, base: list[int], right: np.ndarray) -> int | None:
         """The first point, by generator, then element, of some g(S) that a
         Schreier generator s = e_i·h·e_j⁻¹ of the listing keyed by S,
         ``base``, moves, or None when S is a base (see ``closure``).  s moves
         y exactly when h(e_i(y)) differs from e_j(y): one gather over the
         images of S ∪ g(S), read off the tree, g(S) ∖ S off a mask."""
         rows = self.generator_rows
-        rest = np.bincount(rows[:, base].ravel(), minlength=base.max() + 1) > 0
+        rest = np.bincount(rows[:, base].ravel(), minlength=max(base) + 1) > 0
         rest[base] = False
         points = np.concatenate([base, rest.nonzero()[0]])
         images = self.images(points)
@@ -276,8 +345,8 @@ class QuotientGroup(FiniteGroup):
 
     def __init__(self, generator_rows: np.ndarray, right: np.ndarray,
                  parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray, *,
-                 name: str | None = None):
-        self._build_tree(generator_rows, right, name)
+                 name: str | None = None, tree: Tree | None = None):
+        self._build_tree(generator_rows, right, name, tree)
         self.parent_group, self.rep, self.proj = parent_group, rep, proj
         self.inverse_array = proj[parent_group.inverse_array[rep]]
 
@@ -299,8 +368,10 @@ def closure(
     ever made: the group keeps the generators' rows and the right columns
     of the certified listing.
 
-    S starts as the least point of each orbit of ⟨gens⟩ that has more than
-    one point (``orbit_labels``), or as the point 0 if none has.  Let e_i be
+    S starts as the least moved point, or as the point 0 if no point moves.
+    That listing's ``pos`` marks the point's orbit; only when the orbit
+    misses a moved point does S restart as the least point of each orbit
+    of ⟨gens⟩ that has more than one point (``orbit_labels``).  Let e_i be
     the tree element of key i and j the key of e_i·g.  By Schreier's lemma
     the stabilizer G_(S) is generated by the elements s = e_i·g·e_j⁻¹.  If
     every such s fixes every point of g(S), for every generator g, then
@@ -322,35 +393,42 @@ def closure(
     """
     if not 1 <= degree <= np.iinfo(np.intp).max:
         raise MalformedPermutation("degree must be positive and fit an array index")
-    gen_arrays = [_validate_images(g, degree) for g in gens]
-    garr = np.array(gen_arrays, np.int32).reshape(len(gen_arrays), degree)
-    base = _orbit_representatives(garr)
+    garr = _validate_rows(gens if isinstance(gens, np.ndarray) else list(gens), degree)
+    # with no rows nothing of the degree's size is made
+    moved = (garr != np.arange(degree)).any(axis=0) if len(garr) else np.zeros(1, bool)
+    base = [int(moved.argmax())]  # the least moved point, or 0 when none moves
+    right, pos, tree = _enumerate(garr, base, max_order)
+    if (moved & (pos < 0)).any():  # its orbit misses a moved point
+        base = (moved & (orbit_labels(garr) == np.arange(degree))).nonzero()[0].tolist()
+        right, pos, tree = _enumerate(garr, base, max_order)
     while True:
-        right = _enumerate(garr, base, max_order)[0]
         group = FiniteGroup.__new__(FiniteGroup)
-        group._build_tree(garr, right, name)
-        if (moved := group._moved_point(base, right)) is None:
+        group._build_tree(garr, right, name, tree)
+        if (point := group._moved_point(base, right)) is None:
             group._build_table(right)
             return group
-        base = np.append(base, moved)
+        base.append(point)
+        right, _, tree = _enumerate(garr, base, max_order)
 
 
 def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
-               ) -> tuple[np.ndarray, np.ndarray | None]:
+               ) -> tuple[np.ndarray, np.ndarray | None, Tree]:
     """The one listing of group elements: breadth-first from the identity
     over right multiplication by the permutations ``rows``, each element
     known by its key, its images of the points ``base`` (the key of x·g is
     g applied to x's), and listed where its key is first reached, x-major,
     then by generator.  Returns the right columns, ``right[h, i]`` the
-    index of element i times generator h, and ``pos``: for one base point,
-    the dense array over the points that numbers the keys (-1 while
-    unseen), so ``pos[p]`` indexes the element taking the base point to p;
-    for longer keys, which a dict of their bytes numbers, None.  Keys name
-    elements one to one when the base is a base, as any point is of a
+    index of element i times generator h; ``pos``: for one base point, the
+    dense array over the points that numbers the keys (-1 while unseen), so
+    ``pos[p]`` indexes the element taking the base point to p, and for
+    longer keys, which a dict of their bytes numbers, None; and the tree
+    the search walked, each element's parent, generator and level.  Keys
+    name elements one to one when the base is a base, as any point is of a
     regular action; ``closure`` certifies the rest.  Raises GroupTooLarge
     once more than ``max_order`` keys are found."""
     base = np.asarray(base, np.int32)
     ngens = rows.shape[0]
+    parent, gen, levels = [0], [0], []
     if base.size == 1:
         # memoryviews read Python ints and copy nothing of the degree, and
         # with no rows nothing of the degree's size is made
@@ -358,7 +436,11 @@ def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
         pos = np.full(rows.shape[1] if ngens else listed[0] + 1, -1, np.int32)
         at = memoryview(pos)
         at[listed[0]] = 0
-        for p in listed:  # grows while it is read
+        end = 1  # the end of the level being read
+        for i, p in enumerate(listed):  # grows while it is read
+            if i == end:  # the level before is read, so the one after is listed
+                levels.append((end, len(listed)))
+                end = len(listed)
             for row in images:
                 q = row[p]
                 if at[q] < 0:
@@ -366,24 +448,33 @@ def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
                         raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
                     at[q] = len(listed)
                     listed.append(q)
-        return pos[rows[:, listed]], pos
+                    parent.append(i)
+        right = pos[rows[:, listed]]
+        # element j's generator is the first whose column at parent(j) holds j
+        if ngens:
+            gen = (right[:, parent] == np.arange(len(listed))).argmax(axis=0)
+        return right, pos, (parent, gen, levels)
     key = np.dtype((np.void, rows.dtype.itemsize * base.size))  # a key's bytes
     cur = base.astype(rows.dtype)[None]
     index = {cur.view(key).item(): 0}
     right, n = [], 1  # n: the keys found
     while len(cur):
         prods = np.ascontiguousarray(rows[:, cur].transpose(1, 0, 2).reshape(-1, base.size))
-        new = []
+        new, first = [], n - len(cur)  # first: the index of cur's first element
         for q, k in enumerate(prods.view(key).ravel().tolist()):
             j = index.setdefault(k, n)
             if j == n:
                 if n >= max_order:
                     raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
                 new.append(q)
+                parent.append(first + q // ngens)
+                gen.append(q % ngens)
                 n += 1
             right.append(j)
+        if new:
+            levels.append((n - len(new), n))
         cur = prods[new]
-    return np.array(right, np.int32).reshape(-1, ngens).T.copy(), None
+    return np.array(right, np.int32).reshape(-1, ngens).T.copy(), None, (parent, gen, levels)
 
 
 def orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -394,36 +485,30 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
     of each pair p ↦ g(p) fall to the lesser of those two, then each label
     jumps to its label's label until none moves.  Hooking labels, not only
     points, carries a low label along a whole run of points in one round.
-    Labels only fall and stay in their orbit; once a round changes nothing,
-    both ends of each pair share one label, its own, the orbit's least."""
+
+    The rounds stop once, after the jumps, both ends of every pair share a
+    label: one gather and one comparison, not a further round that moves
+    nothing.  That is sound: labels only fall and stay in their orbit, so
+    the least point m of an orbit keeps the label m, and a label shared
+    along every pair is constant on the orbit, so it is m throughout."""
     label = np.arange(perms.shape[1], dtype=perms.dtype)
     while True:
-        before = label.copy()
         for g in perms:
             low = np.minimum(label, label[g])
             np.minimum.at(label, label, low)
             np.minimum.at(label, label[g], low)
-        while not np.array_equal(jumped := label[label], label):
+        while ((jumped := label[label]) != label).any():
             label = jumped
-        if np.array_equal(label, before):
+        if (label[perms] == label).all():
             return label
-
-
-def _orbit_representatives(garr: np.ndarray) -> np.ndarray:
-    """The least point of each orbit of ⟨garr⟩ that has more than one point,
-    in increasing order, or the point 0, a base of the trivial group, when
-    no point moves; with no rows nothing of the degree's size is made."""
-    if not garr.shape[0]:
-        return np.zeros(1, np.intp)
-    points = np.arange(garr.shape[1])
-    reps = ((garr != points).any(axis=0) & (orbit_labels(garr) == points)).nonzero()[0]
-    return reps if reps.size else np.zeros(1, np.intp)
 
 
 class Subgroup:
     """An element-index set inside a parent group, with a generator witness.
 
-    ``members`` are kept sorted and read-only.  Generators that are given
+    ``members`` are kept sorted, distinct, int32 and read-only: the
+    constructor makes them so with ``distinct``, and ``_sorted`` keeps
+    members that agc's own code made so already.  Generators that are given
     are kept as given.  Otherwise the subgroup chooses them when they are
     first read, by the one rule of ``irredundant``: it walks the members in
     increasing order and keeps each one not in the subgroup generated by
@@ -434,10 +519,25 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: np.ndarray | Sequence[int],
                  generators: Iterable[int] | None = None):
-        mem = distinct(np.asarray(members, np.int32), parent.order)
-        mem.setflags(write=False)
+        self._keep(parent, distinct(np.asarray(members, np.int32), parent.order), generators)
+
+    @classmethod
+    def _sorted(cls, parent: FiniteGroup, members: np.ndarray,
+                generators: Iterable[int] | None = None) -> Subgroup:
+        """The subgroup whose members are the index array ``members``,
+        which the caller, agc's own code, has made sorted and distinct:
+        kept as it is, or as an int32 copy, without ``distinct``'s mask
+        and scan.  The array becomes read-only."""
+        S = cls.__new__(cls)
+        S._keep(parent, members if members.dtype == np.int32 else members.astype(np.int32),
+                generators)
+        return S
+
+    def _keep(self, parent: FiniteGroup, members: np.ndarray,
+              generators: Iterable[int] | None) -> None:
+        members.setflags(write=False)
         self.parent = parent
-        self.members = mem
+        self.members = members
         if generators is not None:  # an instance entry shadows the cached property
             self.__dict__["generators"] = tuple(generators)
 
@@ -466,12 +566,14 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         """g·H·g⁻¹, its members and generators each from two 1-d products:
-        a row of ``conjugations(G, [g], xs)`` without its index matrices."""
+        a row of ``conjugations(G, [g], xs)`` without its index matrices.
+        Conjugation is a bijection, so the members only need sorting."""
         G = self.parent
         h = G.inverse_array[g]
         mem = G.products(G.products(g, self.members), h)
+        mem.sort()
         gens = G.products(G.products(g, list(self.generators)), h)
-        return Subgroup(G, mem, gens.tolist())
+        return Subgroup._sorted(G, mem, gens.tolist())
 
     def key(self) -> bytes:
         return self.members.tobytes()
@@ -508,8 +610,11 @@ def commuting(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
               ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """Boolean matrix whose entry (i, j) says whether xs[i] and ys[j]
     commute, that is whether x·y == y·x; filled a block of rows at a
-    time."""
+    time, or made at once when it fits one block."""
     xs, ys = np.asarray(xs, np.intp), np.asarray(ys, np.intp)
+    if xs.size * ys.size <= ROW_BLOCK_ENTRIES:
+        x = xs[:, None]
+        return G.products(x, ys) == G.products(ys, x)
     out = np.empty((xs.size, ys.size), bool)
     for rows in row_blocks(xs.size, ys.size):
         x = xs[rows, None]
@@ -520,9 +625,12 @@ def commuting(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
 def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
                  xs: Sequence[int] | np.ndarray) -> np.ndarray:
     """Index matrix whose entry (i, j) is gs[i]·xs[j]·gs[i]⁻¹; filled a
-    block of rows at a time."""
+    block of rows at a time, or made at once when it fits one block."""
     inv = G.inverse_array
     gs, xs = np.asarray(gs, np.intp), np.asarray(xs, np.intp)
+    if gs.size * xs.size <= ROW_BLOCK_ENTRIES:
+        g = gs[:, None]
+        return G.products(G.products(g, xs), inv[g])
     out = np.empty((gs.size, xs.size), index_dtype(G.order))
     for rows in row_blocks(gs.size, xs.size):
         g = gs[rows, None]
@@ -532,8 +640,9 @@ def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
 
 def product_set(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
                 ys: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The product set xs·ys: the distinct products x·y, sorted."""
-    return distinct(G.products(np.asarray(xs, np.intp)[:, None], ys), G.order)
+    """The product set xs·ys of an index array ``xs`` and index values
+    ``ys``: the distinct products x·y, sorted."""
+    return distinct(G.products(xs[:, None], ys), G.order)
 
 
 def irredundant(G: FiniteGroup, xs: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray]:
@@ -542,20 +651,25 @@ def irredundant(G: FiniteGroup, xs: Iterable[int]) -> tuple[tuple[int, ...], np.
     kept.  Returns the kept elements and the sorted members of the subgroup
     they generate.
 
-    Each kept x grows the subgroup H of those kept before it.  Right
-    multiplication by those maps H into itself, so the new elements are
-    reached from the coset H·x, a level at a time, by right multiplication
-    by all the kept elements."""
+    Each kept x grows the subgroup H of those kept before it to ⟨H, x⟩, a
+    union of right cosets H·r (Dimino, "An algorithm for the enumeration
+    of the elements of a group", 1971): starting from H itself, each coset
+    representative r times each kept element that lies outside the union
+    found so far adds its whole coset, one gather of H's members.  The
+    union is then closed under right multiplication by every kept
+    element, so it is ⟨H, x⟩."""
     kept: list[int] = []
-    covered = np.arange(G.order) == 0
+    covered = np.zeros(G.order, bool)
+    covered[0] = True
     for x in xs:
         if not covered[x]:
             kept.append(int(x))
-            frontier = product_set(G, covered.nonzero()[0], [x])
-            while frontier.size:
-                covered[frontier] = True
-                prods = product_set(G, frontier, kept)
-                frontier = prods[~covered[prods]]
+            H, reps = covered.nonzero()[0], [0]
+            for r in reps:  # grows while it is read
+                for y in G.products(r, kept).tolist():
+                    if not covered[y]:
+                        covered[G.products(H, y)] = True
+                        reps.append(y)
     return tuple(kept), covered.nonzero()[0].astype(np.int32)
 
 
@@ -564,15 +678,15 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     its generators are those of ``gens``, in the order given, that are not
     in the subgroup generated by the ones kept before them."""
     kept, members = irredundant(G, gens)
-    return Subgroup(G, members, kept)
+    return Subgroup._sorted(G, members, kept)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.array([0], np.int32), ())
+    return Subgroup._sorted(G, np.zeros(1, np.int32), ())
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.arange(G.order, dtype=np.int32), tuple(G.generators))
+    return Subgroup._sorted(G, np.arange(G.order, dtype=np.int32), G.generators)
 
 
 def _prime_factors(n: int) -> dict[int, int]:

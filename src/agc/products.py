@@ -46,11 +46,11 @@ def quotient(
     cid = np.searchsorted(reps, coset_rep).astype(np.int32)
     # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]
     rows = cid[G.products(reps[:, None], G.generators).T]
-    right, pos = _enumerate(rows, [0], reps.size)
+    right, pos, tree = _enumerate(rows, [0], reps.size)
     rep = np.empty_like(reps)
     rep[pos] = reps
     proj = pos[cid].astype(index_dtype(reps.size))
-    return QuotientGroup(rows, right, G, rep, proj, name=name), proj
+    return QuotientGroup(rows, right, G, rep, proj, name=name, tree=tree), proj
 
 
 def semidirect_product(
@@ -76,13 +76,13 @@ def semidirect_product(
     everyone = np.arange(nb)
     for g, phi in images.items():
         phi = np.asarray(phi)
-        if phi.shape != (nb,) or not np.array_equal(np.sort(phi), everyone):
+        if phi.shape != (nb,) or (np.sort(phi) != everyone).any():
             raise InvalidAction(f"image of actor element {g} is not a bijection")
         # phi(x·g) = phi(x)·phi(g) for every x and generator g makes phi a
         # homomorphism, as every element is a product of generators
         gens = base.generators
-        if not np.array_equal(phi[base.products(everyone[:, None], gens)],
-                              base.products(phi[:, None], phi[gens])):
+        if (phi[base.products(everyone[:, None], gens)]
+                != base.products(phi[:, None], phi[gens])).any():
             raise InvalidAction(f"image of actor element {g} is not an automorphism")
     # each phi_a is a composition of the automorphisms just checked, and
     # extend_action's check of every phi_x·g makes a ↦ phi_a a homomorphism
@@ -96,8 +96,9 @@ def semidirect_product(
     rows = [base.products(b_of, phis[a_of, gb]).astype(np.int64) * m + a_of
             for gb in base.generators]
     rows += [b_of * m + actor.products(a_of, ga) for ga in actor.generators]
-    rows = np.array(rows, np.int64).reshape(-1, nb * m)
-    return FiniteGroup(rows, _enumerate(rows, [0], nb * m)[0], name=name)
+    rows = np.array(rows, np.int32).reshape(-1, nb * m)
+    right, _, tree = _enumerate(rows, [0], nb * m)
+    return FiniteGroup(rows, right, name=name, tree=tree)
 
 
 def extend_action(actor: FiniteGroup,
@@ -121,7 +122,7 @@ def extend_action(actor: FiniteGroup,
         phis[s:e] = phis[actor._parent[s:e, None], gphis[actor._gen[s:e]]]
     everyone = np.arange(actor.order)
     for g, phig in zip(gens, gphis):
-        if not np.array_equal(phis[actor.products(everyone, g)], phis[:, phig]):
+        if (phis[actor.products(everyone, g)] != phis[:, phig]).any():
             raise InvalidAction("generator images do not define an action")
     return phis
 

@@ -54,8 +54,8 @@ def as_subgroup(x: GroupLike) -> Subgroup:
 
 def centralizer(G: FiniteGroup, x: int, within: Subgroup | None = None) -> Subgroup:
     """All elements of G (or of ``within``) commuting with element x."""
-    scope = within.members if within is not None else np.arange(G.order)
-    return Subgroup(G, scope[commutes_with(G, x, scope)])
+    scope = within.members if within is not None else np.arange(G.order, dtype=np.int32)
+    return Subgroup._sorted(G, scope[commutes_with(G, x, scope)])
 
 
 def contains_centralizers(G: FiniteGroup, members: np.ndarray,
@@ -74,7 +74,7 @@ def center(H: GroupLike) -> Subgroup:
     of H (a Subgroup of the parent)."""
     H = as_subgroup(H)
     commutes = commuting(H.parent, H.members, H.generators)
-    return Subgroup(H.parent, H.members[commutes.all(axis=1)])
+    return Subgroup._sorted(H.parent, H.members[commutes.all(axis=1)])
 
 
 def is_abelian(H: GroupLike) -> bool:
@@ -94,7 +94,7 @@ def derived_subgroup(H: GroupLike) -> Subgroup:
     for g in H.generators:
         # [g, m] = g^-1 m^-1 g m over all members m
         comms[G.products(G.products(inv[g], inv[H.members]), G.products(g, H.members))] = True
-    return generated_subgroup(G, np.flatnonzero(comms))
+    return generated_subgroup(G, comms.nonzero()[0])
 
 
 class DerivedSeries(NamedTuple):
@@ -140,7 +140,7 @@ def normalizer_members(G: FiniteGroup, scope: np.ndarray, P: Subgroup) -> np.nda
 
 def normalizer(H: GroupLike, P: Subgroup) -> Subgroup:
     H = as_subgroup(H)
-    return Subgroup(H.parent, normalizer_members(H.parent, H.members, P))
+    return Subgroup._sorted(H.parent, normalizer_members(H.parent, H.members, P))
 
 
 def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
@@ -180,12 +180,13 @@ def grow(G: FiniteGroup, P: Subgroup, x: int) -> Subgroup:
     while not P.member_mask[y]:
         powers.append(y)
         y = G.mult(y, x)
-    return Subgroup(G, product_set(G, P.members, powers), (*P.generators, x))
+    return Subgroup._sorted(G, product_set(G, P.members, powers), (*P.generators, x))
 
 
 def sylow_subgroups(H: GroupLike) -> dict[int, Subgroup]:
     """One Sylow subgroup of H per prime dividing |H|, by ascending prime."""
-    return {p: sylow_subgroup(H, p) for p in prime_divisors(as_subgroup(H).order)}
+    H = as_subgroup(H)
+    return {p: sylow_subgroup(H, p) for p in prime_divisors(H.order)}
 
 
 def conjugates(H: GroupLike, P: Subgroup) -> Iterator[Subgroup]:
@@ -217,7 +218,7 @@ def p_core(H: GroupLike, P: Subgroup) -> Subgroup:
         held = np.bincount(conjugations(G, gens, members).ravel(), minlength=G.order)
         kept = members[held[members] == len(gens)]
         if kept.size == members.size:
-            return Subgroup(G, members)
+            return Subgroup._sorted(G, members)
         members = kept
 
 
@@ -232,7 +233,7 @@ def fitting_subgroup(H: GroupLike, sylows: dict[int, Subgroup]) -> Subgroup:
     members = np.array([0], np.int32)
     for P in sylows.values():
         members = product_set(G, members, p_core(H, P).members)
-    return Subgroup(G, members)
+    return Subgroup._sorted(G, members)
 
 
 # -- Sylow systems and system normalizers ------------------------------------
@@ -254,7 +255,7 @@ class SylowSystem(NamedTuple):
         divides |K|, and then P is kept with its generators."""
         return SylowSystem(K, {
             p: P if K.order % P.order == 0 else
-            Subgroup(K.parent, P.members[K.member_mask[P.members]])
+            Subgroup._sorted(K.parent, P.members[K.member_mask[P.members]])
             for p, P in self.sylows.items() if K.order % p == 0})
 
 
@@ -308,7 +309,7 @@ def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:
     members = L.members
     for p in system.primes():
         members = normalizer_members(G, members, system.sylows[p])
-    return Subgroup(G, members)
+    return Subgroup._sorted(G, members)
 
 
 # -- conjugacy classes and normal subgroups -----------------------------------
@@ -324,7 +325,9 @@ def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
     conj = G.products(G.products(gens, np.arange(G.order)), G.inverse_array[gens])
     label = orbit_labels(conj)
     order = label.argsort(kind="stable").astype(np.int32)
-    return np.split(order, np.diff(label[order]).nonzero()[0] + 1)
+    ordered = label[order]
+    starts = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), order.size]
+    return [order[s:e] for s, e in zip(starts, starts[1:])]
 
 
 class NormalSubgroupInfo(NamedTuple):
@@ -355,7 +358,7 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
     for cls in conjugacy_classes(G):
         if cls[0] == 0 and cls.size == 1:
             continue
-        add(Subgroup(G, irredundant(G, cls.tolist())[1]))
+        add(Subgroup._sorted(G, irredundant(G, cls.tolist())[1]))
     # join-closure
     worklist = list(found.values())
     while worklist:
@@ -363,7 +366,7 @@ def normal_subgroups(G: FiniteGroup) -> list[NormalSubgroupInfo]:
         for other in list(found.values()):
             if cur.order == G.order or other.order == G.order:
                 continue
-            join = Subgroup(G, product_set(G, cur.members, other.members))
+            join = Subgroup._sorted(G, product_set(G, cur.members, other.members))
             if add(join):
                 worklist.append(join)
     subs = sorted(found.values(), key=lambda s: (s.order, s.members.tolist()))

@@ -26,7 +26,6 @@ from .perm import (
     commutes_with,
     commuting,
     conjugations,
-    full_subgroup,
     p_part,
     prime_divisors,
     product_set,
@@ -72,10 +71,8 @@ def group_fingerprint(G: AnalysisLike) -> dict[str, Any]:
 
 
 def _is_complement(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
-    if M.order * N.order != G.order:
-        return False
-    inter = np.intersect1d(M.members, N.members, assume_unique=True)
-    return inter.size == 1
+    # M ∩ N, read off N's mask
+    return M.order * N.order == G.order and int(N.member_mask[M.members].sum()) == 1
 
 
 # -- structural identity checks -----------------------------------------------
@@ -86,14 +83,14 @@ def check_derived_center_intersection(a: GroupAnalysis) -> CheckRecord:
     if not a.classification.a_group:
         return CheckRecord("derived-center-intersection", "skipped-precondition",
                            {"reason": "not an abelian-Sylow group"})
-    inter = np.intersect1d(a.derived.members, a.center.members, assume_unique=True)
+    inter = int(a.center.member_mask[a.derived.members].sum())
     witness = {
         "derived_order": a.derived.order,
         "center_order": a.center.order,
-        "intersection_order": int(inter.size),
+        "intersection_order": inter,
     }
     return CheckRecord("derived-center-intersection",
-                       "pass" if inter.size == 1 else "fail", witness)
+                       "pass" if inter == 1 else "fail", witness)
 
 
 def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
@@ -119,7 +116,7 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     for i in range(1, len(terms)):
         K, N = terms[i - 1], terms[i]
         M = a.system_normalizer if i == 1 else \
-            system_normalizer(full_subgroup(G), a.sylow_system.restrict(K))
+            system_normalizer(a.whole, a.sylow_system.restrict(K))
         ok = _is_complement(G, M, N)
         levels.append({
             "level": i,
@@ -186,7 +183,7 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     cover = np.zeros(G.order, bool)
     cover[images] = True
     malnormal = nontrivial and not A.member_mask[images[~A.member_mask, 1:]].any()
-    missed = np.nonzero(~cover)[0]
+    missed = (~cover).nonzero()[0]
     kernel_match = missed.size == N.order - 1 and bool(N.member_mask[missed].all())
     cond1 = malnormal and kernel_match
 
@@ -300,8 +297,7 @@ def _center_quotient_transfer(a: GroupAnalysis) -> CheckRecord:
     if c.abelian or c.center_order == 1:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "needs a nonabelian group with nontrivial center"})
-    inter = np.intersect1d(a.derived.members, a.center.members, assume_unique=True)
-    if inter.size != 1:
+    if int(a.center.member_mask[a.derived.members].sum()) != 1:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "derived subgroup meets the center"})
     dq = a.central_quotient.diameter
@@ -358,7 +354,7 @@ def _minimal_normal_centralizers(a: GroupAnalysis) -> dict[str, Any]:
     everyone = np.arange(G.order)
     for V in a.minimal_normals:
         # C_G(V): the elements commuting with V's generators
-        cgv = np.nonzero(commuting(G, everyone, V.generators).all(axis=1))[0]
+        cgv = commuting(G, everyone, V.generators).all(axis=1).nonzero()[0]
         equals_f = cgv.size == F.order and F.member_mask[cgv].all()
         per_v.append({"minimal_order": V.order,
                       "centralizer_order": int(cgv.size),
@@ -377,7 +373,9 @@ def _fixed_point_free_primes(a: GroupAnalysis) -> dict[str, Any]:
     # the prime-order elements that commute with no nontrivial member of
     # any minimal normal subgroup
     G = a.group
-    fpf = np.nonzero(np.isin(G.element_orders, prime_divisors(G.order)))[0]
+    prime = np.zeros(G.order + 1, bool)
+    prime[prime_divisors(G.order)] = True
+    fpf = prime[G.element_orders].nonzero()[0]
     for V in a.minimal_normals:
         fpf = fpf[~commuting(G, fpf, V.members[1:]).any(axis=1)]
     outside = int((~a.upper_fitting.member_mask[fpf]).sum())

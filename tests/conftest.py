@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import resource
 import sys
 from pathlib import Path
@@ -27,11 +28,11 @@ def corpus_dir() -> Path:
     return CORPUS_DIR
 
 
-@pytest.fixture()
-def address_space_cap():
-    """Allow this process 1 GiB of address space beyond what it maps now,
-    so that a runaway allocation raises MemoryError instead of exhausting
-    the host.  Linux only; elsewhere no cap is set."""
+@contextlib.contextmanager
+def capped_address_space(extra: int):
+    """Allow this process ``extra`` bytes of address space beyond what it
+    maps now, so that a runaway allocation raises MemoryError instead of
+    exhausting the host.  Linux only; elsewhere no cap is set."""
     try:
         with open("/proc/self/status") as status:
             mapped = next(int(line.split()[1]) << 10 for line in status
@@ -40,7 +41,7 @@ def address_space_cap():
         yield
         return
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = mapped + (1 << 30)
+    cap = mapped + extra
     if hard != resource.RLIM_INFINITY:
         cap = min(cap, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
@@ -48,6 +49,19 @@ def address_space_cap():
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Allow this process 1 GiB of address space beyond what it maps now."""
+    with capped_address_space(1 << 30):
+        yield
+
+
+@pytest.fixture()
+def address_space_allowance():
+    """``capped_address_space``, for a test that sets its own allowance."""
+    return capped_address_space
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,13 @@
 to the graph code that moves, adds or drops a vertex or an edge shows here."""
 
 import hashlib
+import json
 
 import pytest
 
 from agc.cli import main
+from agc.graph import CommutingGraph
+from agc.groupfile import load_group
 
 DIGESTS = {  # file stem: sha256 of the JSON output, then of the DOT output
     "a4": ("2ddf74fd724c9726ed34f83ab03a1833ee3c39c638d545f607ff5820ed09cd6c",
@@ -96,3 +99,55 @@ def test_graph_export_is_byte_identical(name, corpus_dir, tmp_path):
         assert main(["graph", str(corpus_dir / f"{name}.json"), "--format", fmt,
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, fmt
+
+
+def _cyclic_times_s3(m: int) -> dict:
+    """C_m × S3 on m + 3 points: an m-cycle, and a transposition and a
+    3-cycle of the last three points.  Its commuting graph has
+    (7m² − 5m)/2 edges."""
+    tail = list(range(m))
+    return {"name": f"c{m}xs3", "degree": m + 3, "generators": [
+        [(i + 1) % m for i in range(m)] + [m, m + 1, m + 2],
+        tail + [m + 1, m, m + 2],
+        tail + [m + 1, m + 2, m]]}
+
+
+def test_graph_export_streams_under_an_address_space_cap(tmp_path, address_space_allowance):
+    """C500 × S3 has order 3000, 873 250 edges and a 9.9 MB JSON export.
+    The export is written a block of rows at a time, so it runs with 128 MB
+    of address space to spare; holding every edge as a Python pair, then
+    the whole text, took about 200 MB more and raised MemoryError here."""
+    m = 500
+    group_file = tmp_path / "c500xs3.json"
+    group_file.write_text(json.dumps(_cyclic_times_s3(m)))
+    out = tmp_path / "graph.json"
+    with address_space_allowance(128 << 20):
+        assert main(["graph", str(group_file), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith('{"group":"c500xs3","order":3000,"vertices":[') and text.endswith("]]}\n")
+    assert text.count("[") == 2 + (7 * m * m - 5 * m) // 2  # the two lists, then one per edge
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 40])
+def test_streamed_exports_equal_the_whole_texts(m, tmp_path, capsysbinary):
+    """The JSON export, to a file and to standard output, is ``json.dumps``
+    of the whole object {group, order, vertices, edges}, and the DOT export
+    the vertex lines, then one line per edge; the graph of C40 × S3 spans
+    several blocks of rows."""
+    group_file = tmp_path / "g.json"
+    group_file.write_text(json.dumps(_cyclic_times_s3(m)))
+    G = load_group(group_file)
+    g = CommutingGraph(G)
+    assert m < 40 or len(g._row_blocks) > 1
+    edges = g.edge_list()
+    want_json = json.dumps({"group": G.name, "order": G.order,
+                            "vertices": g.vertices.tolist(),
+                            "edges": [list(e) for e in edges]}, separators=(",", ":")) + "\n"
+    want_dot = "\n".join(["graph commuting {", *(f"  {v};" for v in g.vertices.tolist()),
+                          *(f"  {a} -- {b};" for a, b in edges), "}"]) + "\n"
+    for fmt, want in (("json", want_json), ("dot", want_dot)):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["graph", str(group_file), "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == want, fmt
+        assert main(["graph", str(group_file), "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == want.encode(), fmt

@@ -84,12 +84,17 @@ def test_closure_respects_max_order():
 
 def _assert_enumerates_as_row_closure(rows, base, label):
     """``_enumerate`` keyed by ``base``, a base of the group ``rows``
-    generate, gives the right columns of the search over whole rows, and
-    for one point a ``pos`` that indexes each element by its image of it."""
+    generate, gives the right columns of the search over whole rows, the
+    tree that those columns describe, and for one point a ``pos`` that
+    indexes each element by its image of it."""
     rows = np.asarray(rows, np.int32)
     elements, generators, table = row_closure(rows.shape[1], list(rows))
-    right, pos = perm._enumerate(rows, base, elements.shape[0])
+    right, pos, (parent, gen, levels) = perm._enumerate(rows, base, elements.shape[0])
     assert np.array_equal(right, table[:, generators].T), label
+    want_parent, want_gen, want_levels = perm._tree_of(right)
+    assert np.array_equal(parent[1:], want_parent[1:]), label
+    assert np.array_equal(gen[1:], want_gen[1:]), label
+    assert levels == want_levels, label
     if len(base) == 1:
         assert np.array_equal(pos[elements[:, base[0]]], np.arange(len(elements))), label
         assert (np.delete(pos, elements[:, base[0]]) == -1).all(), label
@@ -156,8 +161,8 @@ def test_enumerate_stops_at_the_key_past_the_cap():
 def test_enumerate_of_no_rows_makes_nothing_of_the_degree():
     """With no generators the listing is the identity alone, and ``pos``
     reaches only to the base point, whatever the degree."""
-    right, pos = perm._enumerate(np.zeros((0, 10**12), np.int32), [0], 1)
-    assert right.shape == (0, 1) and pos.tolist() == [0]
+    right, pos, tree = perm._enumerate(np.zeros((0, 10**12), np.int32), [0], 1)
+    assert right.shape == (0, 1) and pos.tolist() == [0] and tree[2] == []
 
 
 def _generator_sets():
@@ -578,3 +583,72 @@ def test_no_module_but_perm_reads_a_table():
     readers = [path.name for path in sorted(Path(perm.__file__).parent.glob("*.py"))
                if re.search(r"\.table\b", path.read_text(encoding="utf-8"))]
     assert readers == ["perm.py"]
+
+
+def test_closure_labels_orbits_only_when_the_first_orbit_misses_a_moved_point(monkeypatch):
+    """``closure`` lists first from the least moved point.  C2³ on 6 points
+    and disjoint 3- and 5-cycles move points outside that point's orbit,
+    so the listing starts again from the least point of every orbit that
+    moves (``orbit_labels``) and still gives the row search's listing; a
+    transitive group, and a group moving one orbit beside fixed points, is
+    listed from its least moved point with no orbit labelling."""
+    swap = lambda n, a, b: [b if i == a else a if i == b else i for i in range(n)]
+    bases, labelled = [], []
+    enumerate_, orbit_labels_ = perm._enumerate, perm.orbit_labels
+
+    def recorded(rows, base, max_order):
+        bases.append(list(base))
+        return enumerate_(rows, base, max_order)
+
+    def counted(perms):
+        labelled.append(perms.shape)
+        return orbit_labels_(perms)
+
+    monkeypatch.setattr(perm, "_enumerate", recorded)
+    monkeypatch.setattr(perm, "orbit_labels", counted)
+    cases = {
+        "C2^3": (6, [swap(6, 0, 1), swap(6, 2, 3), swap(6, 4, 5)], [0, 2, 4]),
+        "C3 x C5": (9, [[0, 2, 3, 1, 4, 5, 6, 7, 8], [0, 1, 2, 3, 5, 6, 7, 8, 4]], [1, 4]),
+    }
+    for label, (degree, gens, reps) in cases.items():
+        bases.clear()
+        labelled.clear()
+        _assert_matches_row_closure(degree, gens, label)
+        assert bases[0] == reps[:1] and bases[1] == reps and len(labelled) == 1, label
+    for label, (degree, gens) in {"C5 beside fixed points": (8, [[0, 1, 2, 4, 5, 6, 7, 3]]),
+                                   "D10": (5, [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]])}.items():
+        bases.clear()
+        labelled.clear()
+        _assert_matches_row_closure(degree, gens, label)
+        assert bases[0] == [int(np.flatnonzero(np.array(gens[0]) != np.arange(degree))[0])]
+        assert not labelled, label
+
+
+@settings(max_examples=200)
+@given(generator_sets())
+def test_orbit_labels_stop_with_every_orbit_labelled(case):
+    """The rounds stop once both ends of every pair share a label; on drawn
+    generator sets, transitive or not, the labels are still the set
+    search's."""
+    degree, gens = case
+    perms = np.array(gens, np.int32).reshape(len(gens), degree)
+    assert np.array_equal(orbit_labels(perms), brute_orbit_labels(perms)), gens
+
+
+def test_generators_are_checked_together_with_the_first_error_of_one_at_a_time():
+    """``_validate_rows`` checks all image arrays at once and, on a bad
+    one, raises what checking them one after another raises first."""
+    good = [1, 2, 0]
+    bad = {"repeat": [0, 0, 1], "range": [0, 1, 3], "negative": [0, -1, 2],
+           "short": [1, 0], "long": [1, 2, 3, 0], "huge": [0, 1, 2**70]}
+    for first in bad.values():
+        for second in bad.values():
+            rows = [good, first, good, second]
+            with pytest.raises(MalformedPermutation) as want:
+                for row in rows:
+                    perm._validate_images(row, 3)
+            with pytest.raises(MalformedPermutation) as got:
+                perm._validate_rows(rows, 3)
+            assert str(got.value) == str(want.value), rows
+    assert perm._validate_rows([good, [0, 1, 2]], 3).tolist() == [good, [0, 1, 2]]
+    assert perm._validate_rows([], 3).shape == (0, 3)
