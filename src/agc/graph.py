@@ -22,6 +22,10 @@ twin-reduced graph from the cyclic subgroups of those representatives
 sources are searched up to 64 at once, each a bit of one ``uint64`` word per
 vertex ("The More the Merrier", Then et al., PVLDB 8(4), 2014): a level ORs
 the frontier words of each vertex's neighbours, a block of rows at a time.
+When a source misses a vertex, the components are counted by labelling
+each vertex with the least vertex of its component: ``perm._least_labels``,
+which also labels a group's orbits, hooks and jumps labels over the ends
+of the edges, a block of rows at a time.
 
 The JSON and DOT exports are streamed: ``json_chunks`` and ``dot_chunks``
 yield the text a block of rows at a time, so a graph of millions of edges
@@ -37,7 +41,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .perm import FiniteGroup, conjugations, distinct, index_dtype, orbit_labels, row_blocks
+from .perm import (FiniteGroup, _least_labels, conjugations, distinct, index_dtype, orbit_labels,
+                   row_blocks)
 from .structure import conjugacy_classes
 
 
@@ -266,29 +271,12 @@ class CommutingGraph:
         return DiameterResult("connected", diam, 1)
 
     def _component_labels(self) -> np.ndarray:
-        """Each vertex's label: the least vertex of its component, found as
-        ``perm.orbit_labels`` finds orbits.  Each round hooks, then jumps:
-        the least label among each row's neighbours, one
-        ``np.minimum.reduceat`` over a block of rows at a time, lowers the
-        row's label and its label's label; then each label jumps to its
-        label's label until none moves.
-
-        The rounds stop once, after the jumps, each vertex with neighbours
-        has the least label among them, one more ``reduceat`` a block.  Then
-        adjacent vertices share one label: each end's label is at most the
-        other's.  Labels only fall and stay in their component, so that
-        label is the component's least vertex."""
-        label = np.arange(self.n_vertices)
-        while True:
-            for e0, e1, rows, starts in self._row_blocks:
-                low = np.minimum.reduceat(label[self.indices[e0:e1]], starts)
-                np.minimum.at(label, label[rows], low)
-                label[rows] = np.minimum(label[rows], low)
-            while ((jumped := label[label]) != label).any():
-                label = jumped
-            if all((np.minimum.reduceat(label[self.indices[e0:e1]], starts) == label[rows]).all()
-                   for e0, e1, rows, starts in self._row_blocks):
-                return label
+        """Each vertex's label: the least vertex of its component, hooked and
+        jumped by ``perm._least_labels`` over the edges of one of
+        ``_row_blocks`` at a time, each entry joined to its row."""
+        return _least_labels(np.arange(self.n_vertices), lambda: (
+            (self._rows_of_entries(e0, e1, rows), self.indices[e0:e1])
+            for e0, e1, rows, _ in self._row_blocks))
 
     # -- twin reduction ------------------------------------------------------
 

@@ -16,14 +16,28 @@ One routine, ``_enumerate``, lists every group, so no other module knows
 the listing order.  It tells elements apart by their images of a base, a
 point tuple S with trivial pointwise stabilizer: any point of a regular
 action (a product's or a quotient's), or for ``closure`` one started from
-the least moved point, or from every orbit's least point (``orbit_labels``,
-the one orbit routine) when that point's orbit misses a moved point, and
-certified by Schreier's lemma.  ``_enumerate`` returns the breadth-first
-tree it walked with the listing.  A group keeps no image row of its
-elements: only its generators' rows, the search tree, and the table or, in
-a quotient, one coset representative per element and the projection.
-Elements are listed in first-reached order, so each tree level is a
-contiguous index range.
+the least moved point, or from every orbit's least point (``orbit_labels``)
+when that point's orbit misses a moved point, and certified by Schreier's
+lemma.  ``_enumerate`` returns the breadth-first tree it walked with the
+listing, and a group is made only from the two, so the tree is derived
+once.  A group keeps no image row of its elements: only its generators'
+rows, the search tree, and the table or, in a quotient, one coset
+representative per element and the projection.  Elements are listed in
+first-reached order, so each tree level is a contiguous index range.
+
+The tree is walked two ways, both in ``FiniteGroup`` and both a level at a
+time, so no other module reads it.  ``_walk`` maps row parent(j) through
+the permutation of gen(j): ``images`` walks the generators' rows, and the
+left multiples g·x walk the right-multiplication columns.
+``compose_rows`` reads row parent(i) at the permutation of gen(i): it
+fills the table from the left multiples, and ``products.extend_action``
+extends an action from the actor's generators with it.
+
+One labelling routine, ``_least_labels``, labels each item with the least
+item of its component, hooking and jumping labels over pairs of index
+arrays: ``orbit_labels`` pairs each point with its generator images, for
+the closure's base, the conjugacy classes and a quotient's cosets, and the
+commuting graph pairs the ends of its edges to count its components.
 
 A ``Subgroup`` keeps sorted, distinct members.  ``Subgroup(G, members)``
 makes them so with ``distinct``; agc's own callers, whose members are
@@ -41,7 +55,7 @@ and wrap.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,41 +123,6 @@ def _validate_rows(gens, degree: int) -> np.ndarray:
 Tree = tuple[Sequence[int], Sequence[int], list[tuple[int, int]]]
 
 
-def _tree_of(right: np.ndarray) -> Tree:
-    """The tree of the right-multiplication columns ``right``, checked to
-    list their elements in first-reached order."""
-    ngens, n = right.shape
-    # read parent by parent, a first-reached listing reaches 1, 2, ...,
-    # n - 1 in turn, each where the running maximum rises to it
-    flat = right.T.ravel()
-    rises = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=0))
-    if rises.size != n - 1 or (rises >= np.arange(1, n) * ngens).any():
-        _reject_listing(flat, n, ngens)
-    parent = np.zeros(n, np.intp)
-    gen = np.zeros(n, np.intp)
-    parent[1:], gen[1:] = np.divmod(rises, ngens)
-    # the level after one ending at e ends before the first parent >= e;
-    # the identity has no parent, so parent[0] is left out
-    stop = (1 + np.searchsorted(parent[1:], np.arange(n))).tolist()
-    levels, e = [], 1
-    while e < n:
-        s, e = e, stop[e]
-        levels.append((s, e))
-    return parent, gen, levels
-
-
-def _reject_listing(flat: np.ndarray, n: int, ngens: int) -> NoReturn:
-    """Say why the right-multiplication columns ``flat``, read parent by
-    parent, list no n elements in first-reached order."""
-    # j is generated when some element before it reaches it: an entry j at
-    # position i, in the row of parent i // ngens < j
-    generated = np.zeros(n, bool)
-    generated[flat[flat.astype(np.intp) * ngens > np.arange(flat.size)]] = True
-    if not generated[1:].all():
-        raise ValueError("element list is not generated by the given generators")
-    raise ValueError("element list is not in first-reached order")
-
-
 class FiniteGroup:
     """A fully enumerated permutation group with index-based arithmetic.
 
@@ -152,40 +131,32 @@ class FiniteGroup:
     element parent(j) and a generator gen(j).  Row h of ``generator_rows``
     holds the images of generator h, and ``right[h, i]`` is the index of
     element i times generator h, so ``generators[h]`` is ``right[h, 0]``.
-    The tree, and here the dense multiplication table and the inverse
-    array, are built from these columns when the group is made; no
-    element's image row is kept, and ``images`` reads any of them off the
-    tree.  ``products`` is one gather of the table.  The table and the
+    The tree is the one ``_enumerate`` walked to list these columns; the
+    dense multiplication table and the inverse array are built from the
+    columns and the tree when the group is made.  No element's image row
+    is kept, and ``images`` reads any of them off the tree.  ``products``
+    is one gather of the table.  The table and the
     inverse array have dtype ``index_dtype(order)``: int16 up to order
     32 767, so the order x order table, the largest array a group holds,
     takes two bytes an entry.  ``QuotientGroup`` keeps the tree but no
     table.
     """
 
-    def __init__(self, generator_rows: np.ndarray, right: np.ndarray, *,
-                 name: str | None = None, tree: Tree | None = None):
-        self._build_tree(generator_rows, right, name, tree)
+    def __init__(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree, *,
+                 name: str | None = None):
+        self._build_tree(generator_rows, right, tree, name)
         self._build_table(right)
 
-    def _build_tree(self, generator_rows: np.ndarray, right: np.ndarray,
-                    name: str | None, tree: Tree | None = None) -> None:
-        """Keep the generators' rows and the breadth-first tree that the
-        right-multiplication columns ``right`` describe, or ``tree``, the
-        tree that ``_enumerate`` walked to list them, taken as it is.
+    def _build_tree(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree,
+                    name: str | None) -> None:
+        """Keep the generators' rows and ``tree``, the breadth-first tree
+        that ``_enumerate`` walked to list the right-multiplication columns
+        ``right``.
 
         Element j is first reached as parent(j)·gen(j).  Elements are listed
         in first-reached order, so parents never decrease and each
         breadth-first level is a contiguous index range."""
-        if tree is not None:  # _enumerate's own rows and listing
-            rows = np.asarray(generator_rows, np.int32)
-        else:
-            rows = np.array(generator_rows, dtype=np.int32)
-            right = np.asarray(right, np.int32)
-            if rows.ndim != 2 or rows.shape[0] != right.shape[0]:
-                raise ValueError("need one image row per right column")
-            if right.size and (int(right.min()) < 0 or int(right.max()) >= right.shape[1]):
-                raise ValueError("right columns index outside the element list")
-            tree = _tree_of(right)
+        rows = np.asarray(generator_rows, np.int32)
         rows.setflags(write=False)
         self.generator_rows = rows
         self.degree = rows.shape[1]
@@ -223,6 +194,41 @@ class FiniteGroup:
                     perms[gens[j]].take(out[parents[j]], out=out[j], mode="clip")
         return out
 
+    def compose_rows(self, perms: np.ndarray) -> np.ndarray:
+        """Rows indexed like the elements, each as wide as a row of
+        ``perms``: row 0 is the identity 0..w-1, and row i is row parent(i)
+        read at ``perms[gen(i)]``.  That extends the maps ``perms`` of the
+        generators along the tree to every element, the map of x·g being
+        that of x read at that of g: the table's rows from the left
+        multiples, an action from the images of the actor's generators.
+
+        Parents lie in the level before their children, so filling a level
+        at a time reads only what is filled.  A level of more than
+        THIN_LEVEL rows that fit one block of ROW_BLOCK_ENTRIES entries is
+        one gather from the flat rows before it, at parent(i)·w +
+        perms[gen(i)]; a thinner or a wider one is one contiguous gather of
+        an earlier row per row.  ``perms`` holds indices below w, and so do
+        the rows, in ``index_dtype(w)``, and the tree holds element indices
+        only, so the gathers ``take`` in "clip" mode, straight into the
+        rows, not through a checking buffer."""
+        perms = np.ascontiguousarray(perms, np.intp)
+        w = perms.shape[1]
+        dtype = index_dtype(w)
+        out = np.empty((self.order, w), dtype)
+        out[0] = np.arange(w, dtype=dtype)
+        flat, narrow = out.reshape(-1), ROW_BLOCK_ENTRIES // w
+        parent, gen, perm_rows = self._parent, self._gen, list(perms)
+        parents, gens = parent.tolist(), gen.tolist()
+        for s, e in self._levels:
+            if THIN_LEVEL < e - s <= narrow:
+                # the flat rows before s, which out[s:e] does not overlap
+                flat[:s * w].take(perms[gen[s:e]] + parent[s:e, None] * w,
+                                  out=out[s:e], mode="clip")
+            else:
+                for i in range(s, e):
+                    out[parents[i]].take(perm_rows[gens[i]], out=out[i], mode="clip")
+        return out
+
     def __len__(self) -> int:
         return self.order
 
@@ -254,7 +260,7 @@ class FiniteGroup:
 
     def _build_table(self, right: np.ndarray) -> None:
         """Fill ``table`` and ``inverse_array`` from the right-multiplication
-        columns and the tree, a level at a time.
+        columns and the tree.
 
         With left_g[j] the index of g·e_j (left_g[0] is g itself)
 
@@ -263,37 +269,14 @@ class FiniteGroup:
             table[i] = table[parent(i)][left_gen(i)],
             as e_i·e_j = e_parent(i)·(gen(i)·e_j),
 
-        so ``left`` is the walk of ``right`` from its column 0.
-        Parents lie in the level before their children, so filling a level
-        at a time reads only what is filled.  A level of more than
-        THIN_LEVEL rows that fit one block of ROW_BLOCK_ENTRIES entries is
-        one gather from the flat rows before it, at parent(i)·n +
-        left_gen(i); a thinner or a wider one is one contiguous gather of an
-        earlier row per row.  The tree holds element indices only, so the
-        gathers ``take`` in "clip" mode, straight into the rows, not through
-        a checking buffer.
+        so ``left`` is the walk of ``right`` from its column 0, and the
+        table is the composition of the rows of ``left`` (``compose_rows``).
         As e_i⁻¹ = gen(i)⁻¹·e_parent(i)⁻¹, the inverse array is the walk from
         the identity of the table rows of the generators' inverses."""
-        n = self.order
-        left = np.ascontiguousarray(self._walk(right, right[:, 0]).T, np.intp)
-        dtype = index_dtype(n)
-        table = np.empty((n, n), dtype)
-        table[0] = np.arange(n, dtype=dtype)
-        flat, narrow = table.reshape(-1), ROW_BLOCK_ENTRIES // n
-        parent, gen, left_rows = self._parent, self._gen, list(left)
-        parents, gens = parent.tolist(), gen.tolist()
-        for s, e in self._levels:
-            if THIN_LEVEL < e - s <= narrow:
-                # the flat rows before s, which table[s:e] does not overlap
-                flat[:s * n].take(left[gen[s:e]] + parent[s:e, None] * n,
-                                  out=table[s:e], mode="clip")
-            else:
-                for i in range(s, e):
-                    table[parents[i]].take(left_rows[gens[i]], out=table[i], mode="clip")
-        self.table = table
+        self.table = table = self.compose_rows(self._walk(right, right[:, 0]).T)
         # a generator's inverse is the column of the identity in its row
         inverses = table[self.generators].argmin(axis=1)
-        self.inverse_array = self._walk(table[inverses], np.zeros(1, dtype))[:, 0]
+        self.inverse_array = self._walk(table[inverses], np.zeros(1, table.dtype))[:, 0]
 
     def _moved_point(self, base: list[int], right: np.ndarray) -> int | None:
         """The first point, by generator, then element, of some g(S) that a
@@ -343,10 +326,10 @@ class QuotientGroup(FiniteGroup):
     ``proj`` and the products have dtype ``index_dtype(order)``.
     """
 
-    def __init__(self, generator_rows: np.ndarray, right: np.ndarray,
+    def __init__(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree,
                  parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray, *,
-                 name: str | None = None, tree: Tree | None = None):
-        self._build_tree(generator_rows, right, name, tree)
+                 name: str | None = None):
+        self._build_tree(generator_rows, right, tree, name)
         self.parent_group, self.rep, self.proj = parent_group, rep, proj
         self.inverse_array = proj[parent_group.inverse_array[rep]]
 
@@ -403,7 +386,7 @@ def closure(
         right, pos, tree = _enumerate(garr, base, max_order)
     while True:
         group = FiniteGroup.__new__(FiniteGroup)
-        group._build_tree(garr, right, name, tree)
+        group._build_tree(garr, right, tree, name)
         if (point := group._moved_point(base, right)) is None:
             group._build_table(right)
             return group
@@ -479,27 +462,41 @@ def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
 
 def orbit_labels(perms: np.ndarray) -> np.ndarray:
     """Each point's label: the least point of its orbit under the group that
-    the rows of ``perms`` generate, in their dtype.  Each round hooks, then
-    jumps (Shiloach and Vishkin, "An O(log n) parallel connectivity
-    algorithm", 1982): for each row g, the labels of the labels at the ends
-    of each pair p ↦ g(p) fall to the lesser of those two, then each label
-    jumps to its label's label until none moves.  Hooking labels, not only
-    points, carries a low label along a whole run of points in one round.
+    the rows of ``perms`` generate, in their dtype.  The orbits are the
+    components of the pairs p, g(p) for each row g (``_least_labels``)."""
+    label = np.arange(perms.shape[1], dtype=perms.dtype)
+    # the slice indexes every point p, paired with g(p)
+    return _least_labels(label, lambda: ((slice(None), g) for g in perms))
+
+
+def _least_labels(label: np.ndarray,
+                 pairs: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> np.ndarray:
+    """Each item's label: the least item of its component, where ``pairs()``
+    yields indices a, b of the items, arrays or a slice, that join each
+    a[k] to b[k], and ``label`` starts as every item's own index and is
+    overwritten.  Each round hooks, then jumps (Shiloach and Vishkin, "An
+    O(log n) parallel connectivity algorithm", 1982): for each a, b in
+    turn, the labels of the labels at both ends of each pair fall to the
+    lesser of those two, then each label jumps to its label's label until
+    none moves.  Hooking labels, not only items, carries a low label along
+    a whole run of items in one round.  ``pairs`` is called once for the
+    hooks and once for the check of a round, so its arrays can be made a
+    block at a time.
 
     The rounds stop once, after the jumps, both ends of every pair share a
-    label: one gather and one comparison, not a further round that moves
-    nothing.  That is sound: labels only fall and stay in their orbit, so
-    the least point m of an orbit keeps the label m, and a label shared
-    along every pair is constant on the orbit, so it is m throughout."""
-    label = np.arange(perms.shape[1], dtype=perms.dtype)
+    label: one gather and one comparison per pair of arrays, not a further
+    round that moves nothing.  That is sound: labels only fall and stay in
+    their component, so the least item m of a component keeps the label m,
+    and a label shared along every pair is constant on the component, so it
+    is m throughout."""
     while True:
-        for g in perms:
-            low = np.minimum(label, label[g])
-            np.minimum.at(label, label, low)
-            np.minimum.at(label, label[g], low)
+        for a, b in pairs():
+            low = np.minimum(label[a], label[b])
+            np.minimum.at(label, label[a], low)
+            np.minimum.at(label, label[b], low)
         while ((jumped := label[label]) != label).any():
             label = jumped
-        if (label[perms] == label).all():
+        if all((label[a] == label[b]).all() for a, b in pairs()):
             return label
 
 

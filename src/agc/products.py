@@ -7,7 +7,9 @@ regular, so any point is a base that needs no certifying, and
 over the points.  A product keeps a table; a
 quotient keeps none and multiplies through the group it is a quotient of.
 A product's action is given on exactly the actor's generators and extended
-along the actor's breadth-first tree, a level at a time.
+to the whole actor by ``FiniteGroup.compose_rows``, the walk along the
+actor's breadth-first tree that also fills a table, so no code here reads
+a group's tree.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def quotient(
     rep = np.empty_like(reps)
     rep[pos] = reps
     proj = pos[cid].astype(index_dtype(reps.size))
-    return QuotientGroup(rows, right, G, rep, proj, name=name, tree=tree), proj
+    return QuotientGroup(rows, right, tree, G, rep, proj, name=name), proj
 
 
 def semidirect_product(
@@ -98,7 +100,7 @@ def semidirect_product(
     rows += [b_of * m + actor.products(a_of, ga) for ga in actor.generators]
     rows = np.array(rows, np.int32).reshape(-1, nb * m)
     right, _, tree = _enumerate(rows, [0], nb * m)
-    return FiniteGroup(rows, right, name=name, tree=tree)
+    return FiniteGroup(rows, right, tree, name=name)
 
 
 def extend_action(actor: FiniteGroup,
@@ -107,19 +109,20 @@ def extend_action(actor: FiniteGroup,
     """Extend generator automorphisms to all actor elements.
 
     Follows phi_(x*g) = phi_x applied after phi_g, matching the homomorphism
-    convention of ``semidirect_product``: one gather per level of the actor's
-    breadth-first tree, then one per generator g to check it at every x·g.
-    Raises InvalidAction unless the keys of ``gen_phis`` are exactly the
-    actor's generators and the assignment is a homomorphism.
+    convention of ``semidirect_product``: row x·g of the result is row x read
+    at phi_g, the composition of the generators' images along the actor's
+    tree (``FiniteGroup.compose_rows``), then one gather per generator g checks
+    it at every x·g.  The images must be index arrays of length ``degree``
+    with values below it.  Raises InvalidAction unless the keys of
+    ``gen_phis`` are exactly the actor's generators and the assignment is a
+    homomorphism.
     """
     gens = actor.generators
     if set(gen_phis) != set(gens):
         raise InvalidAction("images must be given on exactly the actor's generators")
-    gphis = np.array([gen_phis[g] for g in gens], np.int32)
-    phis = np.empty((actor.order, degree), np.int32)
-    phis[0] = np.arange(degree)
-    for s, e in actor._levels:
-        phis[s:e] = phis[actor._parent[s:e, None], gphis[actor._gen[s:e]]]
+    # an actor without generators (C1) keeps the shape (0, degree)
+    gphis = np.array([gen_phis[g] for g in gens], np.intp).reshape(len(gens), degree)
+    phis = actor.compose_rows(gphis)
     everyone = np.arange(actor.order)
     for g, phig in zip(gens, gphis):
         if (phis[actor.products(everyone, g)] != phis[:, phig]).any():

@@ -36,6 +36,9 @@ make every conjugate of a subgroup and test each one, where the checks
 read the union of the conjugates off one table gather.
 ``abelian_automorphisms`` lists every automorphism of an abelian group by
 its generator images; the witnesses are built from one chosen action each.
+``brute_tree`` reads a listing's breadth-first tree off its right
+columns one product at a time, where ``_enumerate`` records the tree it
+walks.
 ``images_by_element`` maps each element's points one element at a time,
 over a tree it reads off the table, where ``FiniteGroup.images`` walks the
 group's own tree a breadth-first level at a time.
@@ -126,6 +129,30 @@ def row_closure(degree: int, gens: list) -> tuple[np.ndarray, list[int], np.ndar
         i, k = first[j]
         table[:, j] = columns[k][table[:, i]]
     return np.array(rows, np.int32), [col[0] for col in right], table
+
+
+def brute_tree(right: np.ndarray) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The breadth-first tree of the right-multiplication columns ``right``:
+    each element j but the identity is first met as i·g_h for the first
+    (i, h), i-major, with right[h, i] = j; its depth is its parent's plus
+    one, and each level is a run of consecutive elements of one depth."""
+    ngens, n = right.shape
+    parent, gen, depth = [0] * n, [0] * n, [0] * n
+    met = [False] * n
+    met[0] = True
+    for i in range(n):
+        for h in range(ngens):
+            j = int(right[h, i])
+            if not met[j]:
+                met[j] = True
+                parent[j], gen[j], depth[j] = i, h, depth[i] + 1
+    levels: list[tuple[int, int]] = []
+    for j in range(1, n):
+        if levels and depth[j] == depth[j - 1]:
+            levels[-1] = (levels[-1][0], j + 1)
+        else:
+            levels.append((j, j + 1))
+    return parent, gen, levels
 
 
 def table_of(G: FiniteGroup) -> np.ndarray:

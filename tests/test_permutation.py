@@ -39,6 +39,7 @@ from oracles import (
     brute_closure,
     brute_element_orders,
     brute_orbit_labels,
+    brute_tree,
     images_by_element,
     indices_of_rows,
     row_closure,
@@ -91,7 +92,7 @@ def _assert_enumerates_as_row_closure(rows, base, label):
     elements, generators, table = row_closure(rows.shape[1], list(rows))
     right, pos, (parent, gen, levels) = perm._enumerate(rows, base, elements.shape[0])
     assert np.array_equal(right, table[:, generators].T), label
-    want_parent, want_gen, want_levels = perm._tree_of(right)
+    want_parent, want_gen, want_levels = brute_tree(right)
     assert np.array_equal(parent[1:], want_parent[1:]), label
     assert np.array_equal(gen[1:], want_gen[1:]), label
     assert levels == want_levels, label
@@ -484,24 +485,6 @@ def test_identity_and_inverse_laws():
         assert np.all(t[inv, np.arange(n)] == 0), name
 
 
-def test_table_rejects_elements_the_generators_miss():
-    with pytest.raises(ValueError, match="not generated"):  # two elements, no generator
-        FiniteGroup(np.zeros((0, 2), np.int32), np.zeros((0, 2), np.int32))
-
-
-def test_table_rejects_columns_out_of_first_reached_order():
-    """C2 × C2 = ⟨a, b⟩ listed as e, b, a, ab: every element follows the
-    element that first reaches it, but a is reached before b and listed
-    after it.  Listed as e, a, b, ab the same group builds, as ``closure``
-    lists it."""
-    rows = np.array([[1, 0, 3, 2], [2, 3, 0, 1]], np.int32)
-    with pytest.raises(ValueError, match="first-reached order"):
-        FiniteGroup(rows, np.array([[2, 3, 0, 1], [1, 0, 3, 2]], np.int32))
-    G = FiniteGroup(rows, np.array([[1, 0, 3, 2], [2, 3, 0, 1]], np.int32))
-    assert G.generators == [1, 2]
-    assert np.array_equal(G.table, closure(4, rows).table)
-
-
 def test_images_match_the_walk_one_element_at_a_time():
     """``images`` of every point, a breadth-first level at a time, equals
     the per-element walk on a deep group (C200: 200 one-element levels), a
@@ -579,9 +562,12 @@ def _factor(n):
 def test_no_module_but_perm_reads_a_table():
     """Outside ``agc.perm`` every product goes through ``FiniteGroup.products``
     and every inverse through ``inverse_array``: no other module of agc
-    reads ``.table``, so none can bypass a group that keeps no table."""
+    reads ``.table``, so none can bypass a group that keeps no table.  Nor
+    does one read a group's tree (``._levels``, ``._parent``, ``._gen``), so
+    only ``FiniteGroup``'s own walks follow it."""
     readers = [path.name for path in sorted(Path(perm.__file__).parent.glob("*.py"))
-               if re.search(r"\.table\b", path.read_text(encoding="utf-8"))]
+               if re.search(r"\.(table|_levels|_parent|_gen)\b",
+                            path.read_text(encoding="utf-8"))]
     assert readers == ["perm.py"]
 
 

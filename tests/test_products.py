@@ -276,10 +276,14 @@ def test_products_match_a_closure_of_their_generators(witness1500):
     """Each product, listed by the walk over points, equals ``closure`` over
     its generator rows: the same generators and the same table, so the same
     elements in the same order.  Covers every metacyclic C_n ⋊ C_m of order
-    at most 60, S3 × C4 and the order-1500 witness."""
+    at most 60, S3 × C4, the order-1500 witness, and C3 ⋊ C2⁵ with every
+    generator inverting: an action extended over levels of 10 elements,
+    wider than THIN_LEVEL (C2⁵'s levels hold 5, 10, 10, 5 and 1)."""
     groups = [metacyclic(n, m, r) for n in range(1, 61) for m in range(1, 60 // n + 1)
               for r in range(n) if pow(r, m, n) == 1 % n]
-    groups += [direct_product(symmetric(3), cyclic(4)), witness1500]
+    c3, c2_5 = cyclic(3), abelian([2] * 5)
+    groups += [direct_product(symmetric(3), cyclic(4)), witness1500,
+               semidirect_product(c3, c2_5, {g: c3.inverse_array for g in c2_5.generators})]
     for G in groups:
         R = closure(G.degree, G.generator_rows, max_order=G.degree)
         assert R.order == G.order == G.degree, G.name
