@@ -34,7 +34,6 @@ import functools
 import gc
 import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -52,18 +51,6 @@ EXIT_FINGERPRINT_DEFECT = 3
 SUMMARY_COLUMNS = ["name", "order", "derived_length", "center_order", "a_group",
                    "frobenius", "two_frobenius", "hypothesis", "connected",
                    "diameter", "all_pass"]
-
-
-def _max_order(args: argparse.Namespace) -> int:
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get("AGC_MAX_ORDER")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise AgcError(f"AGC_MAX_ORDER is not an integer: {env!r}")
-    return DEFAULT_MAX_ORDER
 
 
 def _write_output(text: str | Iterable[str], out: str | None) -> None:
@@ -98,7 +85,7 @@ def _report_json(report: dict) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .verify import group_report
 
-    G = load_group(args.file, max_order=_max_order(args))
+    G = load_group(args.file, max_order=args.max_order)
     report = group_report(G)
     _write_output(_report_json(report), args.out)
     failed = any(c["status"] == "fail" for c in report["checks"])
@@ -140,7 +127,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not paths:
         print(f"error: no group files in {directory}", file=sys.stderr)
         return EXIT_INPUT
-    cap = _max_order(args)
+    cap = args.max_order
     if args.out is not None:
         # an unusable output directory fails before any analysis
         outdir = Path(args.out)
@@ -214,7 +201,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    G = load_group(args.file, max_order=_max_order(args))
+    G = load_group(args.file, max_order=args.max_order)
     graph = CommutingGraph(G)
     chunks = graph.dot_chunks() if args.format == "dot" else graph.json_chunks()
     _write_output(chunks, args.out)
@@ -247,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="agc",
         description="commuting-graph analysis of finite permutation groups",
     )
-    parser.add_argument("--max-order", type=int, default=None,
-                        help="cap for group closure (env AGC_MAX_ORDER)")
+    parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                        help=f"cap for group closure (default {DEFAULT_MAX_ORDER})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze one group file")

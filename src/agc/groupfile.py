@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FormatError
-from .perm import DEFAULT_MAX_ORDER, FiniteGroup, _validate_rows, closure
+from .perm import DEFAULT_MAX_ORDER, FiniteGroup, closure
 
 
 class GroupFile(NamedTuple):
@@ -24,6 +24,11 @@ class GroupFile(NamedTuple):
 
 
 def parse_group_file(text: str) -> GroupFile:
+    """The group file ``text``, checked for its format only: a JSON object
+    with a positive integer degree, an optional string name, and a list of
+    generators, each a list of exactly ``degree`` integers, returned as
+    they were read.  Raises FormatError.  Whether the generators are
+    permutations is ``closure``'s check alone."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -46,22 +51,13 @@ def parse_group_file(text: str) -> GroupFile:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise FormatError("'name' is not encodable as UTF-8") from None
-    out: list[list[int]] = []
     for g in gens:
         # exact types: a bool is an int subclass, and JSON makes no other
         if not isinstance(g, list) or not set(map(type, g)) <= {int}:
-            error = "each generator must be a list of integers"
-        elif len(g) != degree:
-            error = f"generator has {len(g)} images but degree is {degree}"
-        else:
-            out.append(list(g))
-            continue
-        if out:  # a non-bijection before this generator is the first error
-            _validate_rows(out, degree)
-        raise FormatError(error)
-    if out:
-        _validate_rows(out, degree)  # MalformedPermutation on non-bijections
-    return GroupFile(degree=degree, generators=out, name=name)
+            raise FormatError("each generator must be a list of integers")
+        if len(g) != degree:
+            raise FormatError(f"generator has {len(g)} images but degree is {degree}")
+    return GroupFile(degree=degree, generators=gens, name=name)
 
 
 def serialize_group_file(f: GroupFile) -> str:

@@ -2,28 +2,30 @@
 
 A permutation of {0..degree-1} is its image array.  Products are
 left-to-right throughout: p·q is ``q[p]``, i.e. the left factor acts
-first.  Groups enumerate their elements breadth-first over
-generator products starting at the identity, with the generator list order
-fixed, so element indices are fully reproducible.  Each group is enumerated
-once.  Elements are multiplied through one primitive,
+first.  Closures and products are listed: they enumerate their elements
+breadth-first over generator products starting at the identity, with the
+generator list order fixed, so element indices are fully reproducible.
+Each is enumerated once.  Elements are multiplied through one primitive,
 ``FiniteGroup.products``, and inverted through ``inverse_array``; no other
-module reads a table.  A group from ``closure`` or from a regular action
-answers products from its multiplication table, built from the products x·g
-that the enumeration computed.  A ``QuotientGroup`` keeps no table and
-answers them through the group it is a quotient of.
+module reads a table.  A listed group answers products from its
+multiplication table, built from the products x·g that the enumeration
+computed.  A quotient, a ``QuotientGroup``, is not listed: its elements are
+numbered by their cosets' least members in increasing order, and it keeps
+no table, listing or tree but answers products through the group it is a
+quotient of.
 
-One routine, ``_enumerate``, lists every group, so no other module knows
-the listing order.  It tells elements apart by their images of a base, a
-point tuple S with trivial pointwise stabilizer: any point of a regular
-action (a product's or a quotient's), or for ``closure`` one started from
-the least moved point, or from every orbit's least point (``orbit_labels``)
+One routine, ``_enumerate``, lists every closure and product, so no other
+module knows the listing order.  It tells elements apart by their images
+of a base, a point tuple S with trivial pointwise stabilizer: any point of
+a regular action (a product's), or for ``closure`` one started from the
+least moved point, or from every orbit's least point (``orbit_labels``)
 when that point's orbit misses a moved point, and certified by Schreier's
 lemma.  ``_enumerate`` returns the breadth-first tree it walked with the
 listing, and a group is made only from the two, so the tree is derived
-once.  A group keeps no image row of its elements: only its generators'
-rows, the search tree, and the table or, in a quotient, one coset
-representative per element and the projection.  Elements are listed in
-first-reached order, so each tree level is a contiguous index range.
+once.  A listed group keeps no image row of its elements: only its
+generators' rows, the search tree and the table; a quotient keeps one
+coset representative per element and the projection.  Elements are listed
+in first-reached order, so each tree level is a contiguous index range.
 
 The tree is walked two ways, both in ``FiniteGroup`` and both a level at a
 time, so no other module reads it.  ``_walk`` maps row parent(j) through
@@ -124,7 +126,8 @@ Tree = tuple[Sequence[int], Sequence[int], list[tuple[int, int]]]
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group with index-based arithmetic.
+    """A listed permutation group, a closure or a product, with index-based
+    arithmetic.
 
     Elements are listed breadth-first: element 0 is the identity and every
     other element j is first reached as parent(j)·gen(j), for an earlier
@@ -138,8 +141,9 @@ class FiniteGroup:
     is one gather of the table.  The table and the
     inverse array have dtype ``index_dtype(order)``: int16 up to order
     32 767, so the order x order table, the largest array a group holds,
-    takes two bytes an entry.  ``QuotientGroup`` keeps the tree but no
-    table.
+    takes two bytes an entry.  A ``QuotientGroup`` is not listed and keeps
+    neither a tree nor a table, so ``images`` and ``compose_rows`` are for
+    listed groups only.
     """
 
     def __init__(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree, *,
@@ -316,21 +320,24 @@ class FiniteGroup:
 
 
 class QuotientGroup(FiniteGroup):
-    """G/N for a normal subgroup N of ``parent_group`` G, listed over the
-    coset permutations like any group but keeping no table.
+    """G/N for a normal subgroup N of ``parent_group`` G, numbered by its
+    cosets and keeping no table, listing or tree.
 
-    Element q is the coset of G's element ``rep[q]``, and ``proj[x]`` is the
-    element that is x's coset, so x·y is ``proj`` of the product of the
-    representatives in G, and x⁻¹ is ``proj`` of a representative's
-    inverse.  A quotient of a quotient asks its parent, which asks its own.
-    ``proj`` and the products have dtype ``index_dtype(order)``.
+    Element q is the coset of G's element ``rep[q]``, its least member, and
+    the least members increase with q; ``proj[x]`` is the element that is
+    x's coset.  So x·y is ``proj`` of the product of the representatives in
+    G, x⁻¹ is ``proj`` of a representative's inverse, and the generators
+    are the cosets of G's.  A quotient of a quotient asks its parent, which
+    asks its own.  ``proj`` and the products have dtype
+    ``index_dtype(order)``.  The degree is the number of cosets.
     """
 
-    def __init__(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree,
-                 parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray, *,
+    def __init__(self, parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray, *,
                  name: str | None = None):
-        self._build_tree(generator_rows, right, tree, name)
         self.parent_group, self.rep, self.proj = parent_group, rep, proj
+        self.order = self.degree = rep.size
+        self.generators = proj[parent_group.generators].tolist()
+        self.name = name
         self.inverse_array = proj[parent_group.inverse_array[rep]]
 
     def products(self, xs, ys) -> np.ndarray:

@@ -1,15 +1,15 @@
-"""Quotients and (semi)direct products, realized as permutation groups.
+"""Quotients and (semi)direct products.
 
-Quotients act by right multiplication on cosets; products act on
-|base|·|actor| points via the regular representation.  Both actions are
-regular, so any point is a base that needs no certifying, and
-``perm._enumerate`` lists both from the point 0, through a dense array
-over the points.  A product keeps a table; a
-quotient keeps none and multiplies through the group it is a quotient of.
-A product's action is given on exactly the actor's generators and extended
-to the whole actor by ``FiniteGroup.compose_rows``, the walk along the
-actor's breadth-first tree that also fills a table, so no code here reads
-a group's tree.
+A product is a permutation group on |base|·|actor| points, those of its
+regular representation.  That action is regular, so any point is a base
+that needs no certifying: ``perm._enumerate`` lists a product from the
+point 0, through a dense array over the points, and the product keeps a
+table.  A quotient is not listed: its elements are numbered by their
+cosets' least members in increasing order, and it keeps no table but
+multiplies through the group it is a quotient of.  A product's action is
+given on exactly the actor's generators and extended to the whole actor
+by ``FiniteGroup.compose_rows``, the walk along the actor's breadth-first
+tree that also fills a table, so no code here reads a group's tree.
 """
 
 from __future__ import annotations
@@ -26,33 +26,23 @@ def quotient(
 ) -> tuple[FiniteGroup, np.ndarray]:
     """The quotient G/N with its projection array.
 
-    Returns ``(Q, proj)`` where Q acts by right multiplication on the cosets
-    of N (degree |G|/|N|) and ``proj[x]`` is the index in Q of the coset Nx.
-    The coset permutations come from G's products, and ``_enumerate``
-    lists them from coset 0 and tells each coset's element.  Q is a
-    ``QuotientGroup``: it keeps each coset's least member and ``proj``, not
-    a table, and multiplies through G.  Raises NotNormal when N is not
-    normal in G.
+    Returns ``(Q, proj)`` where ``proj[x]`` is the index in Q of the coset
+    Nx.  The cosets are numbered by their least members in increasing
+    order, so N itself is coset 0.  Q is a ``QuotientGroup``: it keeps
+    those least members and ``proj``, not a table nor any listing, and
+    multiplies through G.  Raises NotNormal when N is not normal in G.
     """
     if N.parent is not G:
         raise ValueError("subgroup does not belong to the given group")
     if not N.is_normal():
         raise NotNormal("quotient by a non-normal subgroup")
-    # canonical representative of the coset Nx: the least element of {n·x},
-    # so N itself is coset 0.  The cosets are the orbits of left
-    # multiplication by N's generators, which orbit_labels labels by their
-    # least members.
+    # the cosets Nx are the orbits of left multiplication by N's
+    # generators, which orbit_labels labels by their least members
     gens = np.array(N.generators, np.intp)[:, None]
     coset_rep = orbit_labels(G.products(gens, np.arange(G.order)))
-    reps = distinct(coset_rep, G.order)
-    cid = np.searchsorted(reps, coset_rep).astype(np.int32)
-    # generator h acts on the cosets as c ↦ cid[reps[c]·g_h]
-    rows = cid[G.products(reps[:, None], G.generators).T]
-    right, pos, tree = _enumerate(rows, [0], reps.size)
-    rep = np.empty_like(reps)
-    rep[pos] = reps
-    proj = pos[cid].astype(index_dtype(reps.size))
-    return QuotientGroup(rows, right, tree, G, rep, proj, name=name), proj
+    rep = distinct(coset_rep, G.order)
+    proj = np.searchsorted(rep, coset_rep).astype(index_dtype(rep.size))
+    return QuotientGroup(G, rep, proj, name=name), proj
 
 
 def semidirect_product(

@@ -6,11 +6,10 @@ algorithms under test beyond the element indexing of FiniteGroup, except
 in the superseded constructions kept as references: ``row_closure``
 enumerates a group over whole image rows, where ``closure`` searches the
 images of a certified base, ``closure_quotient``
-enumerates G/N with ``closure``, which ``quotient`` no longer calls, and
-looks elements up by their image rows with ``indices_of_rows``, which a
-group no longer does, ``breadth_first_projection`` lists the cosets of
-G/N from a queue, one coset and generator at a time, where ``quotient``
-lists them a breadth-first level at a time,
+enumerates G/N with ``closure``, where ``quotient`` lists nothing and
+numbers the cosets by their least members, and looks elements up by their
+image rows with ``indices_of_rows``, which a group no longer does; a
+quotient's table is read off that fresh closure (``table_of``),
 ``sylow_systems`` is the depth-first search over all conjugates of the
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
@@ -53,6 +52,7 @@ all elements of unknown order together.
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import product as iproduct
 
 import numpy as np
@@ -157,15 +157,24 @@ def brute_tree(right: np.ndarray) -> tuple[list[int], list[int], list[tuple[int,
 
 def table_of(G: FiniteGroup) -> np.ndarray:
     """G's multiplication table: the one it keeps, or, for a quotient, which
-    keeps none, one read off its image rows.  A quotient acts regularly on
-    its cosets, so an element is known by its image of the point 0, and
-    x·y takes 0 to y(x(0))."""
+    keeps none, that of G/N enumerated afresh by ``closure_quotient`` and
+    relabelled, so that it owes nothing to ``QuotientGroup.products``.  N
+    is the kernel of the projection, and element q of G/N, the coset of
+    ``rep[q]``, is element ``oracle_proj[rep[q]]`` of the fresh closure.
+    A quotient's table is made once while the quotient lives."""
     if hasattr(G, "table"):
         return G.table
-    rows = G.images(range(G.degree))
-    at = np.empty(G.order, np.intp)
-    at[rows[:, 0]] = np.arange(G.order)  # the element taking 0 to each point
-    return at[rows[:, rows[:, 0]]].T
+    if G not in _quotient_tables:
+        P = G.parent_group
+        R, oracle_proj = closure_quotient(P, Subgroup(P, np.flatnonzero(G.proj == 0)))
+        fresh = oracle_proj[G.rep]  # each element's index in R
+        back = np.empty_like(fresh)
+        back[fresh] = np.arange(G.order)
+        _quotient_tables[G] = back[R.table[fresh[:, None], fresh]]
+    return _quotient_tables[G]
+
+
+_quotient_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def images_by_element(G: FiniteGroup, points) -> np.ndarray:
@@ -191,8 +200,10 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     """G/N enumerated afresh: a closure over the coset permutations of G's
     generators, then each element of G looked up among Q's elements.
 
-    The cosets are indexed by their least elements, as in ``quotient``, so
-    the two constructions must agree index for index.
+    The cosets, Q's points, are numbered by their least elements in
+    increasing order, as ``quotient`` numbers its elements, but Q lists its
+    elements in the closure's order, so ``quotient(G, N)`` agrees with it
+    up to the relabelling ``proj[Q.rep]`` of this ``proj``.
     """
     t = table_of(G)
     coset_rep = t[N.members].min(axis=0)
@@ -202,25 +213,6 @@ def closure_quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarr
     Q = closure(k, [cid[t[reps, g]] for g in G.generators], max_order=k)
     proj = indices_of_rows(Q, cid[t[reps].T]).astype(np.int32)
     return Q, proj
-
-
-def breadth_first_projection(G: FiniteGroup, N: Subgroup) -> np.ndarray:
-    """``proj`` of G/N from a queue over the cosets: coset Nx's place in the
-    listing breadth-first from N over right multiplication by G's
-    generators, one coset and one generator at a time.  A coset is known by
-    its least element and continued from the element that first reached
-    it."""
-    t = table_of(G)
-    least = t[N.members].min(axis=0).tolist()
-    place = {least[0]: 0}
-    queue = [0]
-    for x in queue:  # grows while it is read
-        for g in G.generators:
-            y = int(t[x, g])
-            if least[y] not in place:
-                place[least[y]] = len(queue)
-                queue.append(y)
-    return np.array([place[c] for c in least], np.int64)
 
 
 def indices_of_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:

@@ -153,6 +153,14 @@ def test_criterion_6_center_quotient_diameters(corpus_analysis):
     _verdict(6, "diameter transfer to the central quotient", ok)
 
 
+def _without_millis(value):
+    if isinstance(value, dict):
+        return {k: _without_millis(v) for k, v in value.items() if k != "millis"}
+    if isinstance(value, list):
+        return [_without_millis(v) for v in value]
+    return value
+
+
 def test_criterion_7_corpus_determinism(corpus_dir, tmp_path):
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(["corpus", str(corpus_dir), "--jobs", "1",
@@ -167,17 +175,10 @@ def test_criterion_7_corpus_determinism(corpus_dir, tmp_path):
                 check["millis"] = 0.0
         return json.dumps(data, sort_keys=True)
 
-    def without_millis(value):
-        if isinstance(value, dict):
-            return {k: without_millis(v) for k, v in value.items() if k != "millis"}
-        if isinstance(value, list):
-            return [without_millis(v) for v in value]
-        return value
-
     # the frozen references of the benchmark, captured from the CLI
     refs = corpus_dir.parent / "perfbench" / "refs" / "corpus"
     reports = json.loads((out1 / "reports.json").read_text())
-    frozen = json.dumps(without_millis(reports), indent=2) + "\n" == \
+    frozen = json.dumps(_without_millis(reports), indent=2) + "\n" == \
         (refs / "reports.json").read_text() and \
         (out1 / "summary.csv").read_bytes() == (refs / "summary.csv").read_bytes()
 
@@ -185,3 +186,23 @@ def test_criterion_7_corpus_determinism(corpus_dir, tmp_path):
         (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     _verdict(7, "byte-identical corpus reports across --jobs and against the "
              "frozen references", ok and frozen)
+
+
+def test_criterion_8_order_3000_frozen_report(corpus_dir, tmp_path):
+    """``agc analyze`` on W1500 × C2, built as the benchmark builds it at
+    seed 0 (the witness file's generators on both copies of its points,
+    and the swap of the copies), writes the benchmark's frozen report, less
+    its ``millis``.  Its G/Z, of order 1500, is made by ``quotient``."""
+    witness = json.loads((corpus_dir / "diameter6-witness.json").read_text())
+    n = witness["degree"]
+    gens = [g + [x + n for x in g] for g in witness["generators"]]
+    gens.append(list(range(n, 2 * n)) + list(range(n)))
+    group = tmp_path / "w1500xc2.json"
+    group.write_text(json.dumps({"name": "w1500xc2", "degree": 2 * n, "generators": gens},
+                                separators=(",", ":")))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(group), "--out", str(out)]) == 0
+    ref = corpus_dir.parent / "perfbench" / "refs" / "analyze-3000" / "report.json"
+    report = json.loads(out.read_text())
+    ok = json.dumps(_without_millis(report), indent=2) + "\n" == ref.read_text()
+    _verdict(8, "order-3000 report against the frozen reference", ok)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import agc
-from agc.cli import _analyze_one, main
+from agc.cli import _analyze_one, build_parser, main
 from agc.groupfile import (GroupFile, group_to_file, load_group, save_group,
                            serialize_group_file)
 from agc.perm import DEFAULT_MAX_ORDER, Subgroup, prime_divisors
@@ -74,21 +74,18 @@ def test_analyze_of_a_trivial_group_of_huge_degree(tmp_path, capsys, address_spa
     assert reports[0] == reports[1]
 
 
-def test_max_order_flag_and_env(s3_file, tmp_path, monkeypatch, capsys):
+def test_max_order_flag(tmp_path, capsys):
     s4 = tmp_path / "s4.json"
     save_group(symmetric(4), s4)
     assert main(["--max-order", "10", "analyze", str(s4)]) == 1
-    monkeypatch.setenv("AGC_MAX_ORDER", "10")
-    assert main(["analyze", str(s4)]) == 1
-    # the flag wins over the environment
     assert main(["--max-order", "100", "analyze", str(s4)]) == 0
     # a cap below 1 admits only the trivial group; it does not lift the cap
     capsys.readouterr()
-    assert main(["--max-order", "0", "analyze", str(s4)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.setenv("AGC_MAX_ORDER", "-1")
-    assert main(["analyze", str(s4)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    for cap in ("0", "-1"):
+        assert main([f"--max-order={cap}", "analyze", str(s4)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    # the default is the library's
+    assert build_parser().parse_args(["analyze", str(s4)]).max_order == DEFAULT_MAX_ORDER
 
 
 def test_witness_emit_and_reanalyze(tmp_path, capsys):

@@ -47,6 +47,9 @@ def test_parse_rejects_bad_json():
     '{"degree": 3, "generators": [[0, 1]]}',
     '{"degree": 3, "generators": "abc"}',
     '{"degree": 0, "generators": []}',
+    # a format error is found before a non-permutation in an earlier generator
+    pytest.param('{"degree": 3, "generators": [[0, 0, 1], [0, 1]]}',
+                 id="non-bijection-then-short"),
     pytest.param("[" * 100000, id="deeply-nested"),
     # a lone surrogate, which JSON can escape but no UTF-8 output can hold
     pytest.param('{"name": "s3\\ud800", "degree": 1, "generators": []}', id="surrogate-name"),
@@ -59,9 +62,16 @@ def test_parse_rejects_malformed_documents(payload):
         parse_group_file(payload)
 
 
-def test_parse_rejects_non_bijective_generator():
+def test_parse_rejects_non_bijective_generator(tmp_path):
+    """The parse checks the format only, and hands the generators on as it
+    read them; loading the file rejects one that is not a permutation, in
+    ``closure``."""
+    text = '{"degree": 3, "generators": [[0, 0, 1]]}'
+    assert parse_group_file(text).generators == [[0, 0, 1]]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     with pytest.raises(MalformedPermutation):
-        parse_group_file('{"degree": 3, "generators": [[0, 0, 1]]}')
+        load_group(path)
 
 
 def test_load_group_rejects_undecodable_bytes(tmp_path):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from agc.errors import InvalidAction, NotNormal
-from agc.groupfile import load_group, save_group
-from agc.perm import Subgroup, closure, distinct, generated_subgroup, index_dtype
+from agc.perm import closure, distinct, generated_subgroup, index_dtype
 from agc.products import direct_product, extend_action, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, metacyclic, symmetric
 from agc.structure import (
@@ -19,7 +18,7 @@ from agc.structure import (
     sylow_subgroups,
 )
 
-from oracles import breadth_first_projection, closure_quotient, indices_of_rows
+from oracles import closure_quotient, indices_of_rows
 
 
 def all_products(G):
@@ -52,50 +51,58 @@ def test_quotient_s4_by_v4():
     assert sorted(np.nonzero(proj == 0)[0].tolist()) == V.members.tolist()
 
 
-def _assert_matches_closure_quotient(G, N, name, oracle_parent=None):
+def _assert_matches_closure_quotient(G, N, name):
     """``quotient(G, N)`` equals G/N enumerated afresh by ``closure_quotient``
-    over ``oracle_parent``, a group with a table equal to G's products
-    (G itself when not given): the same elements, generators, projection,
-    products and inverses, with no table kept.  Returns both."""
-    P = G if oracle_parent is None else oracle_parent
+    up to the relabelling ``oracle_proj[Q.rep]``, which takes each coset,
+    numbered by its least member, to its place in the fresh listing: the
+    same order, generators, projection, products and inverses, with no
+    table kept.  Returns the quotient."""
     Q, proj = quotient(G, N)
-    R, oracle_proj = closure_quotient(P, Subgroup(P, N.members))
-    points = range(Q.degree)
+    R, oracle_proj = closure_quotient(G, N)
+    fresh = oracle_proj[Q.rep]
+    assert Q.order == R.order == np.unique(fresh).size, name
     assert "table" not in vars(Q), name
-    assert np.array_equal(Q.images(points), R.images(points)), name
-    assert np.array_equal(Q.generator_rows, R.generator_rows), name
-    assert Q.generators == R.generators, name
+    assert np.array_equal(fresh[proj], oracle_proj), name
+    assert fresh[Q.generators].tolist() == R.generators, name
     products = all_products(Q)
     assert products.dtype == Q.inverse_array.dtype == index_dtype(Q.order), name
-    assert np.array_equal(products, R.table), name
-    assert np.array_equal(Q.inverse_array, R.inverse_array), name
-    assert np.array_equal(proj, oracle_proj), name
-    return Q, R
+    assert np.array_equal(fresh[products], R.table[fresh[:, None], fresh]), name
+    assert np.array_equal(fresh[Q.inverse_array], R.inverse_array[fresh]), name
+    return Q
 
 
 def test_quotient_matches_closure_oracle(corpus_groups, witness1500_x_c2):
     """Read off the parent's products, the quotient equals a fresh closure
     over the coset permutations, and multiplies through its parent, keeping
     no table: on G/Z, G/F(G), G/G' and (G/Z)/F(G/Z) of every corpus group,
-    and on the G/Z of W1500 × C2."""
+    and on the G/Z of W1500 × C2.  The closure over G/Z reads G/Z's
+    products off a closure of its own (``oracles.table_of``)."""
     for name, G in corpus_groups.items():
         for N in (fitting_subgroup(G, sylow_subgroups(G)), derived_subgroup(G)):
             _assert_matches_closure_quotient(G, N, name)
-        Q, R = _assert_matches_closure_quotient(G, center(G), name)
-        _assert_matches_closure_quotient(Q, fitting_subgroup(Q, sylow_subgroups(Q)), name, R)
+        Q = _assert_matches_closure_quotient(G, center(G), name)
+        _assert_matches_closure_quotient(Q, fitting_subgroup(Q, sylow_subgroups(Q)), name)
     G = witness1500_x_c2
     _assert_matches_closure_quotient(G, center(G), "W1500 x C2")
 
 
-def test_quotient_lists_cosets_breadth_first_at_order_3000(witness1500_x_c2):
+def test_quotient_numbers_cosets_by_least_members_at_order_3000(witness1500_x_c2):
     """On W1500 × C2, the cosets of the centre (1500 of them) and of the
-    derived subgroup come in the order of a queue that visits them one coset
-    and one generator at a time."""
+    derived subgroup are numbered by their least members in increasing
+    order: ``rep[q]`` is the least member of coset q, ``proj`` is constant
+    on each coset and takes ``rep`` to 0, 1, 2, ..., and the generators are
+    the cosets of G's."""
     G = witness1500_x_c2
+    everyone = np.arange(G.order)
     for N in (center(G), derived_subgroup(G)):
         Q, proj = quotient(G, N)
-        assert Q.order == G.order // N.order
-        assert np.array_equal(proj, breadth_first_projection(G, N)), N.order
+        cosets = G.products(N.members[:, None], everyone)  # column x: the coset Nx
+        assert Q.order == G.order // N.order, N.order
+        assert np.array_equal(Q.rep[proj], cosets.min(axis=0)), N.order
+        assert (Q.rep[1:] > Q.rep[:-1]).all(), N.order
+        assert np.array_equal(proj[Q.rep], np.arange(Q.order)), N.order
+        assert (proj[cosets] == proj).all(), N.order
+        assert Q.generators == proj[G.generators].tolist(), N.order
 
 
 def test_quotient_by_a_large_subgroup_makes_no_product_block(witness1500_x_c2):
@@ -113,22 +120,9 @@ def test_quotient_by_a_large_subgroup_makes_no_product_block(witness1500_x_c2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert Q.order == 4 and np.array_equal(proj, breadth_first_projection(G, N))
+    least = G.products(N.members[:, None], everyone).min(axis=0)
+    assert Q.order == 4 and np.array_equal(Q.rep[proj], least)
     assert peak < 1 << 20
-
-
-def test_saved_quotient_reloads_with_its_table(corpus_groups, tmp_path):
-    """A quotient written out as its generator rows and enumerated again
-    has the same generators and table."""
-    path = tmp_path / "quotient.json"
-    for name, G in corpus_groups.items():
-        for N in (center(G), derived_subgroup(G)):
-            Q = quotient(G, N, name=name)[0]
-            save_group(Q, path)
-            R = load_group(path)
-            assert R.name == name
-            assert R.generators == Q.generators, name
-            assert np.array_equal(R.table, all_products(Q)), name
 
 
 def test_quotient_rejects_non_normal():
