@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .perm import (FiniteGroup, _least_labels, conjugations, distinct, index_dtype, orbit_labels,
-                   row_blocks)
+                   powers, row_blocks)
 from .structure import conjugacy_classes
 
 
@@ -188,20 +188,13 @@ def _least_generators(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     o(v).  Every unit modulo o(v) lifts to a unit modulo the exponent e of
     G, so they are the orbit of v under the power maps x ↦ x^k, k a unit
     modulo e.  These maps permute G, and the maps of a few units generate
-    them (``_unit_generators``), each the square-and-multiply powers of all
-    elements at once; ``orbit_labels`` of those maps labels each element
+    them (``_unit_generators``), each the powers of all elements at once,
+    one ``powers`` call; ``orbit_labels`` of those maps labels each element
     with the least member of its orbit.  Two elements generate the same
     subgroup exactly when the results agree.
     """
     everyone = np.arange(G.order)
-    maps = []
-    for k in _unit_generators(math.lcm(*set(G.element_orders.tolist()))):
-        power, base = np.zeros(G.order, index_dtype(G.order)), everyone
-        while k:
-            if k & 1:
-                power = G.products(power, base)
-            base, k = G.products(base, base), k >> 1
-        maps.append(power)
+    maps = [powers(G, everyone, k) for k in _unit_generators(G.exponent)]
     return orbit_labels(np.array(maps, index_dtype(G.order)).reshape(-1, G.order))[elements]
 
 
@@ -246,8 +239,9 @@ class CommutingGraph:
             blocks.append((int(indptr[r0]), int(indptr[r1]), rows, indptr[rows] - indptr[r0]))
         return blocks
 
-    def _rows_of_entries(self, e0: int, e1: int, rows: np.ndarray) -> np.ndarray:
-        """The row of each entry e0..e1 of one of ``_row_blocks``."""
+    def _rows_of_entries(self, rows: np.ndarray) -> np.ndarray:
+        """The row of each entry of the block of ``_row_blocks`` whose rows
+        with neighbours are ``rows``."""
         return rows.repeat(self.indptr[rows + 1] - self.indptr[rows])
 
     def diameter(self) -> DiameterResult:
@@ -275,7 +269,7 @@ class CommutingGraph:
         jumped by ``perm._least_labels`` over the edges of one of
         ``_row_blocks`` at a time, each entry joined to its row."""
         return _least_labels(np.arange(self.n_vertices), lambda: (
-            (self._rows_of_entries(e0, e1, rows), self.indices[e0:e1])
+            (self._rows_of_entries(rows), self.indices[e0:e1])
             for e0, e1, rows, _ in self._row_blocks))
 
     # -- twin reduction ------------------------------------------------------
@@ -300,7 +294,7 @@ class CommutingGraph:
         pieces = []
         for e0, e1, rows, starts in self._row_blocks:
             col = renumber[self.indices[e0:e1]]
-            taken = (col >= 0) & (renumber[self._rows_of_entries(e0, e1, rows)] >= 0)
+            taken = (col >= 0) & (renumber[self._rows_of_entries(rows)] >= 0)
             pieces.append(col[taken].astype(self.indices.dtype))
             degree[rows] = np.add.reduceat(taken, starts, dtype=np.intp)
         indptr = np.zeros(keep.size + 1, np.intp)
@@ -336,7 +330,7 @@ class CommutingGraph:
         row-major order of (i, j)."""
         v = self.vertices
         for e0, e1, rows, _ in self._row_blocks:
-            i = self._rows_of_entries(e0, e1, rows)
+            i = self._rows_of_entries(rows)
             j = self.indices[e0:e1]
             upper = j > i
             yield v[i[upper]].tolist(), v[j[upper]].tolist()

@@ -7,7 +7,9 @@ breadth-first over generator products starting at the identity, with the
 generator list order fixed, so element indices are fully reproducible.
 Each is enumerated once.  Elements are multiplied through one primitive,
 ``FiniteGroup.products``, and inverted through ``inverse_array``; no other
-module reads a table.  A listed group answers products from its
+module reads a table.  They are raised to a power through one routine,
+``powers``, square-and-multiply over index arrays, which ``p_part`` and the
+twin reduction's power maps call.  A listed group answers products from its
 multiplication table, built from the products x·g that the enumeration
 computed.  A quotient, a ``QuotientGroup``, is not listed: its elements are
 numbered by their cosets' least members in increasing order, and it keeps
@@ -56,6 +58,7 @@ and wrap.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -252,16 +255,6 @@ class FiniteGroup:
     def mult(self, i: int, j: int) -> int:
         return int(self.products(i, j))
 
-    def power(self, i: int, e: int) -> int:
-        e %= int(self.element_orders[i])
-        result, base = 0, int(i)
-        while e:
-            if e & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base)
-            e >>= 1
-        return result
-
     def _build_table(self, right: np.ndarray) -> None:
         """Fill ``table`` and ``inverse_array`` from the right-multiplication
         columns and the tree.
@@ -315,8 +308,10 @@ class FiniteGroup:
             live, cur = live[~done], cur[~done]
         return orders
 
-    def element_order(self, i: int) -> int:
-        return int(self.element_orders[i])
+    @cached_property
+    def exponent(self) -> int:
+        """The least common multiple of the element orders."""
+        return math.lcm(*set(self.element_orders.tolist()))
 
 
 class QuotientGroup(FiniteGroup):
@@ -710,23 +705,32 @@ def prime_divisors(n: int) -> list[int]:
     return sorted(_prime_factors(n))
 
 
-def p_part(G: FiniteGroup, x: int, p: int) -> int:
-    """The unique p-element power of x from the cyclic decomposition of ⟨x⟩.
+def powers(G: FiniteGroup, xs, e: int) -> np.ndarray:
+    """x^e for the element or index array ``xs`` and an int e >= 0, in the
+    products' dtype, the one way agc raises elements to a power: x^0 is the
+    identity, and otherwise square-and-multiply through ``G.products``
+    alone, from x·1 over the bits of e after the highest."""
+    if not e:
+        return np.zeros(np.shape(xs), index_dtype(G.order))
+    result = G.products(xs, 0)
+    for bit in bin(e)[3:]:
+        result = G.products(result, result)
+        if bit == "1":
+            result = G.products(result, xs)
+    return result
 
-    With o(x) = p^a·m and gcd(p, m) = 1, returns x^e for the exponent e with
-    e ≡ 0 (mod m) and e ≡ 1 (mod p^a).  If p does not divide o(x) this is
-    the identity.
-    """
+
+def p_part(G: FiniteGroup, xs, p: int) -> np.ndarray:
+    """The p-part of each x of the element or index array ``xs``: the unique
+    p-element power of x from the cyclic decomposition of ⟨x⟩.
+
+    With the exponent of G written p^a·m, gcd(p, m) = 1, it is x^e for the
+    e ≡ 0 (mod m), ≡ 1 (mod p^a).  o(x) divides the exponent, so that holds
+    modulo o(x)'s parts too, and one ``powers`` call raises every x.  If p
+    does not divide o(x) this is the identity."""
     if p < 2 or _prime_factors(p) != {p: 1}:
         raise PrimeNotDividing(f"{p} is not prime")
-    o = G.element_order(x)
-    a = 0
-    while o % p == 0:
-        o //= p
-        a += 1
-    if a == 0:
-        return 0
-    m = o
-    pa = p**a
-    e = m * pow(m, -1, pa) if m > 1 else 1
-    return G.power(x, e)
+    exponent = G.exponent
+    pa = math.gcd(exponent, p ** exponent.bit_length())  # the p-part of the exponent
+    m = exponent // pa
+    return powers(G, xs, m * pow(m, -1, pa))

@@ -166,7 +166,7 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     while P.order < target:
         nz = normalizer_members(G, H.members, P)
         # an element whose order p does not divide has p-part 1, which is in P
-        x = next(x for x in (p_part(G, int(y), p) for y in nz[orders[nz] % p == 0])
+        x = next(x for x in (int(p_part(G, int(y), p)) for y in nz[orders[nz] % p == 0])
                  if not P.member_mask[x])
         P = grow(G, P, x)
     return P

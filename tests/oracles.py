@@ -25,8 +25,10 @@ builds once per group for the A-group test, the Fitting subgroup and the
 Sylow system), ``brute_2frobenius`` scans every pair of normal subgroups
 where ``is_2frobenius`` tests K = F(G) with the Frobenius test of the
 cached analysis of G/F(G),
-``brute_twin_classes`` lists each cyclic subgroup's generators with
-``FiniteGroup.power``, ``greedy_generators`` chooses a subgroup's
+``brute_twin_classes`` lists each cyclic subgroup's generators by
+multiplying its generator into each power in turn, where twin reduction
+labels the orbits of the power maps that ``powers`` squares and
+multiplies, ``greedy_generators`` chooses a subgroup's
 generators from its members eagerly, closing each prefix one product at a
 time, where a ``Subgroup`` chooses them when they are first read by
 ``irredundant``, which grows each closure from the last a level at a time, and
@@ -46,7 +48,10 @@ time, where ``conjugacy_classes`` labels the orbits of the generators'
 conjugations, ``brute_orbit_labels`` searches each orbit over a set, where
 ``orbit_labels`` hooks and jumps labels over all points at once, and ``brute_element_orders`` multiplies each element into
 its own power, where ``FiniteGroup.element_orders`` advances the powers of
-all elements of unknown order together.
+all elements of unknown order together.  The p-part, stray-element,
+twin-class and automorphism oracles read their orders from
+``brute_element_orders`` and take each power one multiplication at a time
+(``_brute_powers``), never through ``powers`` or ``p_part``.
 """
 
 from __future__ import annotations
@@ -379,18 +384,24 @@ def brute_frobenius_conditions(G: FiniteGroup, N: Subgroup,
             "kernel_centralizers": nontrivial and _contains_centralizers(G, N)}
 
 
-def _brute_p_part(G: FiniteGroup, g: int, p: int) -> int:
-    """g^e for the least e that is 1 modulo the p-part of o(g) and 0 modulo
-    the rest, by repeated multiplication."""
-    o = G.element_order(g)
+def _brute_powers(G: FiniteGroup, g: int, n: int) -> list[int]:
+    """g^0, ..., g^(n-1): each power the one before times g, one table
+    lookup each."""
+    t = table_of(G)
+    xs = [0]
+    while len(xs) < n:
+        xs.append(int(t[xs[-1], g]))
+    return xs[:n]
+
+
+def brute_p_part(G: FiniteGroup, g: int, o: int, p: int) -> int:
+    """g^e, for g of order ``o``, for the least e that is 1 modulo the
+    p-part of o and 0 modulo the rest, by repeated multiplication."""
     pa = 1
     while o % (pa * p) == 0:
         pa *= p
     e = next(e for e in range(o) if e % (o // pa) == 0 and e % pa == 1 % pa)
-    x = 0
-    for _ in range(e):
-        x = G.mult(x, g)
-    return x
+    return _brute_powers(G, g, e + 1)[e]
 
 
 def brute_stray_p_part_centralizers(G: FiniteGroup, D: Subgroup,
@@ -401,9 +412,10 @@ def brute_stray_p_part_centralizers(G: FiniteGroup, D: Subgroup,
     conjugates_of_m = _conjugate_sets(G, M)
     cover = set().union(*conjugates_of_m)
     derived = set(D.members.tolist())
+    orders = brute_element_orders(G).tolist()
     instances = 0
     for g in range(1, G.order):
-        parts = [_brute_p_part(G, g, p) for p in _prime_factors(G.element_order(g))]
+        parts = [brute_p_part(G, g, orders[g], p) for p in _prime_factors(orders[g])]
         if all(x in derived or x in cover for x in parts):
             continue
         instances += 1
@@ -435,13 +447,13 @@ def frobenius_by_malnormal_complement(G: FiniteGroup) -> bool:
     seen: set[frozenset[int]] = set()
     for x in reps:
         cx = np.array(brute_centralizer(G, x))
-        powers = np.array(sorted(_generated(G, np.array([x]))))
+        cyclic_x = np.array(sorted(_generated(G, np.array([x]))))
         reached = np.zeros(G.order, bool)
         for y in range(G.order):
             if reached[y]:
                 continue
             conj = t[t[cx, y], inv[cx]]
-            reached[t[t[powers[:, None], conj].ravel()[:, None], powers]] = True
+            reached[t[t[cyclic_x[:, None], conj].ravel()[:, None], cyclic_x]] = True
             H = _generated(G, np.array([x, y]))
             if not 1 < len(H) < G.order or H in seen:
                 continue
@@ -633,11 +645,13 @@ def brute_twin_classes(graph: CommutingGraph) -> tuple[list[int], list[int]]:
     kept as its first vertex.
     """
     G = graph.group
+    orders = brute_element_orders(G).tolist()
     first: dict[tuple[int, ...], int] = {}
     sizes: dict[int, int] = {}
     for i, v in enumerate(graph.vertices.tolist()):
-        o = G.element_order(v)
-        key = tuple(sorted(G.power(v, k) for k in range(1, o + 1) if math.gcd(k, o) == 1))
+        o = orders[v]
+        cyc = _brute_powers(G, v, o + 1)
+        key = tuple(sorted(cyc[k] for k in range(1, o + 1) if math.gcd(k, o) == 1))
         j = first.setdefault(key, i)
         sizes[j] = sizes.get(j, 0) + 1
     keep = sorted(first.values())
@@ -653,7 +667,7 @@ def abelian_automorphisms(base: FiniteGroup,
     Enumeration order is the lexicographic order of the image tuples.
     """
     vecs = abelian_vectors(base, invariants)
-    orders = base.element_orders
+    orders = brute_element_orders(base)
     gens = base.generators
     candidates = [
         [x for x in range(base.order) if invariants[i] % int(orders[x]) == 0]
@@ -664,8 +678,7 @@ def abelian_automorphisms(base: FiniteGroup,
     for images in iproduct(*candidates):
         phi = np.zeros(base.order, np.int32)
         for i, a in enumerate(images):
-            col = np.array([base.power(a, int(e)) for e in range(invariants[i])],
-                           np.int32)
+            col = np.array(_brute_powers(base, a, invariants[i]), np.int32)
             phi = t[phi, col[vecs[:, i]]]
         if np.unique(phi).size == base.order:
             autos.append(phi)

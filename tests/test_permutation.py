@@ -1,3 +1,5 @@
+import ast
+import math
 import re
 import time
 import tracemalloc
@@ -18,8 +20,10 @@ from agc.perm import (
     conjugations,
     distinct,
     generated_subgroup,
+    index_dtype,
     orbit_labels,
     p_part,
+    powers,
     trivial_subgroup,
 )
 from agc.errors import PrimeNotDividing
@@ -34,12 +38,13 @@ from agc.constructions import (
     symmetric,
 )
 from agc.products import direct_product, quotient
-from agc.structure import sylow_subgroups
+from agc.structure import center, sylow_subgroups
 
 from oracles import (
     brute_closure,
     brute_element_orders,
     brute_orbit_labels,
+    brute_p_part,
     brute_tree,
     images_by_element,
     indices_of_rows,
@@ -474,7 +479,7 @@ def test_conjugate_by_matches_conjugations(corpus_groups):
 
 def test_generated_subgroup_keeps_the_irredundant_generators_in_order():
     G = cyclic(6)
-    g, g2 = G.generators[0], G.power(G.generators[0], 2)
+    g, g2 = G.generators[0], int(powers(G, G.generators[0], 2))
     H = generated_subgroup(G, [g, g2, g])
     assert (H.generators, H.order) == ((g,), 6)
     assert generated_subgroup(G, [g2, g, g2]).generators == (g2, g)
@@ -508,9 +513,9 @@ def test_element_orders():
     assert sorted(np.unique(orders)) == [1, 2, 3, 4]
     for i in range(G.order):
         o = int(orders[i])
-        assert G.power(i, o) == 0
+        assert powers(G, i, o) == 0
         for d in range(1, o):
-            assert G.power(i, d) != 0
+            assert powers(G, i, d) != 0
 
 
 def test_element_orders_match_brute_powers(corpus_groups):
@@ -524,17 +529,36 @@ def test_element_orders_match_brute_powers(corpus_groups):
     assert cyclic(1).element_orders.tolist() == [1]
 
 
-def test_power_binary_exponentiation():
-    G = cyclic(12)
-    g = G.generators[0]
-    for e in range(30):
-        expected = 0
-        for _ in range(e):
-            expected = G.mult(expected, g)
-        assert G.power(g, e) == expected
+def _power_groups(corpus_groups):
+    """C12, S4, and a quotient that keeps no table: G/Z of c6xw60."""
+    G = corpus_groups["c6xw60"]
+    return [cyclic(12), symmetric(4), quotient(G, center(G))[0]]
 
 
-def test_p_part_decomposition():
+def test_power_binary_exponentiation(corpus_groups):
+    """``powers`` equals repeated multiplication, for each element alone
+    and for the index array of all of them, for every e in 0..2·exp(G)+1."""
+    for G in _power_groups(corpus_groups):
+        everyone = np.arange(G.order)
+        t = table_of(G)
+        expected = np.zeros(G.order, np.intp)  # x^e for every x
+        for e in range(2 * math.lcm(*brute_element_orders(G).tolist()) + 2):
+            got = powers(G, everyone, e)
+            assert got.dtype == index_dtype(G.order), G.name
+            assert got.tolist() == expected.tolist(), (G.name, e)
+            assert [int(powers(G, x, e)) for x in range(G.order)] == expected.tolist()
+            expected = t[expected, everyone]
+
+
+def test_p_part_decomposition(corpus_groups):
+    """The p-part of each element, alone or in an index array of all of
+    them, is the power that the per-element oracle finds one multiplication
+    at a time, also for a prime not dividing the order."""
+    for G in _power_groups(corpus_groups):
+        orders = brute_element_orders(G).tolist()
+        for p in (2, 3, 5, 7):
+            expected = [brute_p_part(G, x, orders[x], p) for x in range(G.order)]
+            assert p_part(G, np.arange(G.order), p).tolist() == expected, (G.name, p)
     G = cyclic(12)
     orders = G.element_orders
     for x in range(G.order):
@@ -577,6 +601,24 @@ def test_no_module_but_perm_reads_a_table():
                if re.search(r"\.(table|_levels|_parent|_gen)\b",
                             path.read_text(encoding="utf-8"))]
     assert readers == ["perm.py"]
+
+
+def test_no_oracle_takes_powers_through_the_routines_it_checks():
+    """``tests/oracles.py`` names none of ``powers``, ``p_part`` and
+    ``graph._least_generators``, in a call, an attribute or an import: its
+    p-parts, twin classes and automorphisms take each power one
+    multiplication at a time, so no oracle can drift back onto the routine
+    it checks.  Docstrings may mention them."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert not names & {"powers", "p_part", "_least_generators"}
 
 
 def test_closure_labels_orbits_only_when_the_first_orbit_misses_a_moved_point(monkeypatch):

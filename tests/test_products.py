@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from agc.errors import InvalidAction, NotNormal
-from agc.perm import closure, distinct, generated_subgroup, index_dtype
+from agc.perm import closure, distinct, generated_subgroup, index_dtype, powers
 from agc.products import direct_product, extend_action, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, metacyclic, symmetric
 from agc.structure import (
@@ -243,7 +243,7 @@ def test_extend_action_rejects_keys_that_do_not_generate_the_actor():
     are not keyed by the actor's generators: an error, not an action that
     leaves elements out."""
     base, actor = cyclic(5), cyclic(4)
-    square = actor.power(actor.generators[0], 2)  # generates the C2 inside C4
+    square = int(powers(actor, actor.generators[0], 2))  # generates the C2 inside C4
     ident = np.arange(5, dtype=np.int32)
     with pytest.raises(InvalidAction):
         extend_action(actor, {square: ident}, 5)
@@ -258,7 +258,7 @@ def test_extend_action_rejects_a_key_beside_the_generators():
     base, actor = cyclic(5), cyclic(4)
     g = actor.generators[0]
     ident = np.arange(5, dtype=np.int32)
-    images = {g: ident, actor.power(g, 2): ident}
+    images = {g: ident, int(powers(actor, g, 2)): ident}
     with pytest.raises(InvalidAction, match="exactly"):
         extend_action(actor, images, 5)
     with pytest.raises(InvalidAction, match="exactly"):

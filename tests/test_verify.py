@@ -8,8 +8,9 @@ import pytest
 
 from agc.errors import NotComplement
 from agc.groupfile import load_group, save_group
-from agc.perm import closure, full_subgroup, generated_subgroup, trivial_subgroup
-from agc.constructions import cyclic, metacyclic, symmetric
+from agc.perm import closure, full_subgroup, generated_subgroup, powers, trivial_subgroup
+from agc.constructions import cyclic, dihedral, metacyclic, symmetric
+from agc.products import direct_product
 from agc.structure import derived_subgroup, sylow_subgroup
 from agc.verify import (
     GroupAnalysis,
@@ -87,8 +88,8 @@ def test_frobenius_conditions_agree_true_on_s3():
 
 def test_frobenius_conditions_agree_false_on_c6():
     G = cyclic(6)
-    N = generated_subgroup(G, [G.power(G.generators[0], 2)])  # C3
-    A = generated_subgroup(G, [G.power(G.generators[0], 3)])  # C2
+    N = generated_subgroup(G, [powers(G, G.generators[0], 2)])  # C3
+    A = generated_subgroup(G, [powers(G, G.generators[0], 3)])  # C2
     conds = frobenius_conditions(G, N, A)
     assert conds == brute_frobenius_conditions(G, N, A)
     assert not any(conds.values())
@@ -114,14 +115,16 @@ def test_frobenius_conditions_reject_non_complement():
 
 
 def test_frobenius_and_stray_checks_match_the_conjugate_walks(corpus_groups):
-    """On the corpus groups of order at most 500, the Frobenius conditions
-    of the (G', system normalizer) pair and the stray p-part check equal
-    the oracles that make and test every conjugate of the complement and
-    of the system normalizer."""
+    """On the corpus groups of order at most 500 and on F21 × D18, the
+    Frobenius conditions of the (G', system normalizer) pair and the stray
+    p-part check equal the oracles that make and test every conjugate of
+    the complement and of the system normalizer.  Besides g126, F21 × D18
+    (order 378, trivial centre, G' not a Hall subgroup) is a group on which
+    the stray check is not skipped."""
+    groups = {name: G for name, G in corpus_groups.items() if G.order <= 500}
+    groups["f21xd18"] = direct_product(metacyclic(7, 3, 2), dihedral(9))
     frobenius, stray = [], []
-    for name, G in corpus_groups.items():
-        if G.order > 500:
-            continue
+    for name, G in groups.items():
         a = GroupAnalysis(G)
         if _frobenius_equivalences_auto(a).status != "skipped-precondition":
             N, M = a.derived, a.system_normalizer
@@ -132,9 +135,9 @@ def test_frobenius_and_stray_checks_match_the_conjugate_walks(corpus_groups):
         if rec.status != "skipped-precondition":
             assert (rec.status, rec.witness) == \
                 brute_stray_p_part_centralizers(G, a.derived, a.system_normalizer), name
-            stray.append(rec.status)
+            stray.append((name, rec.status))
     assert set(frobenius) == {True, False}
-    assert "pass" in stray
+    assert ("g126", "pass") in stray and ("f21xd18", "pass") in stray
 
 
 def test_stray_p_part_check_passes_non_vacuously_on_g126(corpus_groups):
