@@ -11,14 +11,14 @@ from .perm import FiniteGroup, closure
 from .products import semidirect_product
 
 
-def cyclic(n: int, *, name: str | None = None) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n on n points; element index k is rotation by k."""
     if n == 1:
-        return closure(1, [], name=name or "C1")
-    return closure(n, [np.roll(np.arange(n), -1)], name=name or f"C{n}")
+        return closure(1, [], name="C1")
+    return closure(n, [np.roll(np.arange(n), -1)], name=f"C{n}")
 
 
-def abelian(invariants: Sequence[int], *, name: str | None = None) -> FiniteGroup:
+def abelian(invariants: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups, acting on disjoint cycles.
 
     Element indices follow breadth-first enumeration; the rotation vector of
@@ -34,8 +34,7 @@ def abelian(invariants: Sequence[int], *, name: str | None = None) -> FiniteGrou
         images[offset : offset + d] = offset + (np.arange(d) + 1) % d
         gens.append(images)
         offset += d
-    label = name or "x".join(f"C{d}" for d in invariants)
-    return closure(degree, gens, name=label)
+    return closure(degree, gens, name="x".join(f"C{d}" for d in invariants))
 
 
 def abelian_vectors(G: FiniteGroup, invariants: Sequence[int]) -> np.ndarray:

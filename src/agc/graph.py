@@ -340,9 +340,9 @@ class CommutingGraph:
         i < j, in row-major order of (i, j)."""
         return [edge for a, b in self._edge_blocks() for edge in zip(a, b)]
 
-    def dot_chunks(self, name: str = "commuting") -> Iterator[str]:
-        """The DOT text, a block of rows at a time."""
-        yield f"graph {name} {{\n"
+    def dot_chunks(self) -> Iterator[str]:
+        """The DOT text of the graph ``commuting``, a block of rows at a time."""
+        yield "graph commuting {\n"
         yield "".join(f"  {v};\n" for v in self.vertices.tolist())
         for a, b in self._edge_blocks():
             yield "".join(f"  {x} -- {y};\n" for x, y in zip(a, b))
@@ -361,9 +361,3 @@ class CommutingGraph:
                 yield sep + ",".join(f"[{x},{y}]" for x, y in zip(a, b))
                 sep = ","
         yield "]}\n"
-
-    def to_dot(self, name: str = "commuting") -> str:
-        return "".join(self.dot_chunks(name))
-
-    def to_json(self) -> str:
-        return "".join(self.json_chunks())

@@ -7,14 +7,16 @@ breadth-first over generator products starting at the identity, with the
 generator list order fixed, so element indices are fully reproducible.
 Each is enumerated once.  Elements are multiplied through one primitive,
 ``FiniteGroup.products``, and inverted through ``inverse_array``; no other
-module reads a table.  They are raised to a power through one routine,
-``powers``, square-and-multiply over index arrays, which ``p_part`` and the
-twin reduction's power maps call.  A listed group answers products from its
-multiplication table, built from the products x·g that the enumeration
-computed.  A quotient, a ``QuotientGroup``, is not listed: its elements are
-numbered by their cosets' least members in increasing order, and it keeps
-no table, listing or tree but answers products through the group it is a
-quotient of.
+module reads a table.  ``commuting`` and ``conjugations`` give each its
+entry formula to one block loop, ``_blocked``, which makes the matrix at
+once or, once it outgrows one block, a block of rows at a time.  Elements
+are raised to a power through one routine, ``powers``, square-and-multiply
+over index arrays, which ``p_part`` and the twin reduction's power maps
+call.  A listed group answers products from its multiplication table,
+built from the products x·g that the enumeration computed.  A quotient, a
+``QuotientGroup``, is not listed: its elements are numbered by their
+cosets' least members in increasing order, and it keeps no table, listing
+or tree but answers products through the group it is a quotient of.
 
 One routine, ``_enumerate``, lists every closure and product, so no other
 module knows the listing order.  It tells elements apart by their images
@@ -324,15 +326,15 @@ class QuotientGroup(FiniteGroup):
     G, x⁻¹ is ``proj`` of a representative's inverse, and the generators
     are the cosets of G's.  A quotient of a quotient asks its parent, which
     asks its own.  ``proj`` and the products have dtype
-    ``index_dtype(order)``.  The degree is the number of cosets.
+    ``index_dtype(order)``.  The degree is the number of cosets, and a
+    quotient has no name.
     """
 
-    def __init__(self, parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray, *,
-                 name: str | None = None):
+    def __init__(self, parent_group: FiniteGroup, rep: np.ndarray, proj: np.ndarray):
         self.parent_group, self.rep, self.proj = parent_group, rep, proj
         self.order = self.degree = rep.size
         self.generators = proj[parent_group.generators].tolist()
-        self.name = name
+        self.name = None
         self.inverse_array = proj[parent_group.inverse_array[rep]]
 
     def products(self, xs, ys) -> np.ndarray:
@@ -608,32 +610,31 @@ def commutes_with(G: FiniteGroup, x: int, ys: np.ndarray) -> np.ndarray:
 def commuting(G: FiniteGroup, xs: Sequence[int] | np.ndarray,
               ys: Sequence[int] | np.ndarray) -> np.ndarray:
     """Boolean matrix whose entry (i, j) says whether xs[i] and ys[j]
-    commute, that is whether x·y == y·x; filled a block of rows at a
-    time, or made at once when it fits one block."""
-    xs, ys = np.asarray(xs, np.intp), np.asarray(ys, np.intp)
-    if xs.size * ys.size <= ROW_BLOCK_ENTRIES:
-        x = xs[:, None]
-        return G.products(x, ys) == G.products(ys, x)
-    out = np.empty((xs.size, ys.size), bool)
-    for rows in row_blocks(xs.size, ys.size):
-        x = xs[rows, None]
-        np.equal(G.products(x, ys), G.products(ys, x), out=out[rows])
-    return out
+    commute, that is whether x·y == y·x (``_blocked``)."""
+    return _blocked(xs, ys, lambda x, y: G.products(x, y) == G.products(y, x), bool)
 
 
 def conjugations(G: FiniteGroup, gs: Sequence[int] | np.ndarray,
                  xs: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Index matrix whose entry (i, j) is gs[i]·xs[j]·gs[i]⁻¹; filled a
-    block of rows at a time, or made at once when it fits one block."""
+    """Index matrix whose entry (i, j) is gs[i]·xs[j]·gs[i]⁻¹ (``_blocked``)."""
     inv = G.inverse_array
-    gs, xs = np.asarray(gs, np.intp), np.asarray(xs, np.intp)
-    if gs.size * xs.size <= ROW_BLOCK_ENTRIES:
-        g = gs[:, None]
-        return G.products(G.products(g, xs), inv[g])
-    out = np.empty((gs.size, xs.size), index_dtype(G.order))
-    for rows in row_blocks(gs.size, xs.size):
-        g = gs[rows, None]
-        out[rows] = G.products(G.products(g, xs), inv[g])
+    return _blocked(gs, xs, lambda g, x: G.products(G.products(g, x), inv[g]),
+                    index_dtype(G.order))
+
+
+def _blocked(xs: Sequence[int] | np.ndarray, ys: Sequence[int] | np.ndarray,
+             entries: Callable[[np.ndarray, np.ndarray], np.ndarray],
+             dtype: type) -> np.ndarray:
+    """The matrix of ``entries(x, ys)`` for the column x of rows of the
+    index array ``xs`` against the index array ``ys``: made at once when it
+    fits one block of ROW_BLOCK_ENTRIES entries, else filled, in ``dtype``,
+    a block of rows at a time."""
+    xs, ys = np.asarray(xs, np.intp), np.asarray(ys, np.intp)
+    if xs.size * ys.size <= ROW_BLOCK_ENTRIES:
+        return entries(xs[:, None], ys)
+    out = np.empty((xs.size, ys.size), dtype)
+    for rows in row_blocks(xs.size, ys.size):
+        out[rows] = entries(xs[rows, None], ys)
     return out
 
 

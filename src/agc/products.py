@@ -21,16 +21,15 @@ from .perm import (FiniteGroup, QuotientGroup, Subgroup, _enumerate, distinct, i
                    orbit_labels)
 
 
-def quotient(
-    G: FiniteGroup, N: Subgroup, *, name: str | None = None
-) -> tuple[FiniteGroup, np.ndarray]:
+def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """The quotient G/N with its projection array.
 
     Returns ``(Q, proj)`` where ``proj[x]`` is the index in Q of the coset
     Nx.  The cosets are numbered by their least members in increasing
-    order, so N itself is coset 0.  Q is a ``QuotientGroup``: it keeps
-    those least members and ``proj``, not a table nor any listing, and
-    multiplies through G.  Raises NotNormal when N is not normal in G.
+    order, so N itself is coset 0.  Q is a ``QuotientGroup``, with no
+    name: it keeps those least members and ``proj``, not a table nor any
+    listing, and multiplies through G.  Raises NotNormal when N is not
+    normal in G.
     """
     if N.parent is not G:
         raise ValueError("subgroup does not belong to the given group")
@@ -42,7 +41,7 @@ def quotient(
     coset_rep = orbit_labels(G.products(gens, np.arange(G.order)))
     rep = distinct(coset_rep, G.order)
     proj = np.searchsorted(rep, coset_rep).astype(index_dtype(rep.size))
-    return QuotientGroup(G, rep, proj, name=name), proj
+    return QuotientGroup(G, rep, proj), proj
 
 
 def semidirect_product(

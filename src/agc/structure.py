@@ -52,21 +52,22 @@ def as_subgroup(x: GroupLike) -> Subgroup:
 # -- centralizers and the center -------------------------------------------
 
 
-def centralizer(G: FiniteGroup, x: int, within: Subgroup | None = None) -> Subgroup:
-    """All elements of G (or of ``within``) commuting with element x."""
-    scope = within.members if within is not None else np.arange(G.order, dtype=np.int32)
-    return Subgroup._sorted(G, scope[commutes_with(G, x, scope)])
+def centralizer(G: FiniteGroup, x: int) -> Subgroup:
+    """C_G(x): all elements of G commuting with element x."""
+    return Subgroup._sorted(G, commutes_with(G, x, np.arange(G.order)).nonzero()[0])
 
 
 def contains_centralizers(G: FiniteGroup, members: np.ndarray,
                           scope: np.ndarray) -> bool:
-    """Whether ``members`` contains C(x) ∩ ``scope`` for every nontrivial x in it."""
+    """Whether ``members`` contains C(x) ∩ ``scope`` for every nontrivial x
+    in it: whether no such x commutes with a member of ``scope`` outside
+    ``members``, the only columns that decide."""
     mask = np.zeros(G.order, bool)
     mask[members] = True
+    outside = scope[~mask[scope]]
     # one x at a time, to stop at the first centralizer that escapes (on the
     # order-3000 W1500 x C2 the whole matrix at once took 24 ms, this 0.2 ms)
-    return all(mask[scope[commutes_with(G, x, scope)]].all()
-               for x in members if x != 0)
+    return not any(commutes_with(G, x, outside).any() for x in members if x != 0)
 
 
 def center(H: GroupLike) -> Subgroup:
@@ -242,7 +243,6 @@ def fitting_subgroup(H: GroupLike, sylows: dict[int, Subgroup]) -> Subgroup:
 class SylowSystem(NamedTuple):
     """One Sylow subgroup per prime divisor, pairwise permutable."""
 
-    group: Subgroup
     sylows: dict[int, Subgroup]
 
     def primes(self) -> list[int]:
@@ -253,7 +253,7 @@ class SylowSystem(NamedTuple):
         of K when K is normal in the system's group (Hall's reduction
         theorem).  P ∩ K is a Sylow p-subgroup of K, so P lies in K when |P|
         divides |K|, and then P is kept with its generators."""
-        return SylowSystem(K, {
+        return SylowSystem({
             p: P if K.order % P.order == 0 else
             Subgroup._sorted(K.parent, P.members[K.member_mask[P.members]])
             for p, P in self.sylows.items() if K.order % p == 0})
@@ -295,7 +295,7 @@ def sylow_system(H: GroupLike, sylows: dict[int, Subgroup]) -> SylowSystem:
         if P is None:
             raise NotSolvable("Sylow systems require a solvable group")
         chosen.append(P)
-    return SylowSystem(H, dict(zip(primes, chosen)))
+    return SylowSystem(dict(zip(primes, chosen)))
 
 
 def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:

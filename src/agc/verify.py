@@ -228,7 +228,9 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
     Scope: solvable abelian-Sylow groups of derived length 2 with trivial
     center whose derived subgroup is not a Hall subgroup.  One ``p_part``
     of every element per prime dividing |G| finds the qualifying elements,
-    which the two centralizer tests then take in increasing order.
+    which the two centralizer tests then take in increasing order.  Each
+    test compares g only with the columns that decide it: the nontrivial
+    members of G′, then those of the union of the normalizer's conjugates.
     """
     cid = "stray-p-part-centralizers"
     c = a.classification
@@ -251,14 +253,15 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
     for p in prime_divisors(G.order):
         qualifying |= ~covered[p_part(G, everyone, p)]
     stray = qualifying.nonzero()[0].tolist()
+    # the identity, element 0, leads both sorted member lists
+    derived, cover = D.members[1:], norm_cover.nonzero()[0][1:]
     for g in stray:
-        cg = commutes_with(G, g, everyone)
-        if (cg & D.member_mask).sum() <= 1:
+        if not commutes_with(G, g, derived).any():
             return CheckRecord(cid, "fail",
                                {"element": g, "defect": "trivial centralizer in G'"})
         # some conjugate of the normalizer has a nontrivial member commuting
-        # with g exactly when C_G(g) meets the union outside the identity
-        if not (cg & norm_cover)[1:].any():
+        # with g exactly when g commutes with a nontrivial member of the union
+        if not commutes_with(G, g, cover).any():
             return CheckRecord(cid, "fail",
                                {"element": g,
                                 "defect": "no normalizer conjugate centralizes"})

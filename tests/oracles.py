@@ -556,7 +556,7 @@ def sylow_systems(H: Subgroup, limit: int) -> list[SylowSystem]:
 
     def search(chosen: list[Subgroup]) -> None:
         if len(chosen) == len(primes):
-            found.append(SylowSystem(H, dict(zip(primes, chosen))))
+            found.append(SylowSystem(dict(zip(primes, chosen))))
             return
         for P in candidate_lists[len(chosen)]:
             if len(found) == limit:

@@ -251,7 +251,7 @@ def test_edge_list_is_sorted_and_consistent():
 
 def test_dot_export_shape():
     g = CommutingGraph(symmetric(3))
-    text = g.to_dot()
+    text = "".join(g.dot_chunks())
     assert text.startswith("graph")
     assert text.rstrip().endswith("}")
     for v in g.vertices:
@@ -260,7 +260,7 @@ def test_dot_export_shape():
 
 def test_json_export_round_trips():
     g = CommutingGraph(dihedral(6))
-    payload = json.loads(g.to_json())
+    payload = json.loads("".join(g.json_chunks()))
     assert payload["order"] == 12
     assert sorted(payload["vertices"]) == sorted(int(v) for v in g.vertices)
     assert [tuple(e) for e in payload["edges"]] == g.edge_list()

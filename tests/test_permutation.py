@@ -292,15 +292,27 @@ def test_commuting_and_conjugations_match_image_rows(case, data):
     _assert_primitives_match_image_rows(G, data.draw(indices), data.draw(indices))
 
 
-def test_commuting_and_conjugations_fill_every_row_block():
+def test_commuting_and_conjugations_fill_every_row_block(witness1500_x_c2):
     """All of S6 against all of S6 spans several blocks of rows; with no
-    rows or no columns the results are empty."""
+    rows or no columns the results are empty.  So do all of G/Z against all
+    of G/Z for the quotient of W1500 × C2 by its centre, of order 1500,
+    checked against the table of a fresh closure, the conjugations in the
+    quotient's index dtype."""
     G = symmetric(6)
     everyone = list(range(G.order))
     assert G.order * G.order > 4 * perm.ROW_BLOCK_ENTRIES
     _assert_primitives_match_image_rows(G, everyone, everyone)
     _assert_primitives_match_image_rows(G, [], everyone)
     _assert_primitives_match_image_rows(G, everyone, [])
+    Q, _ = quotient(witness1500_x_c2, center(witness1500_x_c2))
+    t = table_of(Q)
+    everyone = np.arange(Q.order)
+    assert Q.order == 1500 and Q.order ** 2 > 4 * perm.ROW_BLOCK_ENTRIES
+    assert np.array_equal(commuting(Q, everyone, everyone), t == t.T)
+    inverse = (t == 0).argmax(axis=1)
+    conj = conjugations(Q, everyone, everyone)
+    assert conj.dtype == index_dtype(Q.order) == np.int16
+    assert np.array_equal(conj, t[t, inverse[:, None]])
 
 
 def test_closure_holds_each_element_once(corpus_groups):

@@ -26,6 +26,7 @@ from agc.verify import (
     proof_diagnostics,
     run_all_checks,
 )
+from agc.witness import DIAMETER4_FINGERPRINT, witness_fingerprint
 
 from oracles import (
     brute_centralizer,
@@ -182,6 +183,29 @@ def test_diameter_checks_on_witness(witness1500):
     assert _status(records, "metabelian-diameter-le-4").status == \
         "skipped-precondition"  # derived length 3
     assert _status(records, "twin-reduction-consistency").status == "pass"
+
+
+def test_bounds_hold_on_every_small_metacyclic_group():
+    """Every C_n ⋊ C_m with the generator acting by x ↦ x^r, for each r
+    with r^m ≡ 1 (mod n) and n·m ≤ 120, beyond the corpus: no check
+    fails, and each group that satisfies the hypothesis has derived length
+    2 and diameter at most 4.  C15 ⋊ C4 with r = 2 is the order-60
+    witness."""
+    cases = [(n, m, r) for n in range(1, 121) for m in range(1, 120 // n + 1)
+             for r in range(n) if pow(r, m, n) == 1 % n]
+    assert len(cases) == 1027
+    hypothesis = []
+    for n, m, r in cases:
+        a = GroupAnalysis(metacyclic(n, m, r))
+        failed = [rec.id for rec in run_all_checks(a) if rec.status == "fail"]
+        assert not failed, ((n, m, r), failed)
+        if a.classification.satisfies_hypothesis:
+            hypothesis.append((n, m, r))
+            assert a.series.derived_length == 2, (n, m, r)
+            assert a.diameter.connected and a.diameter.diameter <= 4, (n, m, r)
+        if (n, m, r) == (15, 4, 2):
+            assert witness_fingerprint(a) == DIAMETER4_FINGERPRINT
+    assert len(hypothesis) == 6
 
 
 def test_center_quotient_transfer(corpus_groups):
