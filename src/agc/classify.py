@@ -172,10 +172,6 @@ class GroupAnalysis:
 
         return run_all_checks(self)
 
-    @cached_property
-    def is_solvable_a_group(self) -> bool:
-        return self.classification.solvable and self.classification.a_group
-
 
 AnalysisLike = FiniteGroup | GroupAnalysis
 
@@ -194,9 +190,11 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
 
     For solvable G the Fitting subgroup is the only candidate kernel: a
     Frobenius kernel is nilpotent and self-centralizing, hence equals F(G).
-    The test checks 1 < F(G) < G and C_G(x) <= F(G) for nontrivial x in F(G);
+    The test checks F(G) < G and C_G(x) <= F(G) for nontrivial x in F(G);
     that condition forces F(G) to be a normal Hall subgroup acted on
-    fixed-point-freely, so a complement exists and G is Frobenius.  A
+    fixed-point-freely, so a complement exists and G is Frobenius.  F(G) > 1
+    needs no test: the last nontrivial derived term of a solvable G > 1 is
+    abelian and normal, so lies in F(G), and F(1) = 1 is not proper.  A
     Frobenius kernel is a normal Hall subgroup, so an F(G) whose order
     shares a prime with its index is none, and no centralizer is taken.
     """
@@ -204,7 +202,7 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     if not a.solvable:
         raise NotSolvable("Frobenius detection implemented for solvable groups only")
     G, F = a.group, a.fitting
-    if F.order == 1 or F.order == G.order or math.gcd(F.order, G.order // F.order) != 1:
+    if F.order == G.order or math.gcd(F.order, G.order // F.order) != 1:
         return False, None
     if contains_centralizers(G, F.members, np.arange(G.order)):
         return True, F
@@ -230,7 +228,7 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
     G, K = a.group, a.fitting
     # upper level: G/K Frobenius with kernel H/K; lower: H with kernel K
-    if (1 < K.order < G.order and len(prime_divisors(G.order // K.order)) > 1
+    if (K.order < G.order and len(prime_divisors(G.order // K.order)) > 1
             and is_frobenius(a.fitting_quotient[0])[0]):
         H = a.upper_fitting
         if contains_centralizers(G, K.members, H.members):
@@ -266,14 +264,8 @@ def corollary_class(G: FiniteGroup, hypothesis: bool) -> str:
     primes = prime_divisors(n)
     if len(primes) == 2:
         return "two-prime-order"
-    if n % 2 == 1:
-        cube_free = True
-        for p in primes:
-            if n % (p ** 3) == 0:
-                cube_free = False
-                break
-        if cube_free:
-            return "cube-free-odd"
+    if n % 2 == 1 and all(n % p ** 3 for p in primes):
+        return "cube-free-odd"
     return "none"
 
 

@@ -308,19 +308,15 @@ class CommutingGraph:
     def diameter_via_reduction(self) -> DiameterResult:
         """Diameter computed on the twin-reduced graph.
 
-        A reduced graph with one class recovers diameter 1 when the class has
-        at least two members (same-subgroup vertices commute) and the empty
-        case when the single class is a lone vertex.
+        The reduced graph of a nonabelian group has at least two vertices:
+        were every noncentral element in one cyclic subgroup C, G would be
+        Z(G) ∪ C, and no group is the union of two proper subgroups.  So a
+        connected reduced graph has diameter at least 1, the distance
+        between twins, and its diameter is the graph's.
         """
         if self.n_vertices == 0:
             return DiameterResult("empty-vertex-set", None, 0)
-        reduced = self.twin_reduce()
-        if reduced.n_vertices == 1:
-            size = int(reduced.class_sizes[0])
-            if size >= 2:
-                return DiameterResult("connected", 1, 1)
-            return DiameterResult("connected", 0, 1)
-        return reduced.diameter()
+        return self.twin_reduce().diameter()
 
     # -- export ---------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -33,30 +33,17 @@ from .perm import (
 from .structure import center, contains_centralizers, system_normalizer
 
 
-class CheckRecord:
-    """One check's outcome; ``run_all_checks`` sets ``millis`` once the
-    check has run."""
+class CheckRecord(NamedTuple):
+    """One check's outcome; ``run_all_checks`` fills in ``millis`` once
+    the check has run."""
 
-    __slots__ = ("id", "status", "witness", "millis")
-
-    def __init__(self, id: str, status: str, witness: dict[str, Any] | None = None,
-                 millis: float = 0.0) -> None:
-        self.id = id
-        self.status = status  # pass | fail | vacuous | skipped-precondition
-        self.witness = {} if witness is None else witness
-        self.millis = millis
-
-    def __repr__(self) -> str:
-        return (f"CheckRecord(id={self.id!r}, status={self.status!r}, "
-                f"witness={self.witness!r}, millis={self.millis!r})")
+    id: str
+    status: str  # pass | fail | vacuous | skipped-precondition
+    witness: dict[str, Any]
+    millis: float = 0.0
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "witness": self.witness,
-            "millis": round(self.millis, 3),
-        }
+        return {**self._asdict(), "millis": round(self.millis, 3)}
 
 
 def group_fingerprint(G: AnalysisLike) -> dict[str, Any]:
@@ -107,7 +94,7 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
     own.  The first level's normalizer is the absolute one.
     """
     cid = "system-normalizer-complement"
-    if not a.is_solvable_a_group:
+    if not a.classification.a_group:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "requires a solvable abelian-Sylow group"})
     G = a.group
@@ -134,7 +121,7 @@ def check_system_normalizer_complement(a: GroupAnalysis) -> CheckRecord:
 def check_fitting_decomposition(a: GroupAnalysis) -> CheckRecord:
     """F(G) is the internal direct product of the derived-series term centers."""
     cid = "fitting-decomposition"
-    if not a.is_solvable_a_group:
+    if not a.classification.a_group:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "requires a solvable abelian-Sylow group"})
     G = a.group
@@ -168,6 +155,11 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     (1) A is malnormal and N is the identity plus the elements missed by the
     conjugates of A; (2) C_G(a) <= A for nontrivial a in A; (3) C_G(n) <= N
     for nontrivial n in N.
+
+    Malnormality is read off the count of missed elements.  A complement A
+    of N has at most [G : A] = |N| conjugates, so their union misses at
+    least |N| - 1 elements of G, and exactly |N| - 1 when there are |N| of
+    them meeting pairwise in 1, which for A > 1 is when A is malnormal.
     """
     if not N.is_normal():
         raise NotComplement("N must be normal")
@@ -176,16 +168,12 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     everyone = np.arange(G.order)
     nontrivial = A.order > 1 and N.order > 1
 
-    # row g holds gAg⁻¹, so the entries cover the union of A's conjugates;
-    # A is malnormal (A ∩ gAg⁻¹ = 1 for every g outside A) when no row
-    # outside A sends a nontrivial member of A into A
-    images = conjugations(G, everyone, A.members)
+    # row g holds gAg⁻¹, so the entries cover the union of A's conjugates
     cover = np.zeros(G.order, bool)
-    cover[images] = True
-    malnormal = nontrivial and not A.member_mask[images[~A.member_mask, 1:]].any()
+    cover[conjugations(G, everyone, A.members)] = True
     missed = (~cover).nonzero()[0]
-    kernel_match = missed.size == N.order - 1 and bool(N.member_mask[missed].all())
-    cond1 = malnormal and kernel_match
+    cond1 = (nontrivial and missed.size == N.order - 1
+             and bool(N.member_mask[missed].all()))
 
     cond2 = nontrivial and contains_centralizers(G, A.members, everyone)
     cond3 = nontrivial and contains_centralizers(G, N.members, everyone)
@@ -206,7 +194,7 @@ def check_frobenius_equivalences(G: FiniteGroup, N: Subgroup,
 def _frobenius_equivalences_auto(a: GroupAnalysis) -> CheckRecord:
     """Run the equivalence check on the natural (G', system normalizer) pair."""
     cid = "frobenius-equivalences"
-    if not a.is_solvable_a_group or a.classification.abelian:
+    if not a.classification.a_group or a.classification.abelian:
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "needs a nonabelian solvable abelian-Sylow group"})
     G = a.group
@@ -227,14 +215,16 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
 
     Scope: solvable abelian-Sylow groups of derived length 2 with trivial
     center whose derived subgroup is not a Hall subgroup.  One ``p_part``
-    of every element per prime dividing |G| finds the qualifying elements,
-    which the two centralizer tests then take in increasing order.  Each
-    test compares g only with the columns that decide it: the nontrivial
-    members of G′, then those of the union of the normalizer's conjugates.
+    of every element per prime dividing |G : G′| finds the qualifying
+    elements (a p-element for any other prime maps to 1 in G/G′, so lies in
+    G′), which the two centralizer tests then take in increasing order.
+    Each test compares g only with the columns that decide it: the
+    nontrivial members of G′, then those of the union of the normalizer's
+    conjugates.
     """
     cid = "stray-p-part-centralizers"
     c = a.classification
-    if not (a.is_solvable_a_group and c.derived_length == 2
+    if not (c.a_group and c.derived_length == 2
             and c.center_order == 1):
         return CheckRecord(cid, "skipped-precondition",
                            {"reason": "needs derived length 2 and trivial center"})
@@ -250,7 +240,7 @@ def check_stray_p_part_centralizers(a: GroupAnalysis) -> CheckRecord:
     # a prime not dividing o(g) gives the identity, which lies in G'
     covered = D.member_mask | norm_cover
     qualifying = np.zeros(G.order, bool)
-    for p in prime_divisors(G.order):
+    for p in prime_divisors(G.order // D.order):
         qualifying |= ~covered[p_part(G, everyone, p)]
     stray = qualifying.nonzero()[0].tolist()
     # the identity, element 0, leads both sorted member lists
@@ -284,7 +274,7 @@ def _diameter_bound(cid: str, bound: int, reason: str,
         if not applies(a.classification):
             return CheckRecord(cid, "skipped-precondition", {"reason": reason})
         d = a.diameter
-        ok = d.connected and d.diameter is not None and d.diameter <= bound
+        ok = d.connected and d.diameter <= bound
         return CheckRecord(cid, "pass" if ok else "fail",
                            {"status": d.status, "diameter": d.diameter, "bound": bound})
     return check
@@ -342,8 +332,7 @@ def _diagnostic(cid: str, measure: Callable[[GroupAnalysis], dict[str, Any]]) ->
         d = a.diameter
         return CheckRecord(cid, "vacuous", {
             "diameter_status": d.status, "diameter": d.diameter,
-            "hypothesis_met": bool(d.connected and d.diameter is not None
-                                   and d.diameter >= 7),
+            "hypothesis_met": d.connected and d.diameter >= 7,
             **measure(a)})
     return check
 
@@ -434,8 +423,7 @@ def run_all_checks(G: AnalysisLike) -> list[CheckRecord]:
     for check in CHECKS:
         start = time.perf_counter()
         record = check(a)
-        record.millis = (time.perf_counter() - start) * 1000.0
-        records.append(record)
+        records.append(record._replace(millis=(time.perf_counter() - start) * 1000.0))
     return sorted(records, key=lambda r: r.id)
 
 

@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,6 +158,8 @@ def test_corollary_classes(corpus_groups):
     assert c_odd.satisfies_hypothesis
     assert c_odd.corollary_class == "cube-free-odd"
     assert corollary_class(symmetric(3), False) == "none"
+    # odd, but 945 = 3^3 * 5 * 7 is not cube-free
+    assert corollary_class(SimpleNamespace(order=945), True) == "none"
 
 
 def _relabeled(G, rng):

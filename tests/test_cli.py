@@ -172,6 +172,11 @@ def test_corpus_command(tmp_path, capsys):
     assert len(csv_lines) == 3
 
 
+def test_corpus_of_a_directory_without_group_files_exits_one(tmp_path, capsys):
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert "no group files" in capsys.readouterr().err
+
+
 def test_corpus_lists_reports_and_rows_in_one_order(tmp_path, capsys):
     """An unnamed file is placed by its file stem in reports.json as in
     summary.csv: S3 as ``a.json`` without a name comes after S3 named Zed."""

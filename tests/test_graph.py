@@ -227,6 +227,8 @@ def test_twin_classes_match_power_loop_oracle(corpus_groups):
         assert reduced.vertices.tolist() == g.vertices[keep].tolist(), name
         assert reduced.class_sizes.tolist() == sizes, name
         assert not hasattr(g, "class_sizes")
+        # no nonabelian group is its centre and one cyclic subgroup
+        assert g.n_vertices == 0 or reduced.n_vertices >= 2, name
 
 
 def test_twin_reduction_matches_full_diameter_on_corpus(corpus_groups):

@@ -171,6 +171,31 @@ def test_stray_p_part_check_fails_on_a_trivial_centralizer_in_the_derived(corpus
     assert rec.witness == {"element": 7, "defect": "trivial centralizer in G'"}
 
 
+def test_a_normalizer_that_misses_g_prime_fails_its_check_and_skips_frobenius(corpus_groups):
+    """With the trivial subgroup in place of the system normalizer, the
+    first level has no complement of G′ (of order 21 in G of order 126):
+    its check fails there, and the Frobenius check has no pair to test."""
+    G = corpus_groups["g126"]
+    a = GroupAnalysis(G)
+    a.__dict__["system_normalizer"] = trivial_subgroup(G)
+    rec = check_system_normalizer_complement(a)
+    assert rec.status == "fail"
+    assert rec.witness == {"levels": [{
+        "level": 1, "term_order": 126, "next_order": 21, "normalizer_order": None,
+        "system_index": None, "complement": False}]}
+    rec = _frobenius_equivalences_auto(a)
+    assert rec.status == "skipped-precondition"
+    assert rec.witness == {"reason": "system normalizer does not complement G'"}
+
+
+def test_stray_p_part_check_is_vacuous_when_the_normalizer_covers_g(corpus_groups):
+    """With G in place of the system normalizer every p-part is covered."""
+    a = GroupAnalysis(corpus_groups["g126"])
+    a.__dict__["system_normalizer"] = a.whole
+    rec = check_stray_p_part_centralizers(a)
+    assert (rec.status, rec.witness) == ("vacuous", {"qualifying_elements": 0})
+
+
 def test_stray_p_part_check_skips_when_derived_is_hall():
     rec = check_stray_p_part_centralizers(GroupAnalysis(symmetric(3)))
     assert rec.status == "skipped-precondition"
