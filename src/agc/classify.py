@@ -204,7 +204,7 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     G, F = a.group, a.fitting
     if F.order == G.order or math.gcd(F.order, G.order // F.order) != 1:
         return False, None
-    if contains_centralizers(G, F.members, np.arange(G.order)):
+    if contains_centralizers(F, np.arange(G.order)):
         return True, F
     return False, None
 
@@ -231,7 +231,7 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     if (K.order < G.order and len(prime_divisors(G.order // K.order)) > 1
             and is_frobenius(a.fitting_quotient[0])[0]):
         H = a.upper_fitting
-        if contains_centralizers(G, K.members, H.members):
+        if contains_centralizers(K, H.members):
             return True, (K, H)
     return False, None
 

@@ -70,9 +70,6 @@ from .errors import GroupTooLarge, MalformedPermutation, PrimeNotDividing
 
 DEFAULT_MAX_ORDER = 20_000
 ROW_BLOCK_ENTRIES = 1 << 16  # entries gathered at once when filling a large array
-# tree levels of at most this many elements are walked a row at a time: a
-# gather per row costs less than one gather of the level's flat indices
-THIN_LEVEL = 6
 INT16_MAX = int(np.iinfo(np.int16).max)
 
 
@@ -187,20 +184,14 @@ class FiniteGroup:
         """Rows indexed like the elements: row 0 is ``start``, and row j is
         ``perms[gen(j)]`` applied to row parent(j).  Parents lie in the level
         before their children, so each level is one gather through the flat
-        indices gen·width + value, or one gather per row on a level of at
-        most THIN_LEVEL elements (a cyclic group's tree is a chain of
-        them).  The values index ``perms``' rows, so the gathers ``take``
-        in "clip" mode, straight into the row."""
+        indices gen·width + value.  The values index ``perms``' rows, so the
+        gathers ``take`` in "clip" mode, straight into the rows."""
         out = np.empty((self.order, start.size), perms.dtype)
         out[0] = start
         flat, offset = perms.ravel(), self._gen[:, None] * perms.shape[1]
-        parents, gens = self._parent.tolist(), self._gen.tolist()
         for s, e in self._levels:
-            if e - s > THIN_LEVEL:
-                out[s:e] = flat.take(offset[s:e] + out.take(self._parent[s:e], 0))
-            else:
-                for j in range(s, e):
-                    perms[gens[j]].take(out[parents[j]], out=out[j], mode="clip")
+            index = offset[s:e] + out.take(self._parent[s:e], 0)
+            flat.take(index, out=out[s:e], mode="clip")
         return out
 
     def compose_rows(self, perms: np.ndarray) -> np.ndarray:
@@ -212,11 +203,11 @@ class FiniteGroup:
         multiples, an action from the images of the actor's generators.
 
         Parents lie in the level before their children, so filling a level
-        at a time reads only what is filled.  A level of more than
-        THIN_LEVEL rows that fit one block of ROW_BLOCK_ENTRIES entries is
-        one gather from the flat rows before it, at parent(i)·w +
-        perms[gen(i)]; a thinner or a wider one is one contiguous gather of
-        an earlier row per row.  ``perms`` holds indices below w, and so do
+        at a time reads only what is filled.  A level whose rows fit one
+        block of ROW_BLOCK_ENTRIES entries is one gather from the flat rows
+        before it, at parent(i)·w + perms[gen(i)]; a wider one, whose flat
+        indices would outgrow the block, is one contiguous gather of an
+        earlier row per row.  ``perms`` holds indices below w, and so do
         the rows, in ``index_dtype(w)``, and the tree holds element indices
         only, so the gathers ``take`` in "clip" mode, straight into the
         rows, not through a checking buffer."""
@@ -229,7 +220,7 @@ class FiniteGroup:
         parent, gen, perm_rows = self._parent, self._gen, list(perms)
         parents, gens = parent.tolist(), gen.tolist()
         for s, e in self._levels:
-            if THIN_LEVEL < e - s <= narrow:
+            if e - s <= narrow:
                 # the flat rows before s, which out[s:e] does not overlap
                 flat[:s * w].take(perms[gen[s:e]] + parent[s:e, None] * w,
                                   out=out[s:e], mode="clip")

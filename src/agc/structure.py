@@ -57,17 +57,16 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     return Subgroup._sorted(G, commutes_with(G, x, np.arange(G.order)).nonzero()[0])
 
 
-def contains_centralizers(G: FiniteGroup, members: np.ndarray,
-                          scope: np.ndarray) -> bool:
-    """Whether ``members`` contains C(x) ∩ ``scope`` for every nontrivial x
-    in it: whether no such x commutes with a member of ``scope`` outside
-    ``members``, the only columns that decide."""
-    mask = np.zeros(G.order, bool)
-    mask[members] = True
-    outside = scope[~mask[scope]]
+def contains_centralizers(H: Subgroup, scope: np.ndarray) -> bool:
+    """Whether H contains C(x) ∩ ``scope`` for every nontrivial x in H:
+    whether no such x commutes with a member of ``scope`` outside H, read
+    off H's member mask, the only columns that decide."""
+    G = H.parent
+    outside = scope[~H.member_mask[scope]]
     # one x at a time, to stop at the first centralizer that escapes (on the
-    # order-3000 W1500 x C2 the whole matrix at once took 24 ms, this 0.2 ms)
-    return not any(commutes_with(G, x, outside).any() for x in members if x != 0)
+    # order-3000 W1500 x C2 the whole matrix at once took 24 ms, this 0.2 ms);
+    # members are sorted, so the identity is the first
+    return not any(commutes_with(G, x, outside).any() for x in H.members[1:])
 
 
 def center(H: GroupLike) -> Subgroup:
@@ -150,8 +149,9 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     Starts from the trivial group and repeatedly extends the current
     p-subgroup P by the first p-part x, over the members of N_H(P) in
     order, that lies outside P; the standard normalizer-growth property
-    guarantees this reaches the full p-part.  The first x is the p-part of
-    the first member of H whose order p divides.  x normalizes P, so
+    guarantees this reaches the full p-part.  One ``p_part`` call takes the
+    p-parts of all of N_H(P); a member whose order p does not divide has
+    p-part 1, which is in P, and is passed over.  x normalizes P, so
     ⟨P, x⟩ is one product set (``grow``).  Each x lies outside the subgroup
     of those before it, so the generators are all of them, in the order
     found, as ``generated_subgroup`` would keep them.
@@ -162,14 +162,10 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     if n % p != 0:
         raise PrimeNotDividing(f"{p} does not divide the order {n}")
     target = math.gcd(n, p ** n.bit_length())  # the p-part of n
-    orders = G.element_orders
     P = trivial_subgroup(G)
     while P.order < target:
-        nz = normalizer_members(G, H.members, P)
-        # an element whose order p does not divide has p-part 1, which is in P
-        x = next(x for x in (int(p_part(G, int(y), p)) for y in nz[orders[nz] % p == 0])
-                 if not P.member_mask[x])
-        P = grow(G, P, x)
+        parts = p_part(G, normalizer_members(G, H.members, P), p)
+        P = grow(G, P, int(parts[~P.member_mask[parts]][0]))
     return P
 
 

@@ -175,8 +175,8 @@ def frobenius_conditions(G: FiniteGroup, N: Subgroup, A: Subgroup) -> dict[str, 
     cond1 = (nontrivial and missed.size == N.order - 1
              and bool(N.member_mask[missed].all()))
 
-    cond2 = nontrivial and contains_centralizers(G, A.members, everyone)
-    cond3 = nontrivial and contains_centralizers(G, N.members, everyone)
+    cond2 = nontrivial and contains_centralizers(A, everyone)
+    cond3 = nontrivial and contains_centralizers(N, everyone)
     return {"malnormal_kernel": cond1, "complement_centralizers": cond2,
             "kernel_centralizers": cond3}
 

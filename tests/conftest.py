@@ -10,7 +10,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from agc.constructions import cyclic
+from agc.constructions import cyclic, matrix_action_group, metacyclic
 from agc.groupfile import load_group
 from agc.products import direct_product
 from agc.witness import build_diameter4_witness, build_diameter6_witness
@@ -86,3 +86,20 @@ def witness1500():
 def witness1500_x_c2(witness1500):
     """W1500 × C2, order and degree 3000: the group of the analyze-3000 benchmark."""
     return direct_product(witness1500, cyclic(2))
+
+
+@pytest.fixture(scope="session")
+def extremal_groups():
+    """Three groups at the paper's bounds, by name: C5² ⋊ C4, the generator
+    acting by diag(−1, 2), of two-prime order 100 and diameter 4;
+    (C7 × C19) ⋊ C9, of odd cube-free order 1 197 and diameter 4; and D12's
+    natural representation over GF(7), a by diag(5, 3) and b swapping the
+    coordinates, of order 588, derived length 3 and diameter 5."""
+    c4, d12 = cyclic(4), metacyclic(6, 2, 5)
+    a, b = d12.generators
+    return {
+        "two-prime-4": matrix_action_group(5, 2, c4, {c4.generators[0]: [[4, 0], [0, 2]]}),
+        "cube-free-odd-4": metacyclic(133, 9, 23),
+        "diameter-5": matrix_action_group(7, 2, d12, {a: [[5, 0], [0, 3]],
+                                                      b: [[0, 1], [1, 0]]}),
+    }

@@ -10,6 +10,9 @@ enumerates G/N with ``closure``, where ``quotient`` lists nothing and
 numbers the cosets by their least members, and looks elements up by their
 image rows with ``indices_of_rows``, which a group no longer does; a
 quotient's table is read off that fresh closure (``table_of``),
+``first_p_part_sylow`` grows a Sylow subgroup by taking one element's
+p-part at a time, where ``sylow_subgroup`` takes those of a whole
+normalizer at once,
 ``sylow_systems`` is the depth-first search over all conjugates of the
 Sylow subgroups whose first result the greedy ``sylow_system`` must match,
 ``system_complements`` searches many Sylow systems where the check tests one,
@@ -402,6 +405,27 @@ def brute_p_part(G: FiniteGroup, g: int, o: int, p: int) -> int:
         pa *= p
     e = next(e for e in range(o) if e % (o // pa) == 0 and e % pa == 1 % pa)
     return _brute_powers(G, g, e + 1)[e]
+
+
+def first_p_part_sylow(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup of G grown one element at a time: from P = 1,
+    over the members y of N_G(P) in order (``brute_normalizer``), the first
+    y whose order p divides and whose p-part (``brute_p_part``) lies
+    outside P joins P, which is closed again (``_generated``), until |P| is
+    the p-part of |G|.  The generators are the parts taken, in order.  This
+    is the rule ``sylow_subgroup`` follows with one ``p_part`` call over all
+    of N_G(P)."""
+    orders = brute_element_orders(G)
+    target = math.gcd(G.order, p ** G.order.bit_length())
+    gens: list[int] = []
+    members = np.zeros(1, np.int64)
+    while members.size < target:
+        parts = (brute_p_part(G, y, int(orders[y]), p)
+                 for y in brute_normalizer(G, np.arange(G.order), members)
+                 if orders[y] % p == 0)
+        gens.append(next(x for x in parts if x not in members))
+        members = np.array(sorted(_generated(G, np.array(gens))))
+    return Subgroup(G, members, gens)
 
 
 def brute_stray_p_part_centralizers(G: FiniteGroup, D: Subgroup,

@@ -271,8 +271,8 @@ def test_products_match_a_closure_of_their_generators(witness1500):
     its generator rows: the same generators and the same table, so the same
     elements in the same order.  Covers every metacyclic C_n ⋊ C_m of order
     at most 60, S3 × C4, the order-1500 witness, and C3 ⋊ C2⁵ with every
-    generator inverting: an action extended over levels of 10 elements,
-    wider than THIN_LEVEL (C2⁵'s levels hold 5, 10, 10, 5 and 1)."""
+    generator inverting: an action extended over levels of one to ten
+    elements (C2⁵'s levels hold 5, 10, 10, 5 and 1), each one gather."""
     groups = [metacyclic(n, m, r) for n in range(1, 61) for m in range(1, 60 // n + 1)
               for r in range(n) if pow(r, m, n) == 1 % n]
     c3, c2_5 = cyclic(3), abelian([2] * 5)

@@ -45,6 +45,7 @@ from oracles import (
     brute_derived_series,
     brute_normal_subgroups,
     brute_normalizer,
+    first_p_part_sylow,
     fitting_by_closure,
     greedy_generators,
     is_p_subgroup,
@@ -135,6 +136,17 @@ def test_sylow_subgroups_have_full_p_part(G):
         P = sylow_subgroup(G, p)
         assert P.order == target
         assert is_p_subgroup(G, P.members, p)
+
+
+def test_sylow_subgroups_take_the_first_p_part_outside(corpus_groups, extremal_groups):
+    """``sylow_subgroups`` grows each Sylow subgroup as the one-element rule
+    does: by the first p-part outside P over N(P) in order, its members and
+    its generators."""
+    for name, G in [*corpus_groups.items(), *extremal_groups.items()]:
+        for p, P in sylow_subgroups(G).items():
+            Q = first_p_part_sylow(G, p)
+            assert np.array_equal(P.members, Q.members), (name, p)
+            assert P.generators == Q.generators, (name, p)
 
 
 def test_sylow_rejects_non_divisor():

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from agc.classify import GroupAnalysis
 from agc.constructions import abelian, cyclic
 from agc.groupfile import group_to_file, serialize_group_file
 from agc.witness import (
@@ -15,7 +16,7 @@ from agc.witness import (
     diameter6_extra_checks,
     witness_fingerprint,
 )
-from oracles import abelian_automorphisms
+from oracles import abelian_automorphisms, all_sources_diameter
 
 
 def test_abelian_automorphism_counts():
@@ -115,3 +116,26 @@ def test_emitted_witness_matches_corpus_copy(corpus_groups, witness60, witness15
         assert stored.order == built.order
         points = range(built.degree)
         assert np.array_equal(stored.images(points), built.images(points))
+
+
+# name: derived length, |G′|, |F|, corollary class, diameter
+EXTREMAL = {
+    "two-prime-4": (2, 25, 25, "two-prime-order", 4),
+    "cube-free-odd-4": (2, 133, 133, "cube-free-odd", 4),
+    "diameter-5": (3, 147, 49, "none", 5),
+}
+
+
+@pytest.mark.parametrize("name", EXTREMAL)
+def test_extremal_groups_attain_their_bounds(extremal_groups, name):
+    """Each corollary class reaches its bound of 4, and derived length 3
+    reaches 5: Z = 1, the hypothesis holds, no check fails, and the
+    diameter equals a search from every vertex over the table's commuting
+    relation."""
+    a = GroupAnalysis(extremal_groups[name])
+    c = a.classification
+    assert a.center.order == 1 and c.satisfies_hypothesis
+    assert (a.series.derived_length, a.derived.order, a.fitting.order,
+            c.corollary_class, a.diameter.diameter) == EXTREMAL[name]
+    assert all(r.status != "fail" for r in a.records)
+    assert a.diameter == all_sources_diameter(a.graph)
