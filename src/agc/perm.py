@@ -24,20 +24,23 @@ of a base, a point tuple S with trivial pointwise stabilizer: any point of
 a regular action (a product's), or for ``closure`` one started from the
 least moved point, or from every orbit's least point (``orbit_labels``)
 when that point's orbit misses a moved point, and certified by Schreier's
-lemma.  ``_enumerate`` returns the breadth-first tree it walked with the
-listing, and a group is made only from the two, so the tree is derived
-once.  A listed group keeps no image row of its elements: only its
-generators' rows, the search tree and the table; a quotient keeps one
-coset representative per element and the projection.  Elements are listed
-in first-reached order, so each tree level is a contiguous index range.
+lemma.  ``_enumerate`` returns the right columns and the breadth-first
+tree it walked, and ``closure`` checks the base on the two before it
+makes a group, so a group is made once, from a certified listing, and the
+tree is derived once.  A listed group keeps no image row of its elements:
+only its generators' rows, the search tree and the table; a quotient
+keeps one coset representative per element and the projection.  Elements
+are listed in first-reached order, so each tree level is a contiguous
+index range.
 
-The tree is walked two ways, both in ``FiniteGroup`` and both a level at a
-time, so no other module reads it.  ``_walk`` maps row parent(j) through
-the permutation of gen(j): ``images`` walks the generators' rows, and the
-left multiples g·x walk the right-multiplication columns.
-``compose_rows`` reads row parent(i) at the permutation of gen(i): it
-fills the table from the left multiples, and ``products.extend_action``
-extends an action from the actor's generators with it.
+The tree is walked two ways, both in this module and both a level at a
+time, so no other module reads it.  ``_walk``, a function of the tree,
+maps row parent(j) through the permutation of gen(j): ``_moved_point`` and
+``images`` walk the generators' rows, and the left multiples g·x walk the
+right-multiplication columns.  ``compose_rows`` reads row parent(i) at the
+permutation of gen(i): it fills the table from the left multiples, and
+``products.extend_action`` extends an action from the actor's generators
+with it.
 
 One labelling routine, ``_least_labels``, labels each item with the least
 item of its component, hooking and jumping labels over pairs of index
@@ -121,10 +124,10 @@ def _validate_rows(gens, degree: int) -> np.ndarray:
     raise AssertionError("a row failed the joint check but passed its own")
 
 
-# a listing's breadth-first tree: the parent and the generator of each
-# element (those of the identity are 0 and never read) and the index ranges
-# of the levels after the identity's
-Tree = tuple[Sequence[int], Sequence[int], list[tuple[int, int]]]
+# a listing's breadth-first tree: the intp arrays of each element's parent
+# and generator (those of the identity are 0 and never read) and the index
+# ranges of the levels after the identity's
+Tree = tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]
 
 
 class FiniteGroup:
@@ -137,31 +140,19 @@ class FiniteGroup:
     holds the images of generator h, and ``right[h, i]`` is the index of
     element i times generator h, so ``generators[h]`` is ``right[h, 0]``.
     The tree is the one ``_enumerate`` walked to list these columns; the
-    dense multiplication table and the inverse array are built from the
-    columns and the tree when the group is made.  No element's image row
-    is kept, and ``images`` reads any of them off the tree.  ``products``
-    is one gather of the table.  The table and the
-    inverse array have dtype ``index_dtype(order)``: int16 up to order
-    32 767, so the order x order table, the largest array a group holds,
-    takes two bytes an entry.  A ``QuotientGroup`` is not listed and keeps
-    neither a tree nor a table, so ``images`` and ``compose_rows`` are for
-    listed groups only.
+    constructor, the only way a listed group is made, keeps it and builds
+    the dense multiplication table and the inverse array from the columns
+    and the tree.  No element's image row is kept, and ``images`` reads any
+    of them off the tree.  ``products`` is one gather of the table.  The
+    table and the inverse array have dtype ``index_dtype(order)``: int16 up
+    to order 32 767, so the order x order table, the largest array a group
+    holds, takes two bytes an entry.  A ``QuotientGroup`` is not listed and
+    keeps neither a tree nor a table, so ``images`` and ``compose_rows`` are
+    for listed groups only.
     """
 
     def __init__(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree, *,
                  name: str | None = None):
-        self._build_tree(generator_rows, right, tree, name)
-        self._build_table(right)
-
-    def _build_tree(self, generator_rows: np.ndarray, right: np.ndarray, tree: Tree,
-                    name: str | None) -> None:
-        """Keep the generators' rows and ``tree``, the breadth-first tree
-        that ``_enumerate`` walked to list the right-multiplication columns
-        ``right``.
-
-        Element j is first reached as parent(j)·gen(j).  Elements are listed
-        in first-reached order, so parents never decrease and each
-        breadth-first level is a contiguous index range."""
         rows = np.asarray(generator_rows, np.int32)
         rows.setflags(write=False)
         self.generator_rows = rows
@@ -169,30 +160,15 @@ class FiniteGroup:
         self.order = right.shape[1]
         self.generators = right[:, 0].tolist()
         self.name = name
-        parent, gen, self._levels = tree
-        self._parent = np.array(parent, np.intp)  # parent[0] and gen[0] are never read
-        self._gen = np.array(gen, np.intp)
+        self._tree = tree
+        self._build_table(right)
 
     # -- basic accessors ----------------------------------------------------
 
     def images(self, points: Sequence[int]) -> np.ndarray:
         """Row i holds the images of ``points`` under element i: its parent's
         row mapped through its generator's row, a level at a time."""
-        return self._walk(self.generator_rows, np.asarray(points, np.int32))
-
-    def _walk(self, perms: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """Rows indexed like the elements: row 0 is ``start``, and row j is
-        ``perms[gen(j)]`` applied to row parent(j).  Parents lie in the level
-        before their children, so each level is one gather through the flat
-        indices gen·width + value.  The values index ``perms``' rows, so the
-        gathers ``take`` in "clip" mode, straight into the rows."""
-        out = np.empty((self.order, start.size), perms.dtype)
-        out[0] = start
-        flat, offset = perms.ravel(), self._gen[:, None] * perms.shape[1]
-        for s, e in self._levels:
-            index = offset[s:e] + out.take(self._parent[s:e], 0)
-            flat.take(index, out=out[s:e], mode="clip")
-        return out
+        return _walk(self._tree, self.generator_rows, np.asarray(points, np.int32))
 
     def compose_rows(self, perms: np.ndarray) -> np.ndarray:
         """Rows indexed like the elements, each as wide as a row of
@@ -205,25 +181,26 @@ class FiniteGroup:
         Parents lie in the level before their children, so filling a level
         at a time reads only what is filled.  A level whose rows fit one
         block of ROW_BLOCK_ENTRIES entries is one gather from the flat rows
-        before it, at parent(i)·w + perms[gen(i)]; a wider one, whose flat
-        indices would outgrow the block, is one contiguous gather of an
-        earlier row per row.  ``perms`` holds indices below w, and so do
-        the rows, in ``index_dtype(w)``, and the tree holds element indices
-        only, so the gathers ``take`` in "clip" mode, straight into the
-        rows, not through a checking buffer."""
+        before it, at perms[gen(i)] + parent(i)·w, the offsets added in
+        place; a wider one, whose flat indices would outgrow the block, is
+        one contiguous gather of an earlier row per row.  ``perms`` holds
+        indices below w, and so do the rows, in ``index_dtype(w)``, and the
+        tree holds element indices only, so the gathers ``take`` in "clip"
+        mode, straight into the rows, not through a checking buffer."""
         perms = np.ascontiguousarray(perms, np.intp)
         w = perms.shape[1]
         dtype = index_dtype(w)
         out = np.empty((self.order, w), dtype)
         out[0] = np.arange(w, dtype=dtype)
         flat, narrow = out.reshape(-1), ROW_BLOCK_ENTRIES // w
-        parent, gen, perm_rows = self._parent, self._gen, list(perms)
-        parents, gens = parent.tolist(), gen.tolist()
-        for s, e in self._levels:
+        parent, gen, levels = self._tree
+        parents, gens, perm_rows = parent.tolist(), gen.tolist(), list(perms)
+        for s, e in levels:
             if e - s <= narrow:
+                index = perms[gen[s:e]]
+                index += parent[s:e, None] * w
                 # the flat rows before s, which out[s:e] does not overlap
-                flat[:s * w].take(perms[gen[s:e]] + parent[s:e, None] * w,
-                                  out=out[s:e], mode="clip")
+                flat[:s * w].take(index, out=out[s:e], mode="clip")
             else:
                 for i in range(s, e):
                     out[parents[i]].take(perm_rows[gens[i]], out=out[i], mode="clip")
@@ -263,24 +240,11 @@ class FiniteGroup:
         table is the composition of the rows of ``left`` (``compose_rows``).
         As e_i⁻¹ = gen(i)⁻¹·e_parent(i)⁻¹, the inverse array is the walk from
         the identity of the table rows of the generators' inverses."""
-        self.table = table = self.compose_rows(self._walk(right, right[:, 0]).T)
+        tree = self._tree
+        self.table = table = self.compose_rows(_walk(tree, right, right[:, 0]).T)
         # a generator's inverse is the column of the identity in its row
         inverses = table[self.generators].argmin(axis=1)
-        self.inverse_array = self._walk(table[inverses], np.zeros(1, table.dtype))[:, 0]
-
-    def _moved_point(self, base: list[int], right: np.ndarray) -> int | None:
-        """The first point, by generator, then element, of some g(S) that a
-        Schreier generator s = e_i·h·e_j⁻¹ of the listing keyed by S,
-        ``base``, moves, or None when S is a base (see ``closure``).  s moves
-        y exactly when h(e_i(y)) differs from e_j(y): one gather over the
-        images of S ∪ g(S), read off the tree, g(S) ∖ S off a mask."""
-        rows = self.generator_rows
-        rest = np.bincount(rows[:, base].ravel(), minlength=max(base) + 1) > 0
-        rest[base] = False
-        points = np.concatenate([base, rest.nonzero()[0]])
-        images = self.images(points)
-        moved = np.nonzero(rows[:, images] != images[right])[2]
-        return int(points[moved[0]]) if moved.size else None
+        self.inverse_array = _walk(tree, table[inverses], np.zeros(1, table.dtype))[:, 0]
 
     # -- element data ---------------------------------------------------------
 
@@ -332,6 +296,39 @@ class QuotientGroup(FiniteGroup):
         return self.proj[self.parent_group.products(self.rep[xs], self.rep[ys])]
 
 
+def _walk(tree: Tree, perms: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Rows indexed like the elements of the listing whose tree is ``tree``:
+    row 0 is ``start``, and row j is ``perms[gen(j)]`` applied to row
+    parent(j).  Parents lie in the level before their children, so each
+    level is one gather through the flat indices gen·width + value.  The
+    values index ``perms``' rows, so the gathers ``take`` in "clip" mode,
+    straight into the rows."""
+    parent, gen, levels = tree
+    out = np.empty((parent.size, start.size), perms.dtype)
+    out[0] = start
+    flat, offset = perms.ravel(), gen[:, None] * perms.shape[1]
+    for s, e in levels:
+        index = offset[s:e] + out.take(parent[s:e], 0)
+        flat.take(index, out=out[s:e], mode="clip")
+    return out
+
+
+def _moved_point(rows: np.ndarray, base: list[int], right: np.ndarray,
+                 tree: Tree) -> int | None:
+    """The first point, by generator, then element, of some g(S) that a
+    Schreier generator s = e_i·h·e_j⁻¹ of the listing keyed by S, ``base``,
+    with right columns ``right`` and tree ``tree``, moves, or None when S is
+    a base (see ``closure``).  s moves y exactly when h(e_i(y)) differs from
+    e_j(y): one gather over the images of S ∪ g(S) under the generators
+    ``rows``, walked along the tree, g(S) ∖ S off a mask."""
+    rest = np.bincount(rows[:, base].ravel(), minlength=max(base) + 1) > 0
+    rest[base] = False
+    points = np.concatenate([base, rest.nonzero()[0]])
+    images = _walk(tree, rows, points)
+    moved = np.nonzero(rows[:, images] != images[right])[2]
+    return int(points[moved[0]]) if moved.size else None
+
+
 def closure(
     degree: int,
     gens: Iterable[Sequence[int] | np.ndarray],
@@ -347,9 +344,12 @@ def closure(
     of the certified listing.
 
     S starts as the least moved point, or as the point 0 if no point moves.
-    That listing's ``pos`` marks the point's orbit; only when the orbit
-    misses a moved point does S restart as the least point of each orbit
-    of ⟨gens⟩ that has more than one point (``orbit_labels``).  Let e_i be
+    That listing has one element per point of the point's orbit, and a
+    moved point's orbit holds only moved points, since a point that every
+    generator fixes is an orbit of its own; so the orbit misses a moved
+    point exactly when the listing is shorter than the moved set.  Only
+    then does S restart as the least point of each orbit of ⟨gens⟩ that
+    has more than one point (``orbit_labels``).  Let e_i be
     the tree element of key i and j the key of e_i·g.  By Schreier's lemma
     the stabilizer G_(S) is generated by the elements s = e_i·g·e_j⁻¹.  If
     every such s fixes every point of g(S), for every generator g, then
@@ -360,8 +360,9 @@ def closure(
     and the listing, the generator indices and the right columns are those
     of a search over whole rows.  If some s moves a point of some g(S), that
     point joins S and the search starts again; G_(S) at least halves each
-    time, so there are at most log2 |G| restarts.  Only a certified listing
-    gets its table.
+    time, so there are at most log2 |G| restarts.  ``_moved_point`` finds
+    that point before any group is made, so the one ``FiniteGroup`` made,
+    with its table, is that of the certified listing.
 
     Raises GroupTooLarge once more than ``max_order`` keys are found, so a
     cap below 1 admits only the trivial group.  The degree must lie between
@@ -375,42 +376,38 @@ def closure(
     # with no rows nothing of the degree's size is made
     moved = (garr != np.arange(degree)).any(axis=0) if len(garr) else np.zeros(1, bool)
     base = [int(moved.argmax())]  # the least moved point, or 0 when none moves
-    right, pos, tree = _enumerate(garr, base, max_order)
-    if (moved & (pos < 0)).any():  # its orbit misses a moved point
+    right, tree = _enumerate(garr, base, max_order)
+    if moved.sum() > right.shape[1]:  # its orbit misses a moved point
         base = (moved & (orbit_labels(garr) == np.arange(degree))).nonzero()[0].tolist()
-        right, pos, tree = _enumerate(garr, base, max_order)
-    while True:
-        group = FiniteGroup.__new__(FiniteGroup)
-        group._build_tree(garr, right, tree, name)
-        if (point := group._moved_point(base, right)) is None:
-            group._build_table(right)
-            return group
+        right, tree = _enumerate(garr, base, max_order)
+    while (point := _moved_point(garr, base, right, tree)) is not None:
         base.append(point)
-        right, _, tree = _enumerate(garr, base, max_order)
+        right, tree = _enumerate(garr, base, max_order)
+    return FiniteGroup(garr, right, tree, name=name)
 
 
 def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
-               ) -> tuple[np.ndarray, np.ndarray | None, Tree]:
+               ) -> tuple[np.ndarray, Tree]:
     """The one listing of group elements: breadth-first from the identity
     over right multiplication by the permutations ``rows``, each element
     known by its key, its images of the points ``base`` (the key of x·g is
     g applied to x's), and listed where its key is first reached, x-major,
-    then by generator.  Returns the right columns, ``right[h, i]`` the
-    index of element i times generator h; ``pos``: for one base point, the
-    dense array over the points that numbers the keys (-1 while unseen), so
-    ``pos[p]`` indexes the element taking the base point to p, and for
-    longer keys, which a dict of their bytes numbers, None; and the tree
-    the search walked, each element's parent, generator and level.  Keys
-    name elements one to one when the base is a base, as any point is of a
-    regular action; ``closure`` certifies the rest.  Raises GroupTooLarge
-    once more than ``max_order`` keys are found."""
+    then by generator.  One base point's keys are numbered by a dense array
+    over the points, longer keys by a dict of their bytes, and either way
+    each element's parent and generator are recorded as it is listed.
+    Returns the right columns, ``right[h, i]`` the index of element i times
+    generator h, and the tree the search walked.  Keys name elements one to
+    one when the base is a base, as any point is of a regular action;
+    ``closure`` certifies the rest.  Raises GroupTooLarge once more than
+    ``max_order`` keys are found."""
     base = np.asarray(base, np.int32)
     ngens = rows.shape[0]
     parent, gen, levels = [0], [0], []
     if base.size == 1:
         # memoryviews read Python ints and copy nothing of the degree, and
-        # with no rows nothing of the degree's size is made
-        images, listed = [memoryview(row) for row in rows], base.tolist()
+        # with no rows nothing of the degree's size is made; each is paired
+        # with its generator's index once, not once per element
+        images, listed = list(enumerate(memoryview(row) for row in rows)), base.tolist()
         pos = np.full(rows.shape[1] if ngens else listed[0] + 1, -1, np.int32)
         at = memoryview(pos)
         at[listed[0]] = 0
@@ -419,7 +416,7 @@ def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
             if i == end:  # the level before is read, so the one after is listed
                 levels.append((end, len(listed)))
                 end = len(listed)
-            for row in images:
+            for h, row in images:
                 q = row[p]
                 if at[q] < 0:
                     if len(listed) >= max_order:
@@ -427,32 +424,31 @@ def _enumerate(rows: np.ndarray, base: Sequence[int], max_order: int
                     at[q] = len(listed)
                     listed.append(q)
                     parent.append(i)
+                    gen.append(h)
         right = pos[rows[:, listed]]
-        # element j's generator is the first whose column at parent(j) holds j
-        if ngens:
-            gen = (right[:, parent] == np.arange(len(listed))).argmax(axis=0)
-        return right, pos, (parent, gen, levels)
-    key = np.dtype((np.void, rows.dtype.itemsize * base.size))  # a key's bytes
-    cur = base.astype(rows.dtype)[None]
-    index = {cur.view(key).item(): 0}
-    right, n = [], 1  # n: the keys found
-    while len(cur):
-        prods = np.ascontiguousarray(rows[:, cur].transpose(1, 0, 2).reshape(-1, base.size))
-        new, first = [], n - len(cur)  # first: the index of cur's first element
-        for q, k in enumerate(prods.view(key).ravel().tolist()):
-            j = index.setdefault(k, n)
-            if j == n:
-                if n >= max_order:
-                    raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
-                new.append(q)
-                parent.append(first + q // ngens)
-                gen.append(q % ngens)
-                n += 1
-            right.append(j)
-        if new:
-            levels.append((n - len(new), n))
-        cur = prods[new]
-    return np.array(right, np.int32).reshape(-1, ngens).T.copy(), None, (parent, gen, levels)
+    else:
+        key = np.dtype((np.void, rows.dtype.itemsize * base.size))  # a key's bytes
+        cur = base.astype(rows.dtype)[None]
+        index = {cur.view(key).item(): 0}
+        right, n = [], 1  # n: the keys found
+        while len(cur):
+            prods = np.ascontiguousarray(rows[:, cur].transpose(1, 0, 2).reshape(-1, base.size))
+            new, first = [], n - len(cur)  # first: the index of cur's first element
+            for q, k in enumerate(prods.view(key).ravel().tolist()):
+                j = index.setdefault(k, n)
+                if j == n:
+                    if n >= max_order:
+                        raise GroupTooLarge(f"closure exceeded the order cap of {max_order}")
+                    new.append(q)
+                    parent.append(first + q // ngens)
+                    gen.append(q % ngens)
+                    n += 1
+                right.append(j)
+            if new:
+                levels.append((n - len(new), n))
+            cur = prods[new]
+        right = np.array(right, np.int32).reshape(-1, ngens).T.copy()
+    return right, (np.array(parent, np.intp), np.array(gen, np.intp), levels)
 
 
 def orbit_labels(perms: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ def semidirect_product(
             for gb in base.generators]
     rows += [b_of * m + actor.products(a_of, ga) for ga in actor.generators]
     rows = np.array(rows, np.int32).reshape(-1, nb * m)
-    right, _, tree = _enumerate(rows, [0], nb * m)
+    right, tree = _enumerate(rows, [0], nb * m)
     return FiniteGroup(rows, right, tree, name=name)
 
 

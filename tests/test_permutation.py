@@ -92,22 +92,18 @@ def test_closure_respects_max_order():
 
 def _assert_enumerates_as_row_closure(rows, base, label):
     """``_enumerate`` keyed by ``base``, a base of the group ``rows``
-    generate, gives the right columns of the search over whole rows, the
-    tree that those columns describe, and for one point a ``pos`` that
-    indexes each element by its image of it."""
+    generate, gives the right columns of the search over whole rows and
+    the tree that those columns describe, its parents and generators as
+    the intp arrays that the walks read."""
     rows = np.asarray(rows, np.int32)
     elements, generators, table = row_closure(rows.shape[1], list(rows))
-    right, pos, (parent, gen, levels) = perm._enumerate(rows, base, elements.shape[0])
+    right, (parent, gen, levels) = perm._enumerate(rows, base, elements.shape[0])
     assert np.array_equal(right, table[:, generators].T), label
+    assert parent.dtype == gen.dtype == np.intp, label
     want_parent, want_gen, want_levels = brute_tree(right)
     assert np.array_equal(parent[1:], want_parent[1:]), label
     assert np.array_equal(gen[1:], want_gen[1:]), label
     assert levels == want_levels, label
-    if len(base) == 1:
-        assert np.array_equal(pos[elements[:, base[0]]], np.arange(len(elements))), label
-        assert (np.delete(pos, elements[:, base[0]]) == -1).all(), label
-    else:
-        assert pos is None, label
 
 
 def test_enumerate_lists_one_point_bases_as_the_row_search(witness60):
@@ -167,10 +163,10 @@ def test_enumerate_stops_at_the_key_past_the_cap():
 
 
 def test_enumerate_of_no_rows_makes_nothing_of_the_degree():
-    """With no generators the listing is the identity alone, and ``pos``
-    reaches only to the base point, whatever the degree."""
-    right, pos, tree = perm._enumerate(np.zeros((0, 10**12), np.int32), [0], 1)
-    assert right.shape == (0, 1) and pos.tolist() == [0] and tree[2] == []
+    """With no generators the listing is the identity alone, and nothing
+    of the degree's size is made, whatever the degree."""
+    right, (parent, gen, levels) = perm._enumerate(np.zeros((0, 10**12), np.int32), [0], 1)
+    assert right.shape == (0, 1) and parent.tolist() == gen.tolist() == [0] and levels == []
 
 
 def _generator_sets():
@@ -607,10 +603,10 @@ def test_no_module_but_perm_reads_a_table():
     """Outside ``agc.perm`` every product goes through ``FiniteGroup.products``
     and every inverse through ``inverse_array``: no other module of agc
     reads ``.table``, so none can bypass a group that keeps no table.  Nor
-    does one read a group's tree (``._levels``, ``._parent``, ``._gen``), so
-    only ``FiniteGroup``'s own walks follow it."""
+    does one read a group's tree (``._tree``), so only ``perm``'s own walks
+    follow it."""
     readers = [path.name for path in sorted(Path(perm.__file__).parent.glob("*.py"))
-               if re.search(r"\.(table|_levels|_parent|_gen)\b",
+               if re.search(r"\.(table|_tree)\b",
                             path.read_text(encoding="utf-8"))]
     assert readers == ["perm.py"]
 
@@ -633,6 +629,14 @@ def test_no_oracle_takes_powers_through_the_routines_it_checks():
     assert not names & {"powers", "p_part", "_least_generators"}
 
 
+# degree and generators of groups whose least moved point's orbit misses a
+# moved point, with the least point of each orbit that moves
+ORBIT_RESTARTS = {
+    "C2^3": (6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]], [0, 2, 4]),
+    "C3 x C5": (9, [[0, 2, 3, 1, 4, 5, 6, 7, 8], [0, 1, 2, 3, 5, 6, 7, 8, 4]], [1, 4]),
+}
+
+
 def test_closure_labels_orbits_only_when_the_first_orbit_misses_a_moved_point(monkeypatch):
     """``closure`` lists first from the least moved point.  C2³ on 6 points
     and disjoint 3- and 5-cycles move points outside that point's orbit,
@@ -640,7 +644,6 @@ def test_closure_labels_orbits_only_when_the_first_orbit_misses_a_moved_point(mo
     moves (``orbit_labels``) and still gives the row search's listing; a
     transitive group, and a group moving one orbit beside fixed points, is
     listed from its least moved point with no orbit labelling."""
-    swap = lambda n, a, b: [b if i == a else a if i == b else i for i in range(n)]
     bases, labelled = [], []
     enumerate_, orbit_labels_ = perm._enumerate, perm.orbit_labels
 
@@ -654,11 +657,7 @@ def test_closure_labels_orbits_only_when_the_first_orbit_misses_a_moved_point(mo
 
     monkeypatch.setattr(perm, "_enumerate", recorded)
     monkeypatch.setattr(perm, "orbit_labels", counted)
-    cases = {
-        "C2^3": (6, [swap(6, 0, 1), swap(6, 2, 3), swap(6, 4, 5)], [0, 2, 4]),
-        "C3 x C5": (9, [[0, 2, 3, 1, 4, 5, 6, 7, 8], [0, 1, 2, 3, 5, 6, 7, 8, 4]], [1, 4]),
-    }
-    for label, (degree, gens, reps) in cases.items():
+    for label, (degree, gens, reps) in ORBIT_RESTARTS.items():
         bases.clear()
         labelled.clear()
         _assert_matches_row_closure(degree, gens, label)
@@ -670,6 +669,35 @@ def test_closure_labels_orbits_only_when_the_first_orbit_misses_a_moved_point(mo
         _assert_matches_row_closure(degree, gens, label)
         assert bases[0] == [int(np.flatnonzero(np.array(gens[0]) != np.arange(degree))[0])]
         assert not labelled, label
+
+
+def test_closure_makes_one_group_from_the_certified_listing(monkeypatch):
+    """``closure`` certifies its base before it makes a group, so each call
+    runs ``FiniteGroup.__init__`` and ``_build_table`` once: S3, S4 and D8
+    restart through Schreier's lemma, C2³ and C3 × C5 through the orbit
+    test, and C5 beside fixed points is listed once."""
+    cases = {G.name: (G.degree, list(G.generator_rows), True)
+             for G in (symmetric(3), symmetric(4), dihedral(4))}
+    cases |= {label: (degree, gens, True) for label, (degree, gens, _) in ORBIT_RESTARTS.items()}
+    cases["C5 beside fixed points"] = (8, [[0, 1, 2, 4, 5, 6, 7, 3]], False)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("__init__", "_build_table"):
+        monkeypatch.setattr(perm.FiniteGroup, name, counted(name, getattr(perm.FiniteGroup, name)))
+    monkeypatch.setattr(perm, "_enumerate", counted("_enumerate", perm._enumerate))
+    for label, (degree, gens, restarts) in cases.items():
+        calls.clear()
+        G = closure(degree, gens)
+        assert calls[-2:] == ["__init__", "_build_table"], label
+        assert calls.count("__init__") == calls.count("_build_table") == 1, label
+        assert (calls.count("_enumerate") > 1) == restarts, label
+        assert G.order == len(row_closure(degree, gens)[0]), label
 
 
 @settings(max_examples=200)

@@ -122,6 +122,7 @@ def test_emitted_witness_matches_corpus_copy(corpus_groups, witness60, witness15
 EXTREMAL = {
     "two-prime-4": (2, 25, 25, "two-prime-order", 4),
     "cube-free-odd-4": (2, 133, 133, "cube-free-odd", 4),
+    "derived-length-3-4": (3, 75, 25, "none", 4),
     "diameter-5": (3, 147, 49, "none", 5),
 }
 
@@ -129,9 +130,9 @@ EXTREMAL = {
 @pytest.mark.parametrize("name", EXTREMAL)
 def test_extremal_groups_attain_their_bounds(extremal_groups, name):
     """Each corollary class reaches its bound of 4, and derived length 3
-    reaches 5: Z = 1, the hypothesis holds, no check fails, and the
-    diameter equals a search from every vertex over the table's commuting
-    relation."""
+    reaches 4 at order 300 and 5 at order 588: Z = 1, the hypothesis holds,
+    no check fails, and the diameter equals a search from every vertex over
+    the table's commuting relation."""
     a = GroupAnalysis(extremal_groups[name])
     c = a.classification
     assert a.center.order == 1 and c.satisfies_hypothesis
