@@ -11,8 +11,10 @@ the function that defines it; the predicates, the fingerprints, the checks
 and the reports all read from it.  It alone builds the group's Sylow
 subgroups, G/Z and G/F(G).  A quotient grows no Sylow subgroups of its own:
 it takes the images of G's, since the image of a Sylow p-subgroup under
-G -> G/N is a Sylow p-subgroup of G/N.  Functions taking an
-``AnalysisLike`` also accept a bare group, which they analyse afresh.
+G -> G/N is a Sylow p-subgroup of G/N.  The structure functions take
+subgroups, and the analysis passes them ``whole``, its one full subgroup
+of G.  Functions taking an ``AnalysisLike`` also accept a bare group,
+which they analyse afresh.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ class GroupAnalysis:
 
     @cached_property
     def whole(self) -> Subgroup:
-        """G as its own full subgroup, made once for every invariant that
-        starts from it.  The analysis keeps it, not the group, which would
-        then refer to a subgroup that refers back to it."""
+        """G as its own full subgroup, the only one the analysis makes,
+        passed to every structure function that starts from G.  The
+        analysis keeps it, not the group, which would then refer to a
+        subgroup that refers back to it."""
         return full_subgroup(self.group)
 
     @cached_property
@@ -89,7 +92,7 @@ class GroupAnalysis:
         once the parent has built them.  Their only reader, ``fitting``,
         takes p-cores, and O_p is the intersection of all Sylow
         p-subgroups, so it is the same whichever one is given."""
-        return sylow_subgroups(self.group)
+        return sylow_subgroups(self.whole)
 
     @cached_property
     def fitting(self) -> Subgroup:

@@ -9,13 +9,15 @@ minimal normal subgroups grown from classes of prime-order elements, and
 normal-subgroup enumeration via join-closure of normal closures.
 
 All operations are pure functions of groups and subgroups, which they do
-not modify.  Most take either a FiniteGroup or a Subgroup; a FiniteGroup is
-treated as its own full subgroup.  The p-cores, the Fitting subgroup and
-the Sylow system are given the Sylow subgroups they start from, so that a
-caller (``GroupAnalysis``) builds each once for all three.  Subgroups found
-as member sets (centralizers, centres, normalizers, cores, system
-normalizers, normal closures) are returned without generators; each chooses
-its own when they are first read.
+not modify.  Those that work inside a subgroup H take H as a Subgroup; G
+itself is ``GroupAnalysis(G).whole`` or ``full_subgroup(G)``.  Those that
+work in all of G (centralizers, conjugacy classes, normal subgroups) take
+the FiniteGroup.  The p-cores, the Fitting subgroup and the Sylow system
+are given the Sylow subgroups they start from, so that a caller
+(``GroupAnalysis``) builds each once for all three.  Subgroups found as
+member sets (centralizers, centres, normalizers, cores, system normalizers,
+normal closures) are returned without generators; each chooses its own
+when they are first read.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ from .perm import (
     trivial_subgroup,
 )
 
-GroupLike = FiniteGroup | Subgroup
-
-
-def as_subgroup(x: GroupLike) -> Subgroup:
-    return x if isinstance(x, Subgroup) else full_subgroup(x)
-
-
 # -- centralizers and the center -------------------------------------------
 
 
@@ -69,25 +64,19 @@ def contains_centralizers(H: Subgroup, scope: np.ndarray) -> bool:
     return not any(commutes_with(G, x, outside).any() for x in H.members[1:])
 
 
-def center(H: GroupLike) -> Subgroup:
+def center(H: Subgroup) -> Subgroup:
     """Elements of H commuting with H's generators, hence with every element
     of H (a Subgroup of the parent)."""
-    H = as_subgroup(H)
     commutes = commuting(H.parent, H.members, H.generators)
     return Subgroup._sorted(H.parent, H.members[commutes.all(axis=1)])
-
-
-def is_abelian(H: GroupLike) -> bool:
-    return as_subgroup(H).is_abelian()
 
 
 # -- derived series ----------------------------------------------------------
 
 
-def derived_subgroup(H: GroupLike) -> Subgroup:
+def derived_subgroup(H: Subgroup) -> Subgroup:
     """The commutator subgroup, generated by commutators of generators with
     members, each marked in a mask and then read in increasing order."""
-    H = as_subgroup(H)
     G = H.parent
     inv = G.inverse_array
     comms = np.zeros(G.order, bool)
@@ -109,8 +98,7 @@ class DerivedSeries(NamedTuple):
         return [s.order for s in self.terms]
 
 
-def derived_series(H: GroupLike) -> DerivedSeries:
-    H = as_subgroup(H)
+def derived_series(H: Subgroup) -> DerivedSeries:
     terms = [H]
     while True:
         nxt = derived_subgroup(terms[-1])
@@ -124,7 +112,7 @@ def derived_series(H: GroupLike) -> DerivedSeries:
     return DerivedSeries(tuple(terms), None)
 
 
-def is_solvable(H: GroupLike) -> bool:
+def is_solvable(H: Subgroup) -> bool:
     return derived_series(H).solvable
 
 
@@ -138,12 +126,11 @@ def normalizer_members(G: FiniteGroup, scope: np.ndarray, P: Subgroup) -> np.nda
     return scope[P.member_mask[images].all(axis=1)]
 
 
-def normalizer(H: GroupLike, P: Subgroup) -> Subgroup:
-    H = as_subgroup(H)
+def normalizer(H: Subgroup, P: Subgroup) -> Subgroup:
     return Subgroup._sorted(H.parent, normalizer_members(H.parent, H.members, P))
 
 
-def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
+def sylow_subgroup(H: Subgroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of H, grown inside successive normalizers.
 
     Starts from the trivial group and repeatedly extends the current
@@ -156,7 +143,6 @@ def sylow_subgroup(H: GroupLike, p: int) -> Subgroup:
     of those before it, so the generators are all of them, in the order
     found, as ``generated_subgroup`` would keep them.
     """
-    H = as_subgroup(H)
     G = H.parent
     n = H.order
     if n % p != 0:
@@ -180,16 +166,14 @@ def grow(G: FiniteGroup, P: Subgroup, x: int) -> Subgroup:
     return Subgroup._sorted(G, product_set(G, P.members, powers), (*P.generators, x))
 
 
-def sylow_subgroups(H: GroupLike) -> dict[int, Subgroup]:
+def sylow_subgroups(H: Subgroup) -> dict[int, Subgroup]:
     """One Sylow subgroup of H per prime dividing |H|, by ascending prime."""
-    H = as_subgroup(H)
     return {p: sylow_subgroup(H, p) for p in prime_divisors(H.order)}
 
 
-def conjugates(H: GroupLike, P: Subgroup) -> Iterator[Subgroup]:
+def conjugates(H: Subgroup, P: Subgroup) -> Iterator[Subgroup]:
     """The conjugates of P under H, each once, breadth-first over H's
     generators, made as they are asked for."""
-    H = as_subgroup(H)
     seen = {P.key()}
     orbit = [P]
     for cur in orbit:  # grows while it is read
@@ -204,9 +188,8 @@ def conjugates(H: GroupLike, P: Subgroup) -> Iterator[Subgroup]:
 # -- Fitting subgroups -------------------------------------------------------
 
 
-def p_core(H: GroupLike, P: Subgroup) -> Subgroup:
+def p_core(H: Subgroup, P: Subgroup) -> Subgroup:
     """O_p(H): the intersection of all conjugates of P, a Sylow p-subgroup of H."""
-    H = as_subgroup(H)
     G = H.parent
     gens = H.generators
     members = P.members
@@ -219,13 +202,12 @@ def p_core(H: GroupLike, P: Subgroup) -> Subgroup:
         members = kept
 
 
-def fitting_subgroup(H: GroupLike, sylows: dict[int, Subgroup]) -> Subgroup:
+def fitting_subgroup(H: Subgroup, sylows: dict[int, Subgroup]) -> Subgroup:
     """F(H): the product of the cores O_p(H) of H's Sylow subgroups ``sylows``.
 
     The cores are normal and of coprime orders, so the product set of any
     two is a subgroup, of order the product of theirs; F(H) is read off as
     that set, without closing the cores' generators again."""
-    H = as_subgroup(H)
     G = H.parent
     members = np.array([0], np.int32)
     for P in sylows.values():
@@ -262,7 +244,7 @@ def product_sets_equal(G: FiniteGroup, A: np.ndarray, B: np.ndarray) -> bool:
     return ab.size == ba.size and bool((ab == ba).all())
 
 
-def sylow_system(H: GroupLike, sylows: dict[int, Subgroup]) -> SylowSystem:
+def sylow_system(H: Subgroup, sylows: dict[int, Subgroup]) -> SylowSystem:
     """The canonical Sylow system of a solvable group H, grown from H's
     Sylow subgroups ``sylows``, one per prime.
 
@@ -280,7 +262,6 @@ def sylow_system(H: GroupLike, sylows: dict[int, Subgroup]) -> SylowSystem:
     candidates finds.  A Sylow system exists only in a solvable group, so a
     prime with no permuting candidate means H is not solvable.
     """
-    H = as_subgroup(H)
     G = H.parent
     primes = sorted(sylows, key=lambda p: (-sylows[p].order, p))
     chosen: list[Subgroup] = []
@@ -294,13 +275,12 @@ def sylow_system(H: GroupLike, sylows: dict[int, Subgroup]) -> SylowSystem:
     return SylowSystem(dict(zip(primes, chosen)))
 
 
-def system_normalizer(L: GroupLike, system: SylowSystem) -> Subgroup:
+def system_normalizer(L: Subgroup, system: SylowSystem) -> Subgroup:
     """Elements of L whose conjugation fixes every Sylow subgroup of the system.
 
     With L equal to the system's own group this is an absolute system
     normalizer; with a larger ambient L it is a relative one.
     """
-    L = as_subgroup(L)
     G = L.parent
     members = L.members
     for p in system.primes():

@@ -77,7 +77,6 @@ from agc.perm import (
 )
 from agc.structure import (
     SylowSystem,
-    as_subgroup,
     conjugates,
     derived_series,
     is_solvable,
@@ -235,7 +234,7 @@ def indices_of_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
 
 def fitting_by_closure(H: FiniteGroup | Subgroup) -> Subgroup:
     """F(H) as the subgroup generated by the generators of all the p-cores."""
-    H = as_subgroup(H)
+    H = H if isinstance(H, Subgroup) else full_subgroup(H)
     gens = [x for P in sylow_subgroups(H).values() for x in p_core(H, P).generators]
     return generated_subgroup(H.parent, gens)
 
@@ -595,8 +594,8 @@ def sylow_systems(H: Subgroup, limit: int) -> list[SylowSystem]:
 def system_complements(G: FiniteGroup, limit: int = 64) -> list[list[bool]]:
     """Per derived-series level i, whether the normalizer in G of each of the
     first ``limit`` Sylow systems of G^(i-1) complements G^(i)."""
-    terms = derived_series(G).terms
     full = full_subgroup(G)
+    terms = derived_series(full).terms
     levels = []
     for K, N in zip(terms, terms[1:]):
         row = []

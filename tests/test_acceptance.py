@@ -12,7 +12,7 @@ import pytest
 from agc.cli import main
 from agc.classify import classify
 from agc.graph import CommutingGraph
-from agc.perm import prime_divisors
+from agc.perm import full_subgroup, prime_divisors
 from agc.structure import center, derived_series, fitting_subgroup
 from agc.verify import run_all_checks
 from agc.witness import (
@@ -49,7 +49,7 @@ def test_criterion_1_order_1500_witness(witness1500):
         fp["order"] == 1500
         and fp["center_order"] == 1
         and fp["derived_order"] == 375
-        and center(derived_series(G).terms[1]).order > 1
+        and center(derived_series(full_subgroup(G)).terms[1]).order > 1
         and fp["fitting_order"] == 125
         and extras["fitting_is_sylow_5"]
         and extras["no_2_element_commutes_with_fitting"]
@@ -127,7 +127,7 @@ def test_criterion_5_oracle_equivalence(corpus_groups):
         if (full.status, full.diameter) != (reduced.status, reduced.diameter):
             ok = False
         if G.order <= 500:
-            got = [set(t.members.tolist()) for t in derived_series(G).terms]
+            got = [set(t.members.tolist()) for t in derived_series(full_subgroup(G)).terms]
             if got != brute_derived_series(G):
                 ok = False
             if is_frobenius(G)[0] != frobenius_by_malnormal_complement(G):
@@ -143,7 +143,7 @@ def test_criterion_6_center_quotient_diameters(corpus_analysis):
     for name, (G, c, d) in corpus_analysis.items():
         if not (c.satisfies_hypothesis and c.center_order > 1):
             continue
-        Z = center(G)
+        Z = center(full_subgroup(G))
         Q, _ = quotient(G, Z)
         dq = CommutingGraph(Q).diameter()
         checked += 1

@@ -1,11 +1,15 @@
+import importlib
+import pkgutil
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import agc
 from agc.errors import NotSolvable
-from agc.perm import closure
+from agc.groupfile import load_group
+from agc.perm import closure, full_subgroup
 from agc.classify import (
     GroupAnalysis,
     classify,
@@ -47,7 +51,7 @@ def test_frobenius_s3():
     ok, kernel = is_frobenius(symmetric(3))
     assert ok
     assert kernel.order == 3
-    assert np.array_equal(derived_subgroup(symmetric(3)).members, kernel.members)
+    assert np.array_equal(derived_subgroup(full_subgroup(symmetric(3))).members, kernel.members)
 
 
 def test_frobenius_f20_and_negatives():
@@ -121,7 +125,7 @@ def test_2frobenius_matches_pair_scan_oracle(corpus_groups):
         c = classify(G)
         expected = bool(brute_2frobenius(G))
         assert is_2frobenius(G)[0] == c.two_frobenius == expected, name
-        Z = center(G)
+        Z = center(full_subgroup(G))
         if Z.order == 1:
             assert c.central_quotient_two_frobenius == expected, name
         elif Z.order < G.order:
@@ -198,6 +202,32 @@ def test_classification_invariant_under_generator_relabeling(corpus_groups):
             H = _relabeled(G, np.random.default_rng([seed, G.order]))
             assert H.order == G.order
             assert _report_and_row(H) == want, (name, seed)
+
+
+def test_each_analysis_makes_one_whole_group_subgroup(corpus_dir, monkeypatch):
+    """Structure functions take subgroups and make no full subgroup of
+    their own, so a report over the corpus runs ``full_subgroup`` once per
+    analysis, its ``whole``, counting the analyses of G/Z and G/F(G)."""
+    made, analyses = [], []
+    init = GroupAnalysis.__init__
+
+    def counted(G):
+        made.append(G)
+        return full_subgroup(G)
+
+    def counted_init(self, group):
+        analyses.append(group)
+        init(self, group)
+
+    for info in pkgutil.iter_modules(agc.__path__):
+        module = importlib.import_module(f"agc.{info.name}")
+        if vars(module).get("full_subgroup") is full_subgroup:
+            monkeypatch.setattr(module, "full_subgroup", counted)
+    monkeypatch.setattr(GroupAnalysis, "__init__", counted_init)
+    for path in sorted(corpus_dir.glob("*.json")):
+        group_report(GroupAnalysis(load_group(path)))
+    assert len(analyses) > 37
+    assert len(made) == len(analyses)
 
 
 def test_the_package_leaves_the_classify_module_reachable():

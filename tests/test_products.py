@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from agc.errors import InvalidAction, NotNormal
-from agc.perm import closure, distinct, generated_subgroup, index_dtype, powers
+from agc.perm import closure, distinct, full_subgroup, generated_subgroup, index_dtype, powers
 from agc.products import direct_product, extend_action, quotient, semidirect_product
 from agc.constructions import abelian, cyclic, metacyclic, symmetric
 from agc.structure import (
@@ -13,7 +13,6 @@ from agc.structure import (
     derived_series,
     derived_subgroup,
     fitting_subgroup,
-    is_abelian,
     normal_subgroups,
     sylow_subgroups,
 )
@@ -41,7 +40,7 @@ def test_quotient_s4_by_v4():
     V = _klein_four(G)
     Q, proj = quotient(G, V)
     assert Q.order == 6
-    assert not is_abelian(Q)  # S4/V4 is the nonabelian group of order 6
+    assert not full_subgroup(Q).is_abelian()  # S4/V4 is the nonabelian group of order 6
     # the projection is a homomorphism
     t = G.table
     for i in range(0, 24, 3):
@@ -78,12 +77,14 @@ def test_quotient_matches_closure_oracle(corpus_groups, witness1500_x_c2):
     and on the G/Z of W1500 × C2.  The closure over G/Z reads G/Z's
     products off a closure of its own (``oracles.table_of``)."""
     for name, G in corpus_groups.items():
-        for N in (fitting_subgroup(G, sylow_subgroups(G)), derived_subgroup(G)):
+        full = full_subgroup(G)
+        for N in (fitting_subgroup(full, sylow_subgroups(full)), derived_subgroup(full)):
             _assert_matches_closure_quotient(G, N, name)
-        Q = _assert_matches_closure_quotient(G, center(G), name)
-        _assert_matches_closure_quotient(Q, fitting_subgroup(Q, sylow_subgroups(Q)), name)
+        Q = _assert_matches_closure_quotient(G, center(full), name)
+        whole = full_subgroup(Q)
+        _assert_matches_closure_quotient(Q, fitting_subgroup(whole, sylow_subgroups(whole)), name)
     G = witness1500_x_c2
-    _assert_matches_closure_quotient(G, center(G), "W1500 x C2")
+    _assert_matches_closure_quotient(G, center(full_subgroup(G)), "W1500 x C2")
 
 
 def test_quotient_numbers_cosets_by_least_members_at_order_3000(witness1500_x_c2):
@@ -94,7 +95,8 @@ def test_quotient_numbers_cosets_by_least_members_at_order_3000(witness1500_x_c2
     the cosets of G's."""
     G = witness1500_x_c2
     everyone = np.arange(G.order)
-    for N in (center(G), derived_subgroup(G)):
+    full = full_subgroup(G)
+    for N in (center(full), derived_subgroup(full)):
         Q, proj = quotient(G, N)
         cosets = G.products(N.members[:, None], everyone)  # column x: the coset Nx
         assert Q.order == G.order // N.order, N.order
@@ -135,15 +137,16 @@ def test_quotient_rejects_non_normal():
 def test_direct_product_of_abelians_is_abelian():
     G = direct_product(cyclic(4), cyclic(6))
     assert G.order == 24
-    assert is_abelian(G)
+    assert full_subgroup(G).is_abelian()
     assert int(G.element_orders.max()) == 12
 
 
 def test_direct_product_center_splits():
     G = direct_product(cyclic(2), symmetric(3))
     assert G.order == 12
-    assert center(G).order == 2
-    assert derived_series(G).orders() == [12, 3, 1]
+    full = full_subgroup(G)
+    assert center(full).order == 2
+    assert derived_series(full).orders() == [12, 3, 1]
 
 
 def test_semidirect_pairing_is_bijective():
@@ -224,8 +227,9 @@ def test_frobenius_20_structure():
     base, actor = cyclic(5), cyclic(4)
     idx = np.arange(5)
     G = semidirect_product(base, actor, {actor.generators[0]: (idx * 2) % 5})
-    assert center(G).order == 1
-    assert derived_series(G).orders() == [20, 5, 1]
+    full = full_subgroup(G)
+    assert center(full).order == 1
+    assert derived_series(full).orders() == [20, 5, 1]
     infos = normal_subgroups(G)
     assert [i.subgroup.order for i in infos] == [1, 5, 10, 20]
 

@@ -58,7 +58,7 @@ SMALL = [symmetric(3), symmetric(4), alternating(4), dihedral(4), dihedral(6),
 
 @pytest.mark.parametrize("G", SMALL, ids=lambda g: g.name)
 def test_center_matches_brute_force(G):
-    assert center(G).members.tolist() == brute_center(G)
+    assert center(full_subgroup(G)).members.tolist() == brute_center(G)
 
 
 def test_center_and_abelian_of_subgroups_match_all_pairs(corpus_groups):
@@ -69,8 +69,9 @@ def test_center_and_abelian_of_subgroups_match_all_pairs(corpus_groups):
         if G.order > 200:
             continue
         t = G.table
-        subgroups = list(derived_series(G).terms)
-        subgroups += [sylow_subgroup(G, p) for p in prime_divisors(G.order)]
+        full = full_subgroup(G)
+        subgroups = list(derived_series(full).terms)
+        subgroups += [sylow_subgroup(full, p) for p in prime_divisors(G.order)]
         subgroups += [H.conjugate_by(G.order - 1) for H in subgroups]
         for H in subgroups:
             m = H.members
@@ -84,7 +85,7 @@ def test_center_makes_no_table_sized_temporary(corpus_groups):
     G = corpus_groups["diameter6-witness"]
     tracemalloc.start()
     try:
-        Z = center(G)
+        Z = center(full_subgroup(G))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,7 +101,7 @@ def test_centralizer_matches_brute_force(G):
 
 @pytest.mark.parametrize("G", SMALL, ids=lambda g: g.name)
 def test_derived_series_matches_brute_force(G):
-    got = [set(t.members.tolist()) for t in derived_series(G).terms]
+    got = [set(t.members.tolist()) for t in derived_series(full_subgroup(G)).terms]
     assert got == brute_derived_series(G)
 
 
@@ -109,7 +110,7 @@ def test_derived_terms_carry_irredundant_generators(corpus_groups, witness1500_x
     before it, and together they generate the term: G' of the order-3000
     group carries 4 generators, not all 374 of its nontrivial commutators."""
     for G in [*corpus_groups.values(), witness1500_x_c2]:
-        terms = derived_series(G).terms
+        terms = derived_series(full_subgroup(G)).terms
         for T in terms[1:]:
             gens = T.generators
             for k, x in enumerate(gens):
@@ -119,9 +120,10 @@ def test_derived_terms_carry_irredundant_generators(corpus_groups, witness1500_x
 
 
 def test_solvability():
-    assert is_solvable(symmetric(4))
-    assert not is_solvable(alternating(5))
-    assert derived_series(alternating(5)).derived_length is None
+    assert is_solvable(full_subgroup(symmetric(4)))
+    A5 = full_subgroup(alternating(5))
+    assert not is_solvable(A5)
+    assert derived_series(A5).derived_length is None
 
 
 @pytest.mark.parametrize("G", SMALL, ids=lambda g: g.name)
@@ -133,7 +135,7 @@ def test_sylow_subgroups_have_full_p_part(G):
         while m % p == 0:
             target *= p
             m //= p
-        P = sylow_subgroup(G, p)
+        P = sylow_subgroup(full_subgroup(G), p)
         assert P.order == target
         assert is_p_subgroup(G, P.members, p)
 
@@ -143,7 +145,7 @@ def test_sylow_subgroups_take_the_first_p_part_outside(corpus_groups, extremal_g
     does: by the first p-part outside P over N(P) in order, its members and
     its generators."""
     for name, G in [*corpus_groups.items(), *extremal_groups.items()]:
-        for p, P in sylow_subgroups(G).items():
+        for p, P in sylow_subgroups(full_subgroup(G)).items():
             Q = first_p_part_sylow(G, p)
             assert np.array_equal(P.members, Q.members), (name, p)
             assert P.generators == Q.generators, (name, p)
@@ -151,12 +153,13 @@ def test_sylow_subgroups_take_the_first_p_part_outside(corpus_groups, extremal_g
 
 def test_sylow_rejects_non_divisor():
     with pytest.raises(PrimeNotDividing):
-        sylow_subgroup(symmetric(3), 5)
+        sylow_subgroup(full_subgroup(symmetric(3)), 5)
 
 
 def test_fitting_of_s4_is_klein_four():
     G = symmetric(4)
-    F = fitting_subgroup(G, sylow_subgroups(G))
+    full = full_subgroup(G)
+    F = fitting_subgroup(full, sylow_subgroups(full))
     assert F.order == 4
     assert F.is_normal()
     assert F.is_abelian()
@@ -167,8 +170,8 @@ def test_fitting_subgroup_is_the_product_set_of_the_p_cores(corpus_groups):
     """The product set of the p-cores is the subgroup their generators
     generate, on every corpus group and on its central quotient."""
     for name, G in corpus_groups.items():
-        Q, _ = quotient(G, center(G))
-        for label, H in ((name, G), (f"{name}/Z", Q)):
+        Q, _ = quotient(G, center(full_subgroup(G)))
+        for label, H in ((name, full_subgroup(G)), (f"{name}/Z", full_subgroup(Q))):
             F = fitting_subgroup(H, sylow_subgroups(H))
             assert np.array_equal(F.members, fitting_by_closure(H).members), label
 
@@ -195,20 +198,21 @@ def test_quotients_take_the_images_of_the_sylow_subgroups(corpus_groups):
                 assert Q.order % P.order == 0 and Q.order // P.order % p, (name, label, p)
                 assert is_p_subgroup(Q, P.members, p), (name, label, p)
                 assert irredundant(Q, P.generators)[1].tolist() == P.members.tolist()
-            grown = fitting_subgroup(Q, sylow_subgroups(Q))
+            grown = fitting_subgroup(q.whole, sylow_subgroups(q.whole))
             assert np.array_equal(q.fitting.members, grown.members), (name, label)
             assert np.array_equal(q.fitting.members, fitting_by_closure(Q).members)
 
 
 def test_p_core_of_s4():
-    G = symmetric(4)
-    assert p_core(G, sylow_subgroup(G, 2)).order == 4
-    assert p_core(G, sylow_subgroup(G, 3)).order == 1
+    full = full_subgroup(symmetric(4))
+    assert p_core(full, sylow_subgroup(full, 2)).order == 4
+    assert p_core(full, sylow_subgroup(full, 3)).order == 1
 
 
 def test_sylow_system_of_s3():
     G = symmetric(3)
-    system = sylow_system(G, sylow_subgroups(G))
+    full = full_subgroup(G)
+    system = sylow_system(full, sylow_subgroups(full))
     assert {p: S.order for p, S in system.sylows.items()} == {2: 2, 3: 3}
     # the product of the system is the whole group
     product = G.table[np.ix_(system.sylows[2].members, system.sylows[3].members)]
@@ -217,13 +221,14 @@ def test_sylow_system_of_s3():
 
 def test_sylow_systems_require_solvable():
     for G in (alternating(5), symmetric(5)):
+        full = full_subgroup(G)
         with pytest.raises(NotSolvable):
-            sylow_system(G, sylow_subgroups(G))
+            sylow_system(full, sylow_subgroups(full))
 
 
 def _solvable_terms(corpus_groups):
     for name, G in corpus_groups.items():
-        series = derived_series(G)
+        series = derived_series(full_subgroup(G))
         assert series.solvable, name
         for K in series.terms:
             yield name, K
@@ -256,12 +261,13 @@ def test_sylow_system_is_first_of_exhaustive_search(corpus_groups):
     every derived term of the corpus and on AGL(1,7), where the greedy choice
     must pass over two conjugates of the canonical Sylow 2-subgroup."""
     G = _agl17()
-    P2, P3 = sylow_subgroup(G, 2), sylow_subgroup(G, 3)
+    full = full_subgroup(G)
+    P2, P3 = sylow_subgroup(full, 2), sylow_subgroup(full, 3)
     assert not product_sets_equal(G, P2.members, P3.members)
-    candidates = list(conjugates(G, P2))
-    assert np.array_equal(sylow_system(G, sylow_subgroups(G)).sylows[2].members,
+    candidates = list(conjugates(full, P2))
+    assert np.array_equal(sylow_system(full, sylow_subgroups(full)).sylows[2].members,
                           candidates[2].members)
-    terms = list(_solvable_terms(corpus_groups)) + [("AGL(1,7)", full_subgroup(G))]
+    terms = list(_solvable_terms(corpus_groups)) + [("AGL(1,7)", full)]
     for name, K in terms:
         got = sylow_system(K, sylow_subgroups(K))
         (first,) = sylow_systems(K, limit=1)
@@ -278,7 +284,7 @@ def test_normalizer_members_match_conjugating_every_member(corpus_groups):
         if G.order > 500:
             continue
         a = GroupAnalysis(G)
-        subgroups = [sylow_subgroup(G, p) for p in prime_divisors(G.order)]
+        subgroups = [sylow_subgroup(a.whole, p) for p in prime_divisors(G.order)]
         subgroups += list(a.series.terms) + [a.upper_fitting]
         subgroups += [H.conjugate_by(G.order - 1) for H in subgroups]
         subgroups.append(trivial_subgroup(G))
@@ -298,13 +304,13 @@ def test_found_subgroups_choose_the_greedy_generators_when_read(corpus_groups,
         primes = prime_divisors(G.order)
         classes = conjugacy_classes(G)[1:]
         reps = [int(c[0]) for c in classes]
-        found = [center(G)]
-        found += [p_core(G, P) for P in sylow_subgroups(G).values()]
+        found = [center(full)]
+        found += [p_core(full, P) for P in sylow_subgroups(full).values()]
         found += [Subgroup(G, irredundant(G, c.tolist())[1]) for c in classes]
         found += [centralizer(G, x) for x in reps]
-        found += [normalizer(full, sylow_subgroup(G, p)) for p in primes]
-        if is_solvable(G):
-            found.append(system_normalizer(full, sylow_system(full, sylow_subgroups(G))))
+        found += [normalizer(full, sylow_subgroup(full, p)) for p in primes]
+        if is_solvable(full):
+            found.append(system_normalizer(full, sylow_system(full, sylow_subgroups(full))))
         for H in found:
             assert "generators" not in vars(H), (G.name, H)
             assert H.generators == greedy_generators(G, H.members), (G.name, H)
@@ -316,16 +322,17 @@ def test_found_subgroups_choose_the_greedy_generators_when_read(corpus_groups,
 def test_system_normalizer_complements_derived_subgroup(witness60):
     G = witness60
     full = full_subgroup(G)
-    M = system_normalizer(full, sylow_system(full, sylow_subgroups(G)))
-    D = derived_subgroup(G)
+    M = system_normalizer(full, sylow_system(full, sylow_subgroups(full)))
+    D = derived_subgroup(full)
     assert M.order * D.order == G.order
     assert np.intersect1d(M.members, D.members).size == 1
 
 
 def test_normalizer_and_conjugacy():
     G = symmetric(4)
-    P = sylow_subgroup(G, 2)
-    N = normalizer(full_subgroup(G), P)
+    full = full_subgroup(G)
+    P = sylow_subgroup(full, 2)
+    N = normalizer(full, P)
     assert N.order == 8  # Sylow 2 of S4 is self-normalizing
     classes = conjugacy_classes(G)
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
@@ -370,7 +377,7 @@ def test_minimal_normal_subgroups_match_oracle(corpus_groups):
     groups = [G for G in corpus_groups.values() if G.order <= 500]
     groups += [cyclic(1), symmetric(4), cyclic(12)]
     for G in groups:
-        assert is_solvable(G), G.name
+        assert is_solvable(full_subgroup(G)), G.name
         F = fitting_by_closure(G).members
         products = G.table[np.ix_(F, F)]
         zf = set(F[(products == products.T).all(axis=1)].tolist())

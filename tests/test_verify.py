@@ -79,8 +79,9 @@ def test_canonical_system_decides_like_the_bounded_search(corpus_groups):
 
 def test_frobenius_conditions_agree_true_on_s3():
     G = symmetric(3)
-    N = derived_subgroup(G)
-    A = sylow_subgroup(G, 2)
+    full = full_subgroup(G)
+    N = derived_subgroup(full)
+    A = sylow_subgroup(full, 2)
     conds = frobenius_conditions(G, N, A)
     assert conds == brute_frobenius_conditions(G, N, A)
     assert all(conds.values())
@@ -99,8 +100,9 @@ def test_frobenius_conditions_agree_false_on_c6():
 
 def test_frobenius_conditions_agree_true_on_f20():
     G = metacyclic(5, 4, 2)
-    N = derived_subgroup(G)
-    A = sylow_subgroup(G, 2)
+    full = full_subgroup(G)
+    N = derived_subgroup(full)
+    A = sylow_subgroup(full, 2)
     conds = frobenius_conditions(G, N, A)
     assert conds == brute_frobenius_conditions(G, N, A)
     assert all(conds.values())
@@ -108,11 +110,12 @@ def test_frobenius_conditions_agree_true_on_f20():
 
 def test_frobenius_conditions_reject_non_complement():
     G = symmetric(3)
-    N = derived_subgroup(G)
+    full = full_subgroup(G)
+    N = derived_subgroup(full)
     with pytest.raises(NotComplement):
         frobenius_conditions(G, N, N)
     with pytest.raises(NotComplement):
-        frobenius_conditions(G, sylow_subgroup(G, 2), derived_subgroup(G))
+        frobenius_conditions(G, sylow_subgroup(full, 2), N)
 
 
 def test_frobenius_and_stray_checks_match_the_conjugate_walks(corpus_groups):
