@@ -13,8 +13,8 @@ subgroups, G/Z and G/F(G).  A quotient grows no Sylow subgroups of its own:
 it takes the images of G's, since the image of a Sylow p-subgroup under
 G -> G/N is a Sylow p-subgroup of G/N.  The structure functions take
 subgroups, and the analysis passes them ``whole``, its one full subgroup
-of G.  Functions taking an ``AnalysisLike`` also accept a bare group,
-which they analyse afresh.
+of G.  The predicates take the analysis; ``satisfies_hypothesis`` alone
+takes a bare group, which it analyses afresh.
 """
 
 from __future__ import annotations
@@ -176,19 +176,12 @@ class GroupAnalysis:
         return run_all_checks(self)
 
 
-AnalysisLike = FiniteGroup | GroupAnalysis
-
-
-def as_analysis(x: AnalysisLike) -> GroupAnalysis:
-    return x if isinstance(x, GroupAnalysis) else GroupAnalysis(x)
-
-
-def is_a_group(G: AnalysisLike) -> bool:
+def is_a_group(a: GroupAnalysis) -> bool:
     """Whether every Sylow subgroup of G is abelian."""
-    return all(P.is_abelian() for P in as_analysis(G).sylows.values())
+    return all(P.is_abelian() for P in a.sylows.values())
 
 
-def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
+def is_frobenius(a: GroupAnalysis) -> tuple[bool, Subgroup | None]:
     """Frobenius test for solvable groups, returning the kernel when one exists.
 
     For solvable G the Fitting subgroup is the only candidate kernel: a
@@ -201,7 +194,6 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     Frobenius kernel is a normal Hall subgroup, so an F(G) whose order
     shares a prime with its index is none, and no centralizer is taken.
     """
-    a = as_analysis(G)
     if not a.solvable:
         raise NotSolvable("Frobenius detection implemented for solvable groups only")
     G, F = a.group, a.fitting
@@ -212,7 +204,7 @@ def is_frobenius(G: AnalysisLike) -> tuple[bool, Subgroup | None]:
     return False, None
 
 
-def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
+def is_2frobenius(a: GroupAnalysis) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
     """2-Frobenius test: normal K < H with H Frobenius with kernel K and
     G/K Frobenius with kernel H/K.  Returns (K, H) on success.
 
@@ -226,7 +218,6 @@ def is_2frobenius(G: AnalysisLike) -> tuple[bool, tuple[Subgroup, Subgroup] | No
     Frobenius group has a kernel and a complement of coprime orders, so when
     |G : F(G)| is a prime power G/F(G) is not built.
     """
-    a = as_analysis(G)
     if not a.solvable:
         raise NotSolvable("2-Frobenius detection implemented for solvable groups only")
     G, K = a.group, a.fitting
@@ -272,8 +263,7 @@ def corollary_class(G: FiniteGroup, hypothesis: bool) -> str:
     return "none"
 
 
-def classify(G: AnalysisLike) -> Classification:
-    a = as_analysis(G)
+def classify(a: GroupAnalysis) -> Classification:
     G = a.group
     solvable = a.solvable
     Z = a.center
@@ -312,4 +302,4 @@ def classify(G: AnalysisLike) -> Classification:
 
 
 def satisfies_hypothesis(G: FiniteGroup) -> bool:
-    return classify(G).satisfies_hypothesis
+    return classify(GroupAnalysis(G)).satisfies_hypothesis

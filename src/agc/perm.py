@@ -100,30 +100,6 @@ def _validate_images(images, degree: int) -> np.ndarray:
     return arr.astype(np.int32)
 
 
-def _validate_rows(gens, degree: int) -> np.ndarray:
-    """The image arrays ``gens`` as the rows of one int32 array, each
-    checked as ``_validate_images`` checks it, all at once: one mask of
-    flags per row.  On a failure the first bad row's error is raised, as a
-    check of one row after another raises it."""
-    try:
-        arr = np.asarray(gens, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):  # ragged, or beyond int64
-        arr = None
-    if arr is not None and arr.ndim == 2 and arr.shape[1] == degree:
-        if not arr.size:
-            return arr.astype(np.int32)
-        if int(arr.min()) >= 0 and int(arr.max()) < degree:
-            seen = np.zeros(arr.size, bool)
-            seen[(arr + np.arange(0, arr.size, degree)[:, None]).ravel()] = True
-            if seen.all():
-                return arr.astype(np.int32)
-    elif arr is not None and arr.size == 0:  # no rows at all
-        return np.zeros(0, np.int32).reshape(0, degree)
-    for g in gens:
-        _validate_images(g, degree)
-    raise AssertionError("a row failed the joint check but passed its own")
-
-
 # a listing's breadth-first tree: the intp arrays of each element's parent
 # and generator (those of the identity are 0 and never read) and the index
 # ranges of the levels after the identity's
@@ -366,13 +342,14 @@ def closure(
 
     Raises GroupTooLarge once more than ``max_order`` keys are found, so a
     cap below 1 admits only the trivial group.  The degree must lie between
-    1 and the largest ``np.intp``, and each generator is checked to be a
-    bijection of {0..degree-1}; with no generators nothing of size
-    ``degree`` is made.
+    1 and the largest ``np.intp``.  Each generator in turn is checked by
+    ``_validate_images`` to be a bijection of {0..degree-1}, so the first
+    bad one raises; with no generators nothing of size ``degree`` is made.
     """
     if not 1 <= degree <= np.iinfo(np.intp).max:
         raise MalformedPermutation("degree must be positive and fit an array index")
-    garr = _validate_rows(gens if isinstance(gens, np.ndarray) else list(gens), degree)
+    rows = [_validate_images(g, degree) for g in gens]
+    garr = np.array(rows, np.int32).reshape(-1, degree)
     # with no rows nothing of the degree's size is made
     moved = (garr != np.arange(degree)).any(axis=0) if len(garr) else np.zeros(1, bool)
     base = [int(moved.argmax())]  # the least moved point, or 0 when none moves

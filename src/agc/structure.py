@@ -5,8 +5,9 @@ growth, each step one product set P·⟨x⟩ by ``grow``), p-cores and the
 Fitting subgroup, Sylow systems chosen greedily (Hall: in a solvable group
 no choice has to be undone), (relative) system normalizers, conjugacy
 classes as the orbits of the generators' conjugations (``orbit_labels``),
-minimal normal subgroups grown from classes of prime-order elements, and
-normal-subgroup enumeration via join-closure of normal closures.
+minimal normal subgroups as the subgroups generated by classes of
+prime-order elements (``generated_subgroup``), and normal-subgroup
+enumeration via join-closure of normal closures.
 
 All operations are pure functions of groups and subgroups, which they do
 not modify.  Those that work inside a subgroup H take H as a Subgroup; G
@@ -366,18 +367,16 @@ def minimal_normal_subgroups(G: FiniteGroup, classes: list[np.ndarray]) -> list[
     by one conjugacy class of prime-order elements.  ``classes`` must be
     G's classes inside an abelian normal subgroup that holds every minimal
     normal subgroup, identity first, as ``GroupAnalysis.minimal_normals``
-    passes those inside Z(F(G)).  There every member normalizes, so each
-    class grows by ``grow``, keeping the members that grew it as generators.
+    passes those inside Z(F(G)).  Each class's closure is
+    ``generated_subgroup`` of its members, whose generators are the members
+    that each lie outside the subgroup of those kept before them.
     """
     primes = prime_divisors(G.order)
     orders = G.element_orders
     closures: dict[bytes, Subgroup] = {}
     for cls in classes[1:]:
         if orders[cls[0]] in primes:
-            S = trivial_subgroup(G)
-            for x in cls.tolist():
-                if not S.member_mask[x]:
-                    S = grow(G, S, x)
+            S = generated_subgroup(G, cls.tolist())
             closures.setdefault(S.key(), S)
     subs = sorted(closures.values(), key=lambda s: (s.order, s.members.tolist()))
     return [S for S in subs

@@ -8,6 +8,9 @@ are never asserted; they stay "vacuous" with the data in the witness field.
 
 Checks read their invariants from one ``GroupAnalysis``, which also keeps
 the records of ``run_all_checks``: a report and its summary row share them.
+Only the report entry points (``group_fingerprint``, ``group_report`` and
+``report_summary_row``) also accept a bare group, which they analyse
+afresh.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .classify import AnalysisLike, Classification, GroupAnalysis, as_analysis
+from .classify import Classification, GroupAnalysis
 from .errors import NotComplement
 from .perm import (
     FiniteGroup,
@@ -44,6 +47,13 @@ class CheckRecord(NamedTuple):
 
     def to_json(self) -> dict[str, Any]:
         return {**self._asdict(), "millis": round(self.millis, 3)}
+
+
+AnalysisLike = FiniteGroup | GroupAnalysis
+
+
+def as_analysis(x: AnalysisLike) -> GroupAnalysis:
+    return x if isinstance(x, GroupAnalysis) else GroupAnalysis(x)
 
 
 def group_fingerprint(G: AnalysisLike) -> dict[str, Any]:
@@ -411,12 +421,11 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_all_checks(G: AnalysisLike) -> list[CheckRecord]:
+def run_all_checks(a: GroupAnalysis) -> list[CheckRecord]:
     """Every check of ``CHECKS``, each timed alone, sorted by id.
     ``GroupAnalysis.records`` keeps the result.  The classification and
     the diameter, which every report reads, are computed untimed first; any
     other shared invariant is timed in the first check that reads it."""
-    a = as_analysis(G)
     for invariant in ("classification", "diameter"):
         getattr(a, invariant)
     records = []

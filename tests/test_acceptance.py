@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from agc.cli import main
-from agc.classify import classify
+from agc.classify import GroupAnalysis, classify
 from agc.graph import CommutingGraph
 from agc.perm import full_subgroup, prime_divisors
 from agc.structure import center, derived_series, fitting_subgroup
@@ -33,7 +33,7 @@ def _verdict(n: int, label: str, ok: bool) -> None:
 def corpus_analysis(corpus_groups):
     out = {}
     for name, G in corpus_groups.items():
-        c = classify(G)
+        c = classify(GroupAnalysis(G))
         d = CommutingGraph(G).diameter()
         out[name] = (G, c, d)
     return out
@@ -42,8 +42,9 @@ def corpus_analysis(corpus_groups):
 def test_criterion_1_order_1500_witness(witness1500):
     G = witness1500
     start = time.perf_counter()
-    fp = witness_fingerprint(G)
-    extras = diameter6_extra_checks(G)
+    a = GroupAnalysis(G)
+    fp = witness_fingerprint(a)
+    extras = diameter6_extra_checks(a)
     elapsed = time.perf_counter() - start
     ok = (
         fp["order"] == 1500
@@ -64,7 +65,7 @@ def test_criterion_2_order_60_witness():
     start = time.perf_counter()
     G = build_diameter4_witness().group
     elapsed = time.perf_counter() - start
-    c = classify(G)
+    c = classify(GroupAnalysis(G))
     d = CommutingGraph(G).diameter()
     ok = (
         G.order == 60
@@ -101,7 +102,7 @@ def test_criterion_4_structure_suites(corpus_analysis):
     ok = True
     stray_non_vacuous = 0
     for name, (G, c, d) in corpus_analysis.items():
-        records = {r.id: r for r in run_all_checks(G)}
+        records = {r.id: r for r in run_all_checks(GroupAnalysis(G))}
         if c.solvable and c.a_group:
             if any(records[i].status != "pass" for i in structural):
                 ok = False
@@ -130,7 +131,7 @@ def test_criterion_5_oracle_equivalence(corpus_groups):
             got = [set(t.members.tolist()) for t in derived_series(full_subgroup(G)).terms]
             if got != brute_derived_series(G):
                 ok = False
-            if is_frobenius(G)[0] != frobenius_by_malnormal_complement(G):
+            if is_frobenius(GroupAnalysis(G))[0] != frobenius_by_malnormal_complement(G):
                 ok = False
     _verdict(5, "oracle equivalence (reduction, Frobenius, derived series)", ok)
 

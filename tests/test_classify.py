@@ -39,31 +39,31 @@ def _pair(K, H):
 
 
 def test_a_group_detection():
-    assert is_a_group(symmetric(3))
-    assert is_a_group(cyclic(12))
-    assert is_a_group(metacyclic(5, 4, 2))
-    assert not is_a_group(symmetric(4))  # Sylow 2 is dihedral
-    assert not is_a_group(quaternion())
-    assert not is_a_group(dihedral(4))
+    assert is_a_group(GroupAnalysis(symmetric(3)))
+    assert is_a_group(GroupAnalysis(cyclic(12)))
+    assert is_a_group(GroupAnalysis(metacyclic(5, 4, 2)))
+    assert not is_a_group(GroupAnalysis(symmetric(4)))  # Sylow 2 is dihedral
+    assert not is_a_group(GroupAnalysis(quaternion()))
+    assert not is_a_group(GroupAnalysis(dihedral(4)))
 
 
 def test_frobenius_s3():
-    ok, kernel = is_frobenius(symmetric(3))
+    ok, kernel = is_frobenius(GroupAnalysis(symmetric(3)))
     assert ok
     assert kernel.order == 3
     assert np.array_equal(derived_subgroup(full_subgroup(symmetric(3))).members, kernel.members)
 
 
 def test_frobenius_f20_and_negatives():
-    assert is_frobenius(metacyclic(5, 4, 2))[0]
-    assert not is_frobenius(cyclic(6))[0]
-    assert not is_frobenius(dihedral(6))[0]  # D12 has a nontrivial center
-    assert not is_frobenius(symmetric(4))[0]
+    assert is_frobenius(GroupAnalysis(metacyclic(5, 4, 2)))[0]
+    assert not is_frobenius(GroupAnalysis(cyclic(6)))[0]
+    assert not is_frobenius(GroupAnalysis(dihedral(6)))[0]  # D12 has a nontrivial center
+    assert not is_frobenius(GroupAnalysis(symmetric(4)))[0]
 
 
 def test_frobenius_requires_solvable():
     with pytest.raises(NotSolvable):
-        is_frobenius(alternating(5))
+        is_frobenius(GroupAnalysis(alternating(5)))
 
 
 def test_only_the_quotients_of_a_solvable_group_are_taken_as_solvable():
@@ -78,7 +78,7 @@ def test_only_the_quotients_of_a_solvable_group_are_taken_as_solvable():
 
 def test_2frobenius_s4():
     G = symmetric(4)
-    ok, pair = is_2frobenius(G)
+    ok, pair = is_2frobenius(GroupAnalysis(G))
     assert ok
     K, H = pair
     assert (K.order, H.order) == (4, 12)
@@ -92,9 +92,9 @@ def _affine(a, b, c, d, e=0):
 
 
 def test_2frobenius_negatives():
-    assert not is_2frobenius(symmetric(3))[0]
-    assert not is_2frobenius(cyclic(12))[0]
-    assert not is_2frobenius(metacyclic(5, 4, 2))[0]
+    assert not is_2frobenius(GroupAnalysis(symmetric(3)))[0]
+    assert not is_2frobenius(GroupAnalysis(cyclic(12)))[0]
+    assert not is_2frobenius(GroupAnalysis(metacyclic(5, 4, 2)))[0]
     # S4 x C2: G/F(G) = S3 is Frobenius, but the central C2 lies in F(G),
     # so only the lower level of the canonical pair fails.  ASL(2,3):
     # C3^2 x| Q8 is Frobenius with kernel F(G) = C3^2, but G/F(G) = SL(2,3)
@@ -102,12 +102,12 @@ def test_2frobenius_negatives():
     asl23 = closure(9, [_affine(1, 0, 0, 1, 1), _affine(1, 1, 0, 1),
                         _affine(0, 2, 1, 0)])
     for G in (direct_product(symmetric(4), cyclic(2)), asl23):
-        assert not is_2frobenius(G)[0]
+        assert not is_2frobenius(GroupAnalysis(G))[0]
         assert brute_2frobenius(G) == []
 
 
 def test_2frobenius_corpus_instance(corpus_groups):
-    ok, pair = is_2frobenius(corpus_groups["c7sq-s3"])
+    ok, pair = is_2frobenius(GroupAnalysis(corpus_groups["c7sq-s3"]))
     assert ok
     K, H = pair
     assert (K.order, H.order) == (49, 147)
@@ -122,16 +122,18 @@ def test_2frobenius_matches_pair_scan_oracle(corpus_groups):
     for name, G in corpus_groups.items():
         if G.order > 500:
             continue
-        c = classify(G)
+        a = GroupAnalysis(G)
+        c = classify(a)
         expected = bool(brute_2frobenius(G))
-        assert is_2frobenius(G)[0] == c.two_frobenius == expected, name
+        assert is_2frobenius(a)[0] == c.two_frobenius == expected, name
         Z = center(full_subgroup(G))
         if Z.order == 1:
             assert c.central_quotient_two_frobenius == expected, name
         elif Z.order < G.order:
             Q = quotient(G, Z)[0]
             expected = bool(brute_2frobenius(Q))
-            assert is_2frobenius(Q)[0] == c.central_quotient_two_frobenius == expected, name
+            got = is_2frobenius(GroupAnalysis(Q))[0]
+            assert got == c.central_quotient_two_frobenius == expected, name
 
 
 def test_hypothesis_examples(corpus_groups):
@@ -145,20 +147,20 @@ def test_hypothesis_examples(corpus_groups):
 
 
 def test_central_quotient_classification(corpus_groups):
-    c = classify(corpus_groups["dic3xc5"])
+    c = classify(GroupAnalysis(corpus_groups["dic3xc5"]))
     assert c.center_order == 10
     assert not c.frobenius
     assert c.central_quotient_frobenius
 
 
 def test_corollary_classes(corpus_groups):
-    c = classify(corpus_groups["s3xs3"])
+    c = classify(GroupAnalysis(corpus_groups["s3xs3"]))
     assert c.corollary_class == "two-prime-order"  # 36 = 2^2 * 3^2
-    c60 = classify(corpus_groups["diameter4-witness"])
+    c60 = classify(GroupAnalysis(corpus_groups["diameter4-witness"]))
     assert c60.corollary_class == "none"  # order 60 has three primes
-    assert classify(corpus_groups["g126"]).corollary_class == "none"  # even
+    assert classify(GroupAnalysis(corpus_groups["g126"])).corollary_class == "none"  # even
     # odd cube-free order: 819 = 3^2 * 7 * 13
-    c_odd = classify(corpus_groups["f21xf39"])
+    c_odd = classify(GroupAnalysis(corpus_groups["f21xf39"]))
     assert c_odd.satisfies_hypothesis
     assert c_odd.corollary_class == "cube-free-odd"
     assert corollary_class(symmetric(3), False) == "none"

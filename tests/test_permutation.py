@@ -713,8 +713,8 @@ def test_orbit_labels_stop_with_every_orbit_labelled(case):
 
 
 def test_generators_are_checked_together_with_the_first_error_of_one_at_a_time():
-    """``_validate_rows`` checks all image arrays at once and, on a bad
-    one, raises what checking them one after another raises first."""
+    """``closure`` checks its generators one after another, so a bad one
+    raises what checking the rows in turn raises first."""
     good = [1, 2, 0]
     bad = {"repeat": [0, 0, 1], "range": [0, 1, 3], "negative": [0, -1, 2],
            "short": [1, 0], "long": [1, 2, 3, 0], "huge": [0, 1, 2**70]}
@@ -725,7 +725,12 @@ def test_generators_are_checked_together_with_the_first_error_of_one_at_a_time()
                 for row in rows:
                     perm._validate_images(row, 3)
             with pytest.raises(MalformedPermutation) as got:
-                perm._validate_rows(rows, 3)
+                closure(3, rows)
             assert str(got.value) == str(want.value), rows
-    assert perm._validate_rows([good, [0, 1, 2]], 3).tolist() == [good, [0, 1, 2]]
-    assert perm._validate_rows([], 3).shape == (0, 3)
+    assert closure(3, []).order == 1
+    listed = closure(3, [good, [1, 0, 2]])
+    stacked = closure(3, np.array([good, [1, 0, 2]]))
+    assert listed.order == stacked.order == 6
+    assert np.array_equal(listed.generator_rows, stacked.generator_rows)
+    assert np.array_equal(listed.images(range(3)), stacked.images(range(3)))
+    assert closure(3, []).generator_rows.shape == (0, 3)

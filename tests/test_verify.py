@@ -205,7 +205,7 @@ def test_stray_p_part_check_skips_when_derived_is_hall():
 
 
 def test_diameter_checks_on_witness(witness1500):
-    records = run_all_checks(witness1500)
+    records = run_all_checks(GroupAnalysis(witness1500))
     assert _status(records, "connected-diameter-le-6").status == "pass"
     assert _status(records, "connected-diameter-le-6").witness["diameter"] == 6
     assert _status(records, "metabelian-diameter-le-4").status == \
@@ -237,7 +237,7 @@ def test_bounds_hold_on_every_small_metacyclic_group():
 
 
 def test_center_quotient_transfer(corpus_groups):
-    records = run_all_checks(corpus_groups["c2xw60"])
+    records = run_all_checks(GroupAnalysis(corpus_groups["c2xw60"]))
     rec = _status(records, "center-quotient-transfer")
     assert rec.status == "pass"
     assert rec.witness["group"]["diameter"] == 4
@@ -274,7 +274,8 @@ def test_each_record_times_its_own_check(monkeypatch, corpus_groups, witness1500
     monkeypatch.setattr(importlib.import_module("agc.verify"), "time",
                         SimpleNamespace(perf_counter=lambda: float(next(clock))))
     for G in (witness1500, corpus_groups["c2xw60"]):
-        assert [r.millis for r in run_all_checks(G)] == [1000.0] * len(CHECK_IDS)
+        assert [r.millis for r in run_all_checks(GroupAnalysis(G))] == \
+            [1000.0] * len(CHECK_IDS)
 
 
 def test_diagnostics_are_never_asserted(witness1500):

@@ -60,15 +60,15 @@ def test_diameter6_matrices_satisfy_the_relations():
 
 
 def test_diameter4_witness_matches_frozen_fingerprint(witness60):
-    assert witness_fingerprint(witness60) == DIAMETER4_FINGERPRINT
+    assert witness_fingerprint(GroupAnalysis(witness60)) == DIAMETER4_FINGERPRINT
 
 
 def test_diameter6_witness_matches_frozen_fingerprint(witness1500):
-    assert witness_fingerprint(witness1500) == DIAMETER6_FINGERPRINT
+    assert witness_fingerprint(GroupAnalysis(witness1500)) == DIAMETER6_FINGERPRINT
 
 
 def test_diameter6_extra_structure(witness1500):
-    extras = diameter6_extra_checks(witness1500)
+    extras = diameter6_extra_checks(GroupAnalysis(witness1500))
     assert extras == {
         "fitting_is_sylow_5": True,
         "no_2_element_commutes_with_fitting": True,
